@@ -301,14 +301,17 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _apply_config(args, parser):
+def _apply_config(args, argv):
+    """Fill ``args`` from its ``--config`` file, except for the flags given
+    explicitly in ``argv``."""
     if not args.config:
         return args
+    given = {tok.split("=", 1)[0] for tok in argv}
     values = _read_config(args.config)
     for key, val in values.items():
         if not hasattr(args, key):
             raise InvalidInput(f"unknown config key: {key}")
-        if f"--{key.replace('_', '-')}" in sys.argv or f"--{key}" in sys.argv:
+        if f"--{key.replace('_', '-')}" in given or f"--{key}" in given:
             continue  # explicit flag wins
         current = getattr(args, key)
         if isinstance(current, bool):
@@ -398,9 +401,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args, parser)
+        args = _apply_config(args, argv)
         return _COMMANDS[args.command](args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

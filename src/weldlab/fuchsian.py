@@ -220,14 +220,14 @@ def in_dirichlet_domain(enumeration: GroupEnumeration, z, slack: float = 1e-12):
 
 
 def domain_area_integral(group: FuchsianGroup, n_theta: int = 2048,
-                         tol: float = 1e-5, max_refinements: int = 4) -> dict:
+                         tol: float = 1e-5) -> dict:
     """Integral of 1/(pi (1-|z|^2)^2) over the Dirichlet octagon.
 
     For each angle the domain boundary radius is found by bisection on the
     membership predicate (the domain is star-shaped about 0), the radial
     integral is closed-form, and the angular integral is a midpoint rule
-    refined by doubling until two consecutive estimates agree. The value
-    is genus - 1 by Gauss-Bonnet.
+    refined by doubling (at most four times) until two consecutive
+    estimates agree. The value is genus - 1 by Gauss-Bonnet.
     """
     enum = enumerate_elements(group, 2)
     orbit = enum.orbit_of_zero()
@@ -253,7 +253,7 @@ def domain_area_integral(group: FuchsianGroup, n_theta: int = 2048,
 
     estimates = [estimate(n_theta)]
     ns = [n_theta]
-    for _ in range(max_refinements):
+    for _ in range(4):
         ns.append(ns[-1] * 2)
         estimates.append(estimate(ns[-1]))
         if abs(estimates[-1] - estimates[-2]) <= tol:
@@ -302,7 +302,7 @@ def basepoint_mixed_kernel(z, w):
     return 1.0 / (np.pi * (np.asarray(z) - np.asarray(w)) ** 2)
 
 
-def basepoint_trace_term(group: FuchsianGroup, k: int, n_theta: int = 2048) -> float:
+def basepoint_trace_term(group: FuchsianGroup, k: int) -> float:
     """Integral of the k-th iterated mixed kernel diagonal over the domain.
 
     At the basepoint the mixed contraction is the identity operator, whose
@@ -312,7 +312,7 @@ def basepoint_trace_term(group: FuchsianGroup, k: int, n_theta: int = 2048) -> f
     """
     if k < 1:
         raise InvalidInput("trace term index must be >= 1")
-    return domain_area_integral(group, n_theta=n_theta + 512 * (k % 3),
+    return domain_area_integral(group, n_theta=2048 + 512 * (k % 3),
                                 tol=1e-5)["value"]
 
 

@@ -46,9 +46,11 @@ from .maps import WeldingPair, inverted_pair, schwarzian
 from .series import (
     ComplexSeries,
     Kind,
+    derivative,
     evaluate,
     log_array,
     reciprocal_array,
+    samples_from_coeffs,
 )
 
 
@@ -216,22 +218,21 @@ def build_b4(pair, n: int, cols: int = None) -> np.ndarray:
     return np.ascontiguousarray(-_sqrt_weights(n, cols) * ell[1:, 1:])
 
 
-def separation_radii(pair, radii=(0.9, 0.95, 0.98),
-                     exterior_radii=(1.6, 1.4, 1.25, 1.1),
-                     samples: int = 512):
+def separation_radii(pair):
     """A pair (r, R) with max|f| on |z|=r below min|g| on |w|=R, or None.
 
-    This is the geometric sanity check behind the mixed expansion: the
-    bivariate monomial series of log(1 - f/g) converges on the product of
-    the two circles exactly when they separate the curve.
+    Tries r = 0.98, 0.95, 0.9 and, for each, R = 1.1, 1.25, 1.4, 1.6, on
+    512 samples per circle. This is the geometric sanity check behind the
+    mixed expansion: the bivariate monomial series of log(1 - f/g)
+    converges on the product of the two circles exactly when they separate
+    the curve.
     """
-    theta = np.exp(1j * 2.0 * np.pi * np.arange(samples) / samples)
     f = pair.interior if isinstance(pair, WeldingPair) else pair[0]
     g = pair.exterior if isinstance(pair, WeldingPair) else pair[1]
-    for r in sorted(radii, reverse=True):
-        fmax = np.abs(evaluate(f, r * theta)).max()
-        for big_r in sorted(exterior_radii):
-            gmin = np.abs(evaluate(g, big_r * theta)).min()
+    for r in (0.98, 0.95, 0.9):
+        fmax = np.abs(samples_from_coeffs(f, r, 512)).max()
+        for big_r in (1.1, 1.25, 1.4, 1.6):
+            gmin = np.abs(samples_from_coeffs(g, big_r, 512)).min()
             if fmax < gmin:
                 return (r, big_r)
     return None
@@ -324,8 +325,8 @@ def kernel_value(pair: WeldingPair, which: int, z: complex, w: complex) -> compl
         if abs(z - w) < _DIAG_SPLIT:
             return complex(-schwarzian(pair.interior, 0.5 * (z + w)) / (6.0 * pi))
         fz, fw = pair.f(z), pair.f(w)
-        fpz = _eval_deriv(pair.interior, z)
-        fpw = _eval_deriv(pair.interior, w)
+        fpz = evaluate(derivative(pair.interior), z)
+        fpw = evaluate(derivative(pair.interior), w)
         return (1.0 / (z - w) ** 2 - fpz * fpw / (fz - fw) ** 2) / pi
     if which == 4:
         if _in_disk(z) or _in_disk(w):
@@ -333,25 +334,22 @@ def kernel_value(pair: WeldingPair, which: int, z: complex, w: complex) -> compl
         if abs(z - w) < _DIAG_SPLIT:
             return complex(-schwarzian(pair.exterior, 0.5 * (z + w)) / (6.0 * pi))
         gz, gw = pair.g(z), pair.g(w)
-        gpz = _eval_deriv(pair.exterior, z)
-        gpw = _eval_deriv(pair.exterior, w)
+        gpz = evaluate(derivative(pair.exterior), z)
+        gpw = evaluate(derivative(pair.exterior), w)
         return (1.0 / (z - w) ** 2 - gpz * gpw / (gz - gw) ** 2) / pi
     if which == 2:
         if not (_in_disk(z) and not _in_disk(w)):
             raise InvalidInput("kernel 2 needs z in the disk, w outside")
-        return (_eval_deriv(pair.interior, z) * _eval_deriv(pair.exterior, w)
+        return (evaluate(derivative(pair.interior), z)
+                * evaluate(derivative(pair.exterior), w)
                 / (pair.f(z) - pair.g(w)) ** 2) / pi
     if which == 3:
         if not (not _in_disk(z) and _in_disk(w)):
             raise InvalidInput("kernel 3 needs z outside the disk, w inside")
-        return (_eval_deriv(pair.exterior, z) * _eval_deriv(pair.interior, w)
+        return (evaluate(derivative(pair.exterior), z)
+                * evaluate(derivative(pair.interior), w)
                 / (pair.g(z) - pair.f(w)) ** 2) / pi
     raise InvalidInput("kernel index must be 1, 2, 3 or 4")
-
-
-def _eval_deriv(series: ComplexSeries, z):
-    from .series import derivative as _sderiv
-    return evaluate(_sderiv(series), z)
 
 
 # ---------------------------------------------------------------------------

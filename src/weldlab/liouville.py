@@ -31,7 +31,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import InvalidInput, NumericalFailure
 from .grunsky import ConvergenceReport, _report_from_estimates, build_b1, build_b4, logdet_potential
 from .maps import WeldingPair
-from .series import derivative_array, reciprocal_array
+from .series import derivative_array, evaluate_array, reciprocal_array
 
 DEFAULT_GRIDS = ((64, 128), (128, 256), (256, 512))
 INTEGRAND_CAP = 1e8            # blow-up guard near |z| = 1
@@ -63,21 +63,14 @@ class QuadratureGrid:
         return float((wr * r).sum() * 2.0 * np.pi)
 
 
-def _horner_grid(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    for ck in coeffs[::-1]:
-        out = out * z + ck
-    return out
-
-
 def _interior_integral(pair: WeldingPair, grid: QuadratureGrid) -> float:
     r, wr, theta = grid.nodes()
     z = r[:, None] * np.exp(1j * theta[None, :])
     a = pair.interior.coeffs
     d1 = derivative_array(a)
     d2 = derivative_array(d1)
-    num = _horner_grid(d2.astype(complex), z)
-    den = _horner_grid(d1.astype(complex), z)
+    num = evaluate_array(d2, z)
+    den = evaluate_array(d1, z)
     vals = np.abs(num / den) ** 2
     if vals.max() > INTEGRAND_CAP:
         raise NumericalFailure(
@@ -98,8 +91,8 @@ def _exterior_ratio_at_u(pair: WeldingPair, u: np.ndarray) -> np.ndarray:
     # G'(u) = -gam0 u^-2 + P(u), P = sum_{k>=2} (k-1) gam_k u^(k-2)
     p_coeffs = (k[2:] - 1) * gam[2:] if len(gam) > 2 else np.zeros(1, complex)
     pp_coeffs = derivative_array(p_coeffs) if len(p_coeffs) > 1 else np.zeros(1, complex)
-    p = _horner_grid(p_coeffs.astype(complex), u)
-    pp = _horner_grid(pp_coeffs.astype(complex), u)
+    p = evaluate_array(p_coeffs, u)
+    pp = evaluate_array(pp_coeffs, u)
     gp = -gam[0] / u ** 2 + p
     gpp = 2.0 * gam[0] / u ** 3 + pp
     return -u * (2.0 * gp + u * gpp) / gp

@@ -20,10 +20,16 @@ classical convergent scheme; above 1 convergence is no longer guaranteed
 and a stronger damping of 0.4 is used, with the iteration cap as the
 safety net. The boundary of every cataloged pair is cross-checked by a
 point-to-curve Newton distance between the two parametrizations.
+
+Every evaluation, derivative and circle sample of a series goes through
+``series`` (``evaluate``/``evaluate_array``, ``derivative``/
+``derivative_array``, ``samples_from_coeffs``); Moebius maps are plain
+2x2 matrices handled by ``fuchsian.apply_mobius``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from dataclasses import dataclass, field
@@ -35,9 +41,12 @@ from .series import (
     ComplexSeries,
     Kind,
     coeffs_from_samples,
+    derivative,
     derivative_array,
     evaluate,
+    evaluate_array,
     reciprocal_array,
+    samples_from_coeffs,
 )
 
 BOUNDARY_TOL = 1e-8          # pair acceptance tolerance on the shared curve
@@ -173,6 +182,9 @@ def _upsample_periodic(values: np.ndarray, m2: int) -> np.ndarray:
 
 
 def _damping_for(bound: float) -> float:
+    """Damping of the fixed-point step for polar smoothness bound ``bound``;
+    from 1 on the classical criterion no longer guarantees convergence, so
+    the damping is strong and the iteration cap is the safety net."""
     if bound <= 0.5:
         return 1.0
     if bound < 1.0:
@@ -181,23 +193,19 @@ def _damping_for(bound: float) -> float:
 
 
 def theodorsen_interior(domain: StarDomain, sample_count: int = 1024,
-                        tol: float = 1e-12, max_iterations: int = 4000,
-                        damping: float = None) -> TheodorsenResult:
+                        tol: float = 1e-12,
+                        max_iterations: int = 4000) -> TheodorsenResult:
     """Interior map of a star-like domain by damped Theodorsen iteration.
 
     Solves phi(theta) = theta + K[log rho(phi(.))](theta) on a power-of-two
-    grid with mesh continuation from 256 samples. The returned series is
+    grid with mesh continuation from 256 samples, damped by
+    ``_damping_for(domain.smoothness_bound)``. The returned series is
     rotated so f'(0) > 0 and has f(0) = 0 exactly.
     """
     m = sample_count
     if m < 64 or (m & (m - 1)) != 0:
         raise InvalidInput("sample count must be a power of two >= 64")
-    if domain.smoothness_bound >= 1.0 and damping is None:
-        # convergence no longer guaranteed by the classical criterion;
-        # proceed with strong damping and rely on the iteration cap
-        damping = 0.4
-    if damping is None:
-        damping = _damping_for(domain.smoothness_bound)
+    damping = _damping_for(domain.smoothness_bound)
 
     meshes = [min(256, m)]
     while meshes[-1] < m:
@@ -247,22 +255,21 @@ def theodorsen_interior(domain: StarDomain, sample_count: int = 1024,
 # inversion z -> 1/conj(z) between interior and exterior maps
 # ---------------------------------------------------------------------------
 
-def exterior_via_inversion(f_inv: ComplexSeries, sample_count: int = 1024,
-                           radius: float = None) -> ComplexSeries:
+def exterior_via_inversion(f_inv: ComplexSeries,
+                           sample_count: int = 1024) -> ComplexSeries:
     """Exterior map g(z) = 1/conj(f_inv(1/conj(z))) as a Laurent series.
 
     ``f_inv`` must map the disk onto the reflected domain itself (a
     rescaled map would recover a rescaled curve). The Laurent data is
-    extracted by sampling on |z| = radius > 1; the default radius
+    extracted by sampling on |z| = 1 + 8/sample_count; the radius
     approaches 1 as the sample count grows, keeping the noise
     amplification radius**k of high-order coefficients bounded.
     """
     if f_inv.kind is not Kind.TAYLOR_AT_ZERO:
         raise InvalidInput("exterior_via_inversion expects a Taylor interior map")
-    if radius is None:
-        radius = 1.0 + 8.0 / sample_count
-    if radius <= 1.0:
-        raise InvalidInput("sampling radius must exceed 1")
+    if sample_count < 2:
+        raise InvalidInput("sample count must be a power of two >= 2")
+    radius = 1.0 + 8.0 / sample_count
     theta = 2.0 * np.pi * np.arange(sample_count) / sample_count
     z = radius * np.exp(1j * theta)
     inner = evaluate(f_inv, 1.0 / np.conj(z))
@@ -275,58 +282,21 @@ def exterior_via_inversion(f_inv: ComplexSeries, sample_count: int = 1024,
                                Kind.LAURENT_AT_INFINITY)
 
 
-def interior_via_inversion(g: ComplexSeries, sample_count: int = 1024,
-                           radius: float = None) -> ComplexSeries:
-    """Interior map f(z) = 1/conj(g(1/conj(z))) of the reflected domain."""
+def interior_via_inversion(g: ComplexSeries,
+                           sample_count: int = 1024) -> ComplexSeries:
+    """Interior map f(z) = 1/conj(g(1/conj(z))) of the reflected domain,
+    extracted from samples on |z| = 1 - 8/sample_count."""
     if g.kind is not Kind.LAURENT_AT_INFINITY:
         raise InvalidInput("interior_via_inversion expects a Laurent exterior map")
-    if radius is None:
-        radius = 1.0 - 8.0 / sample_count
-    if not 0 < radius < 1.0:
-        raise InvalidInput("sampling radius must lie in (0, 1)")
+    if sample_count <= 8:
+        raise InvalidInput("sample count must be a power of two > 8")
+    radius = 1.0 - 8.0 / sample_count
     theta = 2.0 * np.pi * np.arange(sample_count) / sample_count
     z = radius * np.exp(1j * theta)
     outer = evaluate(g, 1.0 / np.conj(z))
     if np.abs(outer).min() < 1e-13:
         raise NumericalFailure("exterior map vanishes near the sampling circle")
     return coeffs_from_samples(1.0 / np.conj(outer), radius, Kind.TAYLOR_AT_ZERO)
-
-
-# ---------------------------------------------------------------------------
-# Moebius transforms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class MoebiusTransform:
-    """Determinant-normalized 2x2 complex matrix acting by (az+b)/(cz+d)."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex).reshape(2, 2).copy()
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if det == 0:
-            raise InvalidInput("singular matrix is not a Moebius transform")
-        m = m / np.sqrt(det)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det - 1.0) > 1e-12:
-            raise NumericalFailure("determinant normalization failed")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def __call__(self, z):
-        a, b = self.matrix[0]
-        c, d = self.matrix[1]
-        return (a * z + b) / (c * z + d)
-
-    def derivative(self, z):
-        c, d = self.matrix[1]
-        return 1.0 / (c * z + d) ** 2
-
-    def inverse(self) -> "MoebiusTransform":
-        a, b = self.matrix[0]
-        c, d = self.matrix[1]
-        return MoebiusTransform(np.array([[d, -b], [-c, a]]))
 
 
 # ---------------------------------------------------------------------------
@@ -352,32 +322,23 @@ class WeldingPair:
         return evaluate(self.exterior, z)
 
 
-def boundary_samples(series: ComplexSeries, m: int) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(m) / m
-    return evaluate(series, np.exp(1j * theta))
-
-
-def distance_to_curve(points: np.ndarray, curve: ComplexSeries,
-                      coarse: int = 4096, newton_steps: int = 6) -> np.ndarray:
+def distance_to_curve(points: np.ndarray, curve: ComplexSeries) -> np.ndarray:
     """Distance from each point to the image curve of |z| = 1 under ``curve``.
 
-    Coarse nearest-sample search followed by Newton projection on the
-    parameter; accurate to machine precision for analytic curves, which is
-    what makes sub-1e-8 boundary tolerances testable at all.
+    Nearest-sample search over 4096 curve samples followed by six Newton
+    projection steps on the parameter; accurate to machine precision for
+    analytic curves, which is what makes sub-1e-8 boundary tolerances
+    testable at all.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    coarse = 4096
     t0 = 2.0 * np.pi * np.arange(coarse) / coarse
-    gv = evaluate(curve, np.exp(1j * t0))
+    gv = samples_from_coeffs(curve, 1.0, coarse)
     idx = np.abs(pts[:, None] - gv[None, :]).argmin(axis=1)
     t = t0[idx]
 
-    if curve.kind is Kind.TAYLOR_AT_ZERO:
-        darr = ComplexSeries.taylor(derivative_array(curve.coeffs))
-    else:
-        from .series import derivative as _sderiv
-        darr = _sderiv(curve)
-
-    for _ in range(newton_steps):
+    darr = derivative(curve)
+    for _ in range(6):
         zt = np.exp(1j * t)
         ct = evaluate(curve, zt)
         dct = evaluate(darr, zt) * 1j * zt  # d/dt of curve(e^{it})
@@ -390,8 +351,8 @@ def distance_to_curve(points: np.ndarray, curve: ComplexSeries,
 def pair_boundary_residual(interior: ComplexSeries, exterior: ComplexSeries,
                            m: int = 1024) -> float:
     """Two-sided sampled distance between the two boundary parametrizations."""
-    fb = boundary_samples(interior, m)
-    gb = boundary_samples(exterior, m)
+    fb = samples_from_coeffs(interior, 1.0, m)
+    gb = samples_from_coeffs(exterior, 1.0, m)
     d1 = distance_to_curve(fb, exterior).max()
     d2 = distance_to_curve(gb, interior).max()
     return float(max(d1, d2))
@@ -399,12 +360,13 @@ def pair_boundary_residual(interior: ComplexSeries, exterior: ComplexSeries,
 
 def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
                    family_tag: str = "custom", params: dict = None,
-                   sample_count: int = 1024, boundary_tol: float = BOUNDARY_TOL,
-                   extra_residuals: dict = None, check: bool = True) -> WeldingPair:
+                   sample_count: int = 1024, extra_residuals: dict = None,
+                   check: bool = True) -> WeldingPair:
     """Apply the affine gauge lambda(w) = (w - raw_f(0))/raw_f'(0) to both maps.
 
     The output satisfies f(0) = 0 and f'(0) = 1 exactly;
-    g_prime_at_infinity is the rescaled Laurent leading coefficient.
+    g_prime_at_infinity is the rescaled Laurent leading coefficient. With
+    ``check`` the two boundary traces must agree to ``BOUNDARY_TOL``.
     """
     if raw_f.kind is not Kind.TAYLOR_AT_ZERO:
         raise InvalidInput("raw interior map must be a Taylor series")
@@ -431,10 +393,10 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
         resid = pair_boundary_residual(interior, exterior,
                                        min(sample_count, 1024))
         residuals["boundary"] = resid
-        if resid > boundary_tol:
+        if resid > BOUNDARY_TOL:
             raise NumericalFailure(
                 f"boundary traces disagree: residual {resid:.3e} exceeds "
-                f"{boundary_tol:.1e}"
+                f"{BOUNDARY_TOL:.1e}"
             )
     return WeldingPair(interior=interior, exterior=exterior,
                        g_prime_at_infinity=complex(gc[0]),
@@ -456,8 +418,8 @@ def _coefficients_resolved(series: ComplexSeries, sample_count: int) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _catalog_cached(family_tag: str, param_items: tuple, sample_count: int,
-                    tol: float) -> WeldingPair:
+def _catalog_cached(family_tag: str, param_items: tuple,
+                    sample_count: int) -> WeldingPair:
     params = dict(param_items)
     m = sample_count
 
@@ -472,7 +434,7 @@ def _catalog_cached(family_tag: str, param_items: tuple, sample_count: int,
         c = params["c"]
         domain = ellipse_domain(c)
         while True:
-            theo = theodorsen_interior(domain, m, tol)
+            theo = theodorsen_interior(domain, m)
             if _coefficients_resolved(theo.series, m) or m >= 16384:
                 break
             m *= 2
@@ -493,8 +455,8 @@ def _catalog_cached(family_tag: str, param_items: tuple, sample_count: int,
                 f"bump({eps},{k}) has smoothness bound "
                 f"{domain.smoothness_bound:.3f} >= 1")
         while True:
-            theo = theodorsen_interior(domain, m, tol)
-            theo_inv = theodorsen_interior(inverted_domain(domain), m, tol)
+            theo = theodorsen_interior(domain, m)
+            theo_inv = theodorsen_interior(inverted_domain(domain), m)
             if (_coefficients_resolved(theo.series, m)
                     and _coefficients_resolved(theo_inv.series, m)) or m >= 16384:
                 break
@@ -510,17 +472,20 @@ def _catalog_cached(family_tag: str, param_items: tuple, sample_count: int,
     raise InvalidInput(f"unknown family tag: {family_tag!r}")
 
 
-def catalog(family_tag: str, sample_count: int = 1024, tol: float = 1e-12,
-            **params) -> WeldingPair:
+def catalog(family_tag: str, sample_count: int = 1024, **params) -> WeldingPair:
     """Construct a cataloged welding pair.
 
     Families: ``identity``, ``ellipse`` (parameter ``c`` in (0,1)),
     ``fourier_bump`` (parameters ``eps``, ``k``). The sample count doubles
     automatically (up to 16384) until the coefficient floor is reached, so
-    slowly-decaying expansions are always fully resolved.
+    slowly-decaying expansions are always fully resolved. Pairs are cached;
+    each call returns its own ``params`` and ``residuals`` dicts, so a
+    caller's edits never reach later results.
     """
     items = tuple(sorted(params.items()))
-    return _catalog_cached(family_tag, items, sample_count, tol)
+    pair = _catalog_cached(family_tag, items, sample_count)
+    return dataclasses.replace(pair, params=dict(pair.params),
+                               residuals=dict(pair.residuals))
 
 
 def inverted_pair(pair: WeldingPair, sample_count: int = None) -> WeldingPair:
@@ -543,27 +508,21 @@ def _schwarzian_from_taylor(coeffs: np.ndarray, z):
     d2 = derivative_array(d1)
     d3 = derivative_array(d2)
     z = np.asarray(z, dtype=complex)
-    h1 = _horner(d1, z)
+    h1 = evaluate_array(d1, z)
     if np.any(np.abs(h1) < 1e-13):
         raise NumericalFailure("Schwarzian evaluation at a critical point")
-    h2 = _horner(d2, z)
-    h3 = _horner(d3, z)
+    h2 = evaluate_array(d2, z)
+    h3 = evaluate_array(d3, z)
     return h3 / h1 - 1.5 * (h2 / h1) ** 2
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray):
-    out = np.zeros_like(z)
-    for ck in coeffs[::-1]:
-        out = out * z + ck
-    return out
-
-
-def schwarzian(h, z, radius: float = None, stencil: int = 32):
+def schwarzian(h, z):
     """Schwarzian derivative S(h) = (h''/h')' - (h''/h')^2 / 2 at z.
 
     ``h`` is a ComplexSeries (evaluated by series arithmetic) or a plain
-    evaluator (local-circle Fourier differentiation of ``stencil`` samples
-    with adaptive radius). Moebius maps give 0; h'(z) = 0 is rejected.
+    evaluator (local-circle Fourier differentiation of 32 samples on a
+    circle of radius max(0.25 (1 - |z|), 1e-4)). Moebius maps give 0;
+    h'(z) = 0 is rejected.
     """
     if isinstance(h, ComplexSeries):
         if h.kind is Kind.TAYLOR_AT_ZERO:
@@ -579,17 +538,11 @@ def schwarzian(h, z, radius: float = None, stencil: int = 32):
         z = np.asarray(z, dtype=complex)
         return _schwarzian_from_taylor(tay, 1.0 / z) / z ** 4
 
-    if isinstance(h, MoebiusTransform):
-        z = np.asarray(z, dtype=complex)
-        return np.zeros_like(z)
-
     z = np.asarray(z, dtype=complex)
     scalar = z.shape == ()
     zv = np.atleast_1d(z)
-    if radius is None:
-        radius = np.maximum(0.25 * (1.0 - np.abs(zv)), 1e-4)
-    else:
-        radius = np.full(zv.shape, radius, dtype=float)
+    radius = np.maximum(0.25 * (1.0 - np.abs(zv)), 1e-4)
+    stencil = 32
     theta = 2.0 * np.pi * np.arange(stencil) / stencil
     ring = np.exp(1j * theta)
     samples = np.asarray(h(zv[:, None] + radius[:, None] * ring[None, :]))
@@ -605,11 +558,7 @@ def schwarzian(h, z, radius: float = None, stencil: int = 32):
 
 def _newton_invert(series: ComplexSeries, w: complex, starts: np.ndarray,
                    max_iter: int = 60, tol: float = 1e-13):
-    if series.kind is Kind.TAYLOR_AT_ZERO:
-        dser = ComplexSeries.taylor(derivative_array(series.coeffs))
-    else:
-        from .series import derivative as _sderiv
-        dser = _sderiv(series)
+    dser = derivative(series)
     best = starts[np.abs(evaluate(series, starts) - w).argmin()]
     z = best
     scale = max(1.0, abs(w))
@@ -637,7 +586,7 @@ def theta(pair: WeldingPair, w, tube: float = 1e-2):
         raise InvalidInput(
             f"point {w} is within {tube} of the welding curve")
 
-    curve = boundary_samples(pair.interior, 512)
+    curve = samples_from_coeffs(pair.interior, 1.0, 512)
     # winding test: inside the interior image or not
     angles = np.angle((curve - w) / np.roll(curve - w, 1))
     winding = abs(angles.sum()) > np.pi
@@ -649,7 +598,7 @@ def theta(pair: WeldingPair, w, tube: float = 1e-2):
         if abs(z) >= 1.0:
             raise NumericalFailure("inversion left the unit disk")
         s = _schwarzian_from_taylor(pair.interior.coeffs, z)
-        d1 = _horner(derivative_array(pair.interior.coeffs), np.asarray(z))
+        d1 = evaluate_array(derivative_array(pair.interior.coeffs), z)
         return complex(-s / d1 ** 2)
     r = np.array([1.05, 1.2, 1.6, 2.5, 5.0])
     t = np.exp(1j * 2.0 * np.pi * np.arange(32) / 32)
@@ -658,8 +607,7 @@ def theta(pair: WeldingPair, w, tube: float = 1e-2):
     if abs(z) <= 1.0:
         raise NumericalFailure("inversion left the exterior domain")
     s = schwarzian(pair.exterior, z)
-    from .series import derivative as _sderiv
-    d1 = evaluate(_sderiv(pair.exterior), z)
+    d1 = evaluate(derivative(pair.exterior), z)
     return complex(-s / d1 ** 2)
 
 
@@ -676,7 +624,9 @@ def pair_to_json(pair: WeldingPair) -> str:
         "family_tag": pair.family_tag,
         "params": pair.params,
         "taylor_coeffs": _complex_list(pair.interior.coeffs),
+        "taylor_resolved": pair.interior.resolved,
         "laurent_coeffs": _complex_list(pair.exterior.coeffs),
+        "laurent_resolved": pair.exterior.resolved,
         "g_prime_at_infinity": [pair.g_prime_at_infinity.real,
                                 pair.g_prime_at_infinity.imag],
         "M": pair.sample_count,
@@ -688,9 +638,11 @@ def pair_to_json(pair: WeldingPair) -> str:
 def pair_from_json(text: str) -> WeldingPair:
     doc = json.loads(text)
     interior = ComplexSeries.taylor([complex(re, im)
-                                     for re, im in doc["taylor_coeffs"]])
+                                     for re, im in doc["taylor_coeffs"]],
+                                    resolved=doc.get("taylor_resolved", False))
     exterior = ComplexSeries.laurent([complex(re, im)
-                                      for re, im in doc["laurent_coeffs"]])
+                                      for re, im in doc["laurent_coeffs"]],
+                                     resolved=doc.get("laurent_resolved", False))
     gp = complex(*doc["g_prime_at_infinity"])
     return WeldingPair(interior=interior, exterior=exterior,
                        g_prime_at_infinity=gp, family_tag=doc["family_tag"],

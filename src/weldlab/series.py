@@ -1,5 +1,12 @@
 """Truncated power-series algebra over complex coefficients.
 
+This module is the package's one place that evaluates, differentiates and
+samples a coefficient array: ``evaluate_array`` is the only Horner loop,
+``derivative`` the only term-by-term derivative of either grading, and
+``samples_from_coeffs`` samples a series on a circle |z| = r. (The
+inversion routines of ``maps`` evaluate at 1/conj(z) instead, which is not
+the same point set to the last bit, so they call ``evaluate`` directly.)
+
 Two expansion kinds are supported:
 
 * ``TAYLOR_AT_ZERO``: index k holds the coefficient of z^k,
@@ -101,7 +108,8 @@ class ComplexSeries:
 
 
 # ---------------------------------------------------------------------------
-# raw-array helpers (Taylor grading, used here and by the operator builders)
+# raw-array helpers (Taylor grading, used here, by the operator builders,
+# the Schwarzian utilities and the action quadrature)
 # ---------------------------------------------------------------------------
 
 def reciprocal_array(c: np.ndarray) -> np.ndarray:
@@ -133,6 +141,15 @@ def log_array(c: np.ndarray) -> np.ndarray:
     ds = np.arange(1, n) * c[1:]
     q = np.convolve(ds, reciprocal_array(c.astype(complex)))[:n - 1]
     out[1:] = q / np.arange(1, n)
+    return out
+
+
+def evaluate_array(c: np.ndarray, z) -> np.ndarray:
+    """Horner evaluation of sum(c_k z^k) at complex point(s) z."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros_like(z)
+    for ck in c[::-1]:
+        out = out * z + ck
     return out
 
 
@@ -213,25 +230,19 @@ def evaluate(a: ComplexSeries, z):
     """Evaluate the truncated series at complex point(s) z (vectorized)."""
     z = np.asarray(z, dtype=complex)
     if a.kind is Kind.TAYLOR_AT_ZERO:
-        out = np.zeros_like(z)
-        for ck in a.coeffs[::-1]:
-            out = out * z + ck
-        return out if out.shape else complex(out)
-    # sum c_k z^(1-k) = z * P(1/z) with P the Taylor array
-    u = 1.0 / z
-    out = np.zeros_like(z)
-    for ck in a.coeffs[::-1]:
-        out = out * u + ck
-    out = out * z
+        out = evaluate_array(a.coeffs, z)
+    else:
+        # sum c_k z^(1-k) = z * P(1/z) with P the Taylor array
+        out = evaluate_array(a.coeffs, 1.0 / z) * z
     return out if out.shape else complex(out)
 
 
-def coeffs_from_samples(samples, radius: float, kind: Kind = Kind.TAYLOR_AT_ZERO,
-                        floor: float = COEFF_FLOOR) -> ComplexSeries:
+def coeffs_from_samples(samples, radius: float,
+                        kind: Kind = Kind.TAYLOR_AT_ZERO) -> ComplexSeries:
     """Recover expansion coefficients from uniform samples on |z| = radius.
 
     The sample count must be a power of two. Retains M/2 coefficients,
-    zeroing those below ``floor`` relative to the largest magnitude. A
+    zeroing those below ``COEFF_FLOOR`` relative to the largest magnitude. A
     non-decaying high-frequency tail means the circle lies outside the
     domain of analyticity and is rejected.
     """
@@ -257,14 +268,14 @@ def coeffs_from_samples(samples, radius: float, kind: Kind = Kind.TAYLOR_AT_ZERO
     # analyticity diagnostic: the tail quarter must not dominate the head
     head = mags[:max(2, half // 4)].max()
     tail = mags[3 * half // 4:].max() if half >= 4 else 0.0
-    if tail > 10.0 * head and tail > 1e3 * floor * top:
+    if tail > 10.0 * head and tail > 1e3 * COEFF_FLOOR * top:
         raise NumericalFailure(
             "coefficient growth in the high frequencies: sampling circle "
             "appears to lie outside the domain of analyticity"
         )
     # the FFT noise level grows with the sample count; when the tail
     # quarter is flat noise, raise the floor above it
-    floor_abs = floor * top
+    floor_abs = COEFF_FLOOR * top
     if half >= 8:
         noise = float(np.median(mags[3 * half // 4:]))
         if noise <= 1e-10 * top:

@@ -144,6 +144,18 @@ class TestConfigFile:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["params"]["c"] == 0.1
+        # an explicit flag passed to main() wins over the config value
+        out = tmp_path / "flag.json"
+        code = run(["identity", "--family", "ellipse", "--config", str(cfg),
+                    "--c", "0.3", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["params"]["c"] == 0.3
+        code = run(["identity", "--family", "ellipse", "--config", str(cfg),
+                    "--c=0.3", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["params"]["c"] == 0.3
 
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

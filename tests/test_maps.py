@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from weldlab import fuchsian as fx
+from weldlab import grunsky as gk
 from weldlab import maps as mp
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import ComplexSeries, Kind, evaluate
@@ -154,6 +156,14 @@ class TestCatalogInvariants:
         with pytest.raises(InvalidInput):
             mp.catalog("nosuch")
 
+    def test_results_do_not_share_mutable_dicts(self):
+        first = mp.catalog("ellipse", c=0.1)
+        first.params["c"] = 99
+        first.residuals["boundary"] = -1.0
+        again = mp.catalog("ellipse", c=0.1)
+        assert again.params == {"c": 0.1}
+        assert again.residuals["boundary"] >= 0.0
+
 
 class TestSchwarzian:
     def test_identity_map(self):
@@ -187,11 +197,12 @@ class TestSchwarzian:
         a = 1.2
         b = 0.3 + 0.2j
         norm = np.sqrt(a * a - abs(b) ** 2)
-        m = mp.MoebiusTransform(np.array([[a, b], [np.conj(b), a]]) / norm)
+        m = np.array([[a, b], [np.conj(b), a]]) / norm
         f = ellipse03.interior
         pts = 0.6 * np.sqrt(rng.random(100)) * np.exp(2j * np.pi * rng.random(100))
-        lhs = mp.schwarzian(lambda z: evaluate(f, m(z)), pts)
-        rhs = mp.schwarzian(f, m(pts)) * m.derivative(pts) ** 2
+        lhs = mp.schwarzian(lambda z: evaluate(f, fx.apply_mobius(m, z)), pts)
+        rhs = (mp.schwarzian(f, fx.apply_mobius(m, pts))
+               * fx.mobius_derivative(m, pts) ** 2)
         assert np.abs(lhs - rhs).max() <= 1e-9
 
     def test_critical_point_rejected(self):
@@ -232,10 +243,16 @@ class TestTheta:
 
 
 class TestPairSerialization:
-    def test_round_trip_bit_exact(self, ellipse03):
+    def test_round_trip_bit_exact(self, ellipse03, ellipse01):
         text = mp.pair_to_json(ellipse03)
         back = mp.pair_from_json(text)
         assert np.array_equal(back.interior.coeffs, ellipse03.interior.coeffs)
         assert np.array_equal(back.exterior.coeffs, ellipse03.exterior.coeffs)
         assert back.g_prime_at_infinity == ellipse03.g_prime_at_infinity
         assert back.family_tag == ellipse03.family_tag
+        assert back.interior.resolved == ellipse03.interior.resolved
+        assert back.exterior.resolved == ellipse03.exterior.resolved
+        # a short resolved series must stay usable past its own order
+        back01 = mp.pair_from_json(mp.pair_to_json(ellipse01))
+        assert back01.interior.resolved and back01.exterior.resolved
+        assert np.array_equal(gk.build_b1(back01, 64), gk.build_b1(ellipse01, 64))
