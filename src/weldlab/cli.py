@@ -112,13 +112,26 @@ def _build_pair(args) -> mp.WeldingPair:
     return mp.catalog(args.family, sample_count=args.M, **_family_params(args))
 
 
+def _numbers(args, flag: str, sep: str, cast, count: int = 0) -> list:
+    """The ``sep``-separated numbers of flag ``--<flag>`` (``count`` of
+    them, when given)."""
+    text = getattr(args, flag)
+    try:
+        values = [cast(tok) for tok in text.split(sep)]
+    except ValueError:
+        values = []
+    if not values or (count and len(values) != count):
+        raise InvalidInput(f"--{flag} {text!r} is not {sep!r}-separated "
+                           f"{cast.__name__} values")
+    return values
+
+
 def _orders(args):
-    return [int(tok) for tok in args.N.split(",")]
+    return _numbers(args, "N", ",", int)
 
 
 def _grid(args):
-    n_r, n_theta = (int(tok) for tok in args.grid.split("x"))
-    return n_r, n_theta
+    return tuple(_numbers(args, "grid", "x", int, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +260,11 @@ def _cmd_scl(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.family != "ellipse":
         raise InvalidInput("sweep currently supports the ellipse family")
-    start, stop, step = (float(t) for t in args.range.split(":"))
+    start, stop, step = _numbers(args, "range", ":", float, 3)
+    # the loop below ends only for a finite stop approached by a positive step
+    if not (np.isfinite([start, stop, step]).all() and step > 0):
+        raise InvalidInput(f"--range {args.range!r} needs finite bounds "
+                           "and a step > 0")
     values = []
     v = start
     while v <= stop + 1e-12:
@@ -301,38 +318,23 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _apply_config(args, argv):
-    """Fill ``args`` from its ``--config`` file, except for the flags given
-    explicitly in ``argv``."""
+def _apply_config(parser, args, argv):
+    """Re-parse ``argv`` with the ``--config`` file's values as the
+    command's defaults: a flag given in ``argv`` under any spelling wins,
+    and argparse converts each value by its flag's type."""
     if not args.config:
         return args
-    given = {tok.split("=", 1)[0] for tok in argv}
-    values = _read_config(args.config)
-    for key, val in values.items():
+    defaults = {}
+    for key, val in _read_config(args.config).items():
         if not hasattr(args, key):
             raise InvalidInput(f"unknown config key: {key}")
-        if f"--{key.replace('_', '-')}" in given or f"--{key}" in given:
-            continue  # explicit flag wins
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, key, int(val))
-        elif isinstance(current, float):
-            setattr(args, key, float(val))
-        elif current is None:
-            # untyped optional flag: numbers parse as numbers
-            for cast in (int, float):
-                try:
-                    setattr(args, key, cast(val))
-                    break
-                except ValueError:
-                    continue
-            else:
-                setattr(args, key, val)
-        else:
-            setattr(args, key, val)
-    return args
+        if isinstance(getattr(args, key), bool):
+            val = val.lower() in ("1", "true", "yes")
+        defaults[key] = val
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    commands.choices[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _add_common(sub, family=True, orders="64", grid="256x512", tol=1e-3):
@@ -404,7 +406,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         return _COMMANDS[args.command](args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

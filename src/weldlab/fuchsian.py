@@ -4,8 +4,8 @@ The group is generated by four hyperbolic translations G_k along the axes
 at angles k*pi/4, each pairing two opposite sides of the regular octagon
 with vertex angle pi/4 centered at the origin, plus their inverses. The
 vertex radius solves the regular-octagon angle condition (angle sum 2 pi
-at the glued vertex), found by bisection rather than a transcribed
-constant; the product relation
+at the glued vertex) in closed form through the right-triangle relation
+cosh(vertex) = cot(pi/8) cot(pi/8); the product relation
 
     G0 G1^-1 G2 G3^-1 G0^-1 G1 G2^-1 G3 = +-identity
 
@@ -14,15 +14,18 @@ conj(a)]] with |a|^2 - |b|^2 = 1, acting by z -> (a z + b)/(conj(b) z +
 conj(a)) with derivative 1/(conj(b) z + conj(a))^2.
 
 The Dirichlet domain about 0 is the octagon itself; membership compares
-hyperbolic distances to the enumerated orbit of 0. The hyperbolic-area
-integral of the Bergman diagonal 1/(pi (1-|z|^2)^2) over the domain equals
-genus - 1, the basepoint value entering the trace identities.
+hyperbolic distances to the enumerated orbit of 0, and the boundary radius
+along a ray from 0 is the nearest crossing of the bisectors between 0 and
+the orbit points, a root of a quadratic. The hyperbolic-area integral of
+the Bergman diagonal 1/(pi (1-|z|^2)^2) over the domain equals genus - 1,
+the basepoint value entering the trace identities.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -98,25 +101,17 @@ class FuchsianGroup:
         return float(min(np.abs(p - eye).max(), np.abs(p + eye).max()))
 
 
-def octagon_group(tol: float = 1e-14) -> FuchsianGroup:
+def octagon_group() -> FuchsianGroup:
     """The genus-2 group of the regular octagon with opposite sides paired.
 
-    The vertex radius is found by bisection on the vertex-angle condition;
-    the side distance follows from tanh(side) = tanh(vertex) * cos(pi/8),
-    and each pairing translation has length twice the side distance.
+    The vertex radius solves the vertex-angle condition in closed form,
+    cosh(vertex) = cot(pi/8) cot(pi/8), the right-triangle relation that
+    _vertex_angle inverts; the side distance follows from tanh(side) =
+    tanh(vertex) * cos(pi/8), and each pairing translation has length twice
+    the side distance.
     """
-    lo, hi = 0.5, 6.0
-    if not (_vertex_angle(lo) > _TARGET_VERTEX_ANGLE > _vertex_angle(hi)):
-        raise NumericalFailure("bisection bracket for the vertex radius failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _vertex_angle(mid) > _TARGET_VERTEX_ANGLE:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    rv = 0.5 * (lo + hi)
+    rv = float(np.arccosh(
+        1.0 / (np.tan(_TARGET_VERTEX_ANGLE / 2.0) * np.tan(_SECTOR))))
     rm = np.arctanh(np.tanh(rv) * np.cos(_SECTOR))
     length = 2.0 * rm
     t = _translation(length)
@@ -219,49 +214,52 @@ def in_dirichlet_domain(enumeration: GroupEnumeration, z, slack: float = 1e-12):
     return inside if inside.shape else bool(inside)
 
 
-def domain_area_integral(group: FuchsianGroup, n_theta: int = 2048,
-                         tol: float = 1e-5) -> dict:
+def domain_boundary_radius(enumeration: GroupEnumeration, theta) -> np.ndarray:
+    """Euclidean radius where the ray r e^{i theta} leaves the Dirichlet
+    domain: the smallest root r = q / (a + sqrt(a^2 - q^2)) over the orbit
+    points p of the bisector equation q r^2 - 2 a r + q = 0, where
+    a = Re(conj(p) e^{i theta}) and q = |p|^2 (a root in (0, 1) needs a > q).
+    A ray that meets no bisector raises NumericalFailure."""
+    orbit = enumeration.orbit_of_zero()
+    direction = np.exp(1j * np.asarray(theta, dtype=float))
+    radius = np.full(direction.shape, np.inf)
+    for p in orbit[np.abs(orbit) > 1e-14]:
+        q = abs(p) ** 2
+        a = (np.conj(p) * direction).real
+        hit = a > q
+        radius[hit] = np.minimum(radius[hit],
+                                 q / (a[hit] + np.sqrt(a[hit] ** 2 - q * q)))
+    if not np.isfinite(radius).all():
+        raise NumericalFailure("a ray from 0 meets no bisector of the orbit")
+    return radius
+
+
+def domain_area_integral(group: FuchsianGroup, n_theta: int = 2048) -> dict:
     """Integral of 1/(pi (1-|z|^2)^2) over the Dirichlet octagon.
 
-    For each angle the domain boundary radius is found by bisection on the
-    membership predicate (the domain is star-shaped about 0), the radial
-    integral is closed-form, and the angular integral is a midpoint rule
-    refined by doubling (at most four times) until two consecutive
-    estimates agree. The value is genus - 1 by Gauss-Bonnet.
+    The domain is star-shaped about 0, so with the boundary radius of each
+    angle from domain_boundary_radius the radial integral is closed-form;
+    the angular integral is a midpoint rule refined by doubling (at most
+    four times) until two consecutive estimates agree within 1e-5. The
+    value is genus - 1 by Gauss-Bonnet.
     """
     enum = enumerate_elements(group, 2)
-    orbit = enum.orbit_of_zero()
-    orbit = orbit[np.abs(orbit) > 1e-14]
 
     def estimate(n: int) -> float:
-        theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-        direction = np.exp(1j * theta)
-        lo = np.zeros(n)
-        hi = np.full(n, 0.999999)
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            z = mid * direction
-            # |z - p|/|1 - conj(p) z| < |z| iff closer to p than to 0
-            inside = np.ones(n, dtype=bool)
-            for p in orbit:
-                inside &= np.abs(z) <= np.abs((z - p) / (1.0 - np.conj(p) * z))
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        rm = 0.5 * (lo + hi)
-        vals = rm ** 2 / (1.0 - rm ** 2)
-        return float(vals.mean())
+        rm = domain_boundary_radius(enum, 2.0 * np.pi * (np.arange(n) + 0.5) / n)
+        return float((rm ** 2 / (1.0 - rm ** 2)).mean())
 
     estimates = [estimate(n_theta)]
     ns = [n_theta]
     for _ in range(4):
         ns.append(ns[-1] * 2)
         estimates.append(estimate(ns[-1]))
-        if abs(estimates[-1] - estimates[-2]) <= tol:
+        if abs(estimates[-1] - estimates[-2]) <= 1e-5:
             return {"value": estimates[-1], "n_theta": ns,
                     "estimates": estimates,
                     "residual": abs(estimates[-1] - estimates[-2])}
     raise NumericalFailure(
-        f"area quadrature did not settle within {tol:.1e}: "
+        "area quadrature did not settle within 1e-5: "
         f"estimates {estimates}")
 
 
@@ -312,25 +310,22 @@ def basepoint_trace_term(group: FuchsianGroup, k: int) -> float:
     """
     if k < 1:
         raise InvalidInput("trace term index must be >= 1")
-    return domain_area_integral(group, n_theta=2048 + 512 * (k % 3),
-                                tol=1e-5)["value"]
+    return domain_area_integral(group, n_theta=2048 + 512 * k)["value"]
 
 
 def alternating_trace_sum(group: FuchsianGroup, n: int) -> float:
     """sum_{k=0}^{n} (-1)^k C(n,k) * (k-th trace term); zero for n >= 1.
 
-    The k = 0 term is the area integral itself. Binomial weights amplify
-    the independent quadrature errors, which is what the tolerance of the
-    basepoint suite accounts for.
+    The k = 0 term is the area integral at its default resolution and the
+    terms k >= 1 are basepoint_trace_term(group, k). Binomial weights
+    amplify the independent quadrature errors, which is what the tolerance
+    of the basepoint suite accounts for.
     """
     if n < 1:
         raise InvalidInput("n must be >= 1")
-    from math import comb
-    total = 0.0
-    for k in range(n + 1):
-        term = domain_area_integral(group, n_theta=2048 + 512 * k,
-                                    tol=1e-5)["value"]
-        total += (-1) ** k * comb(n, k) * term
+    total = domain_area_integral(group)["value"]
+    for k in range(1, n + 1):
+        total += (-1) ** k * comb(n, k) * basepoint_trace_term(group, k)
     return total
 
 

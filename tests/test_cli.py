@@ -79,6 +79,19 @@ class TestCommands:
             run(["identity", "--family", "nosuch"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["logdet", "--family", "identity", "--N", "1x6"],
+        ["identity", "--family", "identity", "--grid", "64"],
+        ["sweep", "--family", "ellipse", "--range", "0.1:0.5"],
+        ["sweep", "--family", "ellipse", "--range", "0.1:0.5:0"],
+        ["sweep", "--family", "ellipse", "--range", "0.5:0.1:-0.1"],
+        ["sweep", "--family", "ellipse", "--range", "0.1:inf:0.1"],
+    ])
+    def test_malformed_list_flag_exit_2(self, tmp_path, argv):
+        # a step that never reaches the stop would make the sweep loop grow
+        # its value list without end
+        assert run(argv + ["--out", str(tmp_path / "x")]) == 2
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         # extreme eccentricity: the damped iteration cannot settle
         code = run(["s1", "--family", "ellipse", "--c", "0.995",
@@ -156,6 +169,15 @@ class TestConfigFile:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["params"]["c"] == 0.3
+
+    def test_short_flag_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "quiet.cfg"
+        cfg.write_text("verbose = false\n")
+        out = tmp_path / "scl.json"
+        code = run(["scl", "--s2", "0.1", "-v", "--config", str(cfg),
+                    "--out", str(out)])
+        assert code == 0
+        assert f"wrote {out}" in capsys.readouterr().err
 
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weldlab import fuchsian as fx
-from weldlab.errors import InvalidInput
+from weldlab.errors import InvalidInput, NumericalFailure
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +98,19 @@ class TestDirichletDomain:
             d0 = fx.hyperbolic_distance(v, 0.0)
             dmin = min(fx.hyperbolic_distance(v, p) for p in orbit)
             assert abs(d0 - dmin) <= 1e-9
+
+    def test_boundary_radius_closed_form(self, enum2):
+        # the membership predicate is the independent oracle of the radius
+        theta = 2 * np.pi * np.random.default_rng(11).random(1024)
+        u = np.exp(1j * theta)
+        r = fx.domain_boundary_radius(enum2, theta)
+        assert fx.in_dirichlet_domain(enum2, r * (1 - 1e-9) * u, slack=0.0).all()
+        assert not fx.in_dirichlet_domain(enum2, r * (1 + 1e-9) * u,
+                                          slack=0.0).any()
+        # one orbit point bounds only a half-plane: most rays meet no bisector
+        one_point = fx.GroupEnumeration(2, enum2.elements[:2])
+        with pytest.raises(NumericalFailure):
+            fx.domain_boundary_radius(one_point, theta)
 
     def test_tiling_partition(self, octagon, enum2):
         # random points inside the coverage range of the enumeration belong
