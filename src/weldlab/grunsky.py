@@ -167,6 +167,14 @@ def _sqrt_weights(rows: int, cols: int) -> np.ndarray:
                             np.arange(1, cols + 1, dtype=float)))
 
 
+def _block_cols(n: int, cols) -> int:
+    """The column count of an n-row block (default n); both must be >= 1."""
+    cols = n if cols is None else cols
+    if n < 1 or cols < 1:
+        raise InvalidInput(f"a block needs N >= 1 rows and columns, got {n} x {cols}")
+    return cols
+
+
 def _require_order(series: ComplexSeries, n: int, side: str):
     """Reject a series that was truncated before reaching N+1 coefficients.
 
@@ -183,7 +191,7 @@ def _require_order(series: ComplexSeries, n: int, side: str):
 def build_b1(pair, n: int, cols: int = None) -> np.ndarray:
     """Interior contraction block from log((f(z)-f(w))/(z-w)): rows 1..n,
     columns 1..cols (default n)."""
-    cols = n if cols is None else cols
+    cols = _block_cols(n, cols)
     fseries = _interior_series(pair)
     _require_order(fseries, max(n, cols), "interior")
     aa = _padded(fseries.coeffs, n + cols + 2)
@@ -202,7 +210,7 @@ def build_b4(pair, n: int, cols: int = None) -> np.ndarray:
     An affine rescaling of g shifts only the constant term of the
     generating function, so the block is invariant under it.
     """
-    cols = n if cols is None else cols
+    cols = _block_cols(n, cols)
     gseries = _exterior_series(pair)
     _require_order(gseries, max(n, cols), "exterior")
     g = gseries.coeffs
@@ -245,7 +253,7 @@ def build_b2_b3(pair, n: int, cols: int = None):
     rows are the leading n columns of b2, so they come from the transposed
     slice direction.
     """
-    cols = n if cols is None else cols
+    cols = _block_cols(n, cols)
     big = max(n, cols)
     fseries = _interior_series(pair)
     gseries = _exterior_series(pair)

@@ -8,7 +8,10 @@ The action of a normalized pair is
 
 computed on a Gauss-Legendre (radial) x uniform (angular) product grid.
 The exterior integral is pulled back to the disk by u = 1/z with Jacobian
-|u|^-4; the integrand vanishes like |u|^2 at the origin.
+|u|^-4; the integrand vanishes like |u|^2 at the origin. On each radial
+node the series are evaluated at the uniform angles by folding their
+coefficients and one FFT (``series.evaluate_on_circles``); the angular rule
+is still the sampled trapezoidal rule.
 
 The central check is S1 = -12 pi S2_univ with
 S2_univ = log det(I - BB*) from the operator module; ``identity_report``
@@ -17,8 +20,9 @@ carries both operator routes and both residual forms.
 ``s1_coefficient_route`` evaluates the same two integrals exactly in the
 angular direction via Parseval (the angular integral of |h|^2 on a circle
 is the weighted coefficient sum), leaving a closed-form radial integral.
-It serves as an independent oracle for the grid quadrature in the tests
-and for strongly crowded pairs whose angular spectrum outruns the grid.
+It shares no angular sampling with the grid, so it stays the independent
+oracle for the grid quadrature in the tests and for strongly crowded
+pairs whose angular spectrum outruns the grid.
 """
 
 from __future__ import annotations
@@ -31,12 +35,10 @@ from numpy.polynomial.legendre import leggauss
 from .errors import InvalidInput, NumericalFailure
 from .grunsky import ConvergenceReport, _report_from_estimates, build_b1, build_b4, logdet_potential
 from .maps import WeldingPair
-from .series import derivative_array, evaluate_array, reciprocal_array
+from .series import derivative_array, evaluate_on_circles, reciprocal_array
 
 DEFAULT_GRIDS = ((64, 128), (128, 256), (256, 512))
 INTEGRAND_CAP = 1e8            # blow-up guard near |z| = 1
-_BOUNDARY_GUARD = 1.0 - 1e-6   # nodes never reach this; documents the
-                               # divergence mode for non-rectifiable-class curves
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,12 @@ class QuadratureGrid:
 
 
 def _interior_integral(pair: WeldingPair, grid: QuadratureGrid) -> float:
-    r, wr, theta = grid.nodes()
-    z = r[:, None] * np.exp(1j * theta[None, :])
+    r, wr, _ = grid.nodes()
     a = pair.interior.coeffs
     d1 = derivative_array(a)
     d2 = derivative_array(d1)
-    num = evaluate_array(d2, z)
-    den = evaluate_array(d1, z)
+    num = evaluate_on_circles(d2, r, grid.n_theta)
+    den = evaluate_on_circles(d1, r, grid.n_theta)
     vals = np.abs(num / den) ** 2
     if vals.max() > INTEGRAND_CAP:
         raise NumericalFailure(
@@ -79,8 +80,9 @@ def _interior_integral(pair: WeldingPair, grid: QuadratureGrid) -> float:
     return float((vals * r[:, None]).sum(axis=1).dot(wr) * (2.0 * np.pi / grid.n_theta))
 
 
-def _exterior_ratio_at_u(pair: WeldingPair, u: np.ndarray) -> np.ndarray:
-    """g''/g' evaluated at z = 1/u for |u| < 1, via the u-expansion of g.
+def _exterior_ratio_at_u(pair: WeldingPair, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """g''/g' evaluated at z = 1/u on the grid nodes u = r e^(i theta) (one
+    row per radius r, uniform angles), via the u-expansion of g.
 
     With G(u) = g(1/u) = gam0/u + gam1 + gam2 u + ..., one has
     g'(z) = -u^2 G'(u) and g''(z) = u^3 (2 G'(u) + u G''(u)), so
@@ -91,8 +93,8 @@ def _exterior_ratio_at_u(pair: WeldingPair, u: np.ndarray) -> np.ndarray:
     # G'(u) = -gam0 u^-2 + P(u), P = sum_{k>=2} (k-1) gam_k u^(k-2)
     p_coeffs = (k[2:] - 1) * gam[2:] if len(gam) > 2 else np.zeros(1, complex)
     pp_coeffs = derivative_array(p_coeffs) if len(p_coeffs) > 1 else np.zeros(1, complex)
-    p = evaluate_array(p_coeffs, u)
-    pp = evaluate_array(pp_coeffs, u)
+    p = evaluate_on_circles(p_coeffs, r, u.shape[1])
+    pp = evaluate_on_circles(pp_coeffs, r, u.shape[1])
     gp = -gam[0] / u ** 2 + p
     gpp = 2.0 * gam[0] / u ** 3 + pp
     return -u * (2.0 * gp + u * gpp) / gp
@@ -101,7 +103,7 @@ def _exterior_ratio_at_u(pair: WeldingPair, u: np.ndarray) -> np.ndarray:
 def _exterior_integral(pair: WeldingPair, grid: QuadratureGrid) -> float:
     r, wr, theta = grid.nodes()
     u = r[:, None] * np.exp(1j * theta[None, :])
-    ratio = _exterior_ratio_at_u(pair, u)
+    ratio = _exterior_ratio_at_u(pair, r, u)
     vals = np.abs(ratio) ** 2 * np.abs(u) ** (-4)
     if vals.max() > INTEGRAND_CAP:
         raise NumericalFailure(

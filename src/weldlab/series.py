@@ -1,11 +1,20 @@
 """Truncated power-series algebra over complex coefficients.
 
 This module is the package's one place that evaluates, differentiates and
-samples a coefficient array: ``evaluate_array`` is the only Horner loop,
-``derivative`` the only term-by-term derivative of either grading, and
-``samples_from_coeffs`` samples a series on a circle |z| = r. (The
-inversion routines of ``maps`` evaluate at 1/conj(z) instead, which is not
-the same point set to the last bit, so they call ``evaluate`` directly.)
+samples a coefficient array. There are two evaluators:
+
+* ``evaluate_array``, the only Horner loop, takes arbitrary points: Newton
+  steps, the reflected points 1/conj(z), the Schwarzian, the kernels and
+  ``samples_from_coeffs``, which samples a series on one circle |z| = r;
+* ``evaluate_on_circles`` takes m uniform points on each of many circles,
+  the product grids of the action quadrature: it folds the coefficients
+  modulo m and sums each circle exactly with one FFT, in O(K + m log m)
+  operations for K terms instead of Horner's O(K m).
+
+``derivative`` is the only term-by-term derivative of either grading. (The
+inversion routines of ``maps`` evaluate at 1/conj(z) instead of sampling a
+circle, which is not the same point set to the last bit, so they call
+``evaluate`` directly.)
 
 Two expansion kinds are supported:
 
@@ -38,6 +47,12 @@ from .errors import InvalidInput, NumericalFailure
 # Relative floor for coefficients recovered from samples; double precision
 # noise with one order of headroom.
 COEFF_FLOOR = 1e-14
+
+# Entries of the weighted-coefficient block of ``evaluate_on_circles``:
+# 2^18 complex values are 4 MB, whatever the number of circles.
+_CIRCLE_BLOCK = 1 << 18
+# Length of the table of low powers r^j, j < _POWER_STEP, in ``_powers``.
+_POWER_STEP = 64
 
 
 class Kind(enum.Enum):
@@ -150,6 +165,43 @@ def evaluate_array(c: np.ndarray, z) -> np.ndarray:
     out = np.zeros_like(z)
     for ck in c[::-1]:
         out = out * z + ck
+    return out
+
+
+def _powers(r: np.ndarray, n: int) -> np.ndarray:
+    """r^k for k < n, one row per radius.
+
+    Each entry is a product of two tabulated powers, r^(k - j) r^j with
+    j = k mod _POWER_STEP: within two roundings of r**k, at one multiply
+    per entry instead of one pow.
+    """
+    low = r[:, None] ** np.arange(_POWER_STEP, dtype=float)
+    high = r[:, None] ** np.arange(0, n, _POWER_STEP, dtype=float)
+    return (high[:, :, None] * low[:, None, :]).reshape(len(r), -1)[:, :n]
+
+
+def evaluate_on_circles(c: np.ndarray, radii, m: int) -> np.ndarray:
+    """Values of sum(c_k z^k) at z = r e^(2 pi i j/m), j = 0..m-1, for each
+    r in ``radii``; row i of the result holds the circle of radius radii[i].
+
+    On m uniform points, z^k depends on k only modulo m, so the weighted
+    coefficients c_k r^k are folded into m bins and one inverse FFT per
+    circle sums them exactly. Weights that underflow to 0 are terms far
+    below the rounding level of the sum.
+    """
+    if m < 1:
+        raise InvalidInput("a circle needs at least one point")
+    c = np.asarray(c, dtype=complex)
+    radii = np.asarray(radii, dtype=float)
+    width = -(-len(c) // m) * m                  # zero-padded to a multiple of m
+    rows = max(1, _CIRCLE_BLOCK // max(width, _POWER_STEP))
+    out = np.empty((len(radii), m), dtype=complex)
+    for start in range(0, len(radii), rows):
+        r = radii[start:start + rows]
+        weighted = np.zeros((len(r), width), dtype=complex)
+        np.multiply(c, _powers(r, len(c)), out=weighted[:, :len(c)])
+        folded = weighted.reshape(len(r), width // m, m).sum(axis=1)
+        out[start:start + rows] = m * np.fft.ifft(folded, axis=1)
     return out
 
 

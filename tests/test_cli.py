@@ -92,6 +92,13 @@ class TestCommands:
         # its value list without end
         assert run(argv + ["--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("command", ["logdet", "grunsky", "invert"])
+    def test_negative_order_exit_2(self, tmp_path, command, capsys):
+        code = run([command, "--family", "identity", "--N=-4",
+                    "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "N >= 1" in capsys.readouterr().err
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         # extreme eccentricity: the damped iteration cannot settle
         code = run(["s1", "--family", "ellipse", "--c", "0.995",

@@ -11,6 +11,8 @@ from weldlab.series import (
     compose,
     derivative,
     evaluate,
+    evaluate_array,
+    evaluate_on_circles,
     log_ratio,
     multiply,
     samples_from_coeffs,
@@ -214,3 +216,35 @@ class TestEvaluate:
             ComplexSeries.taylor([np.nan])
         with pytest.raises(InvalidInput):
             ComplexSeries.taylor([])
+
+
+class TestEvaluateOnCircles:
+    """The folded FFT evaluation against Horner at the explicit points
+    r e^(2 pi i j/m)."""
+
+    # at K = 6408 the 97 radii span three blocks of weighted coefficients
+    RADII = np.concatenate([[0.0, 1e-3, 0.5, 0.999],
+                            np.linspace(0.01, 0.99, 93)])
+
+    @pytest.mark.parametrize("order, m", [
+        (5, 16),       # K < m
+        (16, 16),      # K = m
+        (40, 16),      # K > m: two folds and a padded third
+        (30, 12),      # m not a power of two
+        (7, 1),        # one point per circle: the value at z = r
+        (6408, 512),   # a c = 0.5 ellipse's length on the default grid
+    ])
+    def test_matches_horner(self, order, m):
+        rng = np.random.default_rng(order + m)
+        c = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+        out = evaluate_on_circles(c, self.RADII, m)
+        assert out.shape == (len(self.RADII), m)
+        points = np.exp(2j * np.pi * np.arange(m) / m)
+        k = np.arange(order)
+        for r, row in zip(self.RADII, out):
+            scale = np.sum(np.abs(c) * r ** k)
+            assert np.abs(row - evaluate_array(c, r * points)).max() <= 1e-13 * scale
+
+    def test_no_points_rejected(self):
+        with pytest.raises(InvalidInput):
+            evaluate_on_circles(np.ones(3), [0.5], 0)
