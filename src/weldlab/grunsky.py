@@ -42,12 +42,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .maps import WeldingPair, inverted_pair, schwarzian
+from .maps import WeldingPair, inverted_pair
 from .series import (
     ComplexSeries,
     Kind,
-    derivative,
-    evaluate,
     log_array,
     reciprocal_array,
     samples_from_coeffs,
@@ -115,7 +113,8 @@ def _log_bivariate(d: np.ndarray) -> np.ndarray:
         fft = lambda x: np.fft.fft(x, size, axis=-1)
         ifft = lambda x: np.fft.ifft(x, size)[..., :n1]
     fd = fft(d)
-    finv0 = fft(reciprocal_array(d[0, :].astype(complex) if not real else d[0, :]))
+    inv0 = reciprocal_array(d[0, :])
+    finv0 = fft(inv0)
     fp = np.zeros((max(n0 - 1, 1), fd.shape[1]), dtype=complex)
     p = np.zeros((max(n0 - 1, 1), n1), dtype=d.dtype)
     for m in range(n0 - 1):
@@ -129,7 +128,7 @@ def _log_bivariate(d: np.ndarray) -> np.ndarray:
     out = np.zeros((n0, n1), dtype=complex)
     if n0 > 1:
         out[1:, :] = p / np.arange(1, n0)[:, None]
-    out[0, :] = log_array(d[0, :].astype(complex))
+    out[0, :] = log_array(d[0, :], inv0)
     return out
 
 
@@ -246,12 +245,24 @@ def separation_radii(pair):
     return None
 
 
+def _mixed_block(first: np.ndarray, second: np.ndarray, rows: int,
+                 cols: int) -> np.ndarray:
+    """-sqrt(mn) times the coefficient of x^m y^n in log(1 + u(x) v(y)) for
+    m = 1..rows, n = 1..cols, where ``first`` and ``second`` hold the
+    coefficients of u and v (zero constant terms)."""
+    e = np.outer(first[:rows + 1], second[:cols + 1])
+    e[0, 0] = 1.0
+    return np.ascontiguousarray(
+        -_sqrt_weights(rows, cols) * _log_bivariate(e)[1:, 1:])
+
+
 def build_b2_b3(pair, n: int, cols: int = None):
     """Mixed blocks from log(1 - f(z)/g(w)); returns (b2, b3 = b2^T).
 
-    Both are returned as rows 1..n and columns 1..cols (default n): the b3
-    rows are the leading n columns of b2, so they come from the transposed
-    slice direction.
+    Both are returned as rows 1..n and columns 1..cols (default n). A
+    square block's b3 is the transpose of its b2. When cols != n, the b3
+    rows are the leading n columns of a different rectangle of b2, so they
+    come from a second log in the transposed slice direction.
     """
     cols = _block_cols(n, cols)
     big = max(n, cols)
@@ -270,19 +281,10 @@ def build_b2_b3(pair, n: int, cols: int = None):
     inv = reciprocal_array(g_arr)
     dcoef = np.zeros(big + 1, dtype=inv.dtype)
     dcoef[1:] = inv[:big]
-    e = -np.outer(f_arr[:n + 1], dcoef[:cols + 1])
-    e[0, 0] = 1.0
-    ell = _log_bivariate(e)
-    weights = _sqrt_weights(n, cols)
-    b2 = np.ascontiguousarray(-weights * ell[1:, 1:])
-    # the transposed block through the other slice direction: with
-    # ell_t = log of E^T one has ell_t[m, n] = c_nm, so this IS b2^T up to
-    # an independent numerical path (exercised by the transpose invariant)
-    e_t = -np.outer(dcoef[:n + 1], f_arr[:cols + 1])
-    e_t[0, 0] = 1.0
-    ell_t = _log_bivariate(e_t)
-    b3 = np.ascontiguousarray(-weights * ell_t[1:, 1:])
-    return b2.astype(complex), b3.astype(complex)
+    b2 = _mixed_block(-f_arr, dcoef, n, cols)
+    if cols == n:
+        return b2, np.ascontiguousarray(b2.T)
+    return b2, _mixed_block(-dcoef, f_arr, n, cols)
 
 
 @dataclass(frozen=True)
@@ -298,66 +300,11 @@ class GrunskyTruncation:
 
 
 def build_truncation(pair: WeldingPair, n: int) -> GrunskyTruncation:
-    b1 = build_b1(pair, n).astype(complex)
-    b4 = build_b4(pair, n).astype(complex)
+    b1 = build_b1(pair, n)
+    b4 = build_b4(pair, n)
     b2, b3 = build_b2_b3(pair, n)
     tag = f"{pair.family_tag}{pair.params or ''} N={n} M={pair.sample_count}"
     return GrunskyTruncation(n=n, b1=b1, b2=b2, b3=b3, b4=b4, provenance=tag)
-
-
-# ---------------------------------------------------------------------------
-# kernels
-# ---------------------------------------------------------------------------
-
-_DIAG_SPLIT = 1e-4  # below this |z-w|, interior/exterior kernels use the
-                    # Schwarzian limit of the removable singularity
-
-
-def _in_disk(z) -> bool:
-    return abs(z) < 1.0
-
-
-def kernel_value(pair: WeldingPair, which: int, z: complex, w: complex) -> complex:
-    """Pointwise kernel of operator block ``which`` in {1, 2, 3, 4}.
-
-    Domains: 1 -> disk x disk, 2 -> disk x exterior, 3 -> exterior x disk,
-    4 -> exterior x exterior. For blocks 1 and 4 the removable singularity
-    at z = w is evaluated through the Schwarzian of the map at the midpoint:
-    the double-pole difference tends to -S(h)(z)/(6 pi).
-    """
-    z, w = complex(z), complex(w)
-    pi = np.pi
-    if which == 1:
-        if not (_in_disk(z) and _in_disk(w)):
-            raise InvalidInput("kernel 1 needs both arguments in the disk")
-        if abs(z - w) < _DIAG_SPLIT:
-            return complex(-schwarzian(pair.interior, 0.5 * (z + w)) / (6.0 * pi))
-        fz, fw = pair.f(z), pair.f(w)
-        fpz = evaluate(derivative(pair.interior), z)
-        fpw = evaluate(derivative(pair.interior), w)
-        return (1.0 / (z - w) ** 2 - fpz * fpw / (fz - fw) ** 2) / pi
-    if which == 4:
-        if _in_disk(z) or _in_disk(w):
-            raise InvalidInput("kernel 4 needs both arguments outside the disk")
-        if abs(z - w) < _DIAG_SPLIT:
-            return complex(-schwarzian(pair.exterior, 0.5 * (z + w)) / (6.0 * pi))
-        gz, gw = pair.g(z), pair.g(w)
-        gpz = evaluate(derivative(pair.exterior), z)
-        gpw = evaluate(derivative(pair.exterior), w)
-        return (1.0 / (z - w) ** 2 - gpz * gpw / (gz - gw) ** 2) / pi
-    if which == 2:
-        if not (_in_disk(z) and not _in_disk(w)):
-            raise InvalidInput("kernel 2 needs z in the disk, w outside")
-        return (evaluate(derivative(pair.interior), z)
-                * evaluate(derivative(pair.exterior), w)
-                / (pair.f(z) - pair.g(w)) ** 2) / pi
-    if which == 3:
-        if not (not _in_disk(z) and _in_disk(w)):
-            raise InvalidInput("kernel 3 needs z outside the disk, w inside")
-        return (evaluate(derivative(pair.exterior), z)
-                * evaluate(derivative(pair.interior), w)
-                / (pair.g(z) - pair.f(w)) ** 2) / pi
-    raise InvalidInput("kernel index must be 1, 2, 3 or 4")
 
 
 # ---------------------------------------------------------------------------
@@ -443,33 +390,22 @@ def spectral_norm(b: np.ndarray) -> float:
 def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:
     """log det(I - B_n B_n*) over leading blocks B_n, n in ``orders``.
 
-    Each block determinant is evaluated by LU factorization with partial
-    pivoting after a Cholesky positive-definiteness certificate; the
-    determinant of the Hermitian positive-definite matrix is real positive,
-    and the computed log-determinant sign must match to 1e-12.
+    Each order takes one singular-value decomposition of B_n and sums
+    log1p(-sigma^2) over its singular values sigma, which keeps the digits
+    of a potential far below one in magnitude. The certificate is
+    sigma_max < 1, which makes I - B_n B_n* positive definite; a block
+    without it raises NumericalFailure.
     """
     orders = [int(n) for n in orders]
     if any(n < 1 or n > b.shape[0] for n in orders):
         raise InvalidInput("orders must lie in [1, N]")
-    top = max(orders)
-    if spectral_norm(b[:top, :top]) >= 1.0:
-        raise NumericalFailure(
-            "spectral norm of the truncated block is not below one")
     estimates = []
     for n in orders:
-        block = b[:n, :n]
-        a = np.eye(n) - block @ block.conj().T
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
+        sigma = np.linalg.svd(b[:n, :n], compute_uv=False)
+        if sigma[0] >= 1.0:
             raise NumericalFailure(
-                f"I - BB* is not positive definite at order {n}")
-        sign, logabs = np.linalg.slogdet(a)
-        if abs(sign - 1.0) > 1e-12:
-            raise NumericalFailure(
-                f"determinant of a Hermitian positive matrix came out "
-                f"non-real at order {n}: sign = {sign}")
-        estimates.append(logabs)
+                "spectral norm of the truncated block is not below one")
+        estimates.append(np.log1p(-sigma ** 2).sum())
     return _report_from_estimates(orders, estimates)
 
 
@@ -484,13 +420,6 @@ def _basis_vector(n: int, z: complex, which: int) -> np.ndarray:
     if which == 1:
         return np.sqrt(k / np.pi) * np.asarray(z, dtype=complex) ** (k - 1)
     return np.sqrt(k / np.pi) * np.asarray(z, dtype=complex) ** (-k - 1)
-
-
-def norm_bound_v(z: complex) -> float:
-    """Upper bound 1/(pi (1-|z|^2)^2) for ||K(z, .)||^2 on either side."""
-    r2 = abs(z) ** 2
-    return 1.0 / (np.pi * (1.0 - r2) ** 2) if r2 < 1 else \
-        1.0 / (np.pi * (r2 - 1.0) ** 2)
 
 
 def iterated_kernel_diag(trunc: GrunskyTruncation, n_power: int, z: complex,
@@ -519,41 +448,6 @@ def iterated_kernel_diag(trunc: GrunskyTruncation, n_power: int, z: complex,
         vec = m @ vec
     val = np.vdot(beta, vec)
     return float(val.real)
-
-
-def o1_diag(trunc: GrunskyTruncation, z: complex, tol: float = 1e-12,
-            which: int = 1) -> float:
-    """Diagonal of the operator sum_{n>=1} (BB*)^n / n at z.
-
-    The series is truncated once the geometric tail bound
-    q^{n} / ((n+1)(1-q)) * ||v_z||^2 drops below ``tol``, with q the
-    spectral norm of the contraction block squared and the norm bound
-    1/(pi (1-|z|^2)^2).
-    """
-    b = trunc.b1 if which == 1 else trunc.b4
-    q = spectral_norm(b) ** 2
-    if q >= 1.0:
-        raise NumericalFailure("contraction block has norm >= 1")
-    z = complex(z)
-    bound = norm_bound_v(z)
-    basis = _basis_vector(trunc.n, z, which)
-    beta = b.T @ basis
-    m = b @ b.conj().T
-    total = 0.0
-    vec = beta.copy()
-    n = 1
-    while True:
-        total += float(np.vdot(beta, vec).real) / n
-        if q == 0.0:
-            break
-        tail = bound * q ** n / ((n + 1) * (1.0 - q))
-        if tail <= tol:
-            break
-        vec = m @ vec
-        n += 1
-        if n > 100000:
-            raise NumericalFailure("iterated kernel series did not close")
-    return total
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ pairs whose angular spectrum outruns the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -52,21 +53,26 @@ class QuadratureGrid:
         if self.n_r < 2 or self.n_theta < 4:
             raise InvalidInput("grid too small")
 
+    @cached_property
     def nodes(self):
+        """Radial nodes, radial weights and angles, computed once per grid
+        and shared read-only by every integral on it."""
         x, w = leggauss(self.n_r)
         r = 0.5 * (x + 1.0)
         wr = 0.5 * w
         theta = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
+        for a in (r, wr, theta):
+            a.flags.writeable = False
         return r, wr, theta
 
     def area_check(self) -> float:
         """Integral of 1 over the disk: must equal pi to roundoff."""
-        r, wr, theta = self.nodes()
+        r, wr, theta = self.nodes
         return float((wr * r).sum() * 2.0 * np.pi)
 
 
 def _interior_integral(pair: WeldingPair, grid: QuadratureGrid) -> float:
-    r, wr, _ = grid.nodes()
+    r, wr, _ = grid.nodes
     a = pair.interior.coeffs
     d1 = derivative_array(a)
     d2 = derivative_array(d1)
@@ -101,7 +107,7 @@ def _exterior_ratio_at_u(pair: WeldingPair, r: np.ndarray, u: np.ndarray) -> np.
 
 
 def _exterior_integral(pair: WeldingPair, grid: QuadratureGrid) -> float:
-    r, wr, theta = grid.nodes()
+    r, wr, theta = grid.nodes
     u = r[:, None] * np.exp(1j * theta[None, :])
     ratio = _exterior_ratio_at_u(pair, r, u)
     vals = np.abs(ratio) ** 2 * np.abs(u) ** (-4)

@@ -4,7 +4,7 @@ This module is the package's one place that evaluates, differentiates and
 samples a coefficient array. There are two evaluators:
 
 * ``evaluate_array``, the only Horner loop, takes arbitrary points: Newton
-  steps, the reflected points 1/conj(z), the Schwarzian, the kernels and
+  steps, the reflected points 1/conj(z), the Schwarzian and
   ``samples_from_coeffs``, which samples a series on one circle |z| = r;
 * ``evaluate_on_circles`` takes m uniform points on each of many circles,
   the product grids of the action quadrature: it folds the coefficients
@@ -24,11 +24,6 @@ Two expansion kinds are supported:
 
 The Laurent grading is the natural one for exterior maps g with
 g(infinity) = infinity and finite g'(infinity) = leading coefficient.
-
-Arithmetic (multiply, compose, log_ratio) is implemented for Taylor
-series; products of two Laurent-at-infinity expansions leave the z^(1-k)
-grading (the leading power becomes 2) and are rejected rather than
-silently re-graded. Derivatives are defined for both kinds.
 
 Coefficient extraction from circle samples uses the FFT; coefficients
 below ``COEFF_FLOOR`` relative to the largest one are zeroed, which keeps
@@ -144,8 +139,9 @@ def reciprocal_array(c: np.ndarray) -> np.ndarray:
     return inv
 
 
-def log_array(c: np.ndarray) -> np.ndarray:
-    """Coefficients of log(sum c_k z^k) to the same truncation; c[0] = 1.
+def log_array(c: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Coefficients of log(sum c_k z^k) to the same truncation; c[0] = 1 and
+    ``inv = reciprocal_array(c)``, which the bivariate log needs anyway.
 
     Uses (log s)' = s'/s and integrates, so no alternating power sums.
     """
@@ -154,7 +150,7 @@ def log_array(c: np.ndarray) -> np.ndarray:
     if n == 1:
         return out
     ds = np.arange(1, n) * c[1:]
-    q = np.convolve(ds, reciprocal_array(c.astype(complex)))[:n - 1]
+    q = np.convolve(ds, inv)[:n - 1]
     out[1:] = q / np.arange(1, n)
     return out
 
@@ -216,40 +212,6 @@ def derivative_array(c: np.ndarray) -> np.ndarray:
 # series operations
 # ---------------------------------------------------------------------------
 
-def multiply(a: ComplexSeries, b: ComplexSeries) -> ComplexSeries:
-    """Cauchy product truncated to min(a.order, b.order)."""
-    if a.kind is not b.kind:
-        raise InvalidInput("cannot multiply series of different kinds")
-    if a.kind is Kind.LAURENT_AT_INFINITY:
-        raise InvalidInput(
-            "product of two Laurent-at-infinity expansions has leading power "
-            "z^2 and leaves the z^(1-k) grading; multiply Taylor data instead"
-        )
-    n = min(a.order, b.order)
-    prod = np.convolve(a.coeffs, b.coeffs)[:n]
-    return ComplexSeries(a.kind, prod)
-
-
-def compose(outer: ComplexSeries, inner: ComplexSeries) -> ComplexSeries:
-    """Series of outer(inner(z)), truncated to min of the input orders.
-
-    Requires Taylor kind on both sides and inner(0) = 0, otherwise the
-    composition has no truncated expansion at 0.
-    """
-    if outer.kind is not Kind.TAYLOR_AT_ZERO or inner.kind is not Kind.TAYLOR_AT_ZERO:
-        raise InvalidInput("compose is defined for Taylor series")
-    if inner.coeffs[0] != 0:
-        raise InvalidInput("inner series must have zero constant term")
-    n = min(outer.order, inner.order)
-    out = np.zeros(n, dtype=complex)
-    # Horner over the outer coefficients: out = (...(c_k * u + c_{k-1}) * u ...)
-    u = inner.coeffs[:n]
-    for ck in outer.coeffs[n - 1::-1]:
-        out = np.convolve(out, u)[:n]
-        out[0] += ck
-    return ComplexSeries(Kind.TAYLOR_AT_ZERO, out)
-
-
 def derivative(a: ComplexSeries) -> ComplexSeries:
     """Term-by-term derivative.
 
@@ -267,15 +229,6 @@ def derivative(a: ComplexSeries) -> ComplexSeries:
     k = np.arange(a.order)
     out[k + 1] = (1 - k) * a.coeffs
     return ComplexSeries.laurent(out, resolved=a.resolved)
-
-
-def log_ratio(a: ComplexSeries) -> ComplexSeries:
-    """log of a series with unit constant term, truncated to a.order."""
-    if a.kind is not Kind.TAYLOR_AT_ZERO:
-        raise InvalidInput("log_ratio is defined for Taylor series")
-    if a.coeffs[0] != 1.0:
-        raise InvalidInput("log_ratio requires constant term exactly 1")
-    return ComplexSeries.taylor(log_array(a.coeffs))
 
 
 def evaluate(a: ComplexSeries, z):

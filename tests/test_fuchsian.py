@@ -165,10 +165,15 @@ class TestAutomorphy:
             assert resid <= 1e-10
 
     def test_basepoint_interior_kernel_is_zero(self, identity_pair):
-        from weldlab import grunsky as gk
-        vals = [gk.kernel_value(identity_pair, 1, 0.2 + 0.1j, -0.4j),
-                gk.kernel_value(identity_pair, 1, 0.5, 0.5)]
-        assert max(abs(v) for v in vals) <= 1e-14
+        # K1(z, w) = (1/(z-w)^2 - f'(z) f'(w)/(f(z)-f(w))^2)/pi off the
+        # diagonal and -S(f)(z)/(6 pi) on it, for the identity pair's f
+        from weldlab import maps as mp
+        from weldlab.series import derivative
+        f, fp = identity_pair.f, derivative(identity_pair.interior)
+        z, w = 0.2 + 0.1j, -0.4j
+        off = (1.0 / (z - w) ** 2 - fp(z) * fp(w) / (f(z) - f(w)) ** 2) / np.pi
+        diag = -mp.schwarzian(identity_pair.interior, 0.5) / (6.0 * np.pi)
+        assert max(abs(off), abs(diag)) <= 1e-14
 
     def test_mixed_kernel_paired_action(self, octagon):
         # K2 at the basepoint under the same group element on both sides

@@ -18,46 +18,6 @@ def trunc64_ellipse03(ellipse03):
     return gk.build_truncation(ellipse03, 64)
 
 
-class TestKernels:
-    def test_identity_pair_k1_k4_vanish(self, identity_pair):
-        assert abs(gk.kernel_value(identity_pair, 1, 0.3, -0.5j)) <= 1e-14
-        assert abs(gk.kernel_value(identity_pair, 4, 1.5, -2.0j)) <= 1e-14
-
-    def test_identity_pair_k2(self, identity_pair):
-        z, w = 0.4 - 0.1j, 1.7 + 0.4j
-        expect = 1.0 / (np.pi * (z - w) ** 2)
-        assert abs(gk.kernel_value(identity_pair, 2, z, w) - expect) <= 1e-14
-        assert abs(gk.kernel_value(identity_pair, 3, w, z) - expect) <= 1e-14
-
-    def test_diagonal_limit_from_series_oracle(self):
-        # independent oracle: evaluate the kernel formula at shrinking
-        # offsets; it approaches +t^2/pi = -S(f)(0)/(6 pi) for f = z + t z^2
-        t = 0.2
-        f = ComplexSeries.taylor([0, 1, t, 0, 0])
-        fp = lambda z: 1 + 2 * t * z
-        fv = lambda z: z + t * z * z
-        vals = []
-        for h in (1e-2, 1e-3):
-            v = (1.0 / h ** 2
-                 - fp(0.0) * fp(h) / (fv(0.0) - fv(h)) ** 2) / np.pi
-            vals.append(v)
-        oracle = t * t / np.pi
-        assert abs(vals[-1] - oracle) <= 1e-5
-        pair = mp.WeldingPair(
-            interior=f, exterior=ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 4),
-            g_prime_at_infinity=1.0, family_tag="quadratic-test")
-        # kernel_value switches to the Schwarzian limit below the split;
-        # at offset h the midpoint approximation drifts by O(h)
-        assert abs(gk.kernel_value(pair, 1, 0.0, 1e-6) - oracle) <= 1e-8
-        assert abs(gk.kernel_value(pair, 1, 0.0, 0.0) - oracle) <= 1e-14
-
-    def test_domain_validation(self, identity_pair):
-        with pytest.raises(InvalidInput):
-            gk.kernel_value(identity_pair, 1, 0.5, 2.0)
-        with pytest.raises(InvalidInput):
-            gk.kernel_value(identity_pair, 2, 1.5, 2.0)
-
-
 class TestBuildB1:
     def test_identity_zero(self, identity_pair):
         assert np.abs(gk.build_b1(identity_pair, 8)).max() <= 1e-15
@@ -126,7 +86,12 @@ class TestBuildB2B3:
     def test_transpose_symmetry(self, fixture, request):
         pair = request.getfixturevalue(fixture)
         b2, b3 = gk.build_b2_b3(pair, 48)
-        assert np.abs(b3 - b2.T).max() <= 1e-10
+        assert np.array_equal(b3, b2.T)
+        # a rectangular build takes its b3 rows from a second log in the
+        # transposed slice direction, an independent path to the same
+        # coefficients
+        _, b3_rect = gk.build_b2_b3(pair, 48, 49)
+        assert np.abs(b3_rect[:, :48] - b2.T).max() <= 1e-10
 
     def test_faber_oracle_ellipse(self, ellipse03):
         # Phi_n(g(u)) = u^n + c^n u^-n for g = u + c/u gives the mixed
@@ -239,7 +204,6 @@ class TestIteratedKernels:
     def test_identity_zero(self, identity_pair):
         trunc = gk.build_truncation(identity_pair, 16)
         assert gk.iterated_kernel_diag(trunc, 1, 0.3 + 0.2j) == 0.0
-        assert gk.o1_diag(trunc, 0.1j) == 0.0
 
     def test_quadratic_partial_sum_oracle(self):
         # f = z + t z^2 at z = 0: the column data gives
@@ -268,23 +232,16 @@ class TestIteratedKernels:
             assert cur <= q * prev + 1e-15
             prev = cur
 
-    def test_o1_diag_closed_form_exterior(self, ellipse03):
-        # diagonal b4 route: sum_n (1/n) sum_k c^{2nk} |estar_k(z)|^2
+    def test_first_term_closed_form_exterior(self, ellipse03):
+        # diagonal b4 route: sum_k c^{2k} |estar_k(z)|^2
         c = 0.3
         trunc = gk.build_truncation(ellipse03, 48)
         z = 1.7 + 0.3j
-        val = gk.o1_diag(trunc, z, tol=1e-14, which=4)
+        val = gk.iterated_kernel_diag(trunc, 1, z, which=4)
         k = np.arange(1, 49, dtype=float)
         estar2 = (k / np.pi) * np.abs(z) ** (-2 * (k + 1))
-        closed = sum((1.0 / n) * float(np.sum(c ** (2 * n * k) * estar2))
-                     for n in range(1, 400))
-        assert abs(val - closed) <= 1e-10
-
-    def test_o1_geq_first_term(self, trunc64_ellipse03):
-        z = 0.5 + 0.1j
-        first = gk.iterated_kernel_diag(trunc64_ellipse03, 1, z)
-        total = gk.o1_diag(trunc64_ellipse03, z)
-        assert total >= first - 1e-15
+        closed = float(np.sum(c ** (2 * k) * estar2))
+        assert abs(val - closed) <= 1e-12
 
     def test_domain_validation(self, trunc64_ellipse03):
         with pytest.raises(InvalidInput):
