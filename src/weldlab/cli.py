@@ -60,14 +60,15 @@ def _jsonify(obj):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
+    # before the numbers: bool is a subclass of int
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 
@@ -337,23 +338,41 @@ def _apply_config(parser, args, argv):
     return parser.parse_args(argv)
 
 
-def _add_common(sub, family=True, orders="64", grid="256x512", tol=1e-3):
+def _finite_float(text: str) -> float:
+    """argparse type of ``--tol`` and ``--s2``: nan and inf are invalid."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _add_command(subs, name: str, help: str, tol=None, family=False,
+                 params=False, orders=False, grid=False):
+    """A subcommand with the shared flags it reads and no others. Flags
+    cannot be abbreviated, so another command's flag is rejected, not read
+    as a prefix (``sweep --c`` would mean ``--config``)."""
+    sub = subs.add_parser(name, help=help, allow_abbrev=False)
     sub.add_argument("--config", default=None, help="key = value config file")
     sub.add_argument("--out", default=None, help="output file path")
     sub.add_argument("--verbose", "-v", action="store_true")
-    sub.add_argument("--tol", type=float, default=tol,
-                     help="tolerance for the command's pass/fail check")
-    if family:
+    if tol is not None:
+        sub.add_argument("--tol", type=_finite_float, default=tol,
+                         help="tolerance for the command's pass/fail check")
+    if family or params:
         sub.add_argument("--family", required=True,
                          choices=["identity", "ellipse", "fourier_bump"])
+        sub.add_argument("--M", type=int, default=1024,
+                         help="starting boundary sample count (power of two)")
+    if params:
         sub.add_argument("--c", type=float, default=None, help="ellipse parameter")
         sub.add_argument("--eps", type=float, default=None, help="bump amplitude")
         sub.add_argument("--k", type=int, default=None, help="bump frequency")
-        sub.add_argument("--M", type=int, default=1024,
-                         help="boundary sample count (power of two)")
-        sub.add_argument("--N", default=orders,
+    if orders:
+        sub.add_argument("--N", default="64",
                          help="comma-separated truncation orders")
-        sub.add_argument("--grid", default=grid, help="n_r x n_theta")
+    if grid:
+        sub.add_argument("--grid", default="256x512", help="n_r x n_theta")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,26 +381,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Welding-pair potentials: determinants vs quadrature")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(subs.add_parser("pair", help="construct and export a pair"))
-    g = subs.add_parser("grunsky", help="operator blocks and residuals")
-    _add_common(g, tol=1e-5)
+    _add_command(subs, "pair", "construct and export a pair", params=True)
+    g = _add_command(subs, "grunsky", "operator blocks and residuals",
+                     tol=1e-5, params=True, orders=True)
     g.add_argument("--dump-matrices", action="store_true")
-    ld = subs.add_parser("logdet", help="determinant potential")
-    _add_common(ld)
+    ld = _add_command(subs, "logdet", "determinant potential", params=True,
+                      orders=True)
     ld.add_argument("--route", choices=["b1", "b4"], default="b1")
-    _add_common(subs.add_parser("s1", help="Liouville action quadrature"))
-    _add_common(subs.add_parser("identity", help="S1 vs -12 pi S2 check"))
-    iv = subs.add_parser("invert", help="inversion-symmetry check")
-    _add_common(iv, tol=1e-6)
-    fz = subs.add_parser("fuchsian", help="octagon basepoint suite")
-    _add_common(fz, family=False)
+    _add_command(subs, "s1", "Liouville action quadrature", params=True,
+                 grid=True)
+    _add_command(subs, "identity", "S1 vs -12 pi S2 check", tol=1e-3,
+                 params=True, orders=True, grid=True)
+    _add_command(subs, "invert", "inversion-symmetry check", tol=1e-6,
+                 params=True, orders=True)
+    fz = _add_command(subs, "fuchsian", "octagon basepoint suite")
     fz.add_argument("--L", type=int, default=2, help="enumeration word length")
-    sc = subs.add_parser("scl", help="classical-action report")
-    _add_common(sc, family=False)
-    sc.add_argument("--s2", type=float, required=True, help="s2_dg >= 0")
+    sc = _add_command(subs, "scl", "classical-action report")
+    sc.add_argument("--s2", type=_finite_float, required=True, help="s2_dg >= 0")
     sc.add_argument("--genus", type=int, default=2)
-    sw = subs.add_parser("sweep", help="CSV sweep over a parameter range")
-    _add_common(sw)
+    sw = _add_command(subs, "sweep", "CSV sweep over a parameter range",
+                      tol=1e-3, family=True, orders=True, grid=True)
     sw.add_argument("--range", default="0.1:0.5:0.1", help="start:stop:step")
     sw.add_argument("--genus", type=int, default=2)
 

@@ -46,7 +46,6 @@ from .maps import WeldingPair, inverted_pair
 from .series import (
     ComplexSeries,
     Kind,
-    log_array,
     reciprocal_array,
     samples_from_coeffs,
 )
@@ -94,7 +93,8 @@ def _report_from_estimates(orders, estimates) -> ConvergenceReport:
 
 def _log_bivariate(d: np.ndarray) -> np.ndarray:
     """log of a truncated bivariate series, row index = powers of the first
-    variable. Requires d[0,0] = 1.
+    variable. Requires d[0,0] = 1. Row 0 (the log of d[0, :]) stays zero,
+    as no block reads it; for a one-column d that is exact.
 
     Solves d * (d/dz L) = d/dz d slice by slice; the per-slice products run
     through padded FFTs. Stable because every intermediate row is a prefix
@@ -113,8 +113,7 @@ def _log_bivariate(d: np.ndarray) -> np.ndarray:
         fft = lambda x: np.fft.fft(x, size, axis=-1)
         ifft = lambda x: np.fft.ifft(x, size)[..., :n1]
     fd = fft(d)
-    inv0 = reciprocal_array(d[0, :])
-    finv0 = fft(inv0)
+    finv0 = fft(reciprocal_array(d[0, :]))
     fp = np.zeros((max(n0 - 1, 1), fd.shape[1]), dtype=complex)
     p = np.zeros((max(n0 - 1, 1), n1), dtype=d.dtype)
     for m in range(n0 - 1):
@@ -128,7 +127,6 @@ def _log_bivariate(d: np.ndarray) -> np.ndarray:
     out = np.zeros((n0, n1), dtype=complex)
     if n0 > 1:
         out[1:, :] = p / np.arange(1, n0)[:, None]
-    out[0, :] = log_array(d[0, :], inv0)
     return out
 
 

@@ -14,12 +14,13 @@ and g(infinity) = infinity. The catalog provides three families:
                        domain {1/conj(w)}.
 
 Theodorsen's equation is solved by damped fixed-point iteration with mesh
-continuation (solve on a coarse grid, upsample, refine). For polar
-smoothness bound max|rho'/rho| < 1 the undamped/0.8-damped iteration is the
-classical convergent scheme; above 1 convergence is no longer guaranteed
-and a stronger damping of 0.4 is used, with the iteration cap as the
-safety net. The boundary of every cataloged pair is cross-checked by a
-point-to-curve Newton distance between the two parametrizations.
+continuation (solve on a coarse grid, upsample, refine), which doubles the
+grid until the coefficients are resolved. For polar smoothness bound
+max|rho'/rho| < 1 the undamped/0.8-damped iteration is the classical
+convergent scheme; above 1 convergence is no longer guaranteed and a
+stronger damping of 0.4 is used, with the iteration cap as the safety net.
+The boundary of every cataloged pair is cross-checked by a point-to-curve
+Newton distance between the two parametrizations.
 
 Every evaluation, derivative and circle sample of a series goes through
 ``series`` (``evaluate``/``evaluate_array``, ``derivative``/
@@ -50,6 +51,7 @@ from .series import (
 )
 
 BOUNDARY_TOL = 1e-8          # pair acceptance tolerance on the shared curve
+MAX_SAMPLE_COUNT = 16384     # where the Theodorsen continuation stops doubling
 _SMOOTHNESS_GRID = 4096      # samples for the numerical smoothness bound
 
 
@@ -197,26 +199,24 @@ def theodorsen_interior(domain: StarDomain, sample_count: int = 1024,
                         max_iterations: int = 4000) -> TheodorsenResult:
     """Interior map of a star-like domain by damped Theodorsen iteration.
 
-    Solves phi(theta) = theta + K[log rho(phi(.))](theta) on a power-of-two
-    grid with mesh continuation from 256 samples, damped by
-    ``_damping_for(domain.smoothness_bound)``. The returned series is
-    rotated so f'(0) > 0 and has f(0) = 0 exactly.
+    Solves phi(theta) = theta + K[log rho(phi(.))](theta) by mesh
+    continuation from min(256, sample_count) samples, damped by
+    ``_damping_for(domain.smoothness_bound)``. From ``sample_count`` on, a
+    grid whose coefficients are not resolved is doubled, up to
+    ``MAX_SAMPLE_COUNT``; the result's ``sample_count`` is the last grid.
+    The returned series is rotated so f'(0) > 0 and has f(0) = 0 exactly.
     """
     m = sample_count
     if m < 64 or (m & (m - 1)) != 0:
         raise InvalidInput("sample count must be a power of two >= 64")
     damping = _damping_for(domain.smoothness_bound)
 
-    meshes = [min(256, m)]
-    while meshes[-1] < m:
-        meshes.append(meshes[-1] * 2)
-
-    psi = None
+    mesh = min(256, m)
+    psi = np.zeros(mesh)
     total_iter = 0
     residual = np.inf
-    for mesh in meshes:
+    while True:
         theta = 2.0 * np.pi * np.arange(mesh) / mesh
-        psi = np.zeros(mesh) if psi is None else _upsample_periodic(psi, mesh)
         for _ in range(max_iterations):
             new = _conjugate_operator(np.log(domain.rho(theta + psi)))
             residual = float(np.abs(new - psi).max())
@@ -230,11 +230,15 @@ def theodorsen_interior(domain: StarDomain, sample_count: int = 1024,
                 f"last residual {residual:.3e} (smoothness bound "
                 f"{domain.smoothness_bound:.3f})"
             )
+        if mesh >= m:
+            phi = theta + psi
+            boundary = domain.rho(phi) * np.exp(1j * phi)
+            f = coeffs_from_samples(boundary, 1.0, Kind.TAYLOR_AT_ZERO)
+            if f.resolved or mesh >= MAX_SAMPLE_COUNT:
+                break
+        mesh *= 2
+        psi = _upsample_periodic(psi, mesh)
 
-    theta = 2.0 * np.pi * np.arange(m) / m
-    phi = theta + psi
-    boundary = domain.rho(phi) * np.exp(1j * phi)
-    f = coeffs_from_samples(boundary, 1.0, Kind.TAYLOR_AT_ZERO)
     coeffs = np.array(f.coeffs)
     # rotation gauge: f'(0) real positive; constant term is discretization
     # noise and is pinned to 0
@@ -248,55 +252,39 @@ def theodorsen_interior(domain: StarDomain, sample_count: int = 1024,
                             series=ComplexSeries.taylor(coeffs,
                                                         resolved=f.resolved),
                             residual=residual, iterations=total_iter,
-                            sample_count=m)
+                            sample_count=mesh)
 
 
 # ---------------------------------------------------------------------------
 # inversion z -> 1/conj(z) between interior and exterior maps
 # ---------------------------------------------------------------------------
 
-def exterior_via_inversion(f_inv: ComplexSeries,
-                           sample_count: int = 1024) -> ComplexSeries:
-    """Exterior map g(z) = 1/conj(f_inv(1/conj(z))) as a Laurent series.
+def inverted_series(h: ComplexSeries, sample_count: int) -> ComplexSeries:
+    """The reflected map 1/conj(h(1/conj(z))) in the other grading.
 
-    ``f_inv`` must map the disk onto the reflected domain itself (a
-    rescaled map would recover a rescaled curve). The Laurent data is
-    extracted by sampling on |z| = 1 + 8/sample_count; the radius
-    approaches 1 as the sample count grows, keeping the noise
-    amplification radius**k of high-order coefficients bounded.
+    Taylor input is sampled on |z| = 1 + 8/sample_count, Laurent input on
+    |z| = 1 - 8/sample_count: the radius approaches 1 as the count grows,
+    keeping the noise amplification of high-order coefficients bounded. An
+    interior map must map the disk onto the reflected domain itself (a
+    rescaled map would recover a rescaled curve).
     """
-    if f_inv.kind is not Kind.TAYLOR_AT_ZERO:
-        raise InvalidInput("exterior_via_inversion expects a Taylor interior map")
-    if sample_count < 2:
-        raise InvalidInput("sample count must be a power of two >= 2")
-    radius = 1.0 + 8.0 / sample_count
+    if h.kind is Kind.TAYLOR_AT_ZERO:
+        if sample_count < 2:
+            raise InvalidInput("sample count must be a power of two >= 2")
+        radius, kind = 1.0 + 8.0 / sample_count, Kind.LAURENT_AT_INFINITY
+    else:
+        if sample_count <= 8:
+            raise InvalidInput("sample count must be a power of two > 8")
+        radius, kind = 1.0 - 8.0 / sample_count, Kind.TAYLOR_AT_ZERO
     theta = 2.0 * np.pi * np.arange(sample_count) / sample_count
     z = radius * np.exp(1j * theta)
-    inner = evaluate(f_inv, 1.0 / np.conj(z))
-    if np.abs(inner).min() < 1e-13:
+    reflected = evaluate(h, 1.0 / np.conj(z))
+    if np.abs(reflected).min() < 1e-13:
         raise NumericalFailure(
-            "inverted interior map vanishes near the sampling circle; "
+            "reflected map vanishes near the sampling circle; "
             "1/conj(.) is unbounded there"
         )
-    return coeffs_from_samples(1.0 / np.conj(inner), radius,
-                               Kind.LAURENT_AT_INFINITY)
-
-
-def interior_via_inversion(g: ComplexSeries,
-                           sample_count: int = 1024) -> ComplexSeries:
-    """Interior map f(z) = 1/conj(g(1/conj(z))) of the reflected domain,
-    extracted from samples on |z| = 1 - 8/sample_count."""
-    if g.kind is not Kind.LAURENT_AT_INFINITY:
-        raise InvalidInput("interior_via_inversion expects a Laurent exterior map")
-    if sample_count <= 8:
-        raise InvalidInput("sample count must be a power of two > 8")
-    radius = 1.0 - 8.0 / sample_count
-    theta = 2.0 * np.pi * np.arange(sample_count) / sample_count
-    z = radius * np.exp(1j * theta)
-    outer = evaluate(g, 1.0 / np.conj(z))
-    if np.abs(outer).min() < 1e-13:
-        raise NumericalFailure("exterior map vanishes near the sampling circle")
-    return coeffs_from_samples(1.0 / np.conj(outer), radius, Kind.TAYLOR_AT_ZERO)
+    return coeffs_from_samples(1.0 / np.conj(reflected), radius, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -408,43 +396,28 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
 # catalog
 # ---------------------------------------------------------------------------
 
-def _coefficients_resolved(series: ComplexSeries, sample_count: int) -> bool:
-    """True if the floor trim cut the expansion before the Nyquist limit.
-
-    When false, the map still has spectral content at the edge of the
-    sampling grid and the sample count should be doubled.
-    """
-    return series.order < sample_count // 2 - 4
-
-
 @functools.lru_cache(maxsize=64)
 def _catalog_cached(family_tag: str, param_items: tuple,
                     sample_count: int) -> WeldingPair:
     params = dict(param_items)
-    m = sample_count
 
     if family_tag == "identity":
         return WeldingPair(
             interior=ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8),
             exterior=ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 8),
             g_prime_at_infinity=1.0 + 0.0j, family_tag="identity",
-            params={}, sample_count=m, residuals={"boundary": 0.0})
+            params={}, sample_count=sample_count, residuals={"boundary": 0.0})
 
     if family_tag == "ellipse":
         c = params["c"]
-        domain = ellipse_domain(c)
-        while True:
-            theo = theodorsen_interior(domain, m)
-            if _coefficients_resolved(theo.series, m) or m >= 16384:
-                break
-            m *= 2
+        theo = theodorsen_interior(ellipse_domain(c), sample_count)
         # exact closed form z + c/z: trailing zeros state that the higher
         # Laurent coefficients vanish identically
         raw_g = ComplexSeries.laurent([1.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0],
                                       resolved=True)
         return normalize_pair(
             theo.series, raw_g, family_tag="ellipse", params=params,
-            sample_count=m,
+            sample_count=theo.sample_count,
             extra_residuals={"theodorsen": theo.residual})
 
     if family_tag == "fourier_bump":
@@ -454,16 +427,15 @@ def _catalog_cached(family_tag: str, param_items: tuple,
             raise InvalidInput(
                 f"bump({eps},{k}) has smoothness bound "
                 f"{domain.smoothness_bound:.3f} >= 1")
-        while True:
-            theo = theodorsen_interior(domain, m)
-            theo_inv = theodorsen_interior(inverted_domain(domain), m)
-            if (_coefficients_resolved(theo.series, m)
-                    and _coefficients_resolved(theo_inv.series, m)) or m >= 16384:
-                break
-            m *= 2
+        # both maps at the first sample count that resolves both
+        theo = theodorsen_interior(domain, sample_count)
+        theo_inv = theodorsen_interior(inverted_domain(domain), theo.sample_count)
+        if theo_inv.sample_count > theo.sample_count:
+            theo = theodorsen_interior(domain, theo_inv.sample_count)
+        m = theo.sample_count
         # invert the image-correct reflected map; rescaling it first would
         # scale the recovered curve away from the interior map's curve
-        raw_g = exterior_via_inversion(theo_inv.series, m)
+        raw_g = inverted_series(theo_inv.series, m)
         return normalize_pair(
             theo.series, raw_g, family_tag="fourier_bump", params=params,
             sample_count=m,
@@ -476,11 +448,11 @@ def catalog(family_tag: str, sample_count: int = 1024, **params) -> WeldingPair:
     """Construct a cataloged welding pair.
 
     Families: ``identity``, ``ellipse`` (parameter ``c`` in (0,1)),
-    ``fourier_bump`` (parameters ``eps``, ``k``). The sample count doubles
-    automatically (up to 16384) until the coefficient floor is reached, so
-    slowly-decaying expansions are always fully resolved. Pairs are cached;
-    each call returns its own ``params`` and ``residuals`` dicts, so a
-    caller's edits never reach later results.
+    ``fourier_bump`` (parameters ``eps``, ``k``). The Theodorsen
+    continuation doubles ``sample_count`` (up to ``MAX_SAMPLE_COUNT``) until
+    the coefficients are resolved, so slowly-decaying expansions are always
+    fully resolved. Pairs are cached; each call returns its own ``params``
+    and ``residuals`` dicts, so a caller's edits never reach later results.
     """
     items = tuple(sorted(params.items()))
     pair = _catalog_cached(family_tag, items, sample_count)
@@ -488,13 +460,12 @@ def catalog(family_tag: str, sample_count: int = 1024, **params) -> WeldingPair:
                                residuals=dict(pair.residuals))
 
 
-def inverted_pair(pair: WeldingPair, sample_count: int = None) -> WeldingPair:
+def inverted_pair(pair: WeldingPair) -> WeldingPair:
     """The pair of the reflected curve: roles of f and g swap through
     z -> 1/conj(z), then the result is re-normalized."""
-    m = sample_count or max(pair.sample_count, 1024)
-    raw_f = interior_via_inversion(pair.exterior, m)
-    raw_g = exterior_via_inversion(pair.interior, m)
-    return normalize_pair(raw_f, raw_g,
+    m = max(pair.sample_count, 1024)
+    return normalize_pair(inverted_series(pair.exterior, m),
+                          inverted_series(pair.interior, m),
                           family_tag=pair.family_tag + "~inverted",
                           params=pair.params, sample_count=m)
 

@@ -12,8 +12,8 @@ samples a coefficient array. There are two evaluators:
   operations for K terms instead of Horner's O(K m).
 
 ``derivative`` is the only term-by-term derivative of either grading. (The
-inversion routines of ``maps`` evaluate at 1/conj(z) instead of sampling a
-circle, which is not the same point set to the last bit, so they call
+inversion routine of ``maps`` evaluates at 1/conj(z) instead of sampling a
+circle, which is not the same point set to the last bit, so it calls
 ``evaluate`` directly.)
 
 Two expansion kinds are supported:
@@ -137,22 +137,6 @@ def reciprocal_array(c: np.ndarray) -> np.ndarray:
     for k in range(1, n):
         inv[k] = -np.dot(c[1:k + 1], inv[k - 1::-1]) / c[0]
     return inv
-
-
-def log_array(c: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Coefficients of log(sum c_k z^k) to the same truncation; c[0] = 1 and
-    ``inv = reciprocal_array(c)``, which the bivariate log needs anyway.
-
-    Uses (log s)' = s'/s and integrates, so no alternating power sums.
-    """
-    n = len(c)
-    out = np.zeros(n, dtype=complex)
-    if n == 1:
-        return out
-    ds = np.arange(1, n) * c[1:]
-    q = np.convolve(ds, inv)[:n - 1]
-    out[1:] = q / np.arange(1, n)
-    return out
 
 
 def evaluate_array(c: np.ndarray, z) -> np.ndarray:

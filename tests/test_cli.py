@@ -18,6 +18,7 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert doc["S_cl"] == pytest.approx(16 * np.pi, abs=1e-12)
         assert doc["slack"] == 0.0
+        assert doc["is_fuchsian_point"] is True
         assert "conventions" in doc
 
     def test_logdet_identity(self, tmp_path):
@@ -77,6 +78,40 @@ class TestCommands:
     def test_invalid_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["identity", "--family", "nosuch"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fuchsian", "--tol", "1e-30"],
+        ["scl", "--s2", "0", "--tol", "1e-30"],
+        ["logdet", "--family", "identity", "--tol", "1e-30"],
+        ["logdet", "--family", "identity", "--grid", "1x1"],
+        ["s1", "--family", "identity", "--tol", "1e-30"],
+        ["s1", "--family", "identity", "--N", "7"],
+        ["pair", "--family", "identity", "--N", "x"],
+        ["pair", "--family", "identity", "--grid", "y"],
+        ["pair", "--family", "identity", "--tol", "0"],
+        ["grunsky", "--family", "identity", "--grid", "zz"],
+        ["invert", "--family", "identity", "--grid", "zz"],
+        ["sweep", "--family", "ellipse", "--c", "0.9"],
+        ["sweep", "--family", "ellipse", "--eps", "3"],
+        ["sweep", "--family", "ellipse", "--k", "9"],
+    ])
+    def test_flag_the_command_does_not_take_exit_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["scl", "--s2", "nan"],
+        ["scl", "--s2", "inf"],
+        ["identity", "--family", "identity", "--tol", "nan"],
+        ["grunsky", "--family", "identity", "--tol", "nan"],
+        ["invert", "--family", "identity", "--tol", "nan"],
+    ])
+    def test_non_finite_value_exit_2(self, tmp_path, argv):
+        # nan would fail every tolerance check, and json writes it as NaN
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
@@ -185,6 +220,15 @@ class TestConfigFile:
                     "--out", str(out)])
         assert code == 0
         assert f"wrote {out}" in capsys.readouterr().err
+
+    def test_config_key_of_a_flag_the_command_does_not_take(self, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text("tol = 0\n")
+        code = run(["pair", "--family", "identity", "--config", str(cfg),
+                    "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "unknown config key: tol" in capsys.readouterr().err
 
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -50,6 +50,17 @@ class TestTheodorsen:
         with pytest.raises(InvalidInput):
             mp.theodorsen_interior(mp.circle_domain(), 100)
 
+    def test_continuation_doubles_until_resolved(self):
+        # a start at 1024 continues to the count a start at 16384 reaches,
+        # through the same warm-started chain of grids
+        dom = mp.ellipse_domain(0.5)
+        res = mp.theodorsen_interior(dom, 1024)
+        assert res.sample_count == mp.MAX_SAMPLE_COUNT == 16384
+        assert res.series.resolved
+        direct = mp.theodorsen_interior(dom, 16384)
+        assert np.array_equal(res.series.coeffs, direct.series.coeffs)
+        assert res.iterations == direct.iterations
+
     def test_sampled_domain_matches_closed_form(self):
         dom0 = mp.bump_domain(0.1, 3)
         theta = 2 * np.pi * np.arange(64) / 64
@@ -64,7 +75,8 @@ class TestTheodorsen:
 class TestInversion:
     def test_identity_fixed_point(self):
         f = ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8)
-        g = mp.exterior_via_inversion(f, 256)
+        g = mp.inverted_series(f, 256)
+        assert g.kind is Kind.LAURENT_AT_INFINITY
         assert abs(g.coeffs[0] - 1.0) <= 1e-12
         if g.order > 1:
             assert np.abs(g.coeffs[1:]).max() <= 1e-12
@@ -75,7 +87,7 @@ class TestInversion:
         c = 0.3
         dom = mp.inverted_domain(mp.ellipse_domain(c))
         res = mp.theodorsen_interior(dom, 1024)
-        g = mp.exterior_via_inversion(res.series, 1024)
+        g = mp.inverted_series(res.series, 1024)
         gb = boundary_points(g)
         target = ComplexSeries.laurent([1.0, 0.0, c, 0, 0, 0, 0, 0])
         assert mp.distance_to_curve(gb, target).max() <= 1e-8
@@ -83,13 +95,22 @@ class TestInversion:
     def test_involution(self, bump_pair):
         # applying the reflection recipe twice returns the original map
         m = 1024
-        f2 = mp.interior_via_inversion(
-            mp.exterior_via_inversion(bump_pair.interior, m), m)
+        f2 = mp.inverted_series(mp.inverted_series(bump_pair.interior, m), m)
+        assert f2.kind is Kind.TAYLOR_AT_ZERO
         theta = np.exp(1j * 2 * np.pi * np.arange(64) / 64)
         for r in (0.3, 0.7, 0.95):
             orig = evaluate(bump_pair.interior, r * theta)
             back = evaluate(f2, r * theta)
             assert np.abs(orig - back).max() <= 1e-12
+
+    @pytest.mark.parametrize("series, count", [
+        (ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8), 1),
+        (ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 8), 8),
+    ])
+    def test_too_few_samples_rejected(self, series, count):
+        # the Laurent side samples inside the disk at 1 - 8/count
+        with pytest.raises(InvalidInput):
+            mp.inverted_series(series, count)
 
 
 class TestNormalizePair:
@@ -155,6 +176,33 @@ class TestCatalogInvariants:
             mp.catalog("fourier_bump", eps=0.9, k=2)  # bound >= 1
         with pytest.raises(InvalidInput):
             mp.catalog("nosuch")
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Results of every Theodorsen solve of an uncached catalog call."""
+        results = []
+        solve = mp.theodorsen_interior
+
+        def recorded(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(mp, "theodorsen_interior", recorded)
+        mp._catalog_cached.cache_clear()
+        return results
+
+    def test_ellipse_is_one_theodorsen_solve(self, solves):
+        pair = mp.catalog("ellipse", c=0.5)
+        assert len(solves) == 1
+        assert solves[0].sample_count == pair.sample_count == 16384
+
+    def test_bump_maps_share_one_resolved_count(self, solves):
+        # the reflected map of bump(0.2, 4) needs twice the samples of the
+        # interior map, so the interior map is solved again at that count
+        pair = mp.catalog("fourier_bump", eps=0.2, k=4)
+        assert pair.sample_count == 2048
+        final = [r for r in solves if r.sample_count == 2048]
+        assert len(final) == 2 and all(r.series.resolved for r in final)
 
     def test_results_do_not_share_mutable_dicts(self):
         first = mp.catalog("ellipse", c=0.1)
