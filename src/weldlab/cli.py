@@ -80,7 +80,11 @@ def _out_path(args, default_name: str):
 
 
 def _write_text(path: str, text: str, verbose: bool):
-    with open(path, "w") as fh:
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc.strerror}") from exc
+    with fh:
         fh.write(text)
     if verbose:
         print(f"wrote {path}", file=sys.stderr)
@@ -131,8 +135,17 @@ def _orders(args):
     return _numbers(args, "N", ",", int)
 
 
-def _grid(args):
-    return tuple(_numbers(args, "grid", "x", int, 2))
+def _grid_ladder(args, levels: int) -> list:
+    """``levels`` grids, coarsest first, each halving the next in both
+    directions down from ``--grid``; every one must be at least 2 x 4."""
+    n_r, n_theta = _numbers(args, "grid", "x", int, 2)
+    grids = [(n_r // 2 ** k, n_theta // 2 ** k) for k in range(levels - 1, -1, -1)]
+    for g in grids:
+        if g[0] < 2 or g[1] < 4:
+            raise InvalidInput(f"--grid {args.grid!r} gives a {g[0]}x{g[1]} "
+                               f"grid in its {levels}-level ladder; each "
+                               "needs at least 2x4")
+    return grids
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +197,7 @@ def _cmd_logdet(args) -> int:
 
 def _cmd_s1(args) -> int:
     pair = _build_pair(args)
-    n_r, n_theta = _grid(args)
-    grids = [(n_r // 4, n_theta // 4), (n_r // 2, n_theta // 2), (n_r, n_theta)]
-    grids = [(max(g[0], 8), max(g[1], 16)) for g in grids]
-    report = lv.s1(pair, grids)
+    report = lv.s1(pair, _grid_ladder(args, 3))
     doc = {"family": pair.family_tag, "params": pair.params,
            "report": report.to_dict(), "S1": report.extrapolated}
     _write_report(args, doc, f"s1_{args.family}.json")
@@ -196,11 +206,7 @@ def _cmd_s1(args) -> int:
 
 def _cmd_identity(args) -> int:
     pair = _build_pair(args)
-    n_r, n_theta = _grid(args)
-    grids = [(max(n_r // 4, 8), max(n_theta // 4, 16)),
-             (max(n_r // 2, 8), max(n_theta // 2, 16)), (n_r, n_theta)]
-    orders = _orders(args)
-    doc = lv.identity_report(pair, grids, orders)
+    doc = lv.identity_report(pair, _grid_ladder(args, 3), _orders(args))
     _write_report(args, doc, f"identity_{args.family}.json")
     rel = doc["residual_identity_relative"]
     return EXIT_OK if rel <= args.tol else EXIT_CHECK_FAILED
@@ -272,8 +278,8 @@ def _cmd_sweep(args) -> int:
         values.append(round(v, 12))
         v += step
     orders = _orders(args)
-    n_r, n_theta = _grid(args)
-    grids = [(max(n_r // 2, 8), max(n_theta // 2, 16)), (n_r, n_theta)]
+    grids = _grid_ladder(args, 2)
+    n_r, n_theta = grids[-1]
     header = ["family", "param", "S1", "S2_via_B1", "S2_via_B4",
               "residual_identity", "residual_operators", "slack",
               "N", "grid", "error"]
@@ -307,7 +313,11 @@ def _cmd_sweep(args) -> int:
 
 def _read_config(path: str) -> dict:
     values = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read --config {path}: {exc.strerror}") from exc
+    with fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -23,7 +23,6 @@ the basepoint value entering the trace identities.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import comb
 
@@ -79,7 +78,6 @@ class FuchsianGroup:
     genus: int = GENUS
     relation_word: tuple = ()
     vertex_radius: float = 0.0              # hyperbolic distance to a vertex
-    side_distance: float = 0.0              # hyperbolic distance to a side
     translation_length: float = 0.0
 
     def element(self, index: int) -> np.ndarray:
@@ -123,7 +121,7 @@ def octagon_group() -> FuchsianGroup:
     word = (1, -2, 3, -4, -1, 2, -3, 4)
     group = FuchsianGroup(generators=tuple(g for g in gens), genus=GENUS,
                           relation_word=word, vertex_radius=rv,
-                          side_distance=rm, translation_length=length)
+                          translation_length=length)
     resid = group.relation_residual()
     if resid > 1e-10:
         raise NumericalFailure(
@@ -268,22 +266,19 @@ def domain_area_integral(group: FuchsianGroup, n_theta: int = 2048) -> dict:
 # ---------------------------------------------------------------------------
 
 def automorphy_residual(kernel, gamma: np.ndarray, z_points, w_points,
-                        conjugate_second: bool = False,
-                        gamma_second: np.ndarray = None) -> float:
-    """max |K(gamma z, gamma' w) gamma'(z) D - K(z, w)| over the samples.
+                        conjugate_second: bool = False) -> float:
+    """max |K(gamma z, gamma w) gamma'(z) D - K(z, w)| over the samples.
 
-    ``D`` is gamma''(w) or its conjugate depending on whether the kernel is
+    ``D`` is gamma'(w) or its conjugate depending on whether the kernel is
     holomorphic (K-type) or anti-holomorphic (Bergman / iterated type) in
-    the second argument. ``gamma_second`` defaults to ``gamma`` and covers
-    the paired action on mixed kernels.
+    the second argument.
     """
     z = np.asarray(z_points, dtype=complex)
     w = np.asarray(w_points, dtype=complex)
-    g2 = gamma if gamma_second is None else gamma_second
     gz = apply_mobius(gamma, z)
-    gw = apply_mobius(g2, w)
+    gw = apply_mobius(gamma, w)
     dz = mobius_derivative(gamma, z)
-    dw = mobius_derivative(g2, w)
+    dw = mobius_derivative(gamma, w)
     if conjugate_second:
         dw = np.conj(dw)
     resid = kernel(gz, gw) * dz * dw - kernel(z, w)
@@ -293,11 +288,6 @@ def automorphy_residual(kernel, gamma: np.ndarray, z_points, w_points,
 def bergman_kernel(z, w):
     """Reproducing kernel of the disk, 1/(pi (1 - z conj(w))^2)."""
     return 1.0 / (np.pi * (1.0 - np.asarray(z) * np.conj(w)) ** 2)
-
-
-def basepoint_mixed_kernel(z, w):
-    """The disk-to-exterior kernel of the identity pair, 1/(pi (z - w)^2)."""
-    return 1.0 / (np.pi * (np.asarray(z) - np.asarray(w)) ** 2)
 
 
 def basepoint_trace_term(group: FuchsianGroup, k: int) -> float:
@@ -327,19 +317,3 @@ def alternating_trace_sum(group: FuchsianGroup, n: int) -> float:
     for k in range(1, n + 1):
         total += (-1) ** k * comb(n, k) * basepoint_trace_term(group, k)
     return total
-
-
-def group_to_json(group: FuchsianGroup, enumeration: GroupEnumeration = None) -> str:
-    doc = {
-        "genus": group.genus,
-        "relation_word": list(group.relation_word),
-        "vertex_radius": group.vertex_radius,
-        "side_distance": group.side_distance,
-        "translation_length": group.translation_length,
-        "generators": [[[x.real, x.imag] for x in g.ravel()]
-                       for g in group.generators],
-    }
-    if enumeration is not None:
-        doc["max_word_length"] = enumeration.max_word_length
-        doc["element_count"] = enumeration.count
-    return json.dumps(doc, indent=2, sort_keys=True)

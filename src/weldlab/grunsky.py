@@ -224,7 +224,7 @@ def build_b4(pair, n: int, cols: int = None) -> np.ndarray:
 
 
 def separation_radii(pair):
-    """A pair (r, R) with max|f| on |z|=r below min|g| on |w|=R, or None.
+    """Radii (r, R) with max|f| on |z|=r below min|g| on |w|=R, or None.
 
     Tries r = 0.98, 0.95, 0.9 and, for each, R = 1.1, 1.25, 1.4, 1.6, on
     512 samples per circle. This is the geometric sanity check behind the
@@ -232,12 +232,10 @@ def separation_radii(pair):
     converges on the product of the two circles exactly when they separate
     the curve.
     """
-    f = pair.interior if isinstance(pair, WeldingPair) else pair[0]
-    g = pair.exterior if isinstance(pair, WeldingPair) else pair[1]
     for r in (0.98, 0.95, 0.9):
-        fmax = np.abs(samples_from_coeffs(f, r, 512)).max()
+        fmax = np.abs(samples_from_coeffs(pair.interior, r, 512)).max()
         for big_r in (1.1, 1.25, 1.4, 1.6):
-            gmin = np.abs(samples_from_coeffs(g, big_r, 512)).min()
+            gmin = np.abs(samples_from_coeffs(pair.exterior, big_r, 512)).min()
             if fmax < gmin:
                 return (r, big_r)
     return None
@@ -269,7 +267,7 @@ def build_b2_b3(pair, n: int, cols: int = None):
     _require_order(fseries, big, "interior")
     _require_order(gseries, big, "exterior")
     a, g = fseries.coeffs, gseries.coeffs
-    if isinstance(pair, WeldingPair) and separation_radii(pair) is None:
+    if separation_radii(pair) is None:
         raise NumericalFailure(
             "no separating radii r < 1 < R with |f| < |g| found; the pair "
             "does not bound a common curve in the expected way")
@@ -294,19 +292,17 @@ class GrunskyTruncation:
     b2: np.ndarray = field(repr=False)
     b3: np.ndarray = field(repr=False)
     b4: np.ndarray = field(repr=False)
-    provenance: str = ""
 
 
 def build_truncation(pair: WeldingPair, n: int) -> GrunskyTruncation:
     b1 = build_b1(pair, n)
     b4 = build_b4(pair, n)
     b2, b3 = build_b2_b3(pair, n)
-    tag = f"{pair.family_tag}{pair.params or ''} N={n} M={pair.sample_count}"
-    return GrunskyTruncation(n=n, b1=b1, b2=b2, b3=b3, b4=b4, provenance=tag)
+    return GrunskyTruncation(n=n, b1=b1, b2=b2, b3=b3, b4=b4)
 
 
 # ---------------------------------------------------------------------------
-# residuals, determinants, iterated kernels
+# residuals and determinants
 # ---------------------------------------------------------------------------
 
 def _relation_norms(b1, b2, b3, b4, h: int):
@@ -329,8 +325,12 @@ def grunsky_identity_residual(trunc: GrunskyTruncation):
     far past N for an eccentric curve, and what is missing shows up here as
     truncation error. It is what ``weldlab grunsky`` reports as
     ``relation_residuals``. ``grunsky_operator_residual`` measures the
-    operator relations.
+    operator relations. N < 2 leaves no block to measure and raises
+    InvalidInput.
     """
+    if trunc.n < 2:
+        raise InvalidInput(f"block relations need N >= 2 (N = {trunc.n} "
+                           "leaves an empty leading floor(N/2) block)")
     return _relation_norms(trunc.b1, trunc.b2, trunc.b3, trunc.b4, trunc.n // 2)
 
 
@@ -413,41 +413,6 @@ def s2_univ(pair: WeldingPair, n: int, route: str = "b1") -> float:
     return logdet_potential(b, [n]).extrapolated
 
 
-def _basis_vector(n: int, z: complex, which: int) -> np.ndarray:
-    k = np.arange(1, n + 1, dtype=float)
-    if which == 1:
-        return np.sqrt(k / np.pi) * np.asarray(z, dtype=complex) ** (k - 1)
-    return np.sqrt(k / np.pi) * np.asarray(z, dtype=complex) ** (-k - 1)
-
-
-def iterated_kernel_diag(trunc: GrunskyTruncation, n_power: int, z: complex,
-                         which: int = 1) -> float:
-    """Diagonal value of the n-th iterated contraction kernel at z.
-
-    Expands v_z = K(z, .) in the orthonormal basis (coefficients are rows
-    of the block against basis values) and applies matrix powers of BB*.
-    The value is a nonnegative real number.
-    """
-    if n_power < 1:
-        raise InvalidInput("power must be >= 1")
-    if which not in (1, 4):
-        raise InvalidInput("iterated kernels are defined for blocks 1 and 4")
-    z = complex(z)
-    if which == 1 and abs(z) >= 1.0:
-        raise InvalidInput("interior iterated kernel needs |z| < 1")
-    if which == 4 and abs(z) <= 1.0:
-        raise InvalidInput("exterior iterated kernel needs |z| > 1")
-    b = trunc.b1 if which == 1 else trunc.b4
-    basis = _basis_vector(trunc.n, z, which)
-    beta = b.T @ basis
-    m = b @ b.conj().T
-    vec = beta.copy()
-    for _ in range(n_power - 1):
-        vec = m @ vec
-    val = np.vdot(beta, vec)
-    return float(val.real)
-
-
 @dataclass(frozen=True)
 class InversionCheck:
     s2_pair_b1: float
@@ -495,13 +460,3 @@ def matrix_to_csv(b: np.ndarray) -> str:
             cells.append(f"{b[i, j].imag:.17g}")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    rows = []
-    for ln in lines[1:]:
-        vals = [float(x) for x in ln.split(",")]
-        rows.append([complex(vals[2 * j], vals[2 * j + 1])
-                     for j in range(len(vals) // 2)])
-    return np.array(rows, dtype=complex)

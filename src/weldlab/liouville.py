@@ -4,25 +4,32 @@ determinant potential.
 The action of a normalized pair is
 
     S1 = int_disk |f''/f'|^2 dA + int_exterior |g''/g'|^2 dA
-         - 4 pi log|g'(infinity)|,
+         - 4 pi log|g'(infinity)|.
 
-computed on a Gauss-Legendre (radial) x uniform (angular) product grid.
-The exterior integral is pulled back to the disk by u = 1/z with Jacobian
-|u|^-4; the integrand vanishes like |u|^2 at the origin. On each radial
-node the series are evaluated at the uniform angles by folding their
-coefficients and one FFT (``series.evaluate_on_circles``); the angular rule
-is still the sampled trapezoidal rule.
+Both integrals have the same form (Takhtajan-Teo, Mem. AMS 183, 2006):
+each side is one triple (num, den, s) of Taylor arrays and a power, and
+contributes int_disk |num/den|^2 |z|^(2s) dA,
+
+    interior: (f'', f', 0),
+    exterior: (2P + uP', gam0 - u^2 P, 1),  P = sum_{k>=2} (k-1) gam_k u^(k-2),
+
+the exterior pulled back to the disk by u = 1/z (Jacobian |u|^-4) from
+g(1/u) = gam0/u + gam1 + gam2 u + .... ``s1_value`` integrates each triple
+on a Gauss-Legendre (radial) x uniform (angular) product grid. On each
+radial node num and den are evaluated at the uniform angles by folding
+their coefficients and one FFT (``series.evaluate_on_circles``); the
+angular rule is the sampled trapezoidal rule.
 
 The central check is S1 = -12 pi S2_univ with
 S2_univ = log det(I - BB*) from the operator module; ``identity_report``
 carries both operator routes and both residual forms.
 
-``s1_coefficient_route`` evaluates the same two integrals exactly in the
-angular direction via Parseval (the angular integral of |h|^2 on a circle
-is the weighted coefficient sum), leaving a closed-form radial integral.
-It shares no angular sampling with the grid, so it stays the independent
-oracle for the grid quadrature in the tests and for strongly crowded
-pairs whose angular spectrum outruns the grid.
+``s1_coefficient_route`` integrates the same triples exactly in the
+angular direction via Parseval (the angular integral of |q|^2 on a circle
+is the weighted coefficient sum of q = num/den), leaving a closed-form
+radial integral. It shares no angular sampling with the grid, so it stays
+the independent oracle for the grid quadrature in the tests and for
+strongly crowded pairs whose angular spectrum outruns the grid.
 """
 
 from __future__ import annotations
@@ -65,63 +72,41 @@ class QuadratureGrid:
             a.flags.writeable = False
         return r, wr, theta
 
-    def area_check(self) -> float:
-        """Integral of 1 over the disk: must equal pi to roundoff."""
-        r, wr, theta = self.nodes
-        return float((wr * r).sum() * 2.0 * np.pi)
 
+def _action_sides(pair: WeldingPair):
+    """The (num, den, s) triples of the interior and exterior integrals.
 
-def _interior_integral(pair: WeldingPair, grid: QuadratureGrid) -> float:
-    r, wr, _ = grid.nodes
-    a = pair.interior.coeffs
-    d1 = derivative_array(a)
-    d2 = derivative_array(d1)
-    num = evaluate_on_circles(d2, r, grid.n_theta)
-    den = evaluate_on_circles(d1, r, grid.n_theta)
-    vals = np.abs(num / den) ** 2
-    if vals.max() > INTEGRAND_CAP:
-        raise NumericalFailure(
-            "interior integrand exceeds the blow-up cap near the boundary: "
-            "curve appears to fall outside the finite-action class")
-    return float((vals * r[:, None]).sum(axis=1).dot(wr) * (2.0 * np.pi / grid.n_theta))
-
-
-def _exterior_ratio_at_u(pair: WeldingPair, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """g''/g' evaluated at z = 1/u on the grid nodes u = r e^(i theta) (one
-    row per radius r, uniform angles), via the u-expansion of g.
-
-    With G(u) = g(1/u) = gam0/u + gam1 + gam2 u + ..., one has
-    g'(z) = -u^2 G'(u) and g''(z) = u^3 (2 G'(u) + u G''(u)), so
-    g''/g'(1/u) = -u (2 G' + u G'')/G'.
+    Outside, G(u) = g(1/u) has G' = -gam0 u^-2 + P, so
+    g''/g'(1/u) = -u (2G' + uG'')/G' = u^3 (2P + uP') / (gam0 - u^2 P); the
+    Jacobian |u|^-4 leaves the weight |u|^2, hence s = 1.
     """
+    d1 = derivative_array(pair.interior.coeffs)
     gam = pair.exterior.coeffs
-    k = np.arange(len(gam))
-    # G'(u) = -gam0 u^-2 + P(u), P = sum_{k>=2} (k-1) gam_k u^(k-2)
-    p_coeffs = (k[2:] - 1) * gam[2:] if len(gam) > 2 else np.zeros(1, complex)
-    pp_coeffs = derivative_array(p_coeffs) if len(p_coeffs) > 1 else np.zeros(1, complex)
-    p = evaluate_on_circles(p_coeffs, r, u.shape[1])
-    pp = evaluate_on_circles(pp_coeffs, r, u.shape[1])
-    gp = -gam[0] / u ** 2 + p
-    gpp = 2.0 * gam[0] / u ** 3 + pp
-    return -u * (2.0 * gp + u * gpp) / gp
+    p = np.arange(1, len(gam) - 1) * gam[2:] if len(gam) > 2 else np.zeros(1, complex)
+    num = (np.arange(len(p)) + 2.0) * p
+    den = np.concatenate([gam[:1], [0.0], -p])
+    return ((derivative_array(d1), d1, 0), (num, den, 1))
 
 
-def _exterior_integral(pair: WeldingPair, grid: QuadratureGrid) -> float:
-    r, wr, theta = grid.nodes
-    u = r[:, None] * np.exp(1j * theta[None, :])
-    ratio = _exterior_ratio_at_u(pair, r, u)
-    vals = np.abs(ratio) ** 2 * np.abs(u) ** (-4)
-    if vals.max() > INTEGRAND_CAP:
-        raise NumericalFailure(
-            "exterior integrand exceeds the blow-up cap near the boundary: "
-            "curve appears to fall outside the finite-action class")
-    return float((vals * r[:, None]).sum(axis=1).dot(wr) * (2.0 * np.pi / grid.n_theta))
+def _log_term(pair: WeldingPair) -> float:
+    return -4.0 * np.pi * np.log(abs(pair.g_prime_at_infinity))
 
 
 def s1_value(pair: WeldingPair, grid: QuadratureGrid) -> float:
     """The action on a single grid."""
-    log_term = -4.0 * np.pi * np.log(abs(pair.g_prime_at_infinity))
-    return _interior_integral(pair, grid) + _exterior_integral(pair, grid) + log_term
+    r, wr, _ = grid.nodes
+    integrals = []
+    for num, den, s in _action_sides(pair):
+        vals = np.abs(evaluate_on_circles(num, r, grid.n_theta)
+                      / evaluate_on_circles(den, r, grid.n_theta)) ** 2
+        vals *= r[:, None] ** (2 * s)
+        if vals.max() > INTEGRAND_CAP:
+            raise NumericalFailure(
+                "integrand exceeds the blow-up cap near the boundary: "
+                "curve appears to fall outside the finite-action class")
+        integrals.append(float((vals * r[:, None]).sum(axis=1).dot(wr)
+                               * (2.0 * np.pi / grid.n_theta)))
+    return sum(integrals) + _log_term(pair)
 
 
 def s1(pair: WeldingPair, grids=DEFAULT_GRIDS) -> ConvergenceReport:
@@ -140,44 +125,20 @@ def s1(pair: WeldingPair, grids=DEFAULT_GRIDS) -> ConvergenceReport:
 def s1_coefficient_route(pair: WeldingPair) -> float:
     """Angularly-exact evaluation through Parseval on the coefficient data.
 
-    int_disk |h|^2 dA = pi * sum_j |h_j|^2 / (j+1) for h = sum h_j z^j, and
-    the same on the exterior side in the u = 1/z chart.
+    int_disk |q|^2 |z|^(2s) dA = pi * sum_j |q_j|^2 / (j+1+s) for
+    q = num/den = sum q_j z^j. The quotient decays at the curve's own
+    geometric rate, which for short closed-form expansions extends far
+    beyond the input length, so it is taken to max(len(den) + 4, 512) terms.
     """
-    a = pair.interior.coeffs
-    d1 = derivative_array(a).astype(complex)
-    d2 = derivative_array(d1)
-    q = np.convolve(d2, reciprocal_array(d1))[:max(len(d1), 1)]
-    j = np.arange(len(q), dtype=float)
-    interior = np.pi * float(np.sum(np.abs(q) ** 2 / (j + 1.0)))
-
-    gam = pair.exterior.coeffs.astype(complex)
-    # g''/g'(1/u) = -u (2 P + u P') / (-gam0/u^2 + P) with P as above; as a
-    # power series in u: numerator -u^3 (2 P + u P'), denominator
-    # -gam0 + u^2 P: ratio = u^3 (2 P + u P') / (gam0 - u^2 P)
-    if len(gam) > 2:
-        k = np.arange(len(gam))
-        p = ((k[2:] - 1) * gam[2:]).astype(complex)
-    else:
-        p = np.zeros(1, complex)
-    # the ratio decays at the curve's own geometric rate, which for short
-    # closed-form expansions extends far beyond the input length
-    n = max(len(gam) + 4, 512)
-    num = np.zeros(n, complex)
-    num[3:3 + len(p)] = 2.0 * p[:max(n - 3, 0)]
-    dp = derivative_array(p)
-    num[4:4 + len(dp)] += dp[:max(n - 4, 0)]
-    den = np.zeros(n, complex)
-    den[0] = gam[0]
-    den[2:2 + len(p)] -= p[:max(n - 2, 0)]
-    ratio = np.convolve(num, reciprocal_array(den))[:n]
-    # exterior integral in u: int |ratio|^2 |u|^-4 dA; ratio = O(u^3), so
-    # termwise int |u|^(2j-4) dA = 2 pi / (2j - 2) for j >= 2
-    j = np.arange(len(ratio), dtype=float)
-    mask = j >= 2
-    exterior = float(np.sum(np.abs(ratio[mask]) ** 2 * np.pi / (j[mask] - 1.0)))
-
-    log_term = -4.0 * np.pi * np.log(abs(pair.g_prime_at_infinity))
-    return interior + exterior + log_term
+    integrals = []
+    for num, den, s in _action_sides(pair):
+        n = max(len(den) + 4, 512)
+        padded = np.zeros(n, complex)
+        padded[:len(den)] = den
+        q = np.convolve(num, reciprocal_array(padded))[:n]
+        j = np.arange(n, dtype=float)
+        integrals.append(np.pi * float(np.sum(np.abs(q) ** 2 / (j + 1.0 + s))))
+    return sum(integrals) + _log_term(pair)
 
 
 # ---------------------------------------------------------------------------

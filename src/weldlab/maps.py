@@ -46,12 +46,13 @@ from .series import (
     derivative_array,
     evaluate,
     evaluate_array,
-    reciprocal_array,
     samples_from_coeffs,
 )
 
 BOUNDARY_TOL = 1e-8          # pair acceptance tolerance on the shared curve
 MAX_SAMPLE_COUNT = 16384     # where the Theodorsen continuation stops doubling
+THEODORSEN_TOL = 1e-12       # fixed-point residual that ends a mesh level
+MAX_ITERATIONS = 4000        # fixed-point steps allowed on one mesh level
 _SMOOTHNESS_GRID = 4096      # samples for the numerical smoothness bound
 
 
@@ -82,11 +83,6 @@ class StarDomain:
             k = np.fft.fftfreq(_SMOOTHNESS_GRID, 1.0 / _SMOOTHNESS_GRID)
             dlog = np.real(np.fft.ifft(1j * k * spec))
             object.__setattr__(self, "smoothness_bound", float(np.abs(dlog).max()))
-
-
-def circle_domain() -> StarDomain:
-    return StarDomain(rho=lambda th: np.ones_like(np.asarray(th, dtype=float)),
-                      name="circle", smoothness_bound=0.0)
 
 
 def ellipse_domain(c: float) -> StarDomain:
@@ -194,14 +190,14 @@ def _damping_for(bound: float) -> float:
     return 0.4
 
 
-def theodorsen_interior(domain: StarDomain, sample_count: int = 1024,
-                        tol: float = 1e-12,
-                        max_iterations: int = 4000) -> TheodorsenResult:
+def theodorsen_interior(domain: StarDomain, sample_count: int = 1024) -> TheodorsenResult:
     """Interior map of a star-like domain by damped Theodorsen iteration.
 
     Solves phi(theta) = theta + K[log rho(phi(.))](theta) by mesh
     continuation from min(256, sample_count) samples, damped by
-    ``_damping_for(domain.smoothness_bound)``. From ``sample_count`` on, a
+    ``_damping_for(domain.smoothness_bound)``; each mesh level iterates
+    until the residual is <= ``THEODORSEN_TOL``, for at most
+    ``MAX_ITERATIONS`` steps. From ``sample_count`` on, a
     grid whose coefficients are not resolved is doubled, up to
     ``MAX_SAMPLE_COUNT``; the result's ``sample_count`` is the last grid.
     The returned series is rotated so f'(0) > 0 and has f(0) = 0 exactly.
@@ -217,12 +213,12 @@ def theodorsen_interior(domain: StarDomain, sample_count: int = 1024,
     residual = np.inf
     while True:
         theta = 2.0 * np.pi * np.arange(mesh) / mesh
-        for _ in range(max_iterations):
+        for _ in range(MAX_ITERATIONS):
             new = _conjugate_operator(np.log(domain.rho(theta + psi)))
             residual = float(np.abs(new - psi).max())
             psi = (1.0 - damping) * psi + damping * new
             total_iter += 1
-            if residual <= tol:
+            if residual <= THEODORSEN_TOL:
                 break
         else:
             raise NumericalFailure(
@@ -303,12 +299,6 @@ class WeldingPair:
     sample_count: int = 0
     residuals: dict = field(default_factory=dict)
 
-    def f(self, z):
-        return evaluate(self.interior, z)
-
-    def g(self, z):
-        return evaluate(self.exterior, z)
-
 
 def distance_to_curve(points: np.ndarray, curve: ComplexSeries) -> np.ndarray:
     """Distance from each point to the image curve of |z| = 1 under ``curve``.
@@ -348,13 +338,12 @@ def pair_boundary_residual(interior: ComplexSeries, exterior: ComplexSeries,
 
 def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
                    family_tag: str = "custom", params: dict = None,
-                   sample_count: int = 1024, extra_residuals: dict = None,
-                   check: bool = True) -> WeldingPair:
+                   sample_count: int = 1024, extra_residuals: dict = None) -> WeldingPair:
     """Apply the affine gauge lambda(w) = (w - raw_f(0))/raw_f'(0) to both maps.
 
     The output satisfies f(0) = 0 and f'(0) = 1 exactly;
-    g_prime_at_infinity is the rescaled Laurent leading coefficient. With
-    ``check`` the two boundary traces must agree to ``BOUNDARY_TOL``.
+    g_prime_at_infinity is the rescaled Laurent leading coefficient. The
+    two boundary traces must agree to ``BOUNDARY_TOL``.
     """
     if raw_f.kind is not Kind.TAYLOR_AT_ZERO:
         raise InvalidInput("raw interior map must be a Taylor series")
@@ -377,15 +366,13 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
     interior = ComplexSeries.taylor(fc, resolved=raw_f.resolved)
     exterior = ComplexSeries.laurent(gc, resolved=raw_g.resolved)
     residuals = dict(extra_residuals or {})
-    if check:
-        resid = pair_boundary_residual(interior, exterior,
-                                       min(sample_count, 1024))
-        residuals["boundary"] = resid
-        if resid > BOUNDARY_TOL:
-            raise NumericalFailure(
-                f"boundary traces disagree: residual {resid:.3e} exceeds "
-                f"{BOUNDARY_TOL:.1e}"
-            )
+    resid = pair_boundary_residual(interior, exterior, min(sample_count, 1024))
+    residuals["boundary"] = resid
+    if resid > BOUNDARY_TOL:
+        raise NumericalFailure(
+            f"boundary traces disagree: residual {resid:.3e} exceeds "
+            f"{BOUNDARY_TOL:.1e}"
+        )
     return WeldingPair(interior=interior, exterior=exterior,
                        g_prime_at_infinity=complex(gc[0]),
                        family_tag=family_tag, params=dict(params or {}),
@@ -471,45 +458,30 @@ def inverted_pair(pair: WeldingPair) -> WeldingPair:
 
 
 # ---------------------------------------------------------------------------
-# Schwarzian derivative and the quadratic differential theta
+# Schwarzian derivative
 # ---------------------------------------------------------------------------
-
-def _schwarzian_from_taylor(coeffs: np.ndarray, z):
-    d1 = derivative_array(coeffs)
-    d2 = derivative_array(d1)
-    d3 = derivative_array(d2)
-    z = np.asarray(z, dtype=complex)
-    h1 = evaluate_array(d1, z)
-    if np.any(np.abs(h1) < 1e-13):
-        raise NumericalFailure("Schwarzian evaluation at a critical point")
-    h2 = evaluate_array(d2, z)
-    h3 = evaluate_array(d3, z)
-    return h3 / h1 - 1.5 * (h2 / h1) ** 2
-
 
 def schwarzian(h, z):
     """Schwarzian derivative S(h) = (h''/h')' - (h''/h')^2 / 2 at z.
 
-    ``h`` is a ComplexSeries (evaluated by series arithmetic) or a plain
-    evaluator (local-circle Fourier differentiation of 32 samples on a
+    ``h`` is a Taylor ComplexSeries (evaluated by series arithmetic) or a
+    plain evaluator (local-circle Fourier differentiation of 32 samples on a
     circle of radius max(0.25 (1 - |z|), 1e-4)). Moebius maps give 0;
     h'(z) = 0 is rejected.
     """
-    if isinstance(h, ComplexSeries):
-        if h.kind is Kind.TAYLOR_AT_ZERO:
-            return _schwarzian_from_taylor(h.coeffs, z)
-        # Laurent at infinity: S(g)(z) = z^-4 * S(G)(1/z) with G = 1/g(1/u)
-        # expanded at 0 (target-side inversion leaves S unchanged)
-        g = h.coeffs
-        if g[0] == 0:
-            raise InvalidInput("exterior map must have nonzero leading coefficient")
-        recip = reciprocal_array(g.astype(complex))
-        tay = np.zeros(len(g) + 1, dtype=complex)
-        tay[1:] = recip  # u * recip(u-series)
-        z = np.asarray(z, dtype=complex)
-        return _schwarzian_from_taylor(tay, 1.0 / z) / z ** 4
-
     z = np.asarray(z, dtype=complex)
+    if isinstance(h, ComplexSeries):
+        if h.kind is not Kind.TAYLOR_AT_ZERO:
+            raise InvalidInput("the Schwarzian takes a Taylor series")
+        d1 = derivative_array(h.coeffs)
+        d2 = derivative_array(d1)
+        h1 = evaluate_array(d1, z)
+        if np.any(np.abs(h1) < 1e-13):
+            raise NumericalFailure("Schwarzian evaluation at a critical point")
+        h2 = evaluate_array(d2, z)
+        h3 = evaluate_array(derivative_array(d2), z)
+        return h3 / h1 - 1.5 * (h2 / h1) ** 2
+
     scalar = z.shape == ()
     zv = np.atleast_1d(z)
     radius = np.maximum(0.25 * (1.0 - np.abs(zv)), 1e-4)
@@ -527,63 +499,8 @@ def schwarzian(h, z):
     return complex(out[0]) if scalar else out
 
 
-def _newton_invert(series: ComplexSeries, w: complex, starts: np.ndarray,
-                   max_iter: int = 60, tol: float = 1e-13):
-    dser = derivative(series)
-    best = starts[np.abs(evaluate(series, starts) - w).argmin()]
-    z = best
-    scale = max(1.0, abs(w))
-    for _ in range(max_iter):
-        fz = evaluate(series, z)
-        if abs(fz - w) <= tol * scale:
-            return z
-        dz = evaluate(dser, z)
-        if dz == 0:
-            break
-        z = z - (fz - w) / dz
-    raise NumericalFailure(f"Newton inversion did not converge for w = {w}")
-
-
-def theta(pair: WeldingPair, w, tube: float = 1e-2):
-    """Quadratic differential S(f^-1) on the interior image, S(g^-1) on the
-    exterior image, via S(h^-1)(h(z)) = -S(h)(z)/h'(z)^2.
-
-    Points within ``tube`` of the shared curve are rejected (the Newton
-    inversion is ill-conditioned there).
-    """
-    w = complex(w)
-    dist = distance_to_curve(np.array([w]), pair.interior)[0]
-    if dist < tube:
-        raise InvalidInput(
-            f"point {w} is within {tube} of the welding curve")
-
-    curve = samples_from_coeffs(pair.interior, 1.0, 512)
-    # winding test: inside the interior image or not
-    angles = np.angle((curve - w) / np.roll(curve - w, 1))
-    winding = abs(angles.sum()) > np.pi
-    if winding:
-        r = np.linspace(0.05, 0.95, 7)
-        t = np.exp(1j * 2.0 * np.pi * np.arange(32) / 32)
-        starts = (r[:, None] * t[None, :]).ravel()
-        z = _newton_invert(pair.interior, w, starts)
-        if abs(z) >= 1.0:
-            raise NumericalFailure("inversion left the unit disk")
-        s = _schwarzian_from_taylor(pair.interior.coeffs, z)
-        d1 = evaluate_array(derivative_array(pair.interior.coeffs), z)
-        return complex(-s / d1 ** 2)
-    r = np.array([1.05, 1.2, 1.6, 2.5, 5.0])
-    t = np.exp(1j * 2.0 * np.pi * np.arange(32) / 32)
-    starts = (r[:, None] * t[None, :]).ravel()
-    z = _newton_invert(pair.exterior, w, starts)
-    if abs(z) <= 1.0:
-        raise NumericalFailure("inversion left the exterior domain")
-    s = schwarzian(pair.exterior, z)
-    d1 = evaluate(derivative(pair.exterior), z)
-    return complex(-s / d1 ** 2)
-
-
 # ---------------------------------------------------------------------------
-# JSON export / import
+# JSON export
 # ---------------------------------------------------------------------------
 
 def _complex_list(arr: np.ndarray):
@@ -604,19 +521,3 @@ def pair_to_json(pair: WeldingPair) -> str:
         "residuals": {k: float(v) for k, v in pair.residuals.items()},
     }
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def pair_from_json(text: str) -> WeldingPair:
-    doc = json.loads(text)
-    interior = ComplexSeries.taylor([complex(re, im)
-                                     for re, im in doc["taylor_coeffs"]],
-                                    resolved=doc.get("taylor_resolved", False))
-    exterior = ComplexSeries.laurent([complex(re, im)
-                                      for re, im in doc["laurent_coeffs"]],
-                                     resolved=doc.get("laurent_resolved", False))
-    gp = complex(*doc["g_prime_at_infinity"])
-    return WeldingPair(interior=interior, exterior=exterior,
-                       g_prime_at_infinity=gp, family_tag=doc["family_tag"],
-                       params=doc.get("params", {}),
-                       sample_count=int(doc.get("M", 0)),
-                       residuals=doc.get("residuals", {}))

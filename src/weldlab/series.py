@@ -107,15 +107,6 @@ class ComplexSeries:
             c[0] = 1.0
         return cls(kind, c, resolved=True)
 
-    def __call__(self, z):
-        return evaluate(self, z)
-
-    def is_normalized_interior(self, tol: float = 0.0) -> bool:
-        """True if the series is a Taylor map with h(0) = 0, h'(0) = 1."""
-        if self.kind is not Kind.TAYLOR_AT_ZERO or self.order < 2:
-            return False
-        return abs(self.coeffs[0]) <= tol and abs(self.coeffs[1] - 1.0) <= tol
-
 
 # ---------------------------------------------------------------------------
 # raw-array helpers (Taylor grading, used here, by the operator builders,

@@ -134,6 +134,30 @@ class TestCommands:
         assert code == 2
         assert "N >= 1" in capsys.readouterr().err
 
+    def test_empty_relation_block_exit_2(self, tmp_path, capsys):
+        # N = 1 measures the relations on a 0 x 0 block
+        code = run(["grunsky", "--family", "identity", "--N", "1",
+                    "--out", str(tmp_path / "g.json")])
+        assert code == 2
+        assert "N >= 2" in capsys.readouterr().err
+
+    def test_grid_ladder_halves_without_clamps(self, tmp_path):
+        out = tmp_path / "id.json"
+        code = run(["identity", "--family", "identity", "--grid", "16x32",
+                    "--N", "8,16", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["grids"] == [[4, 8], [8, 16], [16, 32]]
+        assert doc["S1"] == 0.0
+
+    @pytest.mark.parametrize("command", ["s1", "identity", "sweep"])
+    def test_grid_ladder_too_small_exit_2(self, tmp_path, command, capsys):
+        family = ["--family", "ellipse"] + (["--c", "0.1"] if command != "sweep" else [])
+        code = run([command, *family, "--grid", "2x4",
+                    "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "--grid" in capsys.readouterr().err
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         # extreme eccentricity: the damped iteration cannot settle
         code = run(["s1", "--family", "ellipse", "--c", "0.995",
@@ -235,6 +259,21 @@ class TestConfigFile:
         cfg.write_text("this is not a key value line\n")
         code = run(["identity", "--family", "identity", "--config", str(cfg)])
         assert code == 2
+
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        code = run(["scl", "--s2", "0", "--config", str(tmp_path / "missing.cfg"),
+                    "--out", str(tmp_path / "scl.json")])
+        assert code == 2
+        assert "missing.cfg" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        code = run(["scl", "--s2", "0", "--out", str(tmp_path / "nodir" / "x.json")])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_unwritable_outdir_env_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WELDLAB_OUTDIR", str(tmp_path / "nodir"))
+        assert run(["scl", "--s2", "0"]) == 2
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WELDLAB_OUTDIR", str(tmp_path))

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from weldlab import grunsky as gk
 from weldlab import maps as mp
 from weldlab.errors import InvalidInput, NumericalFailure
-from weldlab.series import ComplexSeries, Kind
+from weldlab.series import ComplexSeries, Kind, evaluate
 
 
 def closed_form_logdet(c, n):
@@ -29,6 +30,17 @@ class TestBuildB1:
         f = ComplexSeries.taylor([0, 1, t, 0])
         b1 = gk.build_b1(f, 1)
         assert abs(abs(b1[0, 0]) - t * t) <= 1e-12
+
+    def test_quadratic_row_oracle(self):
+        # f = z + t z^2: log((f(z)-f(w))/(z-w)) = log(1 + t(z + w)) has
+        # z w^j coefficient (-1)^j t^(j+1), so b1[1, j] = -sqrt(j) times it
+        # and the first row has squared norm sum_j j t^(2j+2)
+        t = 0.2
+        n = 12
+        b1 = gk.build_b1(ComplexSeries.taylor([0, 1, t] + [0] * (2 * n)), n)
+        js = np.arange(1, n + 1, dtype=float)
+        oracle = float(np.sum(js * t ** (2 * js + 2)))
+        assert abs(np.sum(np.abs(b1[0]) ** 2) - oracle) <= 1e-12
 
     def test_entries_stable_under_order_doubling(self, ellipse03):
         n = 32
@@ -102,7 +114,7 @@ class TestBuildB2B3:
         theta = 2 * np.pi * np.arange(m) / m
         z = np.exp(1j * theta)
         scale = abs(ellipse03.g_prime_at_infinity)  # back to capacity 1
-        v = ellipse03.f(z) / scale
+        v = evaluate(ellipse03.interior, z) / scale
         sq = np.sqrt(v * v - 4 * c)
         u1, u2 = (v + sq) / 2.0, (v - sq) / 2.0
         u = np.where(np.abs(u1) >= np.abs(u2), u1, u2)
@@ -122,6 +134,12 @@ class TestGrunskyEquality:
         for n in (8, 16, 32):
             trunc = gk.build_truncation(identity_pair, n)
             assert max(gk.grunsky_identity_residual(trunc)) <= 1e-12
+
+    def test_empty_leading_block_rejected(self, ellipse05):
+        # N = 1 leaves a 0 x 0 leading block, whose residuals read 0 for
+        # any curve
+        with pytest.raises(InvalidInput):
+            gk.grunsky_identity_residual(gk.build_truncation(ellipse05, 1))
 
     def test_bump_residuals(self, bump_pair):
         t64 = gk.build_truncation(bump_pair, 64)
@@ -200,56 +218,6 @@ class TestLogdet:
                                  extrapolated=1.0, residual_tail=0.0)
 
 
-class TestIteratedKernels:
-    def test_identity_zero(self, identity_pair):
-        trunc = gk.build_truncation(identity_pair, 16)
-        assert gk.iterated_kernel_diag(trunc, 1, 0.3 + 0.2j) == 0.0
-
-    def test_quadratic_partial_sum_oracle(self):
-        # f = z + t z^2 at z = 0: the column data gives
-        # K_1(0,0) = (1/pi) sum_j j t^(2j+2) over the truncation range
-        t = 0.2
-        n = 12
-        f = ComplexSeries.taylor([0, 1, t] + [0] * (2 * n))
-        pair = mp.WeldingPair(
-            interior=f, exterior=ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 4),
-            g_prime_at_infinity=1.0, family_tag="quadratic-test")
-        trunc = gk.build_truncation(pair, n)
-        val = gk.iterated_kernel_diag(trunc, 1, 0.0)
-        js = np.arange(1, n + 1, dtype=float)
-        oracle = float(np.sum(js * t ** (2 * js + 2)) / np.pi)
-        assert abs(val - oracle) <= 1e-12
-
-    def test_nonnegative_and_monotone(self, trunc64_ellipse03):
-        trunc = trunc64_ellipse03
-        q = gk.spectral_norm(trunc.b1) ** 2
-        z = 0.4 - 0.3j
-        prev = gk.iterated_kernel_diag(trunc, 1, z)
-        assert prev >= 0
-        for n in range(2, 6):
-            cur = gk.iterated_kernel_diag(trunc, n, z)
-            assert cur >= 0
-            assert cur <= q * prev + 1e-15
-            prev = cur
-
-    def test_first_term_closed_form_exterior(self, ellipse03):
-        # diagonal b4 route: sum_k c^{2k} |estar_k(z)|^2
-        c = 0.3
-        trunc = gk.build_truncation(ellipse03, 48)
-        z = 1.7 + 0.3j
-        val = gk.iterated_kernel_diag(trunc, 1, z, which=4)
-        k = np.arange(1, 49, dtype=float)
-        estar2 = (k / np.pi) * np.abs(z) ** (-2 * (k + 1))
-        closed = float(np.sum(c ** (2 * k) * estar2))
-        assert abs(val - closed) <= 1e-12
-
-    def test_domain_validation(self, trunc64_ellipse03):
-        with pytest.raises(InvalidInput):
-            gk.iterated_kernel_diag(trunc64_ellipse03, 1, 1.5)
-        with pytest.raises(InvalidInput):
-            gk.iterated_kernel_diag(trunc64_ellipse03, 1, 0.5, which=4)
-
-
 class TestInversionCheck:
     def test_identity(self, identity_pair):
         chk = gk.inversion_check(identity_pair, 8)
@@ -287,6 +255,8 @@ class TestPositivity:
 
 class TestMatrixCsv:
     def test_round_trip(self, trunc64_ellipse03):
-        text = gk.matrix_to_csv(trunc64_ellipse03.b2[:8, :8])
-        back = gk.matrix_from_csv(text)
-        assert np.array_equal(back, trunc64_ellipse03.b2[:8, :8])
+        block = trunc64_ellipse03.b2[:8, :8]
+        text = gk.matrix_to_csv(block)
+        parts = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+        back = parts[:, 0::2] + 1j * parts[:, 1::2]
+        assert np.array_equal(back, block)

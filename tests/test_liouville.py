@@ -12,8 +12,9 @@ def closed_form_s2(c, terms=400):
 class TestQuadratureGrid:
     @pytest.mark.parametrize("n_r,n_theta", [(64, 128), (128, 256), (256, 512)])
     def test_area_is_pi(self, n_r, n_theta):
-        grid = lv.QuadratureGrid(n_r, n_theta)
-        assert abs(grid.area_check() - np.pi) <= 1e-12
+        r, wr, theta = lv.QuadratureGrid(n_r, n_theta).nodes
+        assert len(theta) == n_theta
+        assert abs((wr * r).sum() * 2.0 * np.pi - np.pi) <= 1e-12
 
     def test_too_small_rejected(self):
         with pytest.raises(InvalidInput):
@@ -22,8 +23,9 @@ class TestQuadratureGrid:
 
 class TestS1:
     def test_identity_is_zero(self, identity_pair):
+        # f'' and the exterior numerator 2P + uP' vanish identically
         rep = lv.s1(identity_pair, [(16, 32), (32, 64)])
-        assert abs(rep.extrapolated) <= 1e-14
+        assert rep.estimates == (0.0, 0.0)
 
     def test_ellipse_identity_with_determinant(self, ellipse03):
         rep = lv.s1(ellipse03)
@@ -53,6 +55,16 @@ class TestS1:
             grid_val = lv.s1(pair).extrapolated
             coef_val = lv.s1_coefficient_route(pair)
             assert abs(grid_val - coef_val) <= 1e-8 * max(1.0, abs(coef_val))
+
+    @pytest.mark.parametrize("fixture, c", [("ellipse01", 0.1),
+                                            ("ellipse03", 0.3),
+                                            ("ellipse05", 0.5)])
+    def test_coefficient_route_closed_form(self, fixture, c, request):
+        # z + c/z outside: the exterior triple is exact, and the route
+        # meets S1 = -12 pi sum log(1 - c^(2k)) without the determinant code
+        pair = request.getfixturevalue(fixture)
+        ref = -12.0 * np.pi * closed_form_s2(c)
+        assert abs(lv.s1_coefficient_route(pair) - ref) <= 1e-13 * ref
 
     def test_s1_nonnegative_on_catalog(self, identity_pair, ellipse01,
                                        ellipse03, bump_pair):

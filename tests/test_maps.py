@@ -1,8 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
 from weldlab import fuchsian as fx
-from weldlab import grunsky as gk
 from weldlab import maps as mp
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import ComplexSeries, Kind, evaluate
@@ -15,11 +16,11 @@ def boundary_points(series, m=1024):
 
 class TestTheodorsen:
     def test_circle_gives_identity(self):
-        res = mp.theodorsen_interior(mp.circle_domain(), 64)
+        res = mp.theodorsen_interior(mp.bump_domain(0.0, 1), 64)
         assert res.residual <= 1e-12
         assert np.abs(res.phi - 2 * np.pi * np.arange(64) / 64).max() <= 1e-12
         assert abs(res.series.coeffs[1] - 1.0) <= 1e-13
-        assert np.abs(res.series.coeffs[2:]).max() if res.series.order > 2 else 0 <= 1e-13
+        assert res.series.order == 2 or np.abs(res.series.coeffs[2:]).max() <= 1e-13
 
     def test_ellipse_cross_validation(self, ellipse03):
         # interior boundary against the closed-form exterior curve through
@@ -42,13 +43,15 @@ class TestTheodorsen:
             assert abs(dom.smoothness_bound - 2 * c / (1 - c * c)) <= 1e-5
 
     def test_nonconvergence_diagnostic(self):
-        dom = mp.ellipse_domain(0.5)
+        # smoothness bound 4.4: the damped iteration does not settle within
+        # its iteration cap
+        dom = mp.ellipse_domain(0.8)
         with pytest.raises(NumericalFailure):
-            mp.theodorsen_interior(dom, 1024, tol=1e-13, max_iterations=3)
+            mp.theodorsen_interior(dom, 1024)
 
     def test_invalid_sample_count(self):
         with pytest.raises(InvalidInput):
-            mp.theodorsen_interior(mp.circle_domain(), 100)
+            mp.theodorsen_interior(mp.bump_domain(0.0, 1), 100)
 
     def test_continuation_doubles_until_resolved(self):
         # a start at 1024 continues to the count a start at 16384 reaches,
@@ -123,7 +126,7 @@ class TestNormalizePair:
         # raw f with f(0) = 1, f'(0) = 2 is shifted and scaled back
         raw_f = ComplexSeries.taylor([1.0, 2.0, 0.0, 0.0])
         raw_g = ComplexSeries.laurent([2.0, 1.0, 0.0, 0.0])
-        pair = mp.normalize_pair(raw_f, raw_g, check=False)
+        pair = mp.normalize_pair(raw_f, raw_g)
         assert pair.interior.coeffs[0] == 0
         assert pair.interior.coeffs[1] == 1
         assert abs(pair.g_prime_at_infinity - 1.0) <= 1e-15
@@ -133,7 +136,7 @@ class TestNormalizePair:
     def test_degenerate_rejected(self):
         with pytest.raises(InvalidInput):
             mp.normalize_pair(ComplexSeries.taylor([0.0, 0.0, 1.0]),
-                              ComplexSeries.laurent([1.0, 0.0]), check=False)
+                              ComplexSeries.laurent([1.0, 0.0]))
 
     def test_ellipse_g_prime(self, ellipse03):
         # |g'(inf)| = 1/f_raw'(0) feeds the log term of the action
@@ -253,54 +256,26 @@ class TestSchwarzian:
                * fx.mobius_derivative(m, pts) ** 2)
         assert np.abs(lhs - rhs).max() <= 1e-9
 
+    def test_laurent_series_rejected(self):
+        with pytest.raises(InvalidInput):
+            mp.schwarzian(ComplexSeries.laurent([1.0, 0.0, 0.3]), 2.0)
+
     def test_critical_point_rejected(self):
         # h = z^2 has h'(0) = 0
         with pytest.raises(NumericalFailure):
             mp.schwarzian(ComplexSeries.taylor([0, 0, 1.0]), 0.0)
 
 
-class TestTheta:
-    def test_identity_pair(self, identity_pair):
-        with pytest.raises(InvalidInput):
-            # every point is near the unit-circle curve or outside the tube
-            # only for points ON the curve; interior points are fine:
-            mp.theta(identity_pair, 1.0)
-        assert abs(mp.theta(identity_pair, 0.2 + 0.1j)) <= 1e-12
-        assert abs(mp.theta(identity_pair, 2.0 - 1.0j)) <= 1e-12
-
-    def test_moebius_interior_map(self):
-        # pair with f replaced by a Moebius map: theta = 0 on the interior
-        beta = 0.2
-        coeffs = [0.0] + [beta ** (k - 1) for k in range(1, 28)]
-        pair = mp.WeldingPair(
-            interior=ComplexSeries.taylor(coeffs),
-            exterior=ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 4),
-            g_prime_at_infinity=1.0, family_tag="moebius-test")
-        assert abs(mp.theta(pair, 0.1 - 0.2j)) <= 1e-9
-
-    def test_chain_rule_oracle(self, ellipse03):
-        # w = 0 = f(0): theta(0) = -S(f)(0)/f'(0)^2 with f'(0) = 1
-        val = mp.theta(ellipse03, 0.0)
-        oracle = -mp.schwarzian(ellipse03.interior, 0.0)
-        assert abs(val - oracle) <= 1e-8
-
-    def test_tube_rejection(self, ellipse03):
-        boundary_point = complex(evaluate(ellipse03.interior, 1.0 + 0j))
-        with pytest.raises(InvalidInput):
-            mp.theta(ellipse03, boundary_point)
-
-
 class TestPairSerialization:
     def test_round_trip_bit_exact(self, ellipse03, ellipse01):
-        text = mp.pair_to_json(ellipse03)
-        back = mp.pair_from_json(text)
-        assert np.array_equal(back.interior.coeffs, ellipse03.interior.coeffs)
-        assert np.array_equal(back.exterior.coeffs, ellipse03.exterior.coeffs)
-        assert back.g_prime_at_infinity == ellipse03.g_prime_at_infinity
-        assert back.family_tag == ellipse03.family_tag
-        assert back.interior.resolved == ellipse03.interior.resolved
-        assert back.exterior.resolved == ellipse03.exterior.resolved
-        # a short resolved series must stay usable past its own order
-        back01 = mp.pair_from_json(mp.pair_to_json(ellipse01))
-        assert back01.interior.resolved and back01.exterior.resolved
-        assert np.array_equal(gk.build_b1(back01, 64), gk.build_b1(ellipse01, 64))
+        for pair in (ellipse03, ellipse01):
+            doc = json.loads(mp.pair_to_json(pair))
+            for key, series in (("taylor", pair.interior),
+                                ("laurent", pair.exterior)):
+                back = np.array([complex(re, im)
+                                 for re, im in doc[f"{key}_coeffs"]])
+                assert np.array_equal(back, series.coeffs)
+                assert doc[f"{key}_resolved"] == series.resolved
+            assert complex(*doc["g_prime_at_infinity"]) == pair.g_prime_at_infinity
+            assert doc["family_tag"] == pair.family_tag
+            assert doc["M"] == pair.sample_count

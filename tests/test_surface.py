@@ -1,0 +1,77 @@
+"""Every public function of the layer modules has a caller in the package.
+
+A public top-level function that no code in ``src/weldlab`` reads, as a
+module attribute or as a bare name no local variable shadows, is reachable
+only from tests: it is either dead weight or kept on purpose, and then it
+is on the allowlist with the reason.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weldlab"
+LAYERS = ("series", "maps", "grunsky", "liouville", "fuchsian")
+
+KEPT = {
+    "schwarzian": "criterion 7 checks its Taylor path; its evaluator path "
+                  "is the tests' oracle for that path",
+    "grunsky_operator_residual": "criterion 3 measures the block relations "
+                                 "of the operators with it",
+    "s1_coefficient_route": "criterion 2's Parseval leg and the oracle of "
+                            "the grid quadrature",
+    "in_dirichlet_domain": "the oracle of domain_boundary_radius",
+    "domain_from_samples": "input of the planned boundary-operator route "
+                           "(ROADMAP item 2)",
+}
+
+
+def _public_functions(tree):
+    return [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def _locals(fn):
+    """Names bound inside a function: its parameters and every assignment
+    target in its body (nested scopes included, which only errs strict)."""
+    a = fn.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+    return ({p.arg for p in params}
+            | {n.id for n in ast.walk(fn)
+               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)})
+
+
+def _named(tree):
+    """Identifiers a module reads as module-level bindings: every attribute,
+    and every bare name that no local of the enclosing function shadows (a
+    local variable ``theta`` is not a use of a function ``theta``)."""
+    out = set()
+
+    def visit(node, shadowed):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            shadowed = shadowed | _locals(node)
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+              and node.id not in shadowed):
+            out.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed)
+
+    visit(tree, frozenset())
+    return out
+
+
+def test_every_public_function_is_reached_or_kept():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*(_named(tree) for tree in trees.values()))
+    unreached = sorted(name for layer in LAYERS
+                       for name in _public_functions(trees[layer])
+                       if name not in used and name not in KEPT)
+    assert unreached == []
+
+
+def test_allowlist_names_existing_functions():
+    defined = {name for layer in LAYERS for name in
+               _public_functions(ast.parse((PACKAGE / f"{layer}.py").read_text()))}
+    assert set(KEPT) <= defined
