@@ -114,7 +114,7 @@ def _family_params(args) -> dict:
 
 
 def _build_pair(args) -> mp.WeldingPair:
-    return mp.catalog(args.family, sample_count=args.M, **_family_params(args))
+    return mp.catalog(args.family, **_family_params(args))
 
 
 def _numbers(args, flag: str, sep: str, cast, count: int = 0) -> list:
@@ -287,7 +287,7 @@ def _cmd_sweep(args) -> int:
     any_failed = False
     for c in values:
         try:
-            pair = mp.catalog("ellipse", sample_count=args.M, c=c)
+            pair = mp.catalog("ellipse", c=c)
             rep = lv.identity_report(pair, grids, orders)
             scl = lv.s_cl_report(max(-rep["S2_univ_via_B1"], 0.0), args.genus)
             rows.append([
@@ -298,7 +298,7 @@ def _cmd_sweep(args) -> int:
                 str(max(orders)), f"{n_r}x{n_theta}", ""])
             if rep["residual_identity_relative"] > args.tol:
                 any_failed = True
-        except (InvalidInput, NumericalFailure) as exc:
+        except NumericalFailure as exc:
             rows.append(["ellipse", _fmt(c)] + [""] * 8 + [str(exc)])
             any_failed = True
     text = ",".join(header) + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
@@ -371,8 +371,6 @@ def _add_command(subs, name: str, help: str, tol=None, family=False,
     if family or params:
         sub.add_argument("--family", required=True,
                          choices=["identity", "ellipse", "fourier_bump"])
-        sub.add_argument("--M", type=int, default=1024,
-                         help="starting boundary sample count (power of two)")
     if params:
         sub.add_argument("--c", type=float, default=None, help="ellipse parameter")
         sub.add_argument("--eps", type=float, default=None, help="bump amplitude")

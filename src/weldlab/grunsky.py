@@ -27,12 +27,12 @@ Conventions (also emitted in every CLI report):
   ``s2_univ`` = log det(I - B B*) <= 0 and ``s2_dg`` = -s2_univ >= 0.
 
 All entries are computed from generating functions by a slice-triangular
-log recursion (solve D * dL = dD one power at a time); no kernel
-quadrature is performed. Every builder returns the leading n rows and
-``cols`` columns (default n) of its block; the entries are exact to
-roundoff given series coefficients through index n + cols + 1; missing
-high coefficients are treated as zero, which is exact for floor-trimmed
-expansions.
+log recursion (solve D * dL = dD one power at a time, D(0, y) = 1; b1 is the
+b4 of 1/f(1/z)); no kernel quadrature is performed. Every builder returns
+the leading n rows and ``cols`` columns (default n) of its block; the
+entries are exact to roundoff given series coefficients through index
+n + cols + 1; missing high coefficients are treated as zero, which is exact
+for floor-trimmed expansions.
 """
 
 from __future__ import annotations
@@ -93,17 +93,16 @@ def _report_from_estimates(orders, estimates) -> ConvergenceReport:
 
 def _log_bivariate(d: np.ndarray) -> np.ndarray:
     """log of a truncated bivariate series, row index = powers of the first
-    variable. Requires d[0,0] = 1. Row 0 (the log of d[0, :]) stays zero,
-    as no block reads it; for a one-column d that is exact.
+    variable. Requires D(0, y) = 1 (a unit first row); row 0 of the log is 0.
 
-    Solves d * (d/dz L) = d/dz d slice by slice; the per-slice products run
-    through padded FFTs. Stable because every intermediate row is a prefix
-    of the true expansion (triangular forward substitution), unlike the
-    alternating power sums of log(1+u).
+    Solves d * (d/dz L) = d/dz d slice by slice, which with a unit first row
+    never divides; the per-slice products run through padded FFTs. Stable
+    because every intermediate row is a prefix of the true expansion
+    (triangular forward substitution), unlike the power sums of log(1+u).
     """
     n0, n1 = d.shape
-    if d[0, 0] != 1.0:
-        raise InvalidInput("bivariate log requires unit constant term")
+    if d[0, 0] != 1.0 or np.any(d[0, 1:] != 0):
+        raise InvalidInput("bivariate log requires D(0, y) = 1")
     real = np.isrealobj(d)
     size = 1 << int(np.ceil(np.log2(max(2 * n1, 2))))
     if real:
@@ -113,20 +112,15 @@ def _log_bivariate(d: np.ndarray) -> np.ndarray:
         fft = lambda x: np.fft.fft(x, size, axis=-1)
         ifft = lambda x: np.fft.ifft(x, size)[..., :n1]
     fd = fft(d)
-    finv0 = fft(reciprocal_array(d[0, :]))
-    fp = np.zeros((max(n0 - 1, 1), fd.shape[1]), dtype=complex)
-    p = np.zeros((max(n0 - 1, 1), n1), dtype=d.dtype)
+    fp = np.zeros((n0 - 1, fd.shape[1]), dtype=complex)
+    p = np.zeros((n0 - 1, n1), dtype=d.dtype)
     for m in range(n0 - 1):
-        if m == 0:
-            acc = 0.0
-        else:
-            acc = np.einsum("jk,jk->k", fd[m:0:-1, :], fp[:m, :])
-        row = ifft(((m + 1) * fd[m + 1, :] - acc) * finv0)
+        acc = np.einsum("jk,jk->k", fd[m:0:-1, :], fp[:m, :])
+        row = ifft((m + 1) * fd[m + 1, :] - acc)
         p[m, :] = row
         fp[m, :] = fft(row)
     out = np.zeros((n0, n1), dtype=complex)
-    if n0 > 1:
-        out[1:, :] = p / np.arange(1, n0)[:, None]
+    out[1:, :] = p / np.arange(1, n0)[:, None]
     return out
 
 
@@ -185,19 +179,35 @@ def _require_order(series: ComplexSeries, n: int, side: str):
         f" and its tail is not resolved; need order >= {n + 1}")
 
 
+def _block(d: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """-sqrt(mn) [x^m y^n] log D for m = 1..rows, n = 1..cols."""
+    ell = _log_bivariate(d)  # first: the weights would add to its peak memory
+    return np.ascontiguousarray(-_sqrt_weights(rows, cols) * ell[1:, 1:])
+
+
+def _exterior_block(g: np.ndarray, n: int, cols: int) -> np.ndarray:
+    """The block of log((g(z)-g(w))/(z-w)) for Laurent coefficients g with
+    g[0] != 0: its argument is 1 - sum_{p,q>=1} (g[p+q]/g[0]) z^-p w^-q."""
+    gg = _padded(g, n + cols + 2)
+    gg = gg / gg[0]
+    d = np.zeros((n + 1, cols + 1), dtype=gg.dtype)
+    d[0, 0] = 1.0
+    for p in range(1, n + 1):
+        d[p, 1:] = -gg[p + 1:p + cols + 1]
+    return _block(d, n, cols)
+
+
 def build_b1(pair, n: int, cols: int = None) -> np.ndarray:
     """Interior contraction block from log((f(z)-f(w))/(z-w)): rows 1..n,
-    columns 1..cols (default n)."""
+    columns 1..cols (default n): the exterior block of 1/f(1/z), whose
+    Laurent coefficients are the Taylor coefficients of z/f(z). Under
+    z -> 1/z, w -> 1/w the two generating functions differ only by terms
+    in one variable, which no block entry reads."""
     cols = _block_cols(n, cols)
     fseries = _interior_series(pair)
     _require_order(fseries, max(n, cols), "interior")
-    aa = _padded(fseries.coeffs, n + cols + 2)
-    aa = aa / aa[1]
-    d = np.empty((n + 1, cols + 1), dtype=aa.dtype)
-    for i in range(n + 1):
-        d[i, :] = aa[i + 1:i + cols + 2]
-    ell = _log_bivariate(d)
-    return np.ascontiguousarray(-_sqrt_weights(n, cols) * ell[1:, 1:])
+    quotient = _padded(fseries.coeffs, n + cols + 3)[1:]  # f(z)/z, f'(0) != 0
+    return _exterior_block(reciprocal_array(quotient), n, cols)
 
 
 def build_b4(pair, n: int, cols: int = None) -> np.ndarray:
@@ -210,17 +220,9 @@ def build_b4(pair, n: int, cols: int = None) -> np.ndarray:
     cols = _block_cols(n, cols)
     gseries = _exterior_series(pair)
     _require_order(gseries, max(n, cols), "exterior")
-    g = gseries.coeffs
-    if g[0] == 0:
+    if gseries.coeffs[0] == 0:
         raise InvalidInput("exterior map must have nonzero leading coefficient")
-    gg = _padded(g, n + cols + 2)
-    gg = gg / gg[0]
-    d = np.zeros((n + 1, cols + 1), dtype=gg.dtype)
-    d[0, 0] = 1.0
-    for p in range(1, n + 1):
-        d[p, 1:] = -gg[p + 1:p + cols + 1]
-    ell = _log_bivariate(d)
-    return np.ascontiguousarray(-_sqrt_weights(n, cols) * ell[1:, 1:])
+    return _exterior_block(gseries.coeffs, n, cols)
 
 
 def separation_radii(pair):
@@ -243,13 +245,11 @@ def separation_radii(pair):
 
 def _mixed_block(first: np.ndarray, second: np.ndarray, rows: int,
                  cols: int) -> np.ndarray:
-    """-sqrt(mn) times the coefficient of x^m y^n in log(1 + u(x) v(y)) for
-    m = 1..rows, n = 1..cols, where ``first`` and ``second`` hold the
-    coefficients of u and v (zero constant terms)."""
+    """The block of log(1 + u(x) v(y)), where ``first`` and ``second``
+    hold the coefficients of u and v (zero constant terms)."""
     e = np.outer(first[:rows + 1], second[:cols + 1])
     e[0, 0] = 1.0
-    return np.ascontiguousarray(
-        -_sqrt_weights(rows, cols) * _log_bivariate(e)[1:, 1:])
+    return _block(e, rows, cols)
 
 
 def build_b2_b3(pair, n: int, cols: int = None):

@@ -50,6 +50,7 @@ from .series import (
 )
 
 BOUNDARY_TOL = 1e-8          # pair acceptance tolerance on the shared curve
+START_SAMPLE_COUNT = 1024    # where the catalog's Theodorsen continuation starts
 MAX_SAMPLE_COUNT = 16384     # where the Theodorsen continuation stops doubling
 THEODORSEN_TOL = 1e-12       # fixed-point residual that ends a mesh level
 MAX_ITERATIONS = 4000        # fixed-point steps allowed on one mesh level
@@ -190,7 +191,7 @@ def _damping_for(bound: float) -> float:
     return 0.4
 
 
-def theodorsen_interior(domain: StarDomain, sample_count: int = 1024) -> TheodorsenResult:
+def theodorsen_interior(domain: StarDomain, sample_count: int) -> TheodorsenResult:
     """Interior map of a star-like domain by damped Theodorsen iteration.
 
     Solves phi(theta) = theta + K[log rho(phi(.))](theta) by mesh
@@ -384,8 +385,7 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def _catalog_cached(family_tag: str, param_items: tuple,
-                    sample_count: int) -> WeldingPair:
+def _catalog_cached(family_tag: str, param_items: tuple) -> WeldingPair:
     params = dict(param_items)
 
     if family_tag == "identity":
@@ -393,11 +393,11 @@ def _catalog_cached(family_tag: str, param_items: tuple,
             interior=ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8),
             exterior=ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 8),
             g_prime_at_infinity=1.0 + 0.0j, family_tag="identity",
-            params={}, sample_count=sample_count, residuals={"boundary": 0.0})
+            params={}, sample_count=START_SAMPLE_COUNT, residuals={"boundary": 0.0})
 
     if family_tag == "ellipse":
         c = params["c"]
-        theo = theodorsen_interior(ellipse_domain(c), sample_count)
+        theo = theodorsen_interior(ellipse_domain(c), START_SAMPLE_COUNT)
         # exact closed form z + c/z: trailing zeros state that the higher
         # Laurent coefficients vanish identically
         raw_g = ComplexSeries.laurent([1.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -415,7 +415,7 @@ def _catalog_cached(family_tag: str, param_items: tuple,
                 f"bump({eps},{k}) has smoothness bound "
                 f"{domain.smoothness_bound:.3f} >= 1")
         # both maps at the first sample count that resolves both
-        theo = theodorsen_interior(domain, sample_count)
+        theo = theodorsen_interior(domain, START_SAMPLE_COUNT)
         theo_inv = theodorsen_interior(inverted_domain(domain), theo.sample_count)
         if theo_inv.sample_count > theo.sample_count:
             theo = theodorsen_interior(domain, theo_inv.sample_count)
@@ -431,18 +431,19 @@ def _catalog_cached(family_tag: str, param_items: tuple,
     raise InvalidInput(f"unknown family tag: {family_tag!r}")
 
 
-def catalog(family_tag: str, sample_count: int = 1024, **params) -> WeldingPair:
+def catalog(family_tag: str, **params) -> WeldingPair:
     """Construct a cataloged welding pair.
 
     Families: ``identity``, ``ellipse`` (parameter ``c`` in (0,1)),
     ``fourier_bump`` (parameters ``eps``, ``k``). The Theodorsen
-    continuation doubles ``sample_count`` (up to ``MAX_SAMPLE_COUNT``) until
-    the coefficients are resolved, so slowly-decaying expansions are always
-    fully resolved. Pairs are cached; each call returns its own ``params``
-    and ``residuals`` dicts, so a caller's edits never reach later results.
+    continuation doubles the sample count from ``START_SAMPLE_COUNT`` (up
+    to ``MAX_SAMPLE_COUNT``) until the coefficients are resolved, so even
+    slowly-decaying expansions are fully resolved. Pairs are cached; each
+    call returns its own ``params`` and ``residuals`` dicts, so a caller's
+    edits never reach later results.
     """
     items = tuple(sorted(params.items()))
-    pair = _catalog_cached(family_tag, items, sample_count)
+    pair = _catalog_cached(family_tag, items)
     return dataclasses.replace(pair, params=dict(pair.params),
                                residuals=dict(pair.residuals))
 

@@ -95,6 +95,9 @@ class TestCommands:
         ["sweep", "--family", "ellipse", "--c", "0.9"],
         ["sweep", "--family", "ellipse", "--eps", "3"],
         ["sweep", "--family", "ellipse", "--k", "9"],
+        # the Theodorsen continuation chooses its own sample count
+        ["pair", "--family", "identity", "--M", "1024"],
+        ["sweep", "--family", "ellipse", "--M", "1024"],
     ])
     def test_flag_the_command_does_not_take_exit_2(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -133,6 +136,16 @@ class TestCommands:
                     "--out", str(tmp_path / "x")])
         assert code == 2
         assert "N >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--genus=1", "--N=-4"])
+    def test_sweep_invalid_shared_input_exit_2(self, tmp_path, flag, capsys):
+        # an input every row shares is invalid input, not a failed row
+        out = tmp_path / "sweep.csv"
+        code = run(["sweep", "--family", "ellipse", "--range", "0.1:0.1:0.1",
+                    "--N", "8", "--grid", "16x32", flag, "--out", str(out)])
+        assert code == 2
+        assert "usage" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_relation_block_exit_2(self, tmp_path, capsys):
         # N = 1 measures the relations on a 0 x 0 block

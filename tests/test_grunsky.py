@@ -56,6 +56,41 @@ class TestBuildB1:
         # the same data marked resolved is zero-padded and accepted
         gk.build_b1(ComplexSeries.taylor([0, 1, 0.3, 0.2], resolved=True), 16)
 
+    def test_zero_derivative_rejected(self):
+        # f'(0) = 0: z/f(z) has a pole, so there is no exterior map 1/f(1/z)
+        with pytest.raises(InvalidInput):
+            gk.build_b1(ComplexSeries.taylor([0, 0, 1, 0.3], resolved=True), 4)
+
+    def test_power_sum_oracle_complex(self):
+        # log(1 + u) = sum_k (-1)^(k+1) u^k / k with
+        # u = (f(z)-f(w))/(z-w) - 1 = sum_k a_k sum_{i+j=k-1} z^i w^j, on
+        # data with no conjugation symmetry; every power of u is taken
+        # exactly in the ring truncated at degree n in each variable
+        a = [0, 1, 0.2j, -0.1, 0.05 * (1 + 1j)]
+        n = 12
+        size = n + 1
+        u = np.zeros((size, size), dtype=complex)
+        for k in range(2, len(a)):
+            for i in range(k):
+                u[i, k - 1 - i] += a[k]
+
+        def times(x, y):
+            out = np.zeros_like(x)
+            for i in range(size):
+                for j in range(size):
+                    out[i:, j:] += x[i, j] * y[:size - i, :size - j]
+            return out
+
+        log = np.zeros_like(u)
+        power = u
+        for k in range(1, 2 * n + 1):  # u^k has total degree >= k
+            log += (-1) ** (k + 1) * power / k
+            power = times(power, u)
+        m = np.arange(1, size, dtype=float)
+        oracle = -np.sqrt(np.outer(m, m)) * log[1:, 1:]
+        b1 = gk.build_b1(ComplexSeries.taylor(a, resolved=True), n)
+        assert np.abs(b1 - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
     def test_cross_operator_consistency(self, ellipse03):
         # log det agreement between the interior and exterior routes
         b1 = gk.build_b1(ellipse03, 64)

@@ -59,6 +59,12 @@ class TestLogArray:
     def test_log_of_one(self):
         assert np.abs(log_of([1, 0, 0])).max() == 0
 
+    def test_first_row_must_be_unit(self):
+        # the slice recursion solves D * dL/dx = dD/dx without dividing by
+        # D(0, y), so it needs D(0, y) = 1 and not just D(0, 0) = 1
+        with pytest.raises(InvalidInput):
+            _log_bivariate(np.array([[1.0, 0.5], [0.1, 0.2]]))
+
     def test_additivity(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
