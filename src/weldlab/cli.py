@@ -268,10 +268,12 @@ def _cmd_sweep(args) -> int:
     if args.family != "ellipse":
         raise InvalidInput("sweep currently supports the ellipse family")
     start, stop, step = _numbers(args, "range", ":", float, 3)
-    # the loop below ends only for a finite stop approached by a positive step
-    if not (np.isfinite([start, stop, step]).all() and step > 0):
-        raise InvalidInput(f"--range {args.range!r} needs finite bounds "
-                           "and a step > 0")
+    # the loop below yields a value and ends only from a start at or below
+    # a finite stop, approached by a positive step
+    if not (np.isfinite([start, stop, step]).all() and step > 0
+            and start <= stop + 1e-12):
+        raise InvalidInput(f"--range {args.range!r} needs finite bounds, "
+                           "start <= stop and a step > 0")
     values = []
     v = start
     while v <= stop + 1e-12:

@@ -31,8 +31,8 @@ log recursion (solve D * dL = dD one power at a time, D(0, y) = 1; b1 is the
 b4 of 1/f(1/z)); no kernel quadrature is performed. Every builder returns
 the leading n rows and ``cols`` columns (default n) of its block; the
 entries are exact to roundoff given series coefficients through index
-n + cols + 1; missing high coefficients are treated as zero, which is exact
-for floor-trimmed expansions.
+n + cols + 1 (b4: n + cols), which a series must hold unless it is
+resolved: its missing coefficients are then zero to the floor.
 """
 
 from __future__ import annotations
@@ -166,17 +166,17 @@ def _block_cols(n: int, cols) -> int:
     return cols
 
 
-def _require_order(series: ComplexSeries, n: int, side: str):
-    """Reject a series that was truncated before reaching N+1 coefficients.
+def _require_order(series: ComplexSeries, need: int, side: str):
+    """Reject an unresolved series with fewer than ``need`` coefficients.
 
     A ``resolved`` series (closed form or floor-trimmed extraction) may be
-    zero-padded exactly, so any N is admissible for it.
+    zero-padded exactly, so any block is admissible for it.
     """
-    if series.order >= n + 1 or series.resolved:
+    if series.order >= need or series.resolved:
         return
     raise InvalidInput(
-        f"{side} series order {series.order} is insufficient for N = {n}"
-        f" and its tail is not resolved; need order >= {n + 1}")
+        f"{side} series order {series.order} is below the {need} "
+        "coefficients the block reads, and its tail is not resolved")
 
 
 def _block(d: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -205,7 +205,7 @@ def build_b1(pair, n: int, cols: int = None) -> np.ndarray:
     in one variable, which no block entry reads."""
     cols = _block_cols(n, cols)
     fseries = _interior_series(pair)
-    _require_order(fseries, max(n, cols), "interior")
+    _require_order(fseries, n + cols + 2, "interior")
     quotient = _padded(fseries.coeffs, n + cols + 3)[1:]  # f(z)/z, f'(0) != 0
     return _exterior_block(reciprocal_array(quotient), n, cols)
 
@@ -219,7 +219,7 @@ def build_b4(pair, n: int, cols: int = None) -> np.ndarray:
     """
     cols = _block_cols(n, cols)
     gseries = _exterior_series(pair)
-    _require_order(gseries, max(n, cols), "exterior")
+    _require_order(gseries, n + cols + 1, "exterior")
     if gseries.coeffs[0] == 0:
         raise InvalidInput("exterior map must have nonzero leading coefficient")
     return _exterior_block(gseries.coeffs, n, cols)
@@ -264,8 +264,8 @@ def build_b2_b3(pair, n: int, cols: int = None):
     big = max(n, cols)
     fseries = _interior_series(pair)
     gseries = _exterior_series(pair)
-    _require_order(fseries, big, "interior")
-    _require_order(gseries, big, "exterior")
+    _require_order(fseries, big + 1, "interior")
+    _require_order(gseries, big + 1, "exterior")
     a, g = fseries.coeffs, gseries.coeffs
     if separation_radii(pair) is None:
         raise NumericalFailure(
@@ -365,8 +365,6 @@ def grunsky_operator_residual(pair: WeldingPair, h: int):
     longest = max(pair.interior.order, pair.exterior.order)
     depth = 1 << int(np.ceil(np.log2(max(_MIN_INNER_DEPTH, 2 * h, 2 * longest))))
     while True:
-        _require_order(pair.interior, h + depth + 1, "interior")
-        _require_order(pair.exterior, h + depth + 1, "exterior")
         b1 = build_b1(pair, h, depth)
         b4 = build_b4(pair, h, depth)
         b2, b3 = build_b2_b3(pair, h, depth)

@@ -10,8 +10,8 @@ and g(infinity) = infinity. The catalog provides three families:
                        Theodorsen iteration on the polar parametrization,
 * ``fourier_bump(eps, k)`` -- curve rho(theta) = 1 + eps*cos(k*theta); the
                        interior map comes from Theodorsen, the exterior map
-                       from inversion of the interior map of the reflected
-                       domain {1/conj(w)}.
+                       is the reflection z -> 1/conj(z), by series algebra,
+                       of the interior map of the reflected domain.
 
 Theodorsen's equation is solved by damped fixed-point iteration with mesh
 continuation (solve on a coarse grid, upsample, refine), which doubles the
@@ -22,10 +22,10 @@ stronger damping of 0.4 is used, with the iteration cap as the safety net.
 The boundary of every cataloged pair is cross-checked by a point-to-curve
 Newton distance between the two parametrizations.
 
-Every evaluation, derivative and circle sample of a series goes through
-``series`` (``evaluate``/``evaluate_array``, ``derivative``/
-``derivative_array``, ``samples_from_coeffs``); Moebius maps are plain
-2x2 matrices handled by ``fuchsian.apply_mobius``.
+Every evaluation, derivative, reciprocal and circle sample of a series
+goes through ``series`` (``evaluate``/``evaluate_array``, ``derivative``/
+``derivative_array``, ``reciprocal_array``, ``samples_from_coeffs``);
+Moebius maps are plain 2x2 matrices handled by ``fuchsian.apply_mobius``.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 from .series import (
+    COEFF_FLOOR,
     ComplexSeries,
     Kind,
     coeffs_from_samples,
@@ -46,6 +47,7 @@ from .series import (
     derivative_array,
     evaluate,
     evaluate_array,
+    reciprocal_array,
     samples_from_coeffs,
 )
 
@@ -230,7 +232,7 @@ def theodorsen_interior(domain: StarDomain, sample_count: int) -> TheodorsenResu
         if mesh >= m:
             phi = theta + psi
             boundary = domain.rho(phi) * np.exp(1j * phi)
-            f = coeffs_from_samples(boundary, 1.0, Kind.TAYLOR_AT_ZERO)
+            f = coeffs_from_samples(boundary)
             if f.resolved or mesh >= MAX_SAMPLE_COUNT:
                 break
         mesh *= 2
@@ -256,32 +258,39 @@ def theodorsen_interior(domain: StarDomain, sample_count: int) -> TheodorsenResu
 # inversion z -> 1/conj(z) between interior and exterior maps
 # ---------------------------------------------------------------------------
 
-def inverted_series(h: ComplexSeries, sample_count: int) -> ComplexSeries:
+def inverted_series(h: ComplexSeries) -> ComplexSeries:
     """The reflected map 1/conj(h(1/conj(z))) in the other grading.
 
-    Taylor input is sampled on |z| = 1 + 8/sample_count, Laurent input on
-    |z| = 1 - 8/sample_count: the radius approaches 1 as the count grows,
-    keeping the noise amplification of high-order coefficients bounded. An
-    interior map must map the disk onto the reflected domain itself (a
-    rescaled map would recover a rescaled curve).
+    A Taylor h = z p(z) reflects to z / conj(p)(1/z) and a Laurent
+    h = z p(1/z) to z / conj(p)(z): one reciprocal of conj(p), taken to
+    max(64, 2 * order) terms, doubled (up to ``MAX_SAMPLE_COUNT``) until its
+    last quarter is below the coefficient floor and trimmed there; it is
+    ``resolved`` when h is. An interior map must map the disk onto the
+    reflected domain itself (a rescaled map would recover a rescaled curve).
     """
     if h.kind is Kind.TAYLOR_AT_ZERO:
-        if sample_count < 2:
-            raise InvalidInput("sample count must be a power of two >= 2")
-        radius, kind = 1.0 + 8.0 / sample_count, Kind.LAURENT_AT_INFINITY
+        if h.coeffs[0] != 0:
+            raise InvalidInput("the reflected interior map needs h(0) = 0")
+        p, kind = h.coeffs[1:], Kind.LAURENT_AT_INFINITY
     else:
-        if sample_count <= 8:
-            raise InvalidInput("sample count must be a power of two > 8")
-        radius, kind = 1.0 - 8.0 / sample_count, Kind.TAYLOR_AT_ZERO
-    theta = 2.0 * np.pi * np.arange(sample_count) / sample_count
-    z = radius * np.exp(1j * theta)
-    reflected = evaluate(h, 1.0 / np.conj(z))
-    if np.abs(reflected).min() < 1e-13:
-        raise NumericalFailure(
-            "reflected map vanishes near the sampling circle; "
-            "1/conj(.) is unbounded there"
-        )
-    return coeffs_from_samples(1.0 / np.conj(reflected), radius, kind)
+        p, kind = h.coeffs, Kind.TAYLOR_AT_ZERO
+    n = max(64, 2 * h.order)
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = reciprocal_array(np.pad(np.conj(p), (0, n - len(p))))
+            mags = np.abs(r)
+        floor = COEFF_FLOOR * mags.max()  # not finite once r overflows
+        if np.isfinite(floor) and mags[3 * n // 4:].max() < floor:
+            break
+        if not np.isfinite(floor) or n >= MAX_SAMPLE_COUNT:
+            raise NumericalFailure(
+                f"reflected coefficients have not decayed in {n} terms: "
+                "h(z)/z vanishes on its side of the unit circle")
+        n *= 2
+    r = r[:np.nonzero(mags >= floor)[0][-1] + 1]
+    if kind is Kind.TAYLOR_AT_ZERO:
+        r = np.concatenate([[0.0], r])
+    return ComplexSeries(kind, r, resolved=h.resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +423,14 @@ def _catalog_cached(family_tag: str, param_items: tuple) -> WeldingPair:
             raise InvalidInput(
                 f"bump({eps},{k}) has smoothness bound "
                 f"{domain.smoothness_bound:.3f} >= 1")
-        # both maps at the first sample count that resolves both
         theo = theodorsen_interior(domain, START_SAMPLE_COUNT)
-        theo_inv = theodorsen_interior(inverted_domain(domain), theo.sample_count)
-        if theo_inv.sample_count > theo.sample_count:
-            theo = theodorsen_interior(domain, theo_inv.sample_count)
-        m = theo.sample_count
+        theo_inv = theodorsen_interior(inverted_domain(domain), START_SAMPLE_COUNT)
         # invert the image-correct reflected map; rescaling it first would
         # scale the recovered curve away from the interior map's curve
-        raw_g = inverted_series(theo_inv.series, m)
+        raw_g = inverted_series(theo_inv.series)
         return normalize_pair(
             theo.series, raw_g, family_tag="fourier_bump", params=params,
-            sample_count=m,
+            sample_count=max(theo.sample_count, theo_inv.sample_count),
             extra_residuals={"theodorsen": max(theo.residual, theo_inv.residual)})
 
     raise InvalidInput(f"unknown family tag: {family_tag!r}")
@@ -451,11 +456,10 @@ def catalog(family_tag: str, **params) -> WeldingPair:
 def inverted_pair(pair: WeldingPair) -> WeldingPair:
     """The pair of the reflected curve: roles of f and g swap through
     z -> 1/conj(z), then the result is re-normalized."""
-    m = max(pair.sample_count, 1024)
-    return normalize_pair(inverted_series(pair.exterior, m),
-                          inverted_series(pair.interior, m),
+    return normalize_pair(inverted_series(pair.exterior),
+                          inverted_series(pair.interior),
                           family_tag=pair.family_tag + "~inverted",
-                          params=pair.params, sample_count=m)
+                          params=pair.params, sample_count=pair.sample_count)
 
 
 # ---------------------------------------------------------------------------

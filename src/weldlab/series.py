@@ -4,17 +4,16 @@ This module is the package's one place that evaluates, differentiates and
 samples a coefficient array. There are two evaluators:
 
 * ``evaluate_array``, the only Horner loop, takes arbitrary points: Newton
-  steps, the reflected points 1/conj(z), the Schwarzian and
-  ``samples_from_coeffs``, which samples a series on one circle |z| = r;
+  steps, the Schwarzian and ``samples_from_coeffs``, which samples a series
+  on one circle |z| = r;
 * ``evaluate_on_circles`` takes m uniform points on each of many circles,
   the product grids of the action quadrature: it folds the coefficients
   modulo m and sums each circle exactly with one FFT, in O(K + m log m)
   operations for K terms instead of Horner's O(K m).
 
-``derivative`` is the only term-by-term derivative of either grading. (The
-inversion routine of ``maps`` evaluates at 1/conj(z) instead of sampling a
-circle, which is not the same point set to the last bit, so it calls
-``evaluate`` directly.)
+``derivative`` is the only term-by-term derivative of either grading, and
+``reciprocal_array`` the only series division; the reflection
+z -> 1/conj(z) of ``maps`` is one such division and evaluates nothing.
 
 Two expansion kinds are supported:
 
@@ -25,7 +24,7 @@ Two expansion kinds are supported:
 The Laurent grading is the natural one for exterior maps g with
 g(infinity) = infinity and finite g'(infinity) = leading coefficient.
 
-Coefficient extraction from circle samples uses the FFT; coefficients
+Coefficient extraction from unit-circle samples uses the FFT; coefficients
 below ``COEFF_FLOOR`` relative to the largest one are zeroed, which keeps
 downstream triangular recursions from amplifying sampling noise.
 """
@@ -217,41 +216,31 @@ def evaluate(a: ComplexSeries, z):
     return out if out.shape else complex(out)
 
 
-def coeffs_from_samples(samples, radius: float,
-                        kind: Kind = Kind.TAYLOR_AT_ZERO) -> ComplexSeries:
-    """Recover expansion coefficients from uniform samples on |z| = radius.
+def coeffs_from_samples(samples) -> ComplexSeries:
+    """Recover Taylor coefficients from uniform samples on the unit circle.
 
     The sample count must be a power of two. Retains M/2 coefficients,
     zeroing those below ``COEFF_FLOOR`` relative to the largest magnitude. A
-    non-decaying high-frequency tail means the circle lies outside the
-    domain of analyticity and is rejected.
+    non-decaying high-frequency tail means the samples are not those of a
+    map analytic on the closed disk and is rejected.
     """
     samples = np.asarray(samples, dtype=complex)
     m = len(samples)
     if m < 2 or (m & (m - 1)) != 0:
         raise InvalidInput("sample count must be a power of two >= 2")
-    if radius <= 0:
-        raise InvalidInput("radius must be positive")
-    spec = np.fft.fft(samples) / m
     half = m // 2
-    if kind is Kind.TAYLOR_AT_ZERO:
-        k = np.arange(half, dtype=float)
-        coeffs = spec[:half] * radius ** (-k)
-    else:
-        # coefficient of z^(1-k) sits in frequency bin (1-k) mod m
-        k = np.arange(half)
-        coeffs = spec[(1 - k) % m] * radius ** (k - 1.0)
+    coeffs = np.fft.fft(samples)[:half] / m
     mags = np.abs(coeffs)
     top = mags.max()
     if top == 0.0:
-        return ComplexSeries(kind, np.zeros(1, dtype=complex), resolved=True)
+        return ComplexSeries.taylor(np.zeros(1), resolved=True)
     # analyticity diagnostic: the tail quarter must not dominate the head
     head = mags[:max(2, half // 4)].max()
     tail = mags[3 * half // 4:].max() if half >= 4 else 0.0
     if tail > 10.0 * head and tail > 1e3 * COEFF_FLOOR * top:
         raise NumericalFailure(
-            "coefficient growth in the high frequencies: sampling circle "
-            "appears to lie outside the domain of analyticity"
+            "coefficient growth in the high frequencies: the samples are "
+            "not those of a map analytic on the closed disk"
         )
     # the FFT noise level grows with the sample count; when the tail
     # quarter is flat noise, raise the floor above it
@@ -260,23 +249,18 @@ def coeffs_from_samples(samples, radius: float,
         noise = float(np.median(mags[3 * half // 4:]))
         if noise <= 1e-10 * top:
             floor_abs = max(floor_abs, 6.0 * noise)
-    keep = mags >= floor_abs
-    # rounding noise in the samples lands in every bin and is amplified by
-    # radius**(-k); entries below that level are not signal
-    sample_noise = 8.0 * np.finfo(float).eps * float(np.abs(samples).max())
-    if kind is Kind.TAYLOR_AT_ZERO:
-        amp = radius ** (-np.arange(half, dtype=float))
-    else:
-        amp = radius ** (np.arange(half, dtype=float) - 1.0)
-    keep &= mags >= sample_noise * np.maximum(amp, 1.0)
-    coeffs = np.where(keep, coeffs, 0.0)
+    # rounding noise in the samples lands in every bin; entries below that
+    # level are not signal
+    floor_abs = max(floor_abs,
+                    8.0 * np.finfo(float).eps * float(np.abs(samples).max()))
+    coeffs = np.where(mags >= floor_abs, coeffs, 0.0)
     nz = np.nonzero(np.abs(coeffs) > 0)[0]
     if nz.size == 0:
-        return ComplexSeries(kind, np.zeros(1, dtype=complex), resolved=True)
+        return ComplexSeries.taylor(np.zeros(1), resolved=True)
     # the trim only certifies exact padding when it cut before the Nyquist
     # edge; otherwise spectral content may continue past the window
     trimmed = int(nz.max()) + 1 < half - 4
-    return ComplexSeries(kind, coeffs[:int(nz.max()) + 1], resolved=trimmed)
+    return ComplexSeries.taylor(coeffs[:int(nz.max()) + 1], resolved=trimmed)
 
 
 def samples_from_coeffs(a: ComplexSeries, radius: float, m: int):

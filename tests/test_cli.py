@@ -124,11 +124,15 @@ class TestCommands:
         ["sweep", "--family", "ellipse", "--range", "0.1:0.5:0"],
         ["sweep", "--family", "ellipse", "--range", "0.5:0.1:-0.1"],
         ["sweep", "--family", "ellipse", "--range", "0.1:inf:0.1"],
+        ["sweep", "--family", "ellipse", "--range", "0.5:0.1:0.1"],
     ])
     def test_malformed_list_flag_exit_2(self, tmp_path, argv):
         # a step that never reaches the stop would make the sweep loop grow
-        # its value list without end
-        assert run(argv + ["--out", str(tmp_path / "x")]) == 2
+        # its value list without end; a start above the stop gives a
+        # header-only table
+        out = tmp_path / "x"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["logdet", "grunsky", "invert"])
     def test_negative_order_exit_2(self, tmp_path, command, capsys):

@@ -56,6 +56,20 @@ class TestBuildB1:
         # the same data marked resolved is zero-padded and accepted
         gk.build_b1(ComplexSeries.taylor([0, 1, 0.3, 0.2], resolved=True), 16)
 
+    def test_builders_require_every_coefficient_they_read(self, ellipse03):
+        # b1 at N = 64 reads f through index 129 and b4 reads g through 128;
+        # an unresolved series one short was zero-padded, off by ~1e-5
+        n = 64
+        f = ellipse03.interior.coeffs
+        g = mp.inverted_pair(ellipse03).exterior.coeffs
+        for build, coeffs, make, need in (
+                (gk.build_b1, f, ComplexSeries.taylor, 2 * n + 2),
+                (gk.build_b4, g, ComplexSeries.laurent, 2 * n + 1)):
+            with pytest.raises(InvalidInput, match=f"the {need} coefficients"):
+                build(make(coeffs[:need - 1]), n)
+            full = build(make(coeffs, resolved=True), n)
+            assert np.array_equal(build(make(coeffs[:need]), n), full)
+
     def test_zero_derivative_rejected(self):
         # f'(0) = 0: z/f(z) has a pole, so there is no exterior map 1/f(1/z)
         with pytest.raises(InvalidInput):

@@ -78,11 +78,24 @@ class TestTheodorsen:
 class TestInversion:
     def test_identity_fixed_point(self):
         f = ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8)
-        g = mp.inverted_series(f, 256)
+        g = mp.inverted_series(f)
         assert g.kind is Kind.LAURENT_AT_INFINITY
         assert abs(g.coeffs[0] - 1.0) <= 1e-12
         if g.order > 1:
             assert np.abs(g.coeffs[1:]).max() <= 1e-12
+
+    def test_joukowski_reflects_to_geometric_series(self):
+        # 1/conj(g(1/conj z)) = z/(1 + c z^2) = sum_k (-c)^k z^(2k+1)
+        c = 0.3
+        g = ComplexSeries.laurent([1.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0],
+                                  resolved=True)
+        f = mp.inverted_series(g)
+        assert f.kind is Kind.TAYLOR_AT_ZERO and f.resolved
+        expected = np.zeros(f.order)
+        expected[1::2] = (-c) ** np.arange(len(expected[1::2]))
+        assert np.abs(f.coeffs - expected).max() <= 1e-15
+        # the series runs until its terms reach the coefficient floor
+        assert c ** ((f.order - 2) // 2) >= 1e-14 > c ** (f.order // 2)
 
     def test_inverted_ellipse_matches_joukowski(self, ellipse03):
         # interior map of the reflected ellipse domain, pushed back out,
@@ -90,30 +103,33 @@ class TestInversion:
         c = 0.3
         dom = mp.inverted_domain(mp.ellipse_domain(c))
         res = mp.theodorsen_interior(dom, 1024)
-        g = mp.inverted_series(res.series, 1024)
+        g = mp.inverted_series(res.series)
         gb = boundary_points(g)
         target = ComplexSeries.laurent([1.0, 0.0, c, 0, 0, 0, 0, 0])
         assert mp.distance_to_curve(gb, target).max() <= 1e-8
 
     def test_involution(self, bump_pair):
-        # applying the reflection recipe twice returns the original map
-        m = 1024
-        f2 = mp.inverted_series(mp.inverted_series(bump_pair.interior, m), m)
-        assert f2.kind is Kind.TAYLOR_AT_ZERO
-        theta = np.exp(1j * 2 * np.pi * np.arange(64) / 64)
-        for r in (0.3, 0.7, 0.95):
-            orig = evaluate(bump_pair.interior, r * theta)
-            back = evaluate(f2, r * theta)
-            assert np.abs(orig - back).max() <= 1e-12
+        # reflecting twice returns either map, coefficient by coefficient
+        for h in (bump_pair.interior, bump_pair.exterior):
+            back = mp.inverted_series(mp.inverted_series(h))
+            assert back.kind is h.kind and back.resolved == h.resolved
+            diff = np.zeros(max(h.order, back.order), dtype=complex)
+            diff[:h.order] += h.coeffs
+            diff[:back.order] -= back.coeffs
+            assert np.abs(diff).max() <= 1e-14
 
-    @pytest.mark.parametrize("series, count", [
-        (ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8), 1),
-        (ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 8), 8),
+    def test_vanishing_map_rejected(self):
+        # z + 2z^2 vanishes at -1/2: the reflected coefficients grow
+        with pytest.raises(NumericalFailure):
+            mp.inverted_series(ComplexSeries.taylor([0.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("coeffs", [
+        [0.5, 1.0, 0.1],    # h(0) != 0: the reflection is bounded at infinity
+        [0.0, 0.0, 1.0],    # h'(0) = 0: the reflection grows like z^2 there
     ])
-    def test_too_few_samples_rejected(self, series, count):
-        # the Laurent side samples inside the disk at 1 - 8/count
+    def test_non_normalized_interior_rejected(self, coeffs):
         with pytest.raises(InvalidInput):
-            mp.inverted_series(series, count)
+            mp.inverted_series(ComplexSeries.taylor(coeffs))
 
 
 class TestNormalizePair:
@@ -199,13 +215,14 @@ class TestCatalogInvariants:
         assert len(solves) == 1
         assert solves[0].sample_count == pair.sample_count == 16384
 
-    def test_bump_maps_share_one_resolved_count(self, solves):
-        # the reflected map of bump(0.2, 4) needs twice the samples of the
-        # interior map, so the interior map is solved again at that count
+    def test_bump_is_one_solve_per_map(self, solves):
+        # the reflected domain of bump(0.2, 4) needs twice the samples of
+        # the domain itself; the reflection needs no shared count, and the
+        # pair records the larger one
         pair = mp.catalog("fourier_bump", eps=0.2, k=4)
+        assert len(solves) == 2 and all(r.series.resolved for r in solves)
+        assert sorted(r.sample_count for r in solves) == [1024, 2048]
         assert pair.sample_count == 2048
-        final = [r for r in solves if r.sample_count == 2048]
-        assert len(final) == 2 and all(r.series.resolved for r in final)
 
     def test_results_do_not_share_mutable_dicts(self):
         first = mp.catalog("ellipse", c=0.1)
