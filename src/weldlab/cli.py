@@ -132,7 +132,13 @@ def _numbers(args, flag: str, sep: str, cast, count: int = 0) -> list:
 
 
 def _orders(args):
-    return _numbers(args, "N", ",", int)
+    """The truncation orders of ``--N``: strictly increasing, each >= 1.
+    Every command reads them before it builds a pair."""
+    orders = _numbers(args, "N", ",", int)
+    if orders[0] < 1 or any(b <= a for a, b in zip(orders, orders[1:])):
+        raise InvalidInput(f"--N {args.N!r} must be strictly increasing "
+                           "orders N >= 1")
+    return orders
 
 
 def _grid_ladder(args, levels: int) -> list:
@@ -160,8 +166,8 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_grunsky(args) -> int:
-    pair = _build_pair(args)
     n = max(_orders(args))
+    pair = _build_pair(args)
     trunc = gk.build_truncation(pair, n)
     residuals = gk.grunsky_identity_residual(trunc)
     doc = {
@@ -182,9 +188,9 @@ def _cmd_grunsky(args) -> int:
 
 
 def _cmd_logdet(args) -> int:
-    pair = _build_pair(args)
     orders = _orders(args)
     n = max(orders)
+    pair = _build_pair(args)
     route = args.route
     b = gk.build_b1(pair, n) if route == "b1" else gk.build_b4(pair, n)
     report = gk.logdet_potential(b, orders)
@@ -205,16 +211,17 @@ def _cmd_s1(args) -> int:
 
 
 def _cmd_identity(args) -> int:
+    grids, orders = _grid_ladder(args, 3), _orders(args)
     pair = _build_pair(args)
-    doc = lv.identity_report(pair, _grid_ladder(args, 3), _orders(args))
+    doc = lv.identity_report(pair, grids, orders)
     _write_report(args, doc, f"identity_{args.family}.json")
     rel = doc["residual_identity_relative"]
     return EXIT_OK if rel <= args.tol else EXIT_CHECK_FAILED
 
 
 def _cmd_invert(args) -> int:
-    pair = _build_pair(args)
     n = max(_orders(args))
+    pair = _build_pair(args)
     chk = gk.inversion_check(pair, n)
     doc = {"family": pair.family_tag, "params": pair.params, "N": n,
            "s2_pair_b1": chk.s2_pair_b1,

@@ -28,7 +28,12 @@ Conventions (also emitted in every CLI report):
 
 All entries are computed from generating functions by a slice-triangular
 log recursion (solve D * dL = dD one power at a time, D(0, y) = 1; b1 is the
-b4 of 1/f(1/z)); no kernel quadrature is performed. Every builder returns
+b4 of 1/f(1/z)); no kernel quadrature is performed. The per-slice products
+are FFTs of the smallest 5-smooth length >= 2 cols + 1. A pair whose
+coefficients are all real (a conjugation-symmetric domain, see
+``maps.StarDomain.symmetric``) gives real generating arrays, real
+transforms and float64 blocks, so the SVD and the relation products run in
+real arithmetic; any other pair takes the complex path. Every builder returns
 the leading n rows and ``cols`` columns (default n) of its block; the
 entries are exact to roundoff given series coefficients through index
 n + cols + 1 (b4: n + cols), which a series must hold unless it is
@@ -91,12 +96,32 @@ def _report_from_estimates(orders, estimates) -> ConvergenceReport:
 # bivariate log by slice recursion
 # ---------------------------------------------------------------------------
 
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: a transform length the FFT factors
+    into radix-2, -3 and -5 passes."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _log_bivariate(d: np.ndarray) -> np.ndarray:
     """log of a truncated bivariate series, row index = powers of the first
     variable. Requires D(0, y) = 1 (a unit first row); row 0 of the log is 0.
 
     Solves d * (d/dz L) = d/dz d slice by slice, which with a unit first row
-    never divides; the per-slice products run through padded FFTs. Stable
+    never divides; the per-slice products run through zero-padded FFTs of
+    the smallest 5-smooth length >= 2 n1 - 1, which holds a linear product
+    of two n1-term rows without wrap-around. Real data takes real
+    transforms and gives a real log (the result has d's dtype). Stable
     because every intermediate row is a prefix of the true expansion
     (triangular forward substitution), unlike the power sums of log(1+u).
     """
@@ -104,7 +129,7 @@ def _log_bivariate(d: np.ndarray) -> np.ndarray:
     if d[0, 0] != 1.0 or np.any(d[0, 1:] != 0):
         raise InvalidInput("bivariate log requires D(0, y) = 1")
     real = np.isrealobj(d)
-    size = 1 << int(np.ceil(np.log2(max(2 * n1, 2))))
+    size = _smooth_length(2 * n1 - 1)
     if real:
         fft = lambda x: np.fft.rfft(x, size, axis=-1)
         ifft = lambda x: np.fft.irfft(x, size)[..., :n1]
@@ -119,7 +144,7 @@ def _log_bivariate(d: np.ndarray) -> np.ndarray:
         row = ifft((m + 1) * fd[m + 1, :] - acc)
         p[m, :] = row
         fp[m, :] = fft(row)
-    out = np.zeros((n0, n1), dtype=complex)
+    out = np.zeros((n0, n1), dtype=d.dtype)
     out[1:, :] = p / np.arange(1, n0)[:, None]
     return out
 

@@ -68,18 +68,24 @@ class StarDomain:
     """Star-like Jordan domain given by a polar radius rho(theta) > 0.
 
     ``smoothness_bound`` is max|rho'/rho|, estimated spectrally on a uniform
-    grid; it controls the Theodorsen convergence regime.
+    grid; it controls the Theodorsen convergence regime. ``symmetric``
+    records that rho(-theta) == rho(theta) holds bitwise on the same grid:
+    the domain is then its own conjugate, so its interior map has real
+    Taylor coefficients.
     """
 
     rho: callable = field(repr=False)
     name: str = "custom"
     smoothness_bound: float = None
+    symmetric: bool = field(init=False)
 
     def __post_init__(self):
         theta = 2.0 * np.pi * np.arange(_SMOOTHNESS_GRID) / _SMOOTHNESS_GRID
         vals = np.asarray(self.rho(theta), dtype=float)
         if vals.min() <= 0:
             raise InvalidInput("polar radius must be positive")
+        mirrored = np.asarray(self.rho(-theta), dtype=float)
+        object.__setattr__(self, "symmetric", bool(np.all(vals == mirrored)))
         if self.smoothness_bound is None:
             logr = np.log(vals)
             spec = np.fft.fft(logr)
@@ -203,7 +209,9 @@ def theodorsen_interior(domain: StarDomain, sample_count: int) -> TheodorsenResu
     ``MAX_ITERATIONS`` steps. From ``sample_count`` on, a
     grid whose coefficients are not resolved is doubled, up to
     ``MAX_SAMPLE_COUNT``; the result's ``sample_count`` is the last grid.
-    The returned series is rotated so f'(0) > 0 and has f(0) = 0 exactly.
+    The returned series is rotated so f'(0) > 0 and has f(0) = 0 exactly;
+    for a ``symmetric`` domain it keeps only the real parts of the
+    coefficients, which f(conj z) = conj f(z) makes real.
     """
     m = sample_count
     if m < 64 or (m & (m - 1)) != 0:
@@ -247,6 +255,8 @@ def theodorsen_interior(domain: StarDomain, sample_count: int) -> TheodorsenResu
     coeffs *= np.exp(1j * alpha * np.arange(len(coeffs)))
     coeffs[1] = coeffs[1].real
     coeffs[0] = 0.0
+    if domain.symmetric:
+        coeffs = coeffs.real
     return TheodorsenResult(phi=phi,
                             series=ComplexSeries.taylor(coeffs,
                                                         resolved=f.resolved),

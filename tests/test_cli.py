@@ -141,6 +141,27 @@ class TestCommands:
         assert code == 2
         assert "N >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("orders", ["64,32", "32,32"])
+    @pytest.mark.parametrize("argv", [
+        ["logdet", "--family", "ellipse", "--c", "0.5"],
+        ["grunsky", "--family", "ellipse", "--c", "0.5"],
+        ["invert", "--family", "ellipse", "--c", "0.5"],
+        ["identity", "--family", "ellipse", "--c", "0.5"],
+        ["sweep", "--family", "ellipse", "--range", "0.5:0.5:0.1",
+         "--grid", "16x32"],
+    ])
+    def test_unordered_orders_exit_2_before_any_pair(self, tmp_path, argv,
+                                                     orders, monkeypatch):
+        # a block is built to max(N) and the report reads every order, so
+        # the list is checked before the costly pair
+        def no_pair(*args, **kwargs):
+            raise AssertionError("a pair was built for an invalid --N")
+
+        monkeypatch.setattr("weldlab.maps.catalog", no_pair)
+        out = tmp_path / "x"
+        assert run(argv + ["--N", orders, "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--genus=1", "--N=-4"])
     def test_sweep_invalid_shared_input_exit_2(self, tmp_path, flag, capsys):
         # an input every row shares is invalid input, not a failed row

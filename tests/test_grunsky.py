@@ -228,6 +228,56 @@ class TestGrunskyEquality:
             gk.grunsky_operator_residual(short, 16)
 
 
+class TestArithmeticPaths:
+    """Conjugation-symmetric pairs are real end to end and take real
+    transforms and real SVDs; every other pair stays complex."""
+
+    @pytest.mark.parametrize("family, params", [
+        ("ellipse", {"c": 0.1}),
+        ("ellipse", {"c": 0.5}),
+        ("fourier_bump", {"eps": 0.05, "k": 2}),
+    ])
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_symmetric_pairs_are_real(self, family, params, reflect):
+        pair = mp.catalog(family, **params)
+        if reflect:
+            pair = mp.inverted_pair(pair)
+        assert np.all(pair.interior.coeffs.imag == 0)
+        assert np.all(pair.exterior.coeffs.imag == 0)
+        blocks = (gk.build_b1(pair, 16), gk.build_b4(pair, 16),
+                  *gk.build_b2_b3(pair, 16))
+        assert all(b.dtype == np.float64 for b in blocks)
+
+    def test_asymmetric_domain_stays_complex(self):
+        domain = mp.StarDomain(
+            rho=lambda th: 1.0 + 0.05 * np.cos(2 * th) + 0.03 * np.sin(3 * th))
+        assert not domain.symmetric
+        f = mp.theodorsen_interior(domain, 1024).series
+        assert np.abs(f.coeffs.imag).max() > 1e-3
+        assert gk.build_b1(f, 16).dtype == np.complex128
+
+    def test_rotated_pair_matches_real_path(self, ellipse03):
+        # the pair e^(-i a) f(e^(i a) z), e^(-i a) g(e^(i a) z) bounds the
+        # rotated curve: its coefficients a_k e^(i(k-1)a) and g_k e^(-ika)
+        # are complex, and its potential is that of the real pair
+        alpha = 0.7
+        f, g = ellipse03.interior, ellipse03.exterior
+        k_f, k_g = np.arange(f.order), np.arange(g.order)
+        rotated = dataclasses.replace(
+            ellipse03,
+            interior=ComplexSeries.taylor(
+                f.coeffs * np.exp(1j * (k_f - 1) * alpha), resolved=f.resolved),
+            exterior=ComplexSeries.laurent(
+                g.coeffs * np.exp(-1j * k_g * alpha), resolved=g.resolved))
+        for route in ("b1", "b4"):
+            build = gk.build_b1 if route == "b1" else gk.build_b4
+            assert build(rotated, 64).dtype == np.complex128
+            assert build(ellipse03, 64).dtype == np.float64
+            gap = abs(gk.s2_univ(rotated, 64, route) -
+                      gk.s2_univ(ellipse03, 64, route))
+            assert gap <= 1e-13
+
+
 class TestLogdet:
     def test_zero_matrix(self):
         rep = gk.logdet_potential(np.zeros((16, 16), dtype=complex), [4, 8, 16])

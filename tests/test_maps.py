@@ -42,6 +42,14 @@ class TestTheodorsen:
             dom = mp.ellipse_domain(c)
             assert abs(dom.smoothness_bound - 2 * c / (1 - c * c)) <= 1e-5
 
+    def test_symmetry_is_derived_from_rho(self):
+        # conjugation symmetry rho(-theta) == rho(theta) holds bitwise for
+        # the catalog domains and their reflections; it is not an argument
+        for dom in (mp.ellipse_domain(0.5), mp.bump_domain(0.05, 2)):
+            assert dom.symmetric and mp.inverted_domain(dom).symmetric
+        with pytest.raises(TypeError):
+            mp.StarDomain(rho=mp.ellipse_domain(0.5).rho, symmetric=False)
+
     def test_nonconvergence_diagnostic(self):
         # smoothness bound 4.4: the damped iteration does not settle within
         # its iteration cap

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weldlab.errors import InvalidInput, NumericalFailure
-from weldlab.grunsky import _log_bivariate
+from weldlab.grunsky import _log_bivariate, _smooth_length
 from weldlab.series import (
     ComplexSeries,
     Kind,
@@ -73,6 +73,64 @@ class TestLogArray:
             lhs = log_of(np.convolve(a, b)[:8])
             rhs = log_of(a) + log_of(b)
             assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+def _product_2d(a, b):
+    """Truncated bivariate product by direct 2-D convolution."""
+    n0, n1 = a.shape
+    out = np.zeros_like(a)
+    for p in range(n0):
+        for q in range(n1):
+            out[p:, q:] += a[p, q] * b[:n0 - p, :n1 - q]
+    return out
+
+
+def _exp_2d(ell):
+    """exp of a bivariate series with no x^0 terms: the power series
+    ends at the row count, since ell^k starts at row k."""
+    n0 = ell.shape[0]
+    out = np.zeros_like(ell)
+    out[0, 0] = 1.0
+    term = out.copy()
+    for k in range(1, n0):
+        term = _product_2d(term, ell) / k
+        out = out + term
+    return out
+
+
+class TestLogBivariate:
+    """The slice recursion against exp by direct convolution, on row
+    lengths around the 5-smooth transform lengths (13 and 17 give 25 and
+    33 points, 33 gives 65 -> 72)."""
+
+    @pytest.mark.parametrize("n1", [1, 2, 13, 17, 33])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_inverts_exp(self, n1, dtype):
+        rng = np.random.default_rng(n1)
+        ell = rng.standard_normal((7, n1))
+        if dtype is complex:
+            ell = ell + 1j * rng.standard_normal((7, n1))
+        ell[0] = 0.0
+        d = _exp_2d(0.4 * ell)
+        out = _log_bivariate(d)
+        assert out.dtype == d.dtype == np.dtype(dtype)
+        assert np.abs(out - 0.4 * ell).max() <= 1e-13 * np.abs(0.4 * ell).max()
+
+    def test_smooth_length_brute_force(self):
+        top = 5200
+        smooth = np.zeros(top + 1, dtype=bool)
+        for m in range(1, top + 1):
+            r = m
+            for p in (2, 3, 5):
+                while r % p == 0:
+                    r //= p
+            smooth[m] = r == 1
+        expected = top
+        for n in range(top, 0, -1):
+            if smooth[n]:
+                expected = n
+            if n <= 5000:
+                assert _smooth_length(n) == expected
 
 
 class TestSampling:
