@@ -1,15 +1,19 @@
 """Truncated power-series algebra over complex coefficients.
 
 This module is the package's one place that evaluates, differentiates and
-samples a coefficient array. There are two evaluators:
+samples a coefficient array. There are three evaluators:
 
-* ``evaluate_array``, the only Horner loop, takes arbitrary points: Newton
-  steps, the Schwarzian and ``samples_from_coeffs``, which samples a series
-  on one circle |z| = r;
+* ``evaluate_array``, the only Horner loop, takes arbitrary points: the
+  Schwarzian of ``maps``, and ``evaluate``, the tests' Horner oracle for
+  either grading;
 * ``evaluate_on_circles`` takes m uniform points on each of many circles,
-  the product grids of the action quadrature: it folds the coefficients
+  the product grids of the action quadrature and ``samples_from_coeffs``
+  (one circle |z| = r, in either grading): it folds the coefficients
   modulo m and sums each circle exactly with one FFT, in O(K + m log m)
-  operations for K terms instead of Horner's O(K m).
+  operations for K terms instead of Horner's O(K m);
+* ``unit_circle_jets`` takes arbitrary angles on |z| = 1, the Newton steps
+  of ``maps``' boundary check: it tabulates the curve and its Taylor jets
+  on a uniform grid by FFT once, then costs O(1) per angle, not O(K).
 
 ``derivative`` is the only term-by-term derivative of either grading, and
 ``reciprocal_array`` the only series division; the reflection
@@ -47,6 +51,11 @@ COEFF_FLOOR = 1e-14
 _CIRCLE_BLOCK = 1 << 18
 # Length of the table of low powers r^j, j < _POWER_STEP, in ``_powers``.
 _POWER_STEP = 64
+# Highest Taylor order of ``unit_circle_jets``: its grid has more than two
+# points per period of the top frequency, so |nu h s| < pi/2, and the
+# remainder of order 22, (pi/2)^23/23! e^(pi/2) = 6.0e-18 relative to
+# sum |c_k|, is below rounding.
+_JET_ORDER = 22
 
 
 class Kind(enum.Enum):
@@ -264,8 +273,60 @@ def coeffs_from_samples(samples) -> ComplexSeries:
 
 
 def samples_from_coeffs(a: ComplexSeries, radius: float, m: int):
-    """Values of the series on m uniform points of |z| = radius."""
+    """Values of the series on m uniform points z_j = radius e^(2 pi i j/m).
+
+    One ``evaluate_on_circles`` row: a Taylor series directly; a Laurent
+    series z P(1/z) as P on the circle of radius 1/radius, where
+    1/z_j = e^(-2 pi i j/m) / radius is point -j mod m, times z_j.
+    """
     if m < 2 or (m & (m - 1)) != 0:
         raise InvalidInput("sample count must be a power of two >= 2")
+    if a.kind is Kind.TAYLOR_AT_ZERO:
+        return evaluate_on_circles(a.coeffs, [radius], m)[0]
+    p = evaluate_on_circles(a.coeffs, [1.0 / radius], m)[0]
     theta = 2.0 * np.pi * np.arange(m) / m
-    return evaluate(a, radius * np.exp(1j * theta))
+    return np.roll(p[::-1], 1) * (radius * np.exp(1j * theta))
+
+
+def unit_circle_jets(a: ComplexSeries):
+    """Evaluator of t -> a(e^(it)) and its t-derivative at arbitrary angles.
+
+    The curve sum c_k e^(i nu_k t) (nu_k = k for Taylor, 1 - k for Laurent)
+    is tabulated with its scaled jets
+    G_r[j] = sum c_k (i nu_k h)^r e^(i nu_k t_j) / r!, r <= ``_JET_ORDER``,
+    on the grid t_j = j h of the smallest power of two L > 2 max|nu_k|
+    points, one folded inverse FFT per order: O(R K + R L log L) once. An
+    angle t = (j + s) h with |s| <= 1/2 is then the polynomial
+    sum_r G_r[j] s^r and its s-derivative over h, O(R) per angle instead of
+    Horner's O(K). Returns a function of an angle array t giving the pair
+    (values, t-derivatives).
+    """
+    nu = np.arange(a.order)
+    if a.kind is Kind.LAURENT_AT_INFINITY:
+        nu = 1 - nu
+    size = 2
+    while size <= 2 * np.abs(nu).max():
+        size *= 2
+    h = 2.0 * np.pi / size
+    step = 1j * h * nu
+    bins = nu % size                             # distinct: L > 2 max|nu|
+    jets = np.zeros((_JET_ORDER + 1, size), dtype=complex)
+    term = a.coeffs
+    for r in range(_JET_ORDER + 1):
+        if r:
+            term = term * step / r
+        jets[r, bins] = term
+    jets = np.fft.ifft(jets, axis=1, norm="forward")
+
+    def at(t):
+        u = np.asarray(t, dtype=float) / h
+        j = np.rint(u)
+        s = u - j
+        j = j.astype(np.int64) % size
+        value, slope = jets[-1][j], np.zeros(j.shape, dtype=complex)
+        for row in jets[-2::-1]:
+            slope = slope * s + value
+            value = value * s + row[j]
+        return value, slope / h
+
+    return at

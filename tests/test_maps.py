@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from weldlab import fuchsian as fx
 from weldlab import maps as mp
 from weldlab.errors import InvalidInput, NumericalFailure
-from weldlab.series import ComplexSeries, Kind, evaluate
+from weldlab.series import ComplexSeries, Kind, derivative, evaluate
 
 
 def boundary_points(series, m=1024):
@@ -165,6 +166,92 @@ class TestNormalizePair:
     def test_ellipse_g_prime(self, ellipse03):
         # |g'(inf)| = 1/f_raw'(0) feeds the log term of the action
         assert abs(ellipse03.g_prime_at_infinity) > 1.0
+
+    def test_non_finite_residual_rejected(self, monkeypatch):
+        # the boundary samples of this map overflow, so its residual is
+        # NaN, and NaN > tol is False: only residual <= tol rejects it
+        raw_f = ComplexSeries.taylor([0.0, 1.0, 1e308, 1e308])
+        raw_g = ComplexSeries.laurent([1.0, 0.0])
+        with pytest.raises(NumericalFailure):
+            mp.normalize_pair(raw_f, raw_g)
+        monkeypatch.setattr(mp, "pair_boundary_residual", lambda *a: np.nan)
+        with pytest.raises(NumericalFailure):
+            mp.normalize_pair(ComplexSeries.taylor([0.0, 1.0]), raw_g)
+
+
+def dense_horner_distance(points, curve):
+    """The check's method before the jets: the nearest of all 4096 curve
+    samples by Horner, then six Newton steps on Horner values."""
+    pts = np.asarray(points, dtype=complex)
+    grid = 2 * np.pi * np.arange(4096) / 4096
+    samples = evaluate(curve, np.exp(1j * grid))
+    t = np.concatenate([grid[np.abs(chunk[:, None] - samples).argmin(axis=1)]
+                        for chunk in np.array_split(pts, 8)])
+    slope = derivative(curve)
+    for _ in range(6):
+        z = np.exp(1j * t)
+        value, tangent = evaluate(curve, z), evaluate(slope, z) * 1j * z
+        t = t - np.real((value - pts) * np.conj(tangent)) / np.abs(tangent) ** 2
+    return np.abs(evaluate(curve, np.exp(1j * t)) - pts)
+
+
+class TestBoundaryCheck:
+    @pytest.mark.parametrize("which", ["ellipse05.interior",
+                                       "bump_pair.exterior", "z + 0.3/z"])
+    def test_normal_offset_is_the_distance(self, which, request):
+        # a point pushed off the curve along the unit normal by delta,
+        # well inside the curvature radius, is |delta| from it
+        if which == "z + 0.3/z":
+            curve = ComplexSeries.laurent([1.0, 0.0, 0.3])
+        else:
+            fixture, side = which.split(".")
+            curve = getattr(request.getfixturevalue(fixture), side)
+        t = 2 * np.pi * (np.arange(64) + 0.37) / 64
+        z = np.exp(1j * t)
+        tangent = evaluate(derivative(curve), z) * 1j * z
+        normal = -1j * tangent / np.abs(tangent)
+        for delta in (1e-3, -1e-3, 1e-6):
+            d = mp.distance_to_curve(evaluate(curve, z) + delta * normal, curve)
+            assert np.abs(d - abs(delta)).max() <= 1e-14
+
+    @pytest.mark.parametrize("which", ["ellipse03", "bump_pair",
+                                       "ellipse03~inverted",
+                                       "bump_pair~inverted", "mismatched"])
+    def test_matches_dense_horner_check(self, which, request):
+        if which == "mismatched":
+            # the normalized c = 0.3 interior map against raw z + 0.31/z
+            f = request.getfixturevalue("ellipse03").interior
+            g = ComplexSeries.laurent([1.0, 0.0, 0.31])
+        else:
+            pair = request.getfixturevalue(which.split("~")[0])
+            if which.endswith("~inverted"):
+                pair = mp.inverted_pair(pair)
+            f, g = pair.interior, pair.exterior
+        dense = max(dense_horner_distance(boundary_points(f), g).max(),
+                    dense_horner_distance(boundary_points(g), f).max())
+        assert abs(mp.pair_boundary_residual(f, g) - dense) <= 1e-14
+
+    def test_no_horner_loop(self, ellipse05, monkeypatch):
+        # a count, not a timing: the check of the 6408-term map must not
+        # reach the O(K m) evaluator at all
+        def refuse(*args):
+            raise AssertionError("Horner loop in the boundary check")
+        monkeypatch.setattr("weldlab.series.evaluate_array", refuse)
+        monkeypatch.setattr(mp, "evaluate_array", refuse)
+        resid = mp.pair_boundary_residual(ellipse05.interior, ellipse05.exterior)
+        assert resid <= mp.BOUNDARY_TOL
+
+    def test_no_dense_start_matrix(self, ellipse05):
+        # a 1024 x 4096 complex distance matrix alone is 64 MB; the check
+        # of the 6408-term map peaks at 12 MB, its jet table and the FFT
+        # that fills it
+        tracemalloc.start()
+        try:
+            mp.pair_boundary_residual(ellipse05.interior, ellipse05.exterior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 4096 * 16 // 2
 
 
 class TestCatalogInvariants:

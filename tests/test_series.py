@@ -12,6 +12,7 @@ from weldlab.series import (
     evaluate_array,
     evaluate_on_circles,
     samples_from_coeffs,
+    unit_circle_jets,
 )
 
 
@@ -173,6 +174,18 @@ class TestSampling:
             pb[:back.order] = back.coeffs
             assert np.abs(pa - pb).max() <= 1e-12 * max(1.0, np.abs(c).max())
 
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("radius", [0.9, 1.0, 1.25])
+    def test_matches_horner(self, kind, radius):
+        # 100 terms on 64 points: the circle sum folds the coefficients
+        rng = np.random.default_rng(3)
+        c = ((rng.standard_normal(100) + 1j * rng.standard_normal(100))
+             * 0.7 ** np.arange(100))
+        a = ComplexSeries(kind, c)
+        z = radius * np.exp(2j * np.pi * np.arange(64) / 64)
+        err = np.abs(samples_from_coeffs(a, radius, 64) - evaluate(a, z))
+        assert err.max() <= 1e-13 * np.abs(c).sum()
+
     def test_power_of_two_required(self):
         with pytest.raises(InvalidInput):
             coeffs_from_samples(np.ones(15, dtype=complex))
@@ -230,3 +243,22 @@ class TestEvaluateOnCircles:
     def test_no_points_rejected(self):
         with pytest.raises(InvalidInput):
             evaluate_on_circles(np.ones(3), [0.5], 0)
+
+
+class TestUnitCircleJets:
+    # order 128 puts the top Taylor frequency 127 just under half its
+    # 256-point grid, where the jets' Taylor remainder is largest
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("order", [1, 2, 3, 40, 128, 6408])
+    def test_matches_horner(self, kind, order):
+        rng = np.random.default_rng(order)
+        c = ((rng.standard_normal(order) + 1j * rng.standard_normal(order))
+             * 0.999 ** np.arange(order))
+        a = ComplexSeries(kind, c)
+        nu = np.arange(order) if kind is Kind.TAYLOR_AT_ZERO else 1 - np.arange(order)
+        t = rng.uniform(-10.0, 10.0, 200)
+        z = np.exp(1j * t)
+        value, slope = unit_circle_jets(a)(t)
+        assert np.abs(value - evaluate(a, z)).max() <= 1e-13 * np.abs(c).sum()
+        err = np.abs(slope - evaluate(derivative(a), z) * 1j * z)
+        assert err.max() <= 1e-13 * max(np.abs(nu * c).sum(), 1.0)

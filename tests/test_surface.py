@@ -22,6 +22,11 @@ KEPT = {
     "in_dirichlet_domain": "the oracle of domain_boundary_radius",
     "domain_from_samples": "input of the planned boundary-operator route "
                            "(ROADMAP item 2)",
+    "evaluate": "the tests' Horner oracle of either grading at arbitrary "
+                "points, against which the FFT evaluators are checked",
+    "derivative": "the tests' derivative oracle of either grading: the "
+                  "t-derivatives of unit_circle_jets and the normals of the "
+                  "distance_to_curve oracle",
 }
 
 
