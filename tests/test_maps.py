@@ -180,8 +180,8 @@ class TestNormalizePair:
 
 
 def dense_horner_distance(points, curve):
-    """The check's method before the jets: the nearest of all 4096 curve
-    samples by Horner, then six Newton steps on Horner values."""
+    """Reference distance: the nearest of all 4096 curve samples by
+    Horner, then six Newton steps on Horner values."""
     pts = np.asarray(points, dtype=complex)
     grid = 2 * np.pi * np.arange(4096) / 4096
     samples = evaluate(curve, np.exp(1j * grid))
