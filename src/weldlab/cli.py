@@ -241,10 +241,8 @@ def _cmd_fuchsian(args) -> int:
     rng = np.random.default_rng(7)
     zs = 0.8 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
     ws = 0.8 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
-    autom = max(
-        fx.automorphy_residual(fx.bergman_kernel, g, zs, ws,
-                               conjugate_second=True)
-        for g in group.generators)
+    autom = max(fx.automorphy_residual(fx.bergman_kernel, g, zs, ws)
+                for g in group.generators)
     sums = {n: fx.alternating_trace_sum(group, n) for n in (1, 2, 3)}
     doc = {
         "relation_residual": group.relation_residual(),

@@ -13,12 +13,14 @@ certifies the construction. Matrices live in SU(1,1): [[a, b], [conj(b),
 conj(a)]] with |a|^2 - |b|^2 = 1, acting by z -> (a z + b)/(conj(b) z +
 conj(a)) with derivative 1/(conj(b) z + conj(a))^2.
 
-The Dirichlet domain about 0 is the octagon itself; membership compares
-hyperbolic distances to the enumerated orbit of 0, and the boundary radius
-along a ray from 0 is the nearest crossing of the bisectors between 0 and
-the orbit points, a root of a quadratic. The hyperbolic-area integral of
-the Bergman diagonal 1/(pi (1-|z|^2)^2) over the domain equals genus - 1,
-the basepoint value entering the trace identities.
+The Dirichlet domain about 0 is the octagon itself, by Poincare's polygon
+theorem bounded by the bisectors between 0 and its eight images under the
+side pairings alone; membership compares hyperbolic distances to those
+eight points, and the boundary radius along a ray from 0 is the nearest
+crossing of their bisectors, a root of a quadratic. The hyperbolic-area
+integral of the Bergman diagonal 1/(pi (1-|z|^2)^2) over the domain equals
+genus - 1, the basepoint value entering the trace identities. The
+word-length enumeration only counts group elements.
 """
 
 from __future__ import annotations
@@ -145,9 +147,6 @@ class GroupEnumeration:
     def count(self) -> int:
         return len(self.elements)
 
-    def orbit_of_zero(self) -> np.ndarray:
-        return self.elements[:, 0, 1] / self.elements[:, 1, 1]
-
 
 def _canonical_key(m: np.ndarray, scale: float = 1e-6):
     """Hashable quantization of an SU(1,1) matrix up to sign.
@@ -199,36 +198,41 @@ def enumerate_elements(group: FuchsianGroup, max_word_length: int) -> GroupEnume
 # Dirichlet domain
 # ---------------------------------------------------------------------------
 
-def in_dirichlet_domain(enumeration: GroupEnumeration, z, slack: float = 1e-12):
-    """True where d(z, 0) <= d(z, gamma 0) + slack for every enumerated
-    gamma != id. With word length >= 2 this is the exact octagon."""
+def _side_neighbours(group: FuchsianGroup) -> np.ndarray:
+    """gamma(0) = b / conj(a) for the side pairings gamma: the centres of
+    the tiles across the octagon's sides."""
+    gens = np.array(group.generators)
+    return gens[:, 0, 1] / gens[:, 1, 1]
+
+
+def in_dirichlet_domain(group: FuchsianGroup, z, slack: float = 1e-12):
+    """True where d(z, 0) <= d(z, gamma 0) + slack for each of the eight side
+    pairings gamma: the octagon bounded by the eight side bisectors."""
     z = np.asarray(z, dtype=complex)
-    orbit = enumeration.orbit_of_zero()
-    nonzero = orbit[np.abs(orbit) > 1e-14]
     d0 = hyperbolic_distance(z, 0.0)
     inside = np.ones(z.shape, dtype=bool)
-    for p in nonzero:
+    for p in _side_neighbours(group):
         inside &= d0 <= hyperbolic_distance(z, p) + slack
     return inside if inside.shape else bool(inside)
 
 
-def domain_boundary_radius(enumeration: GroupEnumeration, theta) -> np.ndarray:
+def domain_boundary_radius(group: FuchsianGroup, theta) -> np.ndarray:
     """Euclidean radius where the ray r e^{i theta} leaves the Dirichlet
-    domain: the smallest root r = q / (a + sqrt(a^2 - q^2)) over the orbit
-    points p of the bisector equation q r^2 - 2 a r + q = 0, where
-    a = Re(conj(p) e^{i theta}) and q = |p|^2 (a root in (0, 1) needs a > q).
-    A ray that meets no bisector raises NumericalFailure."""
-    orbit = enumeration.orbit_of_zero()
+    domain: the smallest root r = q / (a + sqrt(a^2 - q^2)) over the images
+    p of 0 under the side pairings of the bisector equation
+    q r^2 - 2 a r + q = 0, where a = Re(conj(p) e^{i theta}) and q = |p|^2
+    (a root in (0, 1) needs a > q). A ray that meets no bisector raises
+    NumericalFailure."""
     direction = np.exp(1j * np.asarray(theta, dtype=float))
     radius = np.full(direction.shape, np.inf)
-    for p in orbit[np.abs(orbit) > 1e-14]:
+    for p in _side_neighbours(group):
         q = abs(p) ** 2
         a = (np.conj(p) * direction).real
         hit = a > q
         radius[hit] = np.minimum(radius[hit],
                                  q / (a[hit] + np.sqrt(a[hit] ** 2 - q * q)))
     if not np.isfinite(radius).all():
-        raise NumericalFailure("a ray from 0 meets no bisector of the orbit")
+        raise NumericalFailure("a ray from 0 meets no side bisector")
     return radius
 
 
@@ -241,10 +245,8 @@ def domain_area_integral(group: FuchsianGroup, n_theta: int = 2048) -> dict:
     four times) until two consecutive estimates agree within 1e-5. The
     value is genus - 1 by Gauss-Bonnet.
     """
-    enum = enumerate_elements(group, 2)
-
     def estimate(n: int) -> float:
-        rm = domain_boundary_radius(enum, 2.0 * np.pi * (np.arange(n) + 0.5) / n)
+        rm = domain_boundary_radius(group, 2.0 * np.pi * (np.arange(n) + 0.5) / n)
         return float((rm ** 2 / (1.0 - rm ** 2)).mean())
 
     estimates = [estimate(n_theta)]
@@ -265,22 +267,16 @@ def domain_area_integral(group: FuchsianGroup, n_theta: int = 2048) -> dict:
 # automorphy and basepoint trace identities
 # ---------------------------------------------------------------------------
 
-def automorphy_residual(kernel, gamma: np.ndarray, z_points, w_points,
-                        conjugate_second: bool = False) -> float:
-    """max |K(gamma z, gamma w) gamma'(z) D - K(z, w)| over the samples.
-
-    ``D`` is gamma'(w) or its conjugate depending on whether the kernel is
-    holomorphic (K-type) or anti-holomorphic (Bergman / iterated type) in
-    the second argument.
-    """
+def automorphy_residual(kernel, gamma: np.ndarray, z_points, w_points) -> float:
+    """max |K(gamma z, gamma w) gamma'(z) conj(gamma'(w)) - K(z, w)| over the
+    samples, for a kernel anti-holomorphic in its second argument (Bergman
+    type)."""
     z = np.asarray(z_points, dtype=complex)
     w = np.asarray(w_points, dtype=complex)
     gz = apply_mobius(gamma, z)
     gw = apply_mobius(gamma, w)
     dz = mobius_derivative(gamma, z)
-    dw = mobius_derivative(gamma, w)
-    if conjugate_second:
-        dw = np.conj(dw)
+    dw = np.conj(mobius_derivative(gamma, w))
     resid = kernel(gz, gw) * dz * dw - kernel(z, w)
     return float(np.abs(resid).max())
 

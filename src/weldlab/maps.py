@@ -57,6 +57,7 @@ START_SAMPLE_COUNT = 1024    # where the catalog's Theodorsen continuation start
 MAX_SAMPLE_COUNT = 16384     # where the Theodorsen continuation stops doubling
 THEODORSEN_TOL = 1e-12       # fixed-point residual that ends a mesh level
 MAX_ITERATIONS = 4000        # fixed-point steps allowed on one mesh level
+BOUNDARY_SAMPLES = 1024      # samples of each map that the boundary check reads
 _SMOOTHNESS_GRID = 4096      # samples for the numerical smoothness bound
 _CURVE_SAMPLES = 4096        # curve samples of the nearest-sample start
 _START_STRIDE = 16           # the start scans every 16th sample, then +-16
@@ -80,7 +81,6 @@ class StarDomain:
     """
 
     rho: callable = field(repr=False)
-    name: str = "custom"
     smoothness_bound: float = None
     symmetric: bool = field(init=False)
 
@@ -109,7 +109,7 @@ def ellipse_domain(c: float) -> StarDomain:
         th = np.asarray(th, dtype=float)
         return a * b / np.sqrt((b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2)
 
-    return StarDomain(rho=rho, name=f"ellipse({c})")
+    return StarDomain(rho=rho)
 
 
 def bump_domain(eps: float, k: int) -> StarDomain:
@@ -122,17 +122,16 @@ def bump_domain(eps: float, k: int) -> StarDomain:
     def rho(th):
         return 1.0 + eps * np.cos(k * np.asarray(th, dtype=float))
 
-    return StarDomain(rho=rho, name=f"bump({eps},{k})")
+    return StarDomain(rho=rho)
 
 
 def inverted_domain(domain: StarDomain) -> StarDomain:
     """The reflected domain {1/conj(w) : w outside the curve}: rho -> 1/rho."""
     return StarDomain(rho=lambda th: 1.0 / np.asarray(domain.rho(th), dtype=float),
-                      name=domain.name + "~inverted",
                       smoothness_bound=domain.smoothness_bound)
 
 
-def domain_from_samples(values, name: str = "sampled") -> StarDomain:
+def domain_from_samples(values) -> StarDomain:
     """Star domain from uniform radius samples, evaluated anywhere by
     trigonometric interpolation."""
     vals = np.asarray(values, dtype=float)
@@ -152,7 +151,7 @@ def domain_from_samples(values, name: str = "sampled") -> StarDomain:
             out -= np.real(phases[:, -1] * spec[-1])
         return out.reshape(np.shape(th))
 
-    return StarDomain(rho=rho, name=name)
+    return StarDomain(rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +171,19 @@ class TheodorsenResult:
 def _conjugate_operator(values: np.ndarray) -> np.ndarray:
     """Harmonic conjugate of a real 2pi-periodic sample vector.
 
-    Spectral multiplier -i*sign(k); the mean and the Nyquist bin are zeroed.
+    Spectral multiplier -i*sign(k) on the half-spectrum k >= 0 of an even
+    count m; the mean and the Nyquist bin are zeroed.
     """
-    m = len(values)
-    spec = np.fft.fft(values)
-    k = np.fft.fftfreq(m, 1.0 / m)
-    mult = -1j * np.sign(k)
-    mult[0] = 0.0
-    if m % 2 == 0:
-        mult[m // 2] = 0.0
-    return np.real(np.fft.ifft(spec * mult))
+    spec = np.fft.rfft(values)
+    spec *= -1j
+    spec[0] = spec[-1] = 0.0
+    return np.fft.irfft(spec, len(values))
 
 
 def _upsample_periodic(values: np.ndarray, m2: int) -> np.ndarray:
+    """Trigonometric interpolation of m samples (m even) onto m2."""
     m = len(values)
-    spec = np.fft.fft(values)
-    spec2 = np.zeros(m2, dtype=complex)
-    spec2[:m // 2] = spec[:m // 2]
-    spec2[-(m // 2) + 1:] = spec[-(m // 2) + 1:]
-    return np.real(np.fft.ifft(spec2)) * (m2 / m)
+    return np.fft.irfft(np.fft.rfft(values)[:m // 2], m2) * (m2 / m)
 
 
 def _damping_for(bound: float) -> float:
@@ -318,11 +311,15 @@ class WeldingPair:
 
     interior: ComplexSeries
     exterior: ComplexSeries
-    g_prime_at_infinity: complex
     family_tag: str
     params: dict = field(default_factory=dict)
     sample_count: int = 0
     residuals: dict = field(default_factory=dict)
+
+    @property
+    def g_prime_at_infinity(self) -> complex:
+        """The leading Laurent coefficient of g, g(z) ~ g'(inf) z."""
+        return complex(self.exterior.coeffs[0])
 
 
 def distance_to_curve(points: np.ndarray, curve: ComplexSeries) -> np.ndarray:
@@ -362,14 +359,14 @@ def distance_to_curve(points: np.ndarray, curve: ComplexSeries) -> np.ndarray:
     return np.abs(at(t)[0] - pts)
 
 
-def pair_boundary_residual(interior: ComplexSeries, exterior: ComplexSeries,
-                           m: int = 1024) -> float:
+def pair_boundary_residual(interior: ComplexSeries, exterior: ComplexSeries) -> float:
     """Two-sided sampled distance between the two boundary parametrizations:
-    the largest ``distance_to_curve`` of m samples of either map to the
-    other's curve. Overflowing series give NaN, which the caller rejects."""
+    the largest ``distance_to_curve`` of ``BOUNDARY_SAMPLES`` samples of
+    either map to the other's curve. Overflowing series give NaN, which the
+    caller rejects."""
     with np.errstate(over="ignore", invalid="ignore"):
-        fb = samples_from_coeffs(interior, 1.0, m)
-        gb = samples_from_coeffs(exterior, 1.0, m)
+        fb = samples_from_coeffs(interior, 1.0, BOUNDARY_SAMPLES)
+        gb = samples_from_coeffs(exterior, 1.0, BOUNDARY_SAMPLES)
         d = np.concatenate([distance_to_curve(fb, exterior),
                             distance_to_curve(gb, interior)])
     return float(d.max())
@@ -380,10 +377,10 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
                    sample_count: int = 1024, extra_residuals: dict = None) -> WeldingPair:
     """Apply the affine gauge lambda(w) = (w - raw_f(0))/raw_f'(0) to both maps.
 
-    The output satisfies f(0) = 0 and f'(0) = 1 exactly;
-    g_prime_at_infinity is the rescaled Laurent leading coefficient. The
-    two boundary traces must agree to ``BOUNDARY_TOL``; a residual that is
-    not a number fails too.
+    The output satisfies f(0) = 0 and f'(0) = 1 exactly; g'(inf) is the
+    rescaled Laurent leading coefficient. The two boundary traces must
+    agree to ``BOUNDARY_TOL``; a residual that is not a number fails too.
+    The pair records ``sample_count``; the check does not read it.
     """
     if raw_f.kind is not Kind.TAYLOR_AT_ZERO:
         raise InvalidInput("raw interior map must be a Taylor series")
@@ -406,7 +403,7 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
     interior = ComplexSeries.taylor(fc, resolved=raw_f.resolved)
     exterior = ComplexSeries.laurent(gc, resolved=raw_g.resolved)
     residuals = dict(extra_residuals or {})
-    resid = pair_boundary_residual(interior, exterior, min(sample_count, 1024))
+    resid = pair_boundary_residual(interior, exterior)
     residuals["boundary"] = resid
     if not resid <= BOUNDARY_TOL:
         raise NumericalFailure(
@@ -414,7 +411,6 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
             f"{BOUNDARY_TOL:.1e}"
         )
     return WeldingPair(interior=interior, exterior=exterior,
-                       g_prime_at_infinity=complex(gc[0]),
                        family_tag=family_tag, params=dict(params or {}),
                        sample_count=sample_count, residuals=residuals)
 
@@ -431,8 +427,8 @@ def _catalog_cached(family_tag: str, param_items: tuple) -> WeldingPair:
         return WeldingPair(
             interior=ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8),
             exterior=ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 8),
-            g_prime_at_infinity=1.0 + 0.0j, family_tag="identity",
-            params={}, sample_count=START_SAMPLE_COUNT, residuals={"boundary": 0.0})
+            family_tag="identity", params={}, sample_count=START_SAMPLE_COUNT,
+            residuals={"boundary": 0.0})
 
     if family_tag == "ellipse":
         c = params["c"]

@@ -200,8 +200,7 @@ def test_criterion_6_fuchsian_basepoint_suite():
     rng = np.random.default_rng(7)
     z = 0.8 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
     w = 0.8 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
-    autom = max(fx.automorphy_residual(fx.bergman_kernel, g, z, w,
-                                       conjugate_second=True)
+    autom = max(fx.automorphy_residual(fx.bergman_kernel, g, z, w)
                 for g in group.generators)
     sums = {n: abs(fx.alternating_trace_sum(group, n)) for n in (1, 2, 3)}
     elapsed = time.time() - t0

@@ -239,6 +239,22 @@ class TestDeterminism:
                         "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_fuchsian_enumerates_once(self, tmp_path, monkeypatch):
+        # the enumeration serves only the report's element count; the domain
+        # and the area integral read the eight side pairings
+        from weldlab import fuchsian as fx
+        enumerate_elements = fx.enumerate_elements
+        lengths = []
+
+        def counted(group, max_word_length):
+            lengths.append(max_word_length)
+            return enumerate_elements(group, max_word_length)
+
+        monkeypatch.setattr(fx, "enumerate_elements", counted)
+        assert run(["fuchsian", "--L", "2",
+                    "--out", str(tmp_path / "f.json")]) == 0
+        assert lengths == [2]
+
     def test_fuchsian_report_deterministic(self, tmp_path):
         a = tmp_path / "fa.json"
         b = tmp_path / "fb.json"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,25 @@ from weldlab.errors import InvalidInput, NumericalFailure
 @pytest.fixture(scope="module")
 def enum2(octagon):
     return fx.enumerate_elements(octagon, 2)
+
+
+def orbit_of_zero(enum):
+    """gamma(0) for every enumerated gamma, the identity's 0 included."""
+    return enum.elements[:, 0, 1] / enum.elements[:, 1, 1]
+
+
+def bisector_radius_reference(orbit, theta):
+    """The smallest root in (0, 1) of the bisector equations between 0 and
+    each nonzero orbit point along the rays at ``theta``."""
+    direction = np.exp(1j * theta)
+    radius = np.full(direction.shape, np.inf)
+    for p in orbit[np.abs(orbit) > 1e-14]:
+        q = abs(p) ** 2
+        a = (np.conj(p) * direction).real
+        hit = a > q
+        radius[hit] = np.minimum(radius[hit],
+                                 q / (a[hit] + np.sqrt(a[hit] ** 2 - q * q)))
+    return radius
 
 
 class TestOctagonGroup:
@@ -80,39 +101,65 @@ class TestEnumeration:
 
 
 class TestDirichletDomain:
-    def test_origin_inside(self, enum2):
-        assert fx.in_dirichlet_domain(enum2, 0.0)
+    def test_origin_inside(self, octagon):
+        assert fx.in_dirichlet_domain(octagon, 0.0)
 
-    def test_orbit_point_outside(self, octagon, enum2):
+    def test_orbit_point_outside(self, octagon):
         z = fx.apply_mobius(octagon.generators[2], 0.0)
-        assert not fx.in_dirichlet_domain(enum2, z)
+        assert not fx.in_dirichlet_domain(octagon, z)
 
     def test_vertices_on_boundary(self, octagon, enum2):
         # octagon vertices: distance ties within slack
         rv = np.tanh(octagon.vertex_radius / 2.0)
+        orbit = orbit_of_zero(enum2)
+        orbit = orbit[np.abs(orbit) > 1e-14]
         for k in range(8):
             v = rv * np.exp(1j * (np.pi / 8 + k * np.pi / 4))
-            assert fx.in_dirichlet_domain(enum2, v, slack=1e-9)
-            orbit = enum2.orbit_of_zero()
-            orbit = orbit[np.abs(orbit) > 1e-14]
+            assert fx.in_dirichlet_domain(octagon, v, slack=1e-9)
             d0 = fx.hyperbolic_distance(v, 0.0)
             dmin = min(fx.hyperbolic_distance(v, p) for p in orbit)
             assert abs(d0 - dmin) <= 1e-9
 
-    def test_boundary_radius_closed_form(self, enum2):
+    def test_boundary_radius_closed_form(self, octagon):
         # the membership predicate is the independent oracle of the radius
         theta = 2 * np.pi * np.random.default_rng(11).random(1024)
         u = np.exp(1j * theta)
-        r = fx.domain_boundary_radius(enum2, theta)
-        assert fx.in_dirichlet_domain(enum2, r * (1 - 1e-9) * u, slack=0.0).all()
-        assert not fx.in_dirichlet_domain(enum2, r * (1 + 1e-9) * u,
+        r = fx.domain_boundary_radius(octagon, theta)
+        assert fx.in_dirichlet_domain(octagon, r * (1 - 1e-9) * u, slack=0.0).all()
+        assert not fx.in_dirichlet_domain(octagon, r * (1 + 1e-9) * u,
                                           slack=0.0).any()
-        # one orbit point bounds only a half-plane: most rays meet no bisector
-        one_point = fx.GroupEnumeration(2, enum2.elements[:2])
+        # one side pairing bounds only a half-plane: most rays meet no bisector
+        one_side = dataclasses.replace(octagon, generators=octagon.generators[:1])
         with pytest.raises(NumericalFailure):
-            fx.domain_boundary_radius(one_point, theta)
+            fx.domain_boundary_radius(one_side, theta)
 
-    def test_tiling_partition(self, octagon, enum2):
+    def test_side_bisectors_bound_the_longer_orbit_domain(self, octagon):
+        # no word up to length 4 adds a side: membership by the eight side
+        # pairings is the min-over-orbit rule of the 3193-element orbit
+        orbit = orbit_of_zero(fx.enumerate_elements(octagon, 4))
+        rng = np.random.default_rng(31)
+        z = 0.9 * np.sqrt(rng.random(20_000)) * np.exp(2j * np.pi * rng.random(20_000))
+        d_min = np.full(z.shape, np.inf)
+        for p in orbit[np.abs(orbit) > 1e-14]:
+            d_min = np.minimum(d_min, fx.hyperbolic_distance(z, p))
+        expected = fx.hyperbolic_distance(z, 0.0) <= d_min
+        inside = fx.in_dirichlet_domain(octagon, z, slack=0.0)
+        assert 0 < expected.sum() < len(z)
+        assert np.array_equal(inside, expected)
+
+    @pytest.mark.parametrize("n_theta", [2048, 2560, 3072, 3584])
+    def test_radius_matches_length_two_orbit_bitwise(self, octagon, enum2,
+                                                     n_theta):
+        # the angle sets of the area integral and the trace terms, with
+        # every doubling of their refinement
+        orbit = orbit_of_zero(enum2)
+        for j in range(5):
+            n = n_theta * 2 ** j
+            theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+            assert np.array_equal(fx.domain_boundary_radius(octagon, theta),
+                                  bisector_radius_reference(orbit, theta))
+
+    def test_tiling_partition(self, octagon):
         # random points inside the coverage range of the enumeration belong
         # to exactly one translate of the fundamental domain; tiles in the
         # fan around a vertex carry words up to length ~4, hence the depth
@@ -125,15 +172,15 @@ class TestDirichletDomain:
         t = rng.random(n)
         r = np.sqrt(t) * rmax / np.sqrt(1 - (1 - t) * rmax ** 2)
         z = r * np.exp(2j * np.pi * rng.random(n))
-        orbit = enum4.orbit_of_zero()
+        orbit = orbit_of_zero(enum4)
         d_orb = 2 * np.arctanh(np.clip(np.abs(orbit), 0.0, 1.0 - 1e-16))
         relevant = enum4.elements[d_orb <= cutoff + 2 * octagon.vertex_radius + 0.2]
         counts = np.zeros(n, dtype=int)
         boundary_tie = np.zeros(n, dtype=bool)
         for m in relevant:
             w = fx.apply_mobius(np.linalg.inv(m), z)
-            inside = fx.in_dirichlet_domain(enum2, w, slack=0.0)
-            near = fx.in_dirichlet_domain(enum2, w, slack=1e-9) & ~inside
+            inside = fx.in_dirichlet_domain(octagon, w, slack=0.0)
+            near = fx.in_dirichlet_domain(octagon, w, slack=1e-9) & ~inside
             counts += inside.astype(int)
             boundary_tie |= near
         ok = boundary_tie | (counts == 1)
@@ -160,8 +207,7 @@ class TestAutomorphy:
         z = 0.8 * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
         w = 0.8 * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
         for g in octagon.generators:
-            resid = fx.automorphy_residual(fx.bergman_kernel, g, z, w,
-                                           conjugate_second=True)
+            resid = fx.automorphy_residual(fx.bergman_kernel, g, z, w)
             assert resid <= 1e-10
 
     def test_basepoint_interior_kernel_is_zero(self, identity_pair):

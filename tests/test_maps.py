@@ -164,8 +164,10 @@ class TestNormalizePair:
                               ComplexSeries.laurent([1.0, 0.0]))
 
     def test_ellipse_g_prime(self, ellipse03):
-        # |g'(inf)| = 1/f_raw'(0) feeds the log term of the action
+        # |g'(inf)| = 1/f_raw'(0) feeds the log term of the action; it is
+        # read from the exterior series, not stored beside it
         assert abs(ellipse03.g_prime_at_infinity) > 1.0
+        assert ellipse03.g_prime_at_infinity == ellipse03.exterior.coeffs[0]
 
     def test_non_finite_residual_rejected(self, monkeypatch):
         # the boundary samples of this map overflow, so its residual is
@@ -259,8 +261,7 @@ class TestCatalogInvariants:
                                          "ellipse03", "ellipse05", "bump_pair"])
     def test_boundary_agreement(self, fixture, request):
         pair = request.getfixturevalue(fixture)
-        assert mp.pair_boundary_residual(pair.interior, pair.exterior,
-                                         1024) <= 1e-7
+        assert mp.pair_boundary_residual(pair.interior, pair.exterior) <= 1e-7
 
     @pytest.mark.parametrize("fixture", ["ellipse01", "ellipse03",
                                          "ellipse05", "bump_pair"])
