@@ -26,22 +26,25 @@ Conventions (also emitted in every CLI report):
 * the determinant potential is reported with two signs:
   ``s2_univ`` = log det(I - B B*) <= 0 and ``s2_dg`` = -s2_univ >= 0.
 
-All entries are computed from generating functions by a slice-triangular
-log recursion (solve D * dL = dD one power at a time, D(0, y) = 1; b1 is the
-b4 of 1/f(1/z)); no kernel quadrature is performed. The per-slice products
-are FFTs of the smallest 5-smooth length >= 2 cols + 1. A pair whose
-coefficients are all real (a conjugation-symmetric domain, see
+All entries are computed from generating functions D with D(0, y) = 1 by
+one Newton series log, L = integral of D_x / D (``series._log_bivariate``:
+a Newton inverse of D and one product, all two-dimensional FFT products
+on 5-smooth lengths, O(N^2 log N) for an N x N block; b1 is the b4 of
+1/f(1/z)); no kernel quadrature is performed. A pair whose coefficients
+are all real (a conjugation-symmetric domain, see
 ``maps.StarDomain.symmetric``) gives real generating arrays, real
-transforms and float64 blocks, so the SVD and the relation products run in
-real arithmetic; any other pair takes the complex path. Every builder returns
-the leading n rows and ``cols`` columns (default n) of its block; the
-entries are exact to roundoff given series coefficients through index
-n + cols + 1 (b4: n + cols), which a series must hold unless it is
-resolved: its missing coefficients are then zero to the floor.
+transforms in the second variable and float64 blocks, so the SVD and the
+relation products run in real arithmetic; any other pair takes the complex
+path. Every builder returns the leading n rows and ``cols`` columns
+(default n) of its block; the entries are exact to roundoff given series
+coefficients through index n + cols + 1 (b4: n + cols), which a series
+must hold unless it is resolved: its missing coefficients are then zero
+to the floor.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +54,7 @@ from .maps import WeldingPair, inverted_pair
 from .series import (
     ComplexSeries,
     Kind,
+    _log_bivariate,
     reciprocal_array,
     samples_from_coeffs,
 )
@@ -93,61 +97,8 @@ def _report_from_estimates(orders, estimates) -> ConvergenceReport:
 
 
 # ---------------------------------------------------------------------------
-# bivariate log by slice recursion
+# generating arrays and blocks
 # ---------------------------------------------------------------------------
-
-def _smooth_length(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n: a transform length the FFT factors
-    into radix-2, -3 and -5 passes."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _log_bivariate(d: np.ndarray) -> np.ndarray:
-    """log of a truncated bivariate series, row index = powers of the first
-    variable. Requires D(0, y) = 1 (a unit first row); row 0 of the log is 0.
-
-    Solves d * (d/dz L) = d/dz d slice by slice, which with a unit first row
-    never divides; the per-slice products run through zero-padded FFTs of
-    the smallest 5-smooth length >= 2 n1 - 1, which holds a linear product
-    of two n1-term rows without wrap-around. Real data takes real
-    transforms and gives a real log (the result has d's dtype). Stable
-    because every intermediate row is a prefix of the true expansion
-    (triangular forward substitution), unlike the power sums of log(1+u).
-    """
-    n0, n1 = d.shape
-    if d[0, 0] != 1.0 or np.any(d[0, 1:] != 0):
-        raise InvalidInput("bivariate log requires D(0, y) = 1")
-    real = np.isrealobj(d)
-    size = _smooth_length(2 * n1 - 1)
-    if real:
-        fft = lambda x: np.fft.rfft(x, size, axis=-1)
-        ifft = lambda x: np.fft.irfft(x, size)[..., :n1]
-    else:
-        fft = lambda x: np.fft.fft(x, size, axis=-1)
-        ifft = lambda x: np.fft.ifft(x, size)[..., :n1]
-    fd = fft(d)
-    fp = np.zeros((n0 - 1, fd.shape[1]), dtype=complex)
-    p = np.zeros((n0 - 1, n1), dtype=d.dtype)
-    for m in range(n0 - 1):
-        acc = np.einsum("jk,jk->k", fd[m:0:-1, :], fp[:m, :])
-        row = ifft((m + 1) * fd[m + 1, :] - acc)
-        p[m, :] = row
-        fp[m, :] = fft(row)
-    out = np.zeros((n0, n1), dtype=d.dtype)
-    out[1:, :] = p / np.arange(1, n0)[:, None]
-    return out
-
 
 def _padded(coeffs: np.ndarray, need: int) -> np.ndarray:
     out = np.zeros(need, dtype=complex)
@@ -283,7 +234,7 @@ def build_b2_b3(pair, n: int, cols: int = None):
     Both are returned as rows 1..n and columns 1..cols (default n). A
     square block's b3 is the transpose of its b2. When cols != n, the b3
     rows are the leading n columns of a different rectangle of b2, so they
-    come from a second log in the transposed slice direction.
+    come from a second log with the roles of the two variables swapped.
     """
     cols = _block_cols(n, cols)
     big = max(n, cols)
@@ -430,12 +381,6 @@ def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:
     return _report_from_estimates(orders, estimates)
 
 
-def s2_univ(pair: WeldingPair, n: int, route: str = "b1") -> float:
-    """log det(I - BB*) <= 0 at truncation n via the chosen block route."""
-    b = build_b1(pair, n) if route == "b1" else build_b4(pair, n)
-    return logdet_potential(b, [n]).extrapolated
-
-
 @dataclass(frozen=True)
 class InversionCheck:
     s2_pair_b1: float
@@ -451,18 +396,29 @@ class InversionCheck:
         return abs(self.s2_pair_b1 - self.s2_pair_b4)
 
 
-def inversion_check(pair: WeldingPair, n: int, n_inverted: int = None) -> InversionCheck:
+def _untimed(name: str):
+    return contextlib.nullcontext()
+
+
+def inversion_check(pair: WeldingPair, n: int, n_inverted: int = None,
+                    stage=_untimed) -> InversionCheck:
     """Determinant potential of a pair against its reflected pair.
 
-    Returns the potential of the pair through its interior block, of the
-    inverted pair through its interior block, and of the pair through the
-    exterior block; invariance under inversion makes all three agree in
-    the limit.
+    Returns the potential log det(I - B B*) of the pair through its
+    interior block, of the inverted pair through its interior block, and
+    of the pair through the exterior block; invariance under inversion
+    makes all three agree in the limit. ``stage(name)`` is a context
+    manager entered around the reflection, the three block builds and the
+    three determinants, under the names "reflection", "blocks" and
+    "determinant"; the CLI passes its timer.
     """
-    inv = inverted_pair(pair)
-    v1 = s2_univ(pair, n, route="b1")
-    v2 = s2_univ(inv, n_inverted or n, route="b1")
-    v4 = s2_univ(pair, n, route="b4")
+    with stage("reflection"):
+        inv = inverted_pair(pair)
+    with stage("blocks"):
+        blocks = (build_b1(pair, n), build_b1(inv, n_inverted or n),
+                  build_b4(pair, n))
+    with stage("determinant"):
+        v1, v2, v4 = (logdet_potential(b, [len(b)]).extrapolated for b in blocks)
     return InversionCheck(s2_pair_b1=v1, s2_inverted_b1=v2, s2_pair_b4=v4)
 
 

@@ -133,7 +133,13 @@ def inverted_domain(domain: StarDomain) -> StarDomain:
 
 def domain_from_samples(values) -> StarDomain:
     """Star domain from uniform radius samples, evaluated anywhere by
-    trigonometric interpolation."""
+    trigonometric interpolation.
+
+    Samples that are bitwise even, values[j] == values[-j mod m], have a
+    real spectrum: its imaginary part is rounding, which would make the
+    interpolant odd at roundoff, so only the real part is kept. The
+    interpolant is then bitwise even and the domain ``symmetric``.
+    """
     vals = np.asarray(values, dtype=float)
     m = len(vals)
     if m < 8 or (m & (m - 1)) != 0:
@@ -141,6 +147,8 @@ def domain_from_samples(values) -> StarDomain:
     if vals.min() <= 0:
         raise InvalidInput("polar radius must be positive")
     spec = np.fft.rfft(vals) / m
+    if np.array_equal(vals[1:], vals[:0:-1]):
+        spec = spec.real
     k = np.arange(len(spec))
 
     def rho(th):

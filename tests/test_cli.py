@@ -255,6 +255,25 @@ class TestDeterminism:
                     "--out", str(tmp_path / "f.json")]) == 0
         assert lengths == [2]
 
+    @pytest.mark.parametrize("argv, stages", [
+        (["logdet", "--N", "8,16"], ("catalog", "blocks", "determinant")),
+        (["grunsky", "--N", "16"], ("catalog", "blocks", "relations")),
+        (["invert", "--N", "16"],
+         ("catalog", "reflection", "blocks", "determinant")),
+    ])
+    def test_verbose_stage_timings_stay_out_of_the_report(self, tmp_path,
+                                                          capsys, argv, stages):
+        plain, verbose = tmp_path / "plain.json", tmp_path / "verbose.json"
+        argv = argv + ["--family", "ellipse", "--c", "0.1"]
+        code = run(argv + ["--out", str(plain)])
+        assert capsys.readouterr().err == ""
+        assert run(argv + ["--out", str(verbose), "--verbose"]) == code
+        lines = capsys.readouterr().err.splitlines()
+        timed = [line.split(":")[0] for line in lines if line.endswith(" s")]
+        assert timed == [f"{argv[0]} {name}" for name in stages]
+        assert f"wrote {verbose}" in lines
+        assert plain.read_bytes() == verbose.read_bytes()
+
     def test_fuchsian_report_deterministic(self, tmp_path):
         a = tmp_path / "fa.json"
         b = tmp_path / "fb.json"

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from references import triangular_reciprocal
 from weldlab import fuchsian as fx
+from weldlab import grunsky as gk
 from weldlab import maps as mp
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import ComplexSeries, Kind, derivative, evaluate
@@ -83,6 +85,25 @@ class TestTheodorsen:
         w = boundary_points(res.series, 256)
         assert np.abs(np.abs(w) - dom0.rho(np.angle(w))).max() <= 1e-8
 
+    @pytest.mark.parametrize("domain", [mp.ellipse_domain(0.3),
+                                        mp.bump_domain(0.1, 3)])
+    def test_even_samples_give_a_symmetric_domain(self, domain):
+        # angles 2 pi j/m for j = -m/2 .. m/2 - 1 are negated exactly, so
+        # the samples are bitwise even; the pair built on them is real
+        m = 64
+        theta = 2 * np.pi * np.fft.fftfreq(m)
+        vals = domain.rho(theta)
+        assert np.array_equal(vals[1:], vals[:0:-1])
+        sampled = mp.domain_from_samples(vals)
+        assert sampled.symmetric
+        f = mp.theodorsen_interior(sampled, 256).series
+        g = mp.inverted_series(
+            mp.theodorsen_interior(mp.inverted_domain(sampled), 256).series)
+        pair = mp.normalize_pair(f, g, family_tag="sampled")
+        blocks = (gk.build_b1(pair, 16), gk.build_b4(pair, 16),
+                  *gk.build_b2_b3(pair, 16))
+        assert all(b.dtype == np.float64 for b in blocks)
+
 
 class TestInversion:
     def test_identity_fixed_point(self):
@@ -126,6 +147,24 @@ class TestInversion:
             diff[:h.order] += h.coeffs
             diff[:back.order] -= back.coeffs
             assert np.abs(diff).max() <= 1e-14
+
+    @pytest.mark.parametrize("family, params", [
+        ("ellipse", {"c": 0.1}), ("ellipse", {"c": 0.5}),
+        ("fourier_bump", {"eps": 0.05, "k": 2})])
+    def test_trimmed_lengths_match_triangular_recursion(self, family, params,
+                                                        monkeypatch):
+        # the Newton reciprocal's rounding, ~1e-17 of the largest
+        # coefficient, sits far below the floor at which the reflection is
+        # trimmed: every reflected length is that of the triangular
+        # recursion, and every coefficient agrees to roundoff
+        pair = mp.catalog(family, **params)
+        newton = [mp.inverted_series(h) for h in (pair.interior, pair.exterior)]
+        monkeypatch.setattr(mp, "reciprocal_array", triangular_reciprocal)
+        for h, new in zip((pair.interior, pair.exterior), newton):
+            ref = mp.inverted_series(h)
+            assert new.order == ref.order
+            scale = np.abs(ref.coeffs).max()
+            assert np.abs(new.coeffs - ref.coeffs).max() <= 2e-16 * scale
 
     def test_vanishing_map_rejected(self):
         # z + 2z^2 vanishes at -1/2: the reflected coefficients grow

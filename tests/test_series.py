@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from references import slice_log, triangular_reciprocal
+from weldlab import maps as mp
 from weldlab.errors import InvalidInput, NumericalFailure
-from weldlab.grunsky import _log_bivariate, _smooth_length
+from weldlab.series import _log_bivariate, _smooth_length
 from weldlab.series import (
     ComplexSeries,
     Kind,
@@ -11,6 +13,7 @@ from weldlab.series import (
     evaluate,
     evaluate_array,
     evaluate_on_circles,
+    reciprocal_array,
     samples_from_coeffs,
     unit_circle_jets,
 )
@@ -61,8 +64,8 @@ class TestLogArray:
         assert np.abs(log_of([1, 0, 0])).max() == 0
 
     def test_first_row_must_be_unit(self):
-        # the slice recursion solves D * dL/dx = dD/dx without dividing by
-        # D(0, y), so it needs D(0, y) = 1 and not just D(0, 0) = 1
+        # the Newton inverse starts from 1 as the inverse of D(0, y), so
+        # the log needs D(0, y) = 1 and not just D(0, 0) = 1
         with pytest.raises(InvalidInput):
             _log_bivariate(np.array([[1.0, 0.5], [0.1, 0.2]]))
 
@@ -99,23 +102,82 @@ def _exp_2d(ell):
     return out
 
 
-class TestLogBivariate:
-    """The slice recursion against exp by direct convolution, on row
-    lengths around the 5-smooth transform lengths (13 and 17 give 25 and
-    33 points, 33 gives 65 -> 72)."""
+def _decaying_array(n0, n1, dtype, seed):
+    """A generating array with D(0, y) = 1 whose entries decay like
+    0.7^(m+n), so that its log is well conditioned at every shape."""
+    rng = np.random.default_rng(seed)
+    d = 0.25 * rng.standard_normal((n0, n1))
+    if dtype is complex:
+        d = d + 0.25j * rng.standard_normal((n0, n1))
+    d *= 0.7 ** np.add.outer(np.arange(n0), np.arange(n1))
+    d[0] = 0.0
+    d[0, 0] = 1.0
+    return d
 
-    @pytest.mark.parametrize("n1", [1, 2, 13, 17, 33])
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_inverts_exp(self, n1, dtype):
+
+class TestLogBivariate:
+    """The Newton log against exp by direct convolution, on row counts
+    7, 8, 9 and 17, whose inverses (of n0 - 1 powers) end in a partial or
+    a full doubling, and on row lengths around the 5-smooth transform
+    lengths (13 and 17 give 25 and 33 points, 33 gives 65 -> 72); and
+    against the slice recursion it replaced."""
+
+    @staticmethod
+    def exp_pair(n0, n1, dtype, decay):
+        """A log with n0 x n1 random entries scaled by 0.4 decay^m, and its
+        exp by direct convolution."""
         rng = np.random.default_rng(n1)
-        ell = rng.standard_normal((7, n1))
+        ell = rng.standard_normal((n0, n1))
         if dtype is complex:
-            ell = ell + 1j * rng.standard_normal((7, n1))
+            ell = ell + 1j * rng.standard_normal((n0, n1))
         ell[0] = 0.0
-        d = _exp_2d(0.4 * ell)
+        ell *= 0.4 * decay ** np.arange(n0)[:, None]
+        return ell, _exp_2d(ell)
+
+    # 7 rows: undecayed draws. The row counts that cross a doubling of the
+    # Newton inverse take rows decaying like the builders' generating
+    # arrays, which keeps 1/D of the size of D: undecayed, they are the
+    # arrays of test_error_follows_the_inverse.
+    SHAPES = ([(7, n1, 1.0) for n1 in (1, 2, 13, 17, 33)]
+              + [(n0, n1, 0.8) for n0 in (8, 9, 17) for n1 in (1, 2, 13, 17, 33)])
+
+    @pytest.mark.parametrize("n0, n1, decay", SHAPES, ids=[
+        str(n1) if n0 == 7 else f"{n0}x{n1}" for n0, n1, _ in SHAPES])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_inverts_exp(self, n0, n1, decay, dtype):
+        ell, d = self.exp_pair(n0, n1, dtype, decay)
         out = _log_bivariate(d)
         assert out.dtype == d.dtype == np.dtype(dtype)
-        assert np.abs(out - 0.4 * ell).max() <= 1e-13 * np.abs(0.4 * ell).max()
+        assert np.abs(out - ell).max() <= 1e-13 * np.abs(ell).max()
+
+    @pytest.mark.parametrize("n0", [8, 9, 17])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_error_follows_the_inverse(self, n0, dtype):
+        # the log is formed from 1/D, so its error is roundoff relative to
+        # max|D| max|1/D|, not to max|log D| as the slice recursion's is:
+        # the undecayed 17 x 33 complex draw has max|D| = 102 and
+        # max|1/D| = 55 and misses by 4.8e-12 relative, against 1.5e-13
+        # for the slice recursion
+        ell, d = self.exp_pair(n0, 33, dtype, 1.0)
+        scale = np.abs(d).max() * np.abs(_exp_2d(-ell)).max()
+        assert np.abs(_log_bivariate(d) - ell).max() <= 1e-13 * scale * np.abs(ell).max()
+
+    @pytest.mark.parametrize("n0", [1, 2, 3, 7, 8, 9, 13, 17, 33, 65, 200])
+    @pytest.mark.parametrize("n1", [1, 2, 5, 17, 64, 129])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_slice_recursion(self, n0, n1, dtype):
+        d = _decaying_array(n0, n1, dtype, 1000 * n0 + n1)
+        out, ref = _log_bivariate(d), slice_log(d)
+        assert out.dtype == ref.dtype
+        assert np.abs(out - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1e-300)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_wide_shape_matches_slice_recursion(self, dtype):
+        # the shape of the operator residual's row panels: few powers of
+        # x, thousands of y
+        d = _decaying_array(33, 4097, dtype, 33)
+        ref = slice_log(d)
+        assert np.abs(_log_bivariate(d) - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_smooth_length_brute_force(self):
         top = 5200
@@ -132,6 +194,47 @@ class TestLogBivariate:
                 expected = n
             if n <= 5000:
                 assert _smooth_length(n) == expected
+
+
+class TestReciprocal:
+    """The Newton reciprocal against the triangular recursion it replaced,
+    at n <= 512."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 127, 128, 129, 512])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_triangular_recursion(self, n, dtype):
+        # sum |c_k| < 2 |c_0|: no zero in the closed disk, so the
+        # reciprocal decays, as the package's reciprocals do
+        rng = np.random.default_rng(n)
+        c = rng.uniform(-0.1, 0.1, n) * 0.9 ** np.arange(n)
+        if dtype is complex:
+            c = c + 1j * rng.uniform(-0.1, 0.1, n) * 0.9 ** np.arange(n)
+        c[0] = 1.5
+        ref = triangular_reciprocal(c)
+        out = reciprocal_array(c)
+        assert out.dtype == ref.dtype
+        assert np.abs(out - ref).max() <= 2e-16 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("family, params", [
+        ("ellipse", {"c": 0.1}), ("ellipse", {"c": 0.3}),
+        ("ellipse", {"c": 0.5}), ("fourier_bump", {"eps": 0.05, "k": 2})])
+    def test_catalog_sides_match_triangular_recursion(self, family, params):
+        # the reciprocals the builders take: z/f(z) and 1/g
+        pair = mp.catalog(family, **params)
+        for c in (pair.interior.coeffs[1:513], pair.exterior.coeffs[:512]):
+            c = c.real.copy()
+            ref = triangular_reciprocal(c)
+            assert np.abs(reciprocal_array(c) - ref).max() <= 2e-16 * np.abs(ref).max()
+
+    def test_real_data_in_a_complex_array_stays_real(self):
+        c = np.array([2.0, 0.5, -0.25, 0.125], dtype=complex)
+        out = reciprocal_array(c)
+        assert out.dtype == np.complex128 and np.all(out.imag == 0)
+        assert np.abs(out - triangular_reciprocal(c)).max() <= 1e-16
+
+    def test_zero_constant_term_rejected(self):
+        with pytest.raises(InvalidInput):
+            reciprocal_array(np.array([0.0, 1.0]))
 
 
 class TestSampling:
