@@ -58,21 +58,14 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    # before the numbers: bool is a subclass of int
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+def _json_default(obj):
+    """``json.dumps`` hook for what json cannot write: numpy scalars as
+    their Python values, complex numbers as [re, im]."""
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _out_path(args, default_name: str):
@@ -97,7 +90,8 @@ def _write_report(args, doc: dict, default_name: str):
     doc = dict(doc)
     doc["conventions"] = CONVENTIONS
     path = _out_path(args, default_name)
-    _write_text(path, json.dumps(_jsonify(doc), indent=2, sort_keys=True) + "\n",
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True,
+                                       default=_json_default) + "\n",
                 args.verbose)
     return path
 
@@ -115,17 +109,12 @@ def _stage(args, name: str):
 
 
 def _family_params(args) -> dict:
-    if args.family == "identity":
-        return {}
-    if args.family == "ellipse":
-        if args.c is None:
-            raise InvalidInput("ellipse needs --c")
-        return {"c": args.c}
-    if args.family == "fourier_bump":
-        if args.eps is None or args.k is None:
-            raise InvalidInput("fourier_bump needs --eps and --k")
-        return {"eps": args.eps, "k": args.k}
-    raise InvalidInput(f"unknown family {args.family!r}")
+    names = mp.FAMILY_PARAMS[args.family]
+    params = {name: getattr(args, name) for name in names}
+    if None in params.values():
+        raise InvalidInput(f"{args.family} needs "
+                           + " and ".join(f"--{name}" for name in names))
+    return params
 
 
 def _build_pair(args) -> mp.WeldingPair:
@@ -185,10 +174,11 @@ def _cmd_grunsky(args) -> int:
     with _stage(args, "catalog"):
         pair = _build_pair(args)
     with _stage(args, "blocks"):
-        trunc = gk.build_truncation(pair, n)
+        b1, b4 = gk.build_b1(pair, n), gk.build_b4(pair, n)
+        b2, b3 = gk.build_b2_b3(pair, n)
     with _stage(args, "relations"):
-        residuals = gk.grunsky_identity_residual(trunc)
-        norms = (gk.spectral_norm(trunc.b1), gk.spectral_norm(trunc.b4))
+        residuals = gk.grunsky_identity_residual(b1, b2, b3, b4)
+        norms = (gk.spectral_norm(b1), gk.spectral_norm(b4))
     doc = {
         "family": pair.family_tag, "params": pair.params, "N": n,
         "relation_residuals": list(residuals),
@@ -199,8 +189,7 @@ def _cmd_grunsky(args) -> int:
     _write_report(args, doc, f"grunsky_{args.family}_N{n}.json")
     if args.dump_matrices:
         base = _out_path(args, f"grunsky_{args.family}_N{n}")
-        for name, mtx in (("b1", trunc.b1), ("b2", trunc.b2),
-                          ("b3", trunc.b3), ("b4", trunc.b4)):
+        for name, mtx in (("b1", b1), ("b2", b2), ("b3", b3), ("b4", b4)):
             _write_text(f"{base}_{name}.csv", gk.matrix_to_csv(mtx), args.verbose)
     worst = max(residuals)
     return EXIT_OK if worst <= args.tol else EXIT_CHECK_FAILED
@@ -400,7 +389,7 @@ def _add_command(subs, name: str, help: str, tol=None, family=False,
                          help="tolerance for the command's pass/fail check")
     if family or params:
         sub.add_argument("--family", required=True,
-                         choices=["identity", "ellipse", "fourier_bump"])
+                         choices=list(mp.FAMILY_PARAMS))
     if params:
         sub.add_argument("--c", type=float, default=None, help="ellipse parameter")
         sub.add_argument("--eps", type=float, default=None, help="bump amplitude")

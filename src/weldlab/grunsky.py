@@ -45,7 +45,7 @@ to the floor.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,22 +109,16 @@ def _padded(coeffs: np.ndarray, need: int) -> np.ndarray:
     return out
 
 
-def _interior_series(pair_or_series) -> ComplexSeries:
+def _side(pair_or_series, kind: Kind) -> ComplexSeries:
+    """The series of grading ``kind``: the interior (Taylor) or exterior
+    (Laurent) map of a pair, or a series of that grading itself."""
+    interior = kind is Kind.TAYLOR_AT_ZERO
     if isinstance(pair_or_series, WeldingPair):
-        return pair_or_series.interior
+        return pair_or_series.interior if interior else pair_or_series.exterior
     if isinstance(pair_or_series, ComplexSeries):
-        if pair_or_series.kind is not Kind.TAYLOR_AT_ZERO:
-            raise InvalidInput("interior block needs a Taylor series")
-        return pair_or_series
-    raise InvalidInput("expected a WeldingPair or ComplexSeries")
-
-
-def _exterior_series(pair_or_series) -> ComplexSeries:
-    if isinstance(pair_or_series, WeldingPair):
-        return pair_or_series.exterior
-    if isinstance(pair_or_series, ComplexSeries):
-        if pair_or_series.kind is not Kind.LAURENT_AT_INFINITY:
-            raise InvalidInput("exterior block needs a Laurent series")
+        if pair_or_series.kind is not kind:
+            raise InvalidInput("interior block needs a Taylor series" if interior
+                               else "exterior block needs a Laurent series")
         return pair_or_series
     raise InvalidInput("expected a WeldingPair or ComplexSeries")
 
@@ -180,7 +174,7 @@ def build_b1(pair, n: int, cols: int = None) -> np.ndarray:
     z -> 1/z, w -> 1/w the two generating functions differ only by terms
     in one variable, which no block entry reads."""
     cols = _block_cols(n, cols)
-    fseries = _interior_series(pair)
+    fseries = _side(pair, Kind.TAYLOR_AT_ZERO)
     _require_order(fseries, n + cols + 2, "interior")
     quotient = _padded(fseries.coeffs, n + cols + 3)[1:]  # f(z)/z, f'(0) != 0
     return _exterior_block(reciprocal_array(quotient), n, cols)
@@ -194,7 +188,7 @@ def build_b4(pair, n: int, cols: int = None) -> np.ndarray:
     generating function, so the block is invariant under it.
     """
     cols = _block_cols(n, cols)
-    gseries = _exterior_series(pair)
+    gseries = _side(pair, Kind.LAURENT_AT_INFINITY)
     _require_order(gseries, n + cols + 1, "exterior")
     if gseries.coeffs[0] == 0:
         raise InvalidInput("exterior map must have nonzero leading coefficient")
@@ -238,8 +232,8 @@ def build_b2_b3(pair, n: int, cols: int = None):
     """
     cols = _block_cols(n, cols)
     big = max(n, cols)
-    fseries = _interior_series(pair)
-    gseries = _exterior_series(pair)
+    fseries = _side(pair, Kind.TAYLOR_AT_ZERO)
+    gseries = _side(pair, Kind.LAURENT_AT_INFINITY)
     _require_order(fseries, big + 1, "interior")
     _require_order(gseries, big + 1, "exterior")
     a, g = fseries.coeffs, gseries.coeffs
@@ -259,42 +253,26 @@ def build_b2_b3(pair, n: int, cols: int = None):
     return b2, _mixed_block(-dcoef, f_arr, n, cols)
 
 
-@dataclass(frozen=True)
-class GrunskyTruncation:
-    """N x N blocks of the four kernel operators for one pair."""
-
-    n: int
-    b1: np.ndarray = field(repr=False)
-    b2: np.ndarray = field(repr=False)
-    b3: np.ndarray = field(repr=False)
-    b4: np.ndarray = field(repr=False)
-
-
-def build_truncation(pair: WeldingPair, n: int) -> GrunskyTruncation:
-    b1 = build_b1(pair, n)
-    b4 = build_b4(pair, n)
-    b2, b3 = build_b2_b3(pair, n)
-    return GrunskyTruncation(n=n, b1=b1, b2=b2, b3=b3, b4=b4)
-
-
 # ---------------------------------------------------------------------------
 # residuals and determinants
 # ---------------------------------------------------------------------------
 
 def _relation_norms(b1, b2, b3, b4, h: int):
-    """Frobenius norms of the four block relations, formed from row panels
-    whose columns are the inner-sum index, on the leading h x h block."""
-    eye = np.eye(b1.shape[0])
+    """Frobenius norms of the four block relations on their leading h x h
+    block, from the leading h rows of each block (columns: inner-sum index)."""
+    b1, b2, b3, b4 = (b[:h] for b in (b1, b2, b3, b4))
+    eye = np.eye(h)
     r1 = b1 @ b1.conj().T + b2 @ b2.conj().T - eye
     r2 = b3 @ b1.conj().T + b4 @ b2.conj().T
     r3 = b1 @ b3.conj().T + b2 @ b4.conj().T
     r4 = b3 @ b3.conj().T + b4 @ b4.conj().T - eye
-    return tuple(float(np.linalg.norm(r[:h, :h])) for r in (r1, r2, r3, r4))
+    return tuple(float(np.linalg.norm(r)) for r in (r1, r2, r3, r4))
 
 
-def grunsky_identity_residual(trunc: GrunskyTruncation):
+def grunsky_identity_residual(b1, b2, b3, b4):
     """Frobenius norms of the four block relations among the truncated
-    N x N blocks, on their leading floor(N/2) x floor(N/2) block.
+    N x N blocks b1, b2, b3, b4 (N = len(b1)), on their leading
+    floor(N/2) x floor(N/2) block.
 
     Every inner sum stops at N, so this measures the relations of the
     truncated blocks, not of the operators: the rows of the operators reach
@@ -304,10 +282,11 @@ def grunsky_identity_residual(trunc: GrunskyTruncation):
     operator relations. N < 2 leaves no block to measure and raises
     InvalidInput.
     """
-    if trunc.n < 2:
-        raise InvalidInput(f"block relations need N >= 2 (N = {trunc.n} "
+    n = len(b1)
+    if n < 2:
+        raise InvalidInput(f"block relations need N >= 2 (N = {n} "
                            "leaves an empty leading floor(N/2) block)")
-    return _relation_norms(trunc.b1, trunc.b2, trunc.b3, trunc.b4, trunc.n // 2)
+    return _relation_norms(b1, b2, b3, b4, n // 2)
 
 
 # the panel columns past half the inner depth bound the unsummed columns

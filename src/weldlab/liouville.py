@@ -35,7 +35,6 @@ strongly crowded pairs whose angular spectrum outruns the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -60,17 +59,12 @@ class QuadratureGrid:
         if self.n_r < 2 or self.n_theta < 4:
             raise InvalidInput("grid too small")
 
-    @cached_property
+    @property
     def nodes(self):
-        """Radial nodes, radial weights and angles, computed once per grid
-        and shared read-only by every integral on it."""
+        """Radial nodes, radial weights and angles."""
         x, w = leggauss(self.n_r)
-        r = 0.5 * (x + 1.0)
-        wr = 0.5 * w
         theta = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-        for a in (r, wr, theta):
-            a.flags.writeable = False
-        return r, wr, theta
+        return 0.5 * (x + 1.0), 0.5 * w, theta
 
 
 def _action_sides(pair: WeldingPair):

@@ -2,7 +2,8 @@
 
 A welding pair is a pair of univalent maps (f on the unit disk, g on the
 exterior) sharing one Jordan curve, normalized so that f(0) = 0, f'(0) = 1
-and g(infinity) = infinity. The catalog provides three families:
+and g(infinity) = infinity. The catalog provides three families, with
+the parameters ``FAMILY_PARAMS`` names:
 
 * ``identity``      -- f = g = id (the round circle),
 * ``ellipse(c)``    -- curve with semi-axes (1+c, 1-c); the exterior map is
@@ -15,10 +16,11 @@ and g(infinity) = infinity. The catalog provides three families:
 
 Theodorsen's equation is solved by damped fixed-point iteration with mesh
 continuation (solve on a coarse grid, upsample, refine), which doubles the
-grid until the coefficients are resolved. For polar smoothness bound
-max|rho'/rho| < 1 the undamped/0.8-damped iteration is the classical
-convergent scheme; above 1 convergence is no longer guaranteed and a
-stronger damping of 0.4 is used, with the iteration cap as the safety net.
+grid from ``START_SAMPLE_COUNT`` on until the coefficients are resolved.
+For polar smoothness bound max|rho'/rho| < 1, derived from rho, the
+undamped/0.8-damped iteration is the classical convergent scheme; above 1
+convergence is no longer guaranteed and a stronger damping of 0.4 is used,
+with the iteration cap as the safety net.
 The boundary of every cataloged pair is cross-checked by a point-to-curve
 Newton distance between the two parametrizations, at O(K + L log L) cost
 for K terms: its samples are FFT circle sums and its Newton steps read the
@@ -53,7 +55,7 @@ from .series import (
 )
 
 BOUNDARY_TOL = 1e-8          # pair acceptance tolerance on the shared curve
-START_SAMPLE_COUNT = 1024    # where the catalog's Theodorsen continuation starts
+START_SAMPLE_COUNT = 1024    # the first Theodorsen grid whose coefficients are read
 MAX_SAMPLE_COUNT = 16384     # where the Theodorsen continuation stops doubling
 THEODORSEN_TOL = 1e-12       # fixed-point residual that ends a mesh level
 MAX_ITERATIONS = 4000        # fixed-point steps allowed on one mesh level
@@ -73,15 +75,15 @@ _NEWTON_STEPS = 6            # projection steps after the start
 class StarDomain:
     """Star-like Jordan domain given by a polar radius rho(theta) > 0.
 
-    ``smoothness_bound`` is max|rho'/rho|, estimated spectrally on a uniform
-    grid; it controls the Theodorsen convergence regime. ``symmetric``
-    records that rho(-theta) == rho(theta) holds bitwise on the same grid:
-    the domain is then its own conjugate, so its interior map has real
-    Taylor coefficients.
+    The other fields derive from rho. ``smoothness_bound`` is max|rho'/rho|,
+    estimated spectrally on a uniform grid; it sets the Theodorsen damping.
+    ``symmetric`` records that rho(-theta) == rho(theta) holds bitwise on
+    the same grid: the domain is then its own conjugate, so its interior
+    map has real Taylor coefficients.
     """
 
     rho: callable = field(repr=False)
-    smoothness_bound: float = None
+    smoothness_bound: float = field(init=False)
     symmetric: bool = field(init=False)
 
     def __post_init__(self):
@@ -91,12 +93,10 @@ class StarDomain:
             raise InvalidInput("polar radius must be positive")
         mirrored = np.asarray(self.rho(-theta), dtype=float)
         object.__setattr__(self, "symmetric", bool(np.all(vals == mirrored)))
-        if self.smoothness_bound is None:
-            logr = np.log(vals)
-            spec = np.fft.fft(logr)
-            k = np.fft.fftfreq(_SMOOTHNESS_GRID, 1.0 / _SMOOTHNESS_GRID)
-            dlog = np.real(np.fft.ifft(1j * k * spec))
-            object.__setattr__(self, "smoothness_bound", float(np.abs(dlog).max()))
+        spec = np.fft.fft(np.log(vals))
+        k = np.fft.fftfreq(_SMOOTHNESS_GRID, 1.0 / _SMOOTHNESS_GRID)
+        dlog = np.real(np.fft.ifft(1j * k * spec))
+        object.__setattr__(self, "smoothness_bound", float(np.abs(dlog).max()))
 
 
 def ellipse_domain(c: float) -> StarDomain:
@@ -126,9 +126,9 @@ def bump_domain(eps: float, k: int) -> StarDomain:
 
 
 def inverted_domain(domain: StarDomain) -> StarDomain:
-    """The reflected domain {1/conj(w) : w outside the curve}: rho -> 1/rho."""
-    return StarDomain(rho=lambda th: 1.0 / np.asarray(domain.rho(th), dtype=float),
-                      smoothness_bound=domain.smoothness_bound)
+    """The reflected domain {1/conj(w) : w outside the curve}: rho -> 1/rho,
+    with the same smoothness bound, since (log 1/rho)' = -(log rho)'."""
+    return StarDomain(rho=lambda th: 1.0 / np.asarray(domain.rho(th), dtype=float))
 
 
 def domain_from_samples(values) -> StarDomain:
@@ -205,26 +205,23 @@ def _damping_for(bound: float) -> float:
     return 0.4
 
 
-def theodorsen_interior(domain: StarDomain, sample_count: int) -> TheodorsenResult:
+def theodorsen_interior(domain: StarDomain) -> TheodorsenResult:
     """Interior map of a star-like domain by damped Theodorsen iteration.
 
     Solves phi(theta) = theta + K[log rho(phi(.))](theta) by mesh
-    continuation from min(256, sample_count) samples, damped by
+    continuation from 256 samples, damped by
     ``_damping_for(domain.smoothness_bound)``; each mesh level iterates
     until the residual is <= ``THEODORSEN_TOL``, for at most
-    ``MAX_ITERATIONS`` steps. From ``sample_count`` on, a
-    grid whose coefficients are not resolved is doubled, up to
-    ``MAX_SAMPLE_COUNT``; the result's ``sample_count`` is the last grid.
+    ``MAX_ITERATIONS`` steps. From ``START_SAMPLE_COUNT`` on, a grid whose
+    coefficients are not resolved is doubled, up to ``MAX_SAMPLE_COUNT``;
+    the result's ``sample_count`` is the last grid.
     The returned series is rotated so f'(0) > 0 and has f(0) = 0 exactly;
     for a ``symmetric`` domain it keeps only the real parts of the
     coefficients, which f(conj z) = conj f(z) makes real.
     """
-    m = sample_count
-    if m < 64 or (m & (m - 1)) != 0:
-        raise InvalidInput("sample count must be a power of two >= 64")
     damping = _damping_for(domain.smoothness_bound)
 
-    mesh = min(256, m)
+    mesh = 256
     psi = np.zeros(mesh)
     total_iter = 0
     residual = np.inf
@@ -243,7 +240,7 @@ def theodorsen_interior(domain: StarDomain, sample_count: int) -> TheodorsenResu
                 f"last residual {residual:.3e} (smoothness bound "
                 f"{domain.smoothness_bound:.3f})"
             )
-        if mesh >= m:
+        if mesh >= START_SAMPLE_COUNT:
             phi = theta + psi
             boundary = domain.rho(phi) * np.exp(1j * phi)
             f = coeffs_from_samples(boundary)
@@ -427,6 +424,10 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
 # catalog
 # ---------------------------------------------------------------------------
 
+# the parameters of each cataloged family, in the order the CLI names them
+FAMILY_PARAMS = {"identity": (), "ellipse": ("c",), "fourier_bump": ("eps", "k")}
+
+
 @functools.lru_cache(maxsize=64)
 def _catalog_cached(family_tag: str, param_items: tuple) -> WeldingPair:
     params = dict(param_items)
@@ -440,7 +441,7 @@ def _catalog_cached(family_tag: str, param_items: tuple) -> WeldingPair:
 
     if family_tag == "ellipse":
         c = params["c"]
-        theo = theodorsen_interior(ellipse_domain(c), START_SAMPLE_COUNT)
+        theo = theodorsen_interior(ellipse_domain(c))
         # exact closed form z + c/z: trailing zeros state that the higher
         # Laurent coefficients vanish identically
         raw_g = ComplexSeries.laurent([1.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -457,8 +458,8 @@ def _catalog_cached(family_tag: str, param_items: tuple) -> WeldingPair:
             raise InvalidInput(
                 f"bump({eps},{k}) has smoothness bound "
                 f"{domain.smoothness_bound:.3f} >= 1")
-        theo = theodorsen_interior(domain, START_SAMPLE_COUNT)
-        theo_inv = theodorsen_interior(inverted_domain(domain), START_SAMPLE_COUNT)
+        theo = theodorsen_interior(domain)
+        theo_inv = theodorsen_interior(inverted_domain(domain))
         # invert the image-correct reflected map; rescaling it first would
         # scale the recovered curve away from the interior map's curve
         raw_g = inverted_series(theo_inv.series)

@@ -3,9 +3,9 @@
 This module is the package's one place that evaluates, differentiates and
 samples a coefficient array. There are three evaluators:
 
-* ``evaluate_array``, the only Horner loop, takes arbitrary points: the
-  Schwarzian of ``maps``, and ``evaluate``, the tests' Horner oracle for
-  either grading;
+* ``evaluate_array``, the only Horner loop (numpy's ``polyval``), takes
+  arbitrary points: the Schwarzian of ``maps``, and ``evaluate``, the
+  tests' Horner oracle for either grading;
 * ``evaluate_on_circles`` takes m uniform points on each of many circles,
   the product grids of the action quadrature and ``samples_from_coeffs``
   (one circle |z| = r, in either grading): it folds the coefficients
@@ -299,11 +299,7 @@ def reciprocal_array(c: np.ndarray) -> np.ndarray:
 
 def evaluate_array(c: np.ndarray, z) -> np.ndarray:
     """Horner evaluation of sum(c_k z^k) at complex point(s) z."""
-    z = np.asarray(z, dtype=complex)
-    out = np.zeros_like(z)
-    for ck in c[::-1]:
-        out = out * z + ck
-    return out
+    return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), c)
 
 
 def _powers(r: np.ndarray, n: int) -> np.ndarray:

@@ -34,9 +34,8 @@ def asymmetric_pairs(draw):
     assert domain.smoothness_bound < 1.0 and not domain.symmetric
     # the catalog's bump recipe: the interior maps of the domain and of its
     # reflection, the second reflected back out, then one normalization
-    theo = mp.theodorsen_interior(domain, mp.START_SAMPLE_COUNT)
-    theo_inv = mp.theodorsen_interior(mp.inverted_domain(domain),
-                                      mp.START_SAMPLE_COUNT)
+    theo = mp.theodorsen_interior(domain)
+    theo_inv = mp.theodorsen_interior(mp.inverted_domain(domain))
     return mp.normalize_pair(
         theo.series, mp.inverted_series(theo_inv.series),
         sample_count=max(theo.sample_count, theo_inv.sample_count))

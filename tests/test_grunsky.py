@@ -15,9 +15,26 @@ def closed_form_logdet(c, n):
     return sum(np.log1p(-c ** (2 * k)) for k in range(1, n + 1))
 
 
+def truncated_blocks(pair, n):
+    """The four N x N blocks (b1, b2, b3, b4) of a pair."""
+    b2, b3 = gk.build_b2_b3(pair, n)
+    return gk.build_b1(pair, n), b2, b3, gk.build_b4(pair, n)
+
+
+def full_product_norms(b1, b2, b3, b4, h):
+    """Frobenius norms of the four block relations from the full products
+    of the blocks, cut to their leading h x h block afterwards."""
+    eye = np.eye(len(b1))
+    rs = (b1 @ b1.conj().T + b2 @ b2.conj().T - eye,
+          b3 @ b1.conj().T + b4 @ b2.conj().T,
+          b1 @ b3.conj().T + b2 @ b4.conj().T,
+          b3 @ b3.conj().T + b4 @ b4.conj().T - eye)
+    return [float(np.linalg.norm(r[:h, :h])) for r in rs]
+
+
 @pytest.fixture(scope="module")
-def trunc64_ellipse03(ellipse03):
-    return gk.build_truncation(ellipse03, 64)
+def blocks64_ellipse03(ellipse03):
+    return truncated_blocks(ellipse03, 64)
 
 
 class TestBuildB1:
@@ -201,38 +218,43 @@ class TestBuildB2B3:
 class TestGrunskyEquality:
     def test_identity_all_orders(self, identity_pair):
         for n in (8, 16, 32):
-            trunc = gk.build_truncation(identity_pair, n)
-            assert max(gk.grunsky_identity_residual(trunc)) <= 1e-12
+            blocks = truncated_blocks(identity_pair, n)
+            assert max(gk.grunsky_identity_residual(*blocks)) <= 1e-12
 
     def test_empty_leading_block_rejected(self, ellipse05):
         # N = 1 leaves a 0 x 0 leading block, whose residuals read 0 for
         # any curve
         with pytest.raises(InvalidInput):
-            gk.grunsky_identity_residual(gk.build_truncation(ellipse05, 1))
+            gk.grunsky_identity_residual(*truncated_blocks(ellipse05, 1))
 
     def test_bump_residuals(self, bump_pair):
-        t64 = gk.build_truncation(bump_pair, 64)
-        r64 = gk.grunsky_identity_residual(t64)
+        r64 = gk.grunsky_identity_residual(*truncated_blocks(bump_pair, 64))
         assert max(r64) <= 1e-5
-        t32 = gk.build_truncation(bump_pair, 32)
-        r32 = gk.grunsky_identity_residual(t32)
+        r32 = gk.grunsky_identity_residual(*truncated_blocks(bump_pair, 32))
         # decrease until the roundoff floor
         assert all(a < b or a <= 1e-12 for a, b in zip(r64, r32))
+
+    def test_rows_first_norms_match_full_products(self, ellipse03,
+                                                   blocks64_ellipse03):
+        # the relations are formed from the leading h rows of each block;
+        # the full N x N products cut to h x h afterwards give the same
+        # norms, on square blocks and on the operator residual's h x K
+        # panels
+        got = gk.grunsky_identity_residual(*blocks64_ellipse03)
+        want = full_product_norms(*blocks64_ellipse03, 32)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-15
+        b2, b3 = gk.build_b2_b3(ellipse03, 16, 256)
+        panels = (gk.build_b1(ellipse03, 16, 256), b2, b3,
+                  gk.build_b4(ellipse03, 16, 256))
+        got = gk._relation_norms(*panels, 16)
+        want = full_product_norms(*panels, 16)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-15
 
     def test_ellipse_residuals_decrease_at_fixed_block(self, ellipse03):
         # with the block pinned, doubling the build order sends every
         # relation residual down hard
-        def blocks(n, h):
-            t = gk.build_truncation(ellipse03, n)
-            eye = np.eye(n)
-            rs = (t.b1 @ t.b1.conj().T + t.b2 @ t.b2.conj().T - eye,
-                  t.b3 @ t.b1.conj().T + t.b4 @ t.b2.conj().T,
-                  t.b1 @ t.b3.conj().T + t.b2 @ t.b4.conj().T,
-                  t.b3 @ t.b3.conj().T + t.b4 @ t.b4.conj().T - eye)
-            return [float(np.linalg.norm(r[:h, :h])) for r in rs]
-
-        r64 = blocks(64, 16)
-        r128 = blocks(128, 16)
+        r64 = full_product_norms(*truncated_blocks(ellipse03, 64), 16)
+        r128 = full_product_norms(*truncated_blocks(ellipse03, 128), 16)
         assert all(b < a or a <= 1e-12 for a, b in zip(r64, r128))
         assert max(r128) <= 1e-3
         # carried to the certified inner depth, the same block holds the
@@ -272,7 +294,7 @@ class TestArithmeticPaths:
         domain = mp.StarDomain(
             rho=lambda th: 1.0 + 0.05 * np.cos(2 * th) + 0.03 * np.sin(3 * th))
         assert not domain.symmetric
-        f = mp.theodorsen_interior(domain, 1024).series
+        f = mp.theodorsen_interior(domain).series
         assert np.abs(f.coeffs.imag).max() > 1e-3
         assert gk.build_b1(f, 16).dtype == np.complex128
 
@@ -373,8 +395,8 @@ class TestPositivity:
 
 
 class TestMatrixCsv:
-    def test_round_trip(self, trunc64_ellipse03):
-        block = trunc64_ellipse03.b2[:8, :8]
+    def test_round_trip(self, blocks64_ellipse03):
+        block = blocks64_ellipse03[1][:8, :8]
         text = gk.matrix_to_csv(block)
         parts = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
         back = parts[:, 0::2] + 1j * parts[:, 1::2]

@@ -19,9 +19,10 @@ def boundary_points(series, m=1024):
 
 class TestTheodorsen:
     def test_circle_gives_identity(self):
-        res = mp.theodorsen_interior(mp.bump_domain(0.0, 1), 64)
+        res = mp.theodorsen_interior(mp.bump_domain(0.0, 1))
         assert res.residual <= 1e-12
-        assert np.abs(res.phi - 2 * np.pi * np.arange(64) / 64).max() <= 1e-12
+        m = mp.START_SAMPLE_COUNT
+        assert np.abs(res.phi - 2 * np.pi * np.arange(m) / m).max() <= 1e-12
         assert abs(res.series.coeffs[1] - 1.0) <= 1e-13
         assert res.series.order == 2 or np.abs(res.series.coeffs[2:]).max() <= 1e-13
 
@@ -34,7 +35,7 @@ class TestTheodorsen:
 
     def test_bump_image_matches_rho(self):
         dom = mp.bump_domain(0.1, 3)
-        res = mp.theodorsen_interior(dom, 1024)
+        res = mp.theodorsen_interior(dom)
         w = boundary_points(res.series, 512)
         resid = np.abs(np.abs(w) - dom.rho(np.angle(w)))
         assert resid.max() <= 1e-8
@@ -44,6 +45,16 @@ class TestTheodorsen:
         for c in (0.1, 0.3, 0.5):
             dom = mp.ellipse_domain(c)
             assert abs(dom.smoothness_bound - 2 * c / (1 - c * c)) <= 1e-5
+
+    def test_smoothness_bound_is_derived_from_rho(self):
+        # (log 1/rho)' = -(log rho)', so a reflected domain derives the
+        # bound of the original; the bound is not an argument
+        for dom in (mp.ellipse_domain(0.5), mp.bump_domain(0.05, 2)):
+            reflected = mp.inverted_domain(dom)
+            assert abs(reflected.smoothness_bound
+                       - dom.smoothness_bound) <= 1e-12
+        with pytest.raises(TypeError):
+            mp.StarDomain(rho=mp.ellipse_domain(0.5).rho, smoothness_bound=0.1)
 
     def test_symmetry_is_derived_from_rho(self):
         # conjugation symmetry rho(-theta) == rho(theta) holds bitwise for
@@ -58,22 +69,21 @@ class TestTheodorsen:
         # its iteration cap
         dom = mp.ellipse_domain(0.8)
         with pytest.raises(NumericalFailure):
-            mp.theodorsen_interior(dom, 1024)
+            mp.theodorsen_interior(dom)
 
-    def test_invalid_sample_count(self):
-        with pytest.raises(InvalidInput):
-            mp.theodorsen_interior(mp.bump_domain(0.0, 1), 100)
+    def test_sample_count_is_not_an_argument(self):
+        # every solve reads its coefficients from START_SAMPLE_COUNT on
+        with pytest.raises(TypeError):
+            mp.theodorsen_interior(mp.bump_domain(0.0, 1), 1024)
 
     def test_continuation_doubles_until_resolved(self):
-        # a start at 1024 continues to the count a start at 16384 reaches,
-        # through the same warm-started chain of grids
+        # the c = 0.5 ellipse is not resolved at the 1024-sample start; the
+        # continuation doubles it to the cap, where it is
         dom = mp.ellipse_domain(0.5)
-        res = mp.theodorsen_interior(dom, 1024)
+        res = mp.theodorsen_interior(dom)
+        assert mp.START_SAMPLE_COUNT == 1024
         assert res.sample_count == mp.MAX_SAMPLE_COUNT == 16384
         assert res.series.resolved
-        direct = mp.theodorsen_interior(dom, 16384)
-        assert np.array_equal(res.series.coeffs, direct.series.coeffs)
-        assert res.iterations == direct.iterations
 
     def test_sampled_domain_matches_closed_form(self):
         dom0 = mp.bump_domain(0.1, 3)
@@ -81,7 +91,7 @@ class TestTheodorsen:
         dom1 = mp.domain_from_samples(dom0.rho(theta))
         tt = np.linspace(0, 2 * np.pi, 777)
         assert np.abs(dom0.rho(tt) - dom1.rho(tt)).max() <= 1e-13
-        res = mp.theodorsen_interior(dom1, 256)
+        res = mp.theodorsen_interior(dom1)
         w = boundary_points(res.series, 256)
         assert np.abs(np.abs(w) - dom0.rho(np.angle(w))).max() <= 1e-8
 
@@ -96,9 +106,9 @@ class TestTheodorsen:
         assert np.array_equal(vals[1:], vals[:0:-1])
         sampled = mp.domain_from_samples(vals)
         assert sampled.symmetric
-        f = mp.theodorsen_interior(sampled, 256).series
+        f = mp.theodorsen_interior(sampled).series
         g = mp.inverted_series(
-            mp.theodorsen_interior(mp.inverted_domain(sampled), 256).series)
+            mp.theodorsen_interior(mp.inverted_domain(sampled)).series)
         pair = mp.normalize_pair(f, g, family_tag="sampled")
         blocks = (gk.build_b1(pair, 16), gk.build_b4(pair, 16),
                   *gk.build_b2_b3(pair, 16))
@@ -132,7 +142,7 @@ class TestInversion:
         # reproduces the closed-form exterior curve
         c = 0.3
         dom = mp.inverted_domain(mp.ellipse_domain(c))
-        res = mp.theodorsen_interior(dom, 1024)
+        res = mp.theodorsen_interior(dom)
         g = mp.inverted_series(res.series)
         gb = boundary_points(g)
         target = ComplexSeries.laurent([1.0, 0.0, c, 0, 0, 0, 0, 0])
