@@ -213,8 +213,11 @@ def _cmd_logdet(args) -> int:
 
 
 def _cmd_s1(args) -> int:
-    pair = _build_pair(args)
-    report = lv.s1(pair, _grid_ladder(args, 3))
+    grids = _grid_ladder(args, 3)
+    with _stage(args, "catalog"):
+        pair = _build_pair(args)
+    with _stage(args, "quadrature"):
+        report = lv.s1(pair, grids)
     doc = {"family": pair.family_tag, "params": pair.params,
            "report": report.to_dict(), "S1": report.extrapolated}
     _write_report(args, doc, f"s1_{args.family}.json")
@@ -223,8 +226,10 @@ def _cmd_s1(args) -> int:
 
 def _cmd_identity(args) -> int:
     grids, orders = _grid_ladder(args, 3), _orders(args)
-    pair = _build_pair(args)
-    doc = lv.identity_report(pair, grids, orders)
+    with _stage(args, "catalog"):
+        pair = _build_pair(args)
+    doc = lv.identity_report(pair, grids, orders,
+                             stage=functools.partial(_stage, args))
     _write_report(args, doc, f"identity_{args.family}.json")
     rel = doc["residual_identity_relative"]
     return EXIT_OK if rel <= args.tol else EXIT_CHECK_FAILED
@@ -304,10 +309,12 @@ def _cmd_sweep(args) -> int:
               "N", "grid", "error"]
     rows = []
     any_failed = False
+    stage = functools.partial(_stage, args)
     for c in values:
         try:
-            pair = mp.catalog("ellipse", c=c)
-            rep = lv.identity_report(pair, grids, orders)
+            with stage("catalog"):
+                pair = mp.catalog("ellipse", c=c)
+            rep = lv.identity_report(pair, grids, orders, stage=stage)
             scl = lv.s_cl_report(max(-rep["S2_univ_via_B1"], 0.0), args.genus)
             rows.append([
                 "ellipse", _fmt(c), _fmt(rep["S1"]),

@@ -25,6 +25,12 @@ Conventions (also emitted in every CLI report):
   measures the same relations among truncated N x N blocks.
 * the determinant potential is reported with two signs:
   ``s2_univ`` = log det(I - B B*) <= 0 and ``s2_dg`` = -s2_univ >= 0.
+  ``logdet_potential`` takes every truncation order from one blocked
+  LDL^T factorization at the largest: of I - B and I + B for a real
+  block, of I - S for the real embedding S of a complex one. Each order
+  pairs two pivots whose diagonal entries -+b_kk cancel exactly, kept in
+  defect form (the 1 never added), and every pivot positive certifies
+  sigma_max(B_n) < 1 for all the orders at once.
 
 All entries are computed from generating functions D with D(0, y) = 1 by
 one Newton series log, L = integral of D_x / D (``series._log_bivariate``:
@@ -33,13 +39,13 @@ on 5-smooth lengths, O(N^2 log N) for an N x N block; b1 is the b4 of
 1/f(1/z)); no kernel quadrature is performed. A pair whose coefficients
 are all real (a conjugation-symmetric domain, see
 ``maps.StarDomain.symmetric``) gives real generating arrays, real
-transforms in the second variable and float64 blocks, so the SVD and the
-relation products run in real arithmetic; any other pair takes the complex
-path. Every builder returns the leading n rows and ``cols`` columns
-(default n) of its block; the entries are exact to roundoff given series
-coefficients through index n + cols + 1 (b4: n + cols), which a series
-must hold unless it is resolved: its missing coefficients are then zero
-to the floor.
+transforms in the second variable and float64 blocks, so the determinant's
+factorization and the relation products run in real arithmetic; any other
+pair takes the complex path. Every builder returns the leading n rows and
+``cols`` columns (default n) of its block; the entries are exact to
+roundoff given series coefficients through index n + cols + 1 (b4:
+n + cols), which a series must hold unless it is resolved: its missing
+coefficients are then zero to the floor.
 """
 
 from __future__ import annotations
@@ -338,26 +344,97 @@ def spectral_norm(b: np.ndarray) -> float:
     return float(np.linalg.norm(b, 2))
 
 
-def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:
-    """log det(I - B_n B_n*) over leading blocks B_n, n in ``orders``.
+# columns per panel of the blocked factorization: the panel loop runs one
+# numpy call per column, and the trailing update is one matmul per panel
+_PANEL = 128
+# the built b1 and b4 are symmetric to roundoff (|b - b^T| <= 5e-16 of
+# max(1, |b|) for the c = 0.5 ellipse at N = 1280); a larger gap is not a
+# block of a symmetric kernel
+_SYMMETRY_TOL = 1e-12
 
-    Each order takes one singular-value decomposition of B_n and sums
-    log1p(-sigma^2) over its singular values sigma, which keeps the digits
-    of a potential far below one in magnitude. The certificate is
-    sigma_max < 1, which makes I - B_n B_n* positive definite; a block
-    without it raises NumericalFailure.
+
+def _ldl_defects(a: np.ndarray):
+    """Pivot defects (e, u) of the LDL^T factorization of I + a, for a
+    real symmetric a, which it overwrites; only its lower triangle is read.
+
+    Pivot k is 1 + e_k with e_k = a_kk + u_k, where u_k is the update the
+    earlier pivots leave on the diagonal. The 1 is never added to e_k or
+    u_k, so both keep their relative digits far below one. The
+    factorization is blocked and right-looking: each panel of ``_PANEL``
+    columns is factored column by column, the rows below it are solved
+    against its unit-lower factor L11 (one matmul by the inverse of L11,
+    which the column loop accumulates as the product of its elementary
+    eliminations), and the trailing block takes one matmul. No LAPACK
+    routine runs. A pivot <= 0 raises NumericalFailure.
     """
+    m = len(a)
+    diag = a.diagonal().copy()
+    a[np.diag_indices(m)] = 0.0  # from here on the diagonal accumulates u
+    e = np.empty(m)
+    for p0 in range(0, m, _PANEL):
+        p1 = min(p0 + _PANEL, m)
+        panel = a[p0:p1, p0:p1]
+        unit_inv = np.eye(p1 - p0)
+        for k in range(p1 - p0):
+            e[p0 + k] = diag[p0 + k] + panel[k, k]
+            pivot = 1.0 + e[p0 + k]
+            if not pivot > 0.0:
+                raise NumericalFailure(
+                    "a pivot of the determinant's factorization is not "
+                    "positive: a truncated block is not a contraction")
+            col = panel[k + 1:, k]
+            lcol = col / pivot
+            panel[k + 1:, k + 1:] -= col[:, None] * lcol
+            panel[k + 1:, k] = lcol
+            unit_inv[k + 1:, :k + 1] -= lcol[:, None] * unit_inv[k, :k + 1]
+        if p1 < m:
+            w21 = a[p1:, p0:p1] @ unit_inv.T  # L21 D1
+            a[p1:, p1:] -= (w21 / (1.0 + e[p0:p1])) @ w21.T
+    return e, a.diagonal().copy()
+
+
+def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:
+    """log det(I - B_n B_n*) over leading blocks B_n, n in ``orders``, of a
+    symmetric block b (b = b^T, as b1 and b4 are by the kernel symmetry).
+
+    One factorization at m = max(orders) gives every order n <= m. A real
+    b has det(I - B_n^2) = det(I - B_n) det(I + B_n), so the pivots of
+    I - B and I + B (``_ldl_defects`` of -b and +b) pair up. A complex
+    b = X + iY is embedded as the real symmetric S = [[X, Y], [Y, -X]] with
+    its two bases interleaved: the eigenvalues of S are +-sigma_k(B), and
+    its leading 2n section embeds B_n, so the pivots of I - S pair up at
+    positions 2k, 2k + 1. Either way index k has two pivots 1 + e-, 1 + e+
+    whose diagonal entries -+b_kk cancel exactly, and
+    log det(I - B_n B_n*) is the cumulative sum over k <= n of
+    log1p(u- + u+ + e- e+), which keeps the digits of a potential far below
+    one in magnitude. The certificate is that every pivot is positive,
+    which is sigma_max(B_n) < 1 for every n <= m; a block without it raises
+    NumericalFailure. A non-square b, or one not symmetric beyond
+    roundoff, raises InvalidInput.
+    """
+    b = np.asarray(b)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise InvalidInput(f"the determinant needs a square block, got shape {b.shape}")
     orders = [int(n) for n in orders]
-    if any(n < 1 or n > b.shape[0] for n in orders):
-        raise InvalidInput("orders must lie in [1, N]")
-    estimates = []
-    for n in orders:
-        sigma = np.linalg.svd(b[:n, :n], compute_uv=False)
-        if sigma[0] >= 1.0:
-            raise NumericalFailure(
-                "spectral norm of the truncated block is not below one")
-        estimates.append(np.log1p(-sigma ** 2).sum())
-    return _report_from_estimates(orders, estimates)
+    if not orders or any(n < 1 or n > b.shape[0] for n in orders):
+        raise InvalidInput("orders must be one or more orders in [1, N]")
+    m = max(orders)
+    bm = b[:m, :m]
+    scale = max(1.0, float(np.abs(bm).max()))
+    if np.abs(bm - bm.T).max() > _SYMMETRY_TOL * scale:
+        raise InvalidInput("the determinant needs a symmetric block (b = b^T)")
+    if np.iscomplexobj(bm):
+        s = np.empty((2 * m, 2 * m))
+        s[0::2, 0::2] = -bm.real
+        s[1::2, 1::2] = bm.real
+        s[0::2, 1::2] = s[1::2, 0::2] = -bm.imag
+        e, u = _ldl_defects(s)
+        e_minus, u_minus, e_plus, u_plus = e[0::2], u[0::2], e[1::2], u[1::2]
+    else:
+        e_minus, u_minus = _ldl_defects(np.negative(bm, dtype=float))
+        e_plus, u_plus = _ldl_defects(bm.astype(float))
+    curve = np.cumsum(np.log1p(u_minus + u_plus + e_minus * e_plus))
+    return _report_from_estimates(orders, curve[np.array(orders) - 1])
 
 
 @dataclass(frozen=True)
@@ -406,15 +483,12 @@ def inversion_check(pair: WeldingPair, n: int, n_inverted: int = None,
 # ---------------------------------------------------------------------------
 
 def matrix_to_csv(b: np.ndarray) -> str:
-    """Row-major CSV with a header row; each entry contributes adjacent
-    re/im columns with 17 significant digits."""
-    n0, n1 = b.shape
-    header = ",".join(f"c{j}_re,c{j}_im" for j in range(n1))
-    lines = [header]
-    for i in range(n0):
-        cells = []
-        for j in range(n1):
-            cells.append(f"{b[i, j].real:.17g}")
-            cells.append(f"{b[i, j].imag:.17g}")
-        lines.append(",".join(cells))
+    """Row-major CSV with a header row and 17 significant digits per field.
+    A complex block gives each entry adjacent columns c{j}_re, c{j}_im; a
+    real block gives one column c{j}_re per entry."""
+    parts = (b.real, b.imag) if np.iscomplexobj(b) else (b,)
+    suffixes = ("_re", "_im")[:len(parts)]
+    header = ",".join(f"c{j}{sfx}" for j in range(b.shape[1]) for sfx in suffixes)
+    cells = np.stack(parts, axis=-1).reshape(b.shape[0], -1)
+    lines = [header] + [",".join(f"{x:.17g}" for x in row) for row in cells]
     return "\n".join(lines) + "\n"

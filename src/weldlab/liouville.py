@@ -40,7 +40,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidInput, NumericalFailure
-from .grunsky import ConvergenceReport, _report_from_estimates, build_b1, build_b4, logdet_potential
+from .grunsky import (ConvergenceReport, _report_from_estimates, _untimed, build_b1,
+                      build_b4, logdet_potential)
 from .maps import WeldingPair
 from .series import derivative_array, evaluate_on_circles, reciprocal_array
 
@@ -139,12 +140,21 @@ def s1_coefficient_route(pair: WeldingPair) -> float:
 # identity and classical-action reports
 # ---------------------------------------------------------------------------
 
-def identity_report(pair: WeldingPair, grids=DEFAULT_GRIDS, orders=(16, 32, 64)) -> dict:
-    """Everything needed to check S1 = -12 pi S2_univ for one pair."""
-    s1_rep = s1(pair, grids)
+def identity_report(pair: WeldingPair, grids=DEFAULT_GRIDS, orders=(16, 32, 64),
+                    stage=_untimed) -> dict:
+    """Everything needed to check S1 = -12 pi S2_univ for one pair.
+
+    ``stage(name)`` is a context manager entered around the action
+    quadrature, the two block builds and the two determinants, under the
+    names "quadrature", "blocks" and "determinant"; the CLI passes its timer.
+    """
+    with stage("quadrature"):
+        s1_rep = s1(pair, grids)
     n = max(orders)
-    b1_rep = logdet_potential(build_b1(pair, n), orders)
-    b4_rep = logdet_potential(build_b4(pair, n), orders)
+    with stage("blocks"):
+        b1, b4 = build_b1(pair, n), build_b4(pair, n)
+    with stage("determinant"):
+        b1_rep, b4_rep = logdet_potential(b1, orders), logdet_potential(b4, orders)
     s1_val = s1_rep.extrapolated
     via_b1 = b1_rep.extrapolated
     via_b4 = b4_rep.extrapolated

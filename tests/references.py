@@ -1,8 +1,12 @@
-"""Reference implementations that the package's Newton series routines
-replaced: each solves its series equation one power at a time, so every
-coefficient it returns is a prefix of the exact expansion, in O(n^2)
-operations for the reciprocal and O(n0^2 n1 log n1) for the log. The
+"""Reference implementations that the package's fast routines replaced.
+
+The series references solve their equation one power at a time, so every
+coefficient they return is a prefix of the exact expansion, in O(n^2)
+operations for the reciprocal and O(n0^2 n1 log n1) for the log; the
 tests hold the FFT routines of ``weldlab.series`` to them at small sizes.
+The determinant reference takes one singular-value decomposition per
+order, against which the tests hold ``grunsky.logdet_potential``'s single
+factorization.
 """
 
 import numpy as np
@@ -44,3 +48,14 @@ def slice_log(d):
     out = np.zeros((n0, n1), dtype=d.dtype)
     out[1:, :] = p / np.arange(1, n0)[:, None]
     return out
+
+
+def svd_logdet(b, orders):
+    """log det(I - B_n B_n*) for each n in ``orders``: the sum of
+    log1p(-sigma^2) over the singular values sigma of the leading n x n
+    block, one SVD per order."""
+    estimates = []
+    for n in orders:
+        sigma = np.linalg.svd(b[:n, :n], compute_uv=False)
+        estimates.append(float(np.log1p(-sigma ** 2).sum()))
+    return estimates

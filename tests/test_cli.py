@@ -6,6 +6,9 @@ import pytest
 from weldlab import cli
 
 
+ELLIPSE01 = ("--family", "ellipse", "--c", "0.1")
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -256,15 +259,22 @@ class TestDeterminism:
         assert lengths == [2]
 
     @pytest.mark.parametrize("argv, stages", [
-        (["logdet", "--N", "8,16"], ("catalog", "blocks", "determinant")),
-        (["grunsky", "--N", "16"], ("catalog", "blocks", "relations")),
-        (["invert", "--N", "16"],
+        (["logdet", "--N", "8,16", *ELLIPSE01],
+         ("catalog", "blocks", "determinant")),
+        (["grunsky", "--N", "16", *ELLIPSE01], ("catalog", "blocks", "relations")),
+        (["invert", "--N", "16", *ELLIPSE01],
          ("catalog", "reflection", "blocks", "determinant")),
+        (["identity", "--N", "8,16", "--grid", "16x32", *ELLIPSE01],
+         ("catalog", "quadrature", "blocks", "determinant")),
+        (["s1", "--grid", "16x32", *ELLIPSE01], ("catalog", "quadrature")),
+        # one row per parameter value, each timed like an identity report
+        (["sweep", "--family", "ellipse", "--range", "0.1:0.2:0.1",
+          "--N", "8,16", "--grid", "16x32"],
+         ("catalog", "quadrature", "blocks", "determinant") * 2),
     ])
     def test_verbose_stage_timings_stay_out_of_the_report(self, tmp_path,
                                                           capsys, argv, stages):
-        plain, verbose = tmp_path / "plain.json", tmp_path / "verbose.json"
-        argv = argv + ["--family", "ellipse", "--c", "0.1"]
+        plain, verbose = tmp_path / "plain.out", tmp_path / "verbose.out"
         code = run(argv + ["--out", str(plain)])
         assert capsys.readouterr().err == ""
         assert run(argv + ["--out", str(verbose), "--verbose"]) == code

@@ -10,6 +10,8 @@ from weldlab import maps as mp
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import ComplexSeries, Kind, evaluate
 
+from references import svd_logdet
+
 
 def closed_form_logdet(c, n):
     return sum(np.log1p(-c ** (2 * k)) for k in range(1, n + 1))
@@ -30,6 +32,26 @@ def full_product_norms(b1, b2, b3, b4, h):
           b1 @ b3.conj().T + b2 @ b4.conj().T,
           b3 @ b3.conj().T + b4 @ b4.conj().T - eye)
     return [float(np.linalg.norm(r[:h, :h])) for r in rs]
+
+
+def svd_gap(b, orders):
+    """Largest gap between logdet_potential's orders and per-order SVDs."""
+    rep = gk.logdet_potential(b, orders)
+    return np.abs(np.subtract(rep.estimates, svd_logdet(b, orders))).max()
+
+
+def rotated(pair, alpha):
+    """The pair e^(-i a) f(e^(i a) z), e^(-i a) g(e^(i a) z): it bounds the
+    rotated curve, its coefficients a_k e^(i(k-1)a) and g_k e^(-ika) are
+    complex, and its potential is that of the original pair."""
+    f, g = pair.interior, pair.exterior
+    k_f, k_g = np.arange(f.order), np.arange(g.order)
+    return dataclasses.replace(
+        pair,
+        interior=ComplexSeries.taylor(
+            f.coeffs * np.exp(1j * (k_f - 1) * alpha), resolved=f.resolved),
+        exterior=ComplexSeries.laurent(
+            g.coeffs * np.exp(-1j * k_g * alpha), resolved=g.resolved))
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +294,7 @@ class TestGrunskyEquality:
 
 class TestArithmeticPaths:
     """Conjugation-symmetric pairs are real end to end and take real
-    transforms and real SVDs; every other pair stays complex."""
+    transforms and real factorizations; every other pair stays complex."""
 
     @pytest.mark.parametrize("family, params", [
         ("ellipse", {"c": 0.1}),
@@ -299,20 +321,9 @@ class TestArithmeticPaths:
         assert gk.build_b1(f, 16).dtype == np.complex128
 
     def test_rotated_pair_matches_real_path(self, ellipse03):
-        # the pair e^(-i a) f(e^(i a) z), e^(-i a) g(e^(i a) z) bounds the
-        # rotated curve: its coefficients a_k e^(i(k-1)a) and g_k e^(-ika)
-        # are complex, and its potential is that of the real pair
-        alpha = 0.7
-        f, g = ellipse03.interior, ellipse03.exterior
-        k_f, k_g = np.arange(f.order), np.arange(g.order)
-        rotated = dataclasses.replace(
-            ellipse03,
-            interior=ComplexSeries.taylor(
-                f.coeffs * np.exp(1j * (k_f - 1) * alpha), resolved=f.resolved),
-            exterior=ComplexSeries.laurent(
-                g.coeffs * np.exp(-1j * k_g * alpha), resolved=g.resolved))
+        pair = rotated(ellipse03, 0.7)
         for build in (gk.build_b1, gk.build_b4):
-            b_rotated, b_real = build(rotated, 64), build(ellipse03, 64)
+            b_rotated, b_real = build(pair, 64), build(ellipse03, 64)
             assert b_rotated.dtype == np.complex128
             assert b_real.dtype == np.float64
             gap = abs(gk.logdet_potential(b_rotated, [64]).extrapolated -
@@ -352,6 +363,68 @@ class TestLogdet:
     def test_non_contractive_rejected(self):
         with pytest.raises(NumericalFailure):
             gk.logdet_potential(np.eye(4, dtype=complex) * 1.2, [4])
+
+    def test_certificate_covers_only_the_orders_asked(self):
+        # the factorization stops at max(orders): B_1 = (0.5) is a
+        # contraction, B_2 = diag(0.5, 1.2) is not
+        b = np.diag([0.5, 1.2])
+        assert gk.logdet_potential(b, [1]).extrapolated == np.log1p(-0.25)
+        with pytest.raises(NumericalFailure):
+            gk.logdet_potential(b, [1, 2])
+
+    @pytest.mark.parametrize("b", [
+        np.zeros((3, 4)),                          # not square
+        np.zeros(4),                               # not a matrix
+        np.array([[0.0, 0.1], [0.2, 0.0]]),        # not symmetric
+        np.array([[0.0, 0.1j], [0.1, 0.0]]),       # not complex symmetric
+    ])
+    def test_non_square_or_non_symmetric_rejected(self, b):
+        with pytest.raises(InvalidInput):
+            gk.logdet_potential(b, [2])
+
+    # the pairs and orders of the acceptance suite; the inverted pairs are
+    # those of its inversion check
+    @pytest.mark.parametrize("family, params, reflect, orders", [
+        ("identity", {}, False, (16, 64)),
+        ("ellipse", {"c": 0.1}, False, (16, 32, 64)),
+        ("ellipse", {"c": 0.1}, True, (64,)),
+        ("ellipse", {"c": 0.3}, False, (16, 32, 64, 128)),
+        ("ellipse", {"c": 0.3}, True, (128,)),
+        ("ellipse", {"c": 0.5}, False, (32, 64, 128)),
+        ("ellipse", {"c": 0.5}, True, (128,)),
+        ("fourier_bump", {"eps": 0.05, "k": 2}, False, (16, 32, 64)),
+        ("fourier_bump", {"eps": 0.05, "k": 2}, True, (64,)),
+    ])
+    @pytest.mark.parametrize("route", ["b1", "b4"])
+    def test_matches_svd_on_catalog_pairs(self, family, params, reflect,
+                                          orders, route):
+        pair = mp.catalog(family, **params)
+        if reflect:
+            pair = mp.inverted_pair(pair)
+        build = gk.build_b1 if route == "b1" else gk.build_b4
+        assert svd_gap(build(pair, max(orders)), orders) <= 2e-15
+
+    def test_matches_svd_on_deep_ellipse05(self, ellipse05):
+        b = gk.build_b1(ellipse05, 1280)
+        assert svd_gap(b, (320, 640, 1280)) <= 2e-15
+
+    def test_matches_svd_on_complex_blocks(self, ellipse03):
+        pair = rotated(ellipse03, 0.7)
+        for build in (gk.build_b1, gk.build_b4):
+            b = build(pair, 64)
+            assert b.dtype == np.complex128
+            assert svd_gap(b, (16, 32, 64)) <= 2e-15
+
+    @pytest.mark.parametrize("route", ["b1", "b4"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_paired_defects_keep_relative_digits(self, k, route):
+        # the potential is ~eps^2 = 1e-8 while b_11 is ~eps (k = 2): the
+        # log1p of each pivot 1 -+ b_11 + u apart loses ~5e-13 of it
+        pair = mp.catalog("fourier_bump", eps=1e-4, k=k)
+        b = gk.build_b1(pair, 64) if route == "b1" else gk.build_b4(pair, 64)
+        value = gk.logdet_potential(b, [64]).extrapolated
+        (ref,) = svd_logdet(b, [64])
+        assert abs(value - ref) <= 1e-14 * abs(ref)
 
     def test_report_invariants(self):
         with pytest.raises(InvalidInput):
@@ -397,7 +470,16 @@ class TestPositivity:
 class TestMatrixCsv:
     def test_round_trip(self, blocks64_ellipse03):
         block = blocks64_ellipse03[1][:8, :8]
+        assert block.dtype == np.float64
         text = gk.matrix_to_csv(block)
+        assert text.splitlines()[0] == ",".join(f"c{j}_re" for j in range(8))
+        back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+        assert np.array_equal(back, block)
+
+    def test_round_trip_complex(self, ellipse03):
+        block = gk.build_b1(rotated(ellipse03, 0.7), 8)[:, :6]
+        text = gk.matrix_to_csv(block)
+        assert text.splitlines()[0].split(",")[:3] == ["c0_re", "c0_im", "c1_re"]
         parts = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
         back = parts[:, 0::2] + 1j * parts[:, 1::2]
         assert np.array_equal(back, block)
