@@ -114,14 +114,12 @@ def octagon_group() -> FuchsianGroup:
         1.0 / (np.tan(_TARGET_VERTEX_ANGLE / 2.0) * np.tan(_SECTOR))))
     rm = np.arctanh(np.tanh(rv) * np.cos(_SECTOR))
     length = 2.0 * rm
-    t = _translation(length)
-    gens = []
-    for k in range(4):
-        r = _rotation(k * np.pi / 4.0)
-        gens.append(r @ t @ np.conj(r.T))
-    gens.extend(np.linalg.inv(g) for g in gens[:4])
+    rotations = [_rotation(k * np.pi / 4.0) for k in range(4)]
+    # the inverse of each translation is the translation by -length
+    gens = [r @ _translation(sign * length) @ np.conj(r.T)
+            for sign in (1.0, -1.0) for r in rotations]
     word = (1, -2, 3, -4, -1, 2, -3, 4)
-    group = FuchsianGroup(generators=tuple(g for g in gens), genus=GENUS,
+    group = FuchsianGroup(generators=tuple(gens), genus=GENUS,
                           relation_word=word, vertex_radius=rv,
                           translation_length=length)
     resid = group.relation_residual()

@@ -36,16 +36,16 @@ All entries are computed from generating functions D with D(0, y) = 1 by
 one Newton series log, L = integral of D_x / D (``series._log_bivariate``:
 a Newton inverse of D and one product, all two-dimensional FFT products
 on 5-smooth lengths, O(N^2 log N) for an N x N block; b1 is the b4 of
-1/f(1/z)); no kernel quadrature is performed. A pair whose coefficients
-are all real (a conjugation-symmetric domain, see
+1/f(1/z)); no kernel quadrature is performed. Arrays keep their series'
+dtype: a float64 pair (a conjugation-symmetric domain, see
 ``maps.StarDomain.symmetric``) gives real generating arrays, real
 transforms in the second variable and float64 blocks, so the determinant's
-factorization and the relation products run in real arithmetic; any other
-pair takes the complex path. Every builder returns the leading n rows and
-``cols`` columns (default n) of its block; the entries are exact to
-roundoff given series coefficients through index n + cols + 1 (b4:
-n + cols), which a series must hold unless it is resolved: its missing
-coefficients are then zero to the floor.
+factorization and the relation products run in real arithmetic; a
+complex128 pair takes the complex path. Every builder returns the leading
+n rows and ``cols`` columns (default n) of its block; the entries are
+exact to roundoff given series coefficients through index n + cols + 1
+(b4: n + cols), which a series must hold unless it is resolved: its
+missing coefficients are then zero to the floor.
 """
 
 from __future__ import annotations
@@ -72,21 +72,31 @@ from .series import (
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-order estimates of a scalar plus the last-increment residual."""
+    """Per-order estimates of a scalar; the last estimate is the value and
+    the last increment its residual."""
 
     orders: tuple
     estimates: tuple
-    extrapolated: float
-    residual_tail: float
 
     def __post_init__(self):
         orders = tuple(int(n) for n in self.orders)
         if any(b <= a for a, b in zip(orders, orders[1:])):
             raise InvalidInput("orders must be strictly increasing")
+        estimates = tuple(float(x) for x in self.estimates)
+        if not orders or len(estimates) != len(orders):
+            raise InvalidInput("a report needs one or more orders, one estimate each")
         object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "estimates", tuple(float(x) for x in self.estimates))
-        if self.residual_tail < 0:
-            raise InvalidInput("residual_tail must be nonnegative")
+        object.__setattr__(self, "estimates", estimates)
+
+    @property
+    def extrapolated(self) -> float:
+        return self.estimates[-1]
+
+    @property
+    def residual_tail(self) -> float:
+        """The last increment, 0 for a single order."""
+        last = self.estimates[-2:]
+        return abs(last[-1] - last[0])
 
     def to_dict(self) -> dict:
         return {"orders": list(self.orders),
@@ -95,23 +105,13 @@ class ConvergenceReport:
                 "residual_tail": self.residual_tail}
 
 
-def _report_from_estimates(orders, estimates) -> ConvergenceReport:
-    est = [float(x) for x in estimates]
-    tail = abs(est[-1] - est[-2]) if len(est) >= 2 else 0.0
-    return ConvergenceReport(orders=tuple(orders), estimates=tuple(est),
-                             extrapolated=est[-1], residual_tail=tail)
-
-
 # ---------------------------------------------------------------------------
 # generating arrays and blocks
 # ---------------------------------------------------------------------------
 
 def _padded(coeffs: np.ndarray, need: int) -> np.ndarray:
-    out = np.zeros(need, dtype=complex)
-    k = min(len(coeffs), need)
-    out[:k] = coeffs[:k]
-    if np.abs(out.imag).max() == 0.0:
-        return out.real.copy()
+    out = np.zeros(need, dtype=coeffs.dtype)
+    out[:len(coeffs)] = coeffs[:need]
     return out
 
 
@@ -434,7 +434,7 @@ def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:
         e_minus, u_minus = _ldl_defects(np.negative(bm, dtype=float))
         e_plus, u_plus = _ldl_defects(bm.astype(float))
     curve = np.cumsum(np.log1p(u_minus + u_plus + e_minus * e_plus))
-    return _report_from_estimates(orders, curve[np.array(orders) - 1])
+    return ConvergenceReport(orders, curve[np.array(orders) - 1])
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidInput, NumericalFailure
-from .grunsky import (ConvergenceReport, _report_from_estimates, _untimed, build_b1,
-                      build_b4, logdet_potential)
+from .grunsky import (ConvergenceReport, _untimed, build_b1, build_b4,
+                      logdet_potential)
 from .maps import WeldingPair
 from .series import derivative_array, evaluate_on_circles, reciprocal_array
 
@@ -77,7 +77,7 @@ def _action_sides(pair: WeldingPair):
     """
     d1 = derivative_array(pair.interior.coeffs)
     gam = pair.exterior.coeffs
-    p = np.arange(1, len(gam) - 1) * gam[2:] if len(gam) > 2 else np.zeros(1, complex)
+    p = np.arange(1, len(gam) - 1) * gam[2:] if len(gam) > 2 else np.zeros(1, gam.dtype)
     num = (np.arange(len(p)) + 2.0) * p
     den = np.concatenate([gam[:1], [0.0], -p])
     return ((derivative_array(d1), d1, 0), (num, den, 1))
@@ -114,7 +114,7 @@ def s1(pair: WeldingPair, grids=DEFAULT_GRIDS) -> ConvergenceReport:
     for n_r, n_theta in grids:
         estimates.append(s1_value(pair, QuadratureGrid(n_r, n_theta)))
         orders.append(n_theta)
-    return _report_from_estimates(orders, estimates)
+    return ConvergenceReport(orders, estimates)
 
 
 def s1_coefficient_route(pair: WeldingPair) -> float:
@@ -128,7 +128,7 @@ def s1_coefficient_route(pair: WeldingPair) -> float:
     integrals = []
     for num, den, s in _action_sides(pair):
         n = max(len(den) + 4, 512)
-        padded = np.zeros(n, complex)
+        padded = np.zeros(n, den.dtype)
         padded[:len(den)] = den
         q = np.convolve(num, reciprocal_array(padded))[:n]
         j = np.arange(n, dtype=float)

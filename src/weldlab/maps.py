@@ -217,7 +217,7 @@ def theodorsen_interior(domain: StarDomain) -> TheodorsenResult:
     the result's ``sample_count`` is the last grid.
     The returned series is rotated so f'(0) > 0 and has f(0) = 0 exactly;
     for a ``symmetric`` domain it keeps only the real parts of the
-    coefficients, which f(conj z) = conj f(z) makes real.
+    coefficients, which f(conj z) = conj f(z) makes real: a float64 series.
     """
     damping = _damping_for(domain.smoothness_bound)
 
@@ -398,10 +398,9 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
 
     a0, a1 = raw_f.coeffs[0], raw_f.coeffs[1]
     fc = raw_f.coeffs / a1
-    fc = np.array(fc)
     fc[0] = 0.0
     fc[1] = 1.0
-    gc = np.array(raw_g.coeffs) / a1
+    gc = raw_g.coeffs / a1
     if raw_g.order >= 2:
         gc[1] -= a0 / a1
 

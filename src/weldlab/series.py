@@ -1,4 +1,8 @@
-"""Truncated power-series algebra over complex coefficients.
+"""Truncated power-series algebra in a complex variable.
+
+Coefficients are float64 when real and complex128 otherwise. The dtype,
+set where coefficients are made, carries realness to every consumer,
+which allocates in it and picks real or complex transforms by it alone.
 
 This module is the package's one place that evaluates, differentiates and
 samples a coefficient array. There are three evaluators:
@@ -77,7 +81,9 @@ class ComplexSeries:
 
     ``order`` is the number of retained coefficients; every coefficient
     must be finite. Instances are immutable: the coefficient array is
-    copied on construction and marked read-only.
+    copied on construction, as float64 for real input (ints and floats)
+    and complex128 otherwise, and marked read-only. A complex array keeps
+    its dtype even when its imaginary parts are zero.
 
     ``resolved`` records that the coefficients beyond ``order`` are known
     to sit at or below the coefficient floor (exact closed forms and
@@ -91,10 +97,11 @@ class ComplexSeries:
     resolved: bool = False
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex).copy()
+        c = np.asarray(self.coeffs)
+        c = c.astype(np.result_type(c, np.float64))
         if c.ndim != 1 or c.size < 1:
             raise InvalidInput("series needs at least one coefficient")
-        if not np.all(np.isfinite(c.view(float))):
+        if not np.all(np.isfinite(c)):
             raise InvalidInput("series coefficients must be finite")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -105,18 +112,16 @@ class ComplexSeries:
 
     @classmethod
     def taylor(cls, coeffs, resolved: bool = False) -> "ComplexSeries":
-        return cls(Kind.TAYLOR_AT_ZERO, np.asarray(coeffs, dtype=complex),
-                   resolved)
+        return cls(Kind.TAYLOR_AT_ZERO, coeffs, resolved)
 
     @classmethod
     def laurent(cls, coeffs, resolved: bool = False) -> "ComplexSeries":
-        return cls(Kind.LAURENT_AT_INFINITY, np.asarray(coeffs, dtype=complex),
-                   resolved)
+        return cls(Kind.LAURENT_AT_INFINITY, coeffs, resolved)
 
     @classmethod
     def identity(cls, kind: Kind = Kind.TAYLOR_AT_ZERO, order: int = 2) -> "ComplexSeries":
         """The series of h(z) = z in either grading."""
-        c = np.zeros(max(order, 2), dtype=complex)
+        c = np.zeros(max(order, 2))
         if kind is Kind.TAYLOR_AT_ZERO:
             c[1] = 1.0
         else:
@@ -284,16 +289,15 @@ def reciprocal_array(c: np.ndarray) -> np.ndarray:
 
     The one-column case of the bivariate Newton inverse, on c / c[0]:
     O(n log n) operations, with an error of a few roundoffs relative to
-    max|c / c[0]| times the largest coefficient of the reciprocal. A ratio
-    with no imaginary part, in whichever dtype, takes real transforms, so
-    the reciprocal of a real series is exactly real.
+    max|c / c[0]| times the largest coefficient of the reciprocal. A real
+    array takes real transforms and gives a real reciprocal; a complex one
+    stays complex.
     """
     if c[0] == 0:
         raise InvalidInput("cannot invert a series with zero constant term")
     unit = (c / c[0])[:, None]
-    real = np.isrealobj(unit) or not unit.imag.any()
-    forward, truncate, inverse = _y_transforms(1, real)
-    spec = _newton_inverse(forward(unit.real if real else unit), len(c), truncate)
+    forward, truncate, inverse = _y_transforms(1, np.isrealobj(unit))
+    spec = _newton_inverse(forward(unit), len(c), truncate)
     return inverse(spec, np.empty_like(unit))[:, 0] / c[0]
 
 
@@ -325,14 +329,13 @@ def evaluate_on_circles(c: np.ndarray, radii, m: int) -> np.ndarray:
     """
     if m < 1:
         raise InvalidInput("a circle needs at least one point")
-    c = np.asarray(c, dtype=complex)
     radii = np.asarray(radii, dtype=float)
     width = -(-len(c) // m) * m                  # zero-padded to a multiple of m
     rows = max(1, _CIRCLE_BLOCK // max(width, _POWER_STEP))
     out = np.empty((len(radii), m), dtype=complex)
     for start in range(0, len(radii), rows):
         r = radii[start:start + rows]
-        weighted = np.zeros((len(r), width), dtype=complex)
+        weighted = np.zeros((len(r), width), dtype=c.dtype)
         np.multiply(c, _powers(r, len(c)), out=weighted[:, :len(c)])
         folded = weighted.reshape(len(r), width // m, m).sum(axis=1)
         out[start:start + rows] = m * np.fft.ifft(folded, axis=1)
@@ -359,11 +362,9 @@ def derivative(a: ComplexSeries) -> ComplexSeries:
     k+1 with factor (1-k).
     """
     if a.kind is Kind.TAYLOR_AT_ZERO:
-        if a.order == 1:
-            return ComplexSeries.taylor([0.0], resolved=a.resolved)
         return ComplexSeries.taylor(derivative_array(a.coeffs),
                                     resolved=a.resolved)
-    out = np.zeros(a.order + 1, dtype=complex)
+    out = np.zeros(a.order + 1, dtype=a.coeffs.dtype)
     k = np.arange(a.order)
     out[k + 1] = (1 - k) * a.coeffs
     return ComplexSeries.laurent(out, resolved=a.resolved)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from weldlab import grunsky as gk
+from weldlab import liouville as lv
 from weldlab import maps as mp
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import ComplexSeries, Kind, evaluate
@@ -306,8 +307,8 @@ class TestArithmeticPaths:
         pair = mp.catalog(family, **params)
         if reflect:
             pair = mp.inverted_pair(pair)
-        assert np.all(pair.interior.coeffs.imag == 0)
-        assert np.all(pair.exterior.coeffs.imag == 0)
+        assert pair.interior.coeffs.dtype == np.float64
+        assert pair.exterior.coeffs.dtype == np.float64
         blocks = (gk.build_b1(pair, 16), gk.build_b4(pair, 16),
                   *gk.build_b2_b3(pair, 16))
         assert all(b.dtype == np.float64 for b in blocks)
@@ -321,14 +322,25 @@ class TestArithmeticPaths:
         assert gk.build_b1(f, 16).dtype == np.complex128
 
     def test_rotated_pair_matches_real_path(self, ellipse03):
-        pair = rotated(ellipse03, 0.7)
-        for build in (gk.build_b1, gk.build_b4):
-            b_rotated, b_real = build(pair, 64), build(ellipse03, 64)
-            assert b_rotated.dtype == np.complex128
-            assert b_real.dtype == np.float64
-            gap = abs(gk.logdet_potential(b_rotated, [64]).extrapolated -
-                      gk.logdet_potential(b_real, [64]).extrapolated)
-            assert gap <= 1e-13
+        # at angle 0 the coefficients are complex with zero imaginary
+        # parts, which the dtype still sends down the complex path
+        real_b1, real_b4 = gk.build_b1(ellipse03, 64), gk.build_b4(ellipse03, 64)
+        assert real_b1.dtype == real_b4.dtype == np.float64
+        real_s1 = lv.s1_coefficient_route(ellipse03)
+        for alpha in (0.0, 0.7):
+            pair = rotated(ellipse03, alpha)
+            assert pair.interior.coeffs.dtype == np.complex128
+            assert pair.exterior.coeffs.dtype == np.complex128
+            for build, b_real in ((gk.build_b1, real_b1), (gk.build_b4, real_b4)):
+                b_rotated = build(pair, 64)
+                assert b_rotated.dtype == np.complex128
+                gap = abs(gk.logdet_potential(b_rotated, [64]).extrapolated -
+                          gk.logdet_potential(b_real, [64]).extrapolated)
+                assert gap <= 1e-13
+            # the Parseval route of the action: real transforms for the
+            # real pair, complex ones for its rotation
+            s1_gap = abs(lv.s1_coefficient_route(pair) - real_s1)
+            assert s1_gap <= 1e-13 * abs(real_s1)
 
 
 class TestLogdet:
@@ -428,8 +440,14 @@ class TestLogdet:
 
     def test_report_invariants(self):
         with pytest.raises(InvalidInput):
-            gk.ConvergenceReport(orders=(4, 4), estimates=(1.0, 1.0),
-                                 extrapolated=1.0, residual_tail=0.0)
+            gk.ConvergenceReport(orders=(4, 4), estimates=(1.0, 1.0))
+        # the value and the tail are read off the estimates
+        for orders, estimates in (((), ()), ((4, 8), (1.0,))):
+            with pytest.raises(InvalidInput):
+                gk.ConvergenceReport(orders, estimates)
+        rep = gk.ConvergenceReport((4, 8, 16), (1.0, 0.5, 0.625))
+        assert rep.extrapolated == 0.625 and rep.residual_tail == 0.125
+        assert gk.ConvergenceReport((4,), (2.0,)).residual_tail == 0.0
 
 
 class TestInversionCheck:

@@ -3,6 +3,7 @@ import pytest
 
 from references import slice_log, triangular_reciprocal
 from weldlab import maps as mp
+from weldlab import series
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import _log_bivariate, _smooth_length
 from weldlab.series import (
@@ -21,6 +22,32 @@ from weldlab.series import (
 
 def taylor(*coeffs):
     return ComplexSeries.taylor(list(coeffs))
+
+
+class TestDtype:
+    """A series is float64 for real input and complex128 otherwise."""
+
+    @pytest.mark.parametrize("coeffs, dtype", [
+        ([0, 1, 2], np.float64),
+        ([0.0, 1.0, 0.5], np.float64),
+        (np.array([0.0, 1.0, 0.5], dtype=np.float32), np.float64),
+        (np.array([0.0, 1.0, 0.5j]), np.complex128),
+        (np.array([0.0, 1.0, 0.5], dtype=complex), np.complex128),
+    ])
+    def test_construction(self, coeffs, dtype):
+        for make in (ComplexSeries.taylor, ComplexSeries.laurent):
+            assert make(coeffs).coeffs.dtype == dtype
+
+    def test_closed_forms_are_real(self):
+        for kind in Kind:
+            assert ComplexSeries.identity(kind).coeffs.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_derivative_keeps_the_dtype(self, dtype):
+        for make in (ComplexSeries.taylor, ComplexSeries.laurent):
+            for coeffs in ([1.0], [0.0, 1.0, 0.5]):
+                a = make(np.array(coeffs, dtype=dtype))
+                assert derivative(a).coeffs.dtype == dtype
 
 
 class TestDerivative:
@@ -226,11 +253,23 @@ class TestReciprocal:
             ref = triangular_reciprocal(c)
             assert np.abs(reciprocal_array(c) - ref).max() <= 2e-16 * np.abs(ref).max()
 
-    def test_real_data_in_a_complex_array_stays_real(self):
-        c = np.array([2.0, 0.5, -0.25, 0.125], dtype=complex)
-        out = reciprocal_array(c)
-        assert out.dtype == np.complex128 and np.all(out.imag == 0)
-        assert np.abs(out - triangular_reciprocal(c)).max() <= 1e-16
+    def test_dtype_picks_the_path(self, monkeypatch):
+        # the dtype alone decides: real data takes real transforms, and
+        # complex data takes complex ones even with zero imaginary parts
+        paths = []
+        y_transforms = series._y_transforms
+
+        def recorded(n1, real):
+            paths.append(real)
+            return y_transforms(n1, real)
+
+        monkeypatch.setattr(series, "_y_transforms", recorded)
+        c = np.array([2.0, 0.5, -0.25, 0.125])
+        assert reciprocal_array(c).dtype == np.float64
+        z = c.astype(complex)
+        out = reciprocal_array(z)
+        assert out.dtype == np.complex128 and paths == [True, False]
+        assert np.abs(out - triangular_reciprocal(z)).max() <= 1e-16
 
     def test_zero_constant_term_rejected(self):
         with pytest.raises(InvalidInput):
