@@ -8,13 +8,10 @@ verify the genus-2 Fuchsian basepoint structure.
 """
 
 from .errors import WeldLabError, InvalidInput, NumericalFailure
-from .series import ComplexSeries, Kind
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexSeries",
-    "Kind",
     "WeldLabError",
     "InvalidInput",
     "NumericalFailure",

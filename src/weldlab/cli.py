@@ -20,7 +20,15 @@ environment variable ``WELDLAB_OUTDIR`` sets the default output directory.
 
 Every JSON report carries a ``conventions`` block naming the basis, the
 sign of the operator entries, and both sign conventions of the potential,
-since the literature disagrees on them.
+since the literature disagrees on them. A report that would hold NaN or an
+infinity is not written (exit 3): json has no such values.
+
+The command-line process runs OpenBLAS on one thread unless
+``OPENBLAS_NUM_THREADS`` is already set. Each command is one short process
+on small matrices: a second BLAS thread makes ``import numpy`` slower and
+the first LAPACK call of a fresh process sometimes stall, and saves no wall
+time. The setting is made before numpy loads, so it holds when this module
+is run as a program; a program that imported numpy first keeps its own.
 """
 
 from __future__ import annotations
@@ -33,8 +41,11 @@ import os
 import sys
 import time
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np  # noqa: E402  (OpenBLAS reads the variable as it loads)
+
+from . import __version__
 from .errors import InvalidInput, NumericalFailure
 from . import fuchsian as fx
 from . import grunsky as gk
@@ -90,9 +101,13 @@ def _write_report(args, doc: dict, default_name: str):
     doc = dict(doc)
     doc["conventions"] = CONVENTIONS
     path = _out_path(args, default_name)
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True,
-                                       default=_json_default) + "\n",
-                args.verbose)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                          default=_json_default)
+    except ValueError as exc:
+        raise NumericalFailure(f"report {path} holds a non-finite value: "
+                               f"{exc}") from exc
+    _write_text(path, text + "\n", args.verbose)
     return path
 
 
@@ -460,6 +475,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config(parser, args, argv)
+        if args.verbose:
+            print(f"weldlab {__version__}, numpy {np.__version__}, "
+                  f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}",
+                  file=sys.stderr)
         return _COMMANDS[args.command](args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weldlab
 from weldlab import cli
 
 
@@ -199,6 +204,14 @@ class TestCommands:
         assert code == 2
         assert "--grid" in capsys.readouterr().err
 
+    def test_non_finite_report_exit_3_and_no_file(self, tmp_path, capsys):
+        # S_cl = -12 pi s2_dg overflows; json has no -Infinity
+        out = tmp_path / "scl.json"
+        assert run(["scl", "--s2", "1e308", "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and str(out) in err
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         # extreme eccentricity: the damped iteration cannot settle
         code = run(["s1", "--family", "ellipse", "--c", "0.995",
@@ -284,6 +297,27 @@ class TestDeterminism:
         assert f"wrote {verbose}" in lines
         assert plain.read_bytes() == verbose.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["pair", "--family", "identity"],
+        ["grunsky", "--family", "identity", "--N", "8"],
+        ["logdet", "--family", "identity", "--N", "8"],
+        ["s1", "--family", "identity", "--grid", "16x32"],
+        ["identity", "--family", "identity", "--N", "8", "--grid", "16x32"],
+        ["invert", "--family", "identity", "--N", "8"],
+        ["fuchsian", "--L", "1"],
+        ["scl", "--s2", "0"],
+        ["sweep", "--family", "ellipse", "--range", "0.1:0.1:0.1",
+         "--N", "8", "--grid", "16x32"],
+    ])
+    def test_verbose_names_versions_and_blas_threads(self, tmp_path, capsys,
+                                                     monkeypatch, argv):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert run(argv + ["--out", str(tmp_path / "x"), "-v"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == (f"weldlab {weldlab.__version__}, numpy "
+                            f"{np.__version__}, OPENBLAS_NUM_THREADS=3")
+        assert not any(line.startswith("weldlab ") for line in lines[1:])
+
     def test_fuchsian_report_deterministic(self, tmp_path):
         a = tmp_path / "fa.json"
         b = tmp_path / "fb.json"
@@ -363,3 +397,67 @@ class TestConfigFile:
         code = run(["scl", "--s2", "0.0"])
         assert code == 0
         assert (tmp_path / "scl.json").exists()
+
+
+# Imports the module named by argv[1], then prints as one json line the
+# OPENBLAS_NUM_THREADS it left, whether numpy was loaded by then, and the
+# thread count of the OpenBLAS that numpy loads (null when no symbol is
+# found; the lookup is bench/run.py's _blas_threads).
+_BLAS_PROBE = """
+import ctypes, glob, importlib, json, os, sys
+importlib.import_module(sys.argv[1])
+env, loaded = os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules
+import numpy
+
+def blas_threads():
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+                        "numpy.libs", "*openblas*")
+    for lib in glob.glob(libs):
+        handle = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+
+print(json.dumps({"env": env, "numpy": loaded, "threads": blas_threads()}))
+"""
+
+
+def _blas_probe(module: str, setting=None) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    src = str(Path(weldlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _BLAS_PROBE, module],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestBlasThreads:
+    """The command line runs OpenBLAS on one thread unless the user set
+    OPENBLAS_NUM_THREADS; importing the package alone loads no numpy and
+    sets nothing."""
+
+    @pytest.mark.parametrize("setting, expected", [(None, "1"), ("2", "2")])
+    def test_cli_import_pins_one_thread_unless_set(self, setting, expected):
+        probe = _blas_probe("weldlab.cli", setting)
+        assert probe["env"] == expected
+        if probe["threads"] is None:
+            pytest.skip("no OpenBLAS thread-count symbol found")
+        if int(expected) > (os.cpu_count() or 1):
+            pytest.skip("OpenBLAS caps its threads at the core count")
+        assert probe["threads"] == int(expected)
+
+    @pytest.mark.parametrize("module", ["weldlab", "weldlab.series"])
+    def test_library_import_sets_nothing(self, module):
+        probe = _blas_probe(module)
+        assert probe["env"] is None
+        if module == "weldlab":
+            assert probe["numpy"] is False
