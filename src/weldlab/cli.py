@@ -29,6 +29,13 @@ on small matrices: a second BLAS thread makes ``import numpy`` slower and
 the first LAPACK call of a fresh process sometimes stall, and saves no wall
 time. The setting is made before numpy loads, so it holds when this module
 is run as a program; a program that imported numpy first keeps its own.
+
+Each command imports the layer modules it calls inside its own function,
+so a process loads only what its command reads: building the parser
+imports no layer module, ``fuchsian`` loads ``weldlab.fuchsian`` alone,
+and ``pair`` loads ``maps`` and ``series``. The families and their
+parameters are ``FAMILY_PARAMS`` here, the one table of them, for the
+same reason.
 """
 
 from __future__ import annotations
@@ -47,10 +54,10 @@ import numpy as np  # noqa: E402  (OpenBLAS reads the variable as it loads)
 
 from . import __version__
 from .errors import InvalidInput, NumericalFailure
-from . import fuchsian as fx
-from . import grunsky as gk
-from . import liouville as lv
-from . import maps as mp
+
+# the parameters of each cataloged family (``maps.catalog``), in the order
+# the command line names them
+FAMILY_PARAMS = {"identity": (), "ellipse": ("c",), "fourier_bump": ("eps", "k")}
 
 CONVENTIONS = {
     "basis": "e_n(z) = sqrt(n/pi) z^(n-1); estar_n(w) = sqrt(n/pi) w^(-n-1)",
@@ -124,7 +131,7 @@ def _stage(args, name: str):
 
 
 def _family_params(args) -> dict:
-    names = mp.FAMILY_PARAMS[args.family]
+    names = FAMILY_PARAMS[args.family]
     params = {name: getattr(args, name) for name in names}
     if None in params.values():
         raise InvalidInput(f"{args.family} needs "
@@ -132,7 +139,8 @@ def _family_params(args) -> dict:
     return params
 
 
-def _build_pair(args) -> mp.WeldingPair:
+def _build_pair(args):
+    from . import maps as mp
     return mp.catalog(args.family, **_family_params(args))
 
 
@@ -178,6 +186,7 @@ def _grid_ladder(args, levels: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _cmd_pair(args) -> int:
+    from . import maps as mp
     pair = _build_pair(args)
     path = _out_path(args, f"pair_{args.family}.json")
     _write_text(path, mp.pair_to_json(pair), args.verbose)
@@ -185,6 +194,7 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_grunsky(args) -> int:
+    from . import grunsky as gk
     n = max(_orders(args))
     with _stage(args, "catalog"):
         pair = _build_pair(args)
@@ -211,6 +221,7 @@ def _cmd_grunsky(args) -> int:
 
 
 def _cmd_logdet(args) -> int:
+    from . import grunsky as gk
     orders = _orders(args)
     n = max(orders)
     with _stage(args, "catalog"):
@@ -228,6 +239,7 @@ def _cmd_logdet(args) -> int:
 
 
 def _cmd_s1(args) -> int:
+    from . import liouville as lv
     grids = _grid_ladder(args, 3)
     with _stage(args, "catalog"):
         pair = _build_pair(args)
@@ -240,6 +252,7 @@ def _cmd_s1(args) -> int:
 
 
 def _cmd_identity(args) -> int:
+    from . import liouville as lv
     grids, orders = _grid_ladder(args, 3), _orders(args)
     with _stage(args, "catalog"):
         pair = _build_pair(args)
@@ -251,6 +264,7 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    from . import grunsky as gk
     n = max(_orders(args))
     with _stage(args, "catalog"):
         pair = _build_pair(args)
@@ -267,12 +281,12 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_fuchsian(args) -> int:
+    from . import fuchsian as fx
     group = fx.octagon_group()
     enum = fx.enumerate_elements(group, args.L)
-    area = fx.domain_area_integral(group)
-    rng = np.random.default_rng(7)
-    zs = 0.8 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
-    ws = 0.8 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
+    area = group.area()
+    points = fx.disk_points(128, 0.8)
+    zs, ws = points[0::2], points[1::2]
     autom = max(fx.automorphy_residual(fx.bergman_kernel, g, zs, ws)
                 for g in group.generators)
     sums = {n: fx.alternating_trace_sum(group, n) for n in (1, 2, 3)}
@@ -296,12 +310,15 @@ def _cmd_fuchsian(args) -> int:
 
 
 def _cmd_scl(args) -> int:
+    from . import liouville as lv
     doc = lv.s_cl_report(args.s2, args.genus)
     _write_report(args, doc, "scl.json")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
+    from . import liouville as lv
+    from . import maps as mp
     if args.family != "ellipse":
         raise InvalidInput("sweep currently supports the ellipse family")
     start, stop, step = _numbers(args, "range", ":", float, 3)
@@ -411,7 +428,7 @@ def _add_command(subs, name: str, help: str, tol=None, family=False,
                          help="tolerance for the command's pass/fail check")
     if family or params:
         sub.add_argument("--family", required=True,
-                         choices=list(mp.FAMILY_PARAMS))
+                         choices=list(FAMILY_PARAMS))
     if params:
         sub.add_argument("--c", type=float, default=None, help="ellipse parameter")
         sub.add_argument("--eps", type=float, default=None, help="bump amplitude")

@@ -81,6 +81,16 @@ class FuchsianGroup:
     relation_word: tuple = ()
     vertex_radius: float = 0.0              # hyperbolic distance to a vertex
     translation_length: float = 0.0
+    _areas: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def area(self, n_theta: int = 2048) -> dict:
+        """domain_area_integral(self, n_theta), integrated once per
+        resolution: the suite reads each of its four resolutions several
+        times (the area, then every trace sum's terms)."""
+        if n_theta not in self._areas:
+            self._areas[n_theta] = domain_area_integral(self, n_theta)
+        return self._areas[n_theta]
 
     def element(self, index: int) -> np.ndarray:
         """Signed index: +k is generator k (1-based), -k its inverse."""
@@ -279,6 +289,16 @@ def automorphy_residual(kernel, gamma: np.ndarray, z_points, w_points) -> float:
     return float(np.abs(resid).max())
 
 
+def disk_points(n: int, radius: float) -> np.ndarray:
+    """n distinct points spread evenly by area over |z| <= radius: the
+    golden-angle spiral, point j at radius sqrt((j + 1/2)/n) * radius and
+    angle j * pi (3 - sqrt 5). A closed form, so the automorphy check needs
+    no random generator."""
+    j = np.arange(n)
+    return (radius * np.sqrt((j + 0.5) / n)
+            * np.exp(1j * np.pi * (3.0 - np.sqrt(5.0)) * j))
+
+
 def bergman_kernel(z, w):
     """Reproducing kernel of the disk, 1/(pi (1 - z conj(w))^2)."""
     return 1.0 / (np.pi * (1.0 - np.asarray(z) * np.conj(w)) ** 2)
@@ -294,7 +314,7 @@ def basepoint_trace_term(group: FuchsianGroup, k: int) -> float:
     """
     if k < 1:
         raise InvalidInput("trace term index must be >= 1")
-    return domain_area_integral(group, n_theta=2048 + 512 * k)["value"]
+    return group.area(2048 + 512 * k)["value"]
 
 
 def alternating_trace_sum(group: FuchsianGroup, n: int) -> float:
@@ -307,7 +327,7 @@ def alternating_trace_sum(group: FuchsianGroup, n: int) -> float:
     """
     if n < 1:
         raise InvalidInput("n must be >= 1")
-    total = domain_area_integral(group)["value"]
+    total = group.area()["value"]
     for k in range(1, n + 1):
         total += (-1) ** k * comb(n, k) * basepoint_trace_term(group, k)
     return total

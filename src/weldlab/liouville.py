@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidInput, NumericalFailure
 from .grunsky import (ConvergenceReport, _untimed, build_b1, build_b4,
@@ -63,6 +62,9 @@ class QuadratureGrid:
     @property
     def nodes(self):
         """Radial nodes, radial weights and angles."""
+        # imported here, so a command that builds no grid (scl) does not
+        # load numpy.polynomial
+        from numpy.polynomial.legendre import leggauss
         x, w = leggauss(self.n_r)
         theta = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
         return 0.5 * (x + 1.0), 0.5 * w, theta

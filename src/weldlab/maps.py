@@ -3,7 +3,7 @@
 A welding pair is a pair of univalent maps (f on the unit disk, g on the
 exterior) sharing one Jordan curve, normalized so that f(0) = 0, f'(0) = 1
 and g(infinity) = infinity. The catalog provides three families, with
-the parameters ``FAMILY_PARAMS`` names:
+the parameters ``cli.FAMILY_PARAMS`` names for the command line:
 
 * ``identity``      -- f = g = id (the round circle),
 * ``ellipse(c)``    -- curve with semi-axes (1+c, 1-c); the exterior map is
@@ -422,10 +422,6 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
-
-# the parameters of each cataloged family, in the order the CLI names them
-FAMILY_PARAMS = {"identity": (), "ellipse": ("c",), "fourier_bump": ("eps", "k")}
-
 
 @functools.lru_cache(maxsize=64)
 def _catalog_cached(family_tag: str, param_items: tuple) -> WeldingPair:

@@ -411,7 +411,11 @@ def coeffs_from_samples(samples) -> ComplexSeries:
     # quarter is flat noise, raise the floor above it
     floor_abs = COEFF_FLOOR * top
     if half >= 8:
-        noise = float(np.median(mags[3 * half // 4:]))
+        # the median of the tail, whose length half/4 is even: the mean of
+        # its two middle values (np.median would load numpy.ma)
+        k = half // 8
+        mid = np.partition(mags[3 * half // 4:], (k - 1, k))
+        noise = float((mid[k - 1] + mid[k]) / 2)
         if noise <= 1e-10 * top:
             floor_abs = max(floor_abs, 6.0 * noise)
     # rounding noise in the samples lands in every bin; entries below that

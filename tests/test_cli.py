@@ -88,6 +88,24 @@ class TestCommands:
             run(["identity", "--family", "nosuch"])
         assert exc.value.code == 2
 
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command in ("pair", "grunsky", "logdet", "s1", "identity",
+                        "invert", "fuchsian", "scl", "sweep"):
+            assert command in out
+
+    def test_unknown_family_names_the_choices(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["pair", "--family", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --family: invalid choice: 'nope'" in err
+        for family in ("identity", "ellipse", "fourier_bump"):
+            assert family in err
+
     @pytest.mark.parametrize("argv", [
         ["fuchsian", "--tol", "1e-30"],
         ["scl", "--s2", "0", "--tol", "1e-30"],
@@ -270,6 +288,23 @@ class TestDeterminism:
         assert run(["fuchsian", "--L", "2",
                     "--out", str(tmp_path / "f.json")]) == 0
         assert lengths == [2]
+
+    def test_fuchsian_integrates_each_resolution_once(self, tmp_path,
+                                                       monkeypatch):
+        # the area and the trace sums' eleven terms read four resolutions
+        from weldlab import fuchsian as fx
+        domain_area_integral = fx.domain_area_integral
+        resolutions = []
+
+        def counted(group, n_theta=2048):
+            resolutions.append(n_theta)
+            return domain_area_integral(group, n_theta)
+
+        monkeypatch.setattr(fx, "domain_area_integral", counted)
+        out = tmp_path / "f.json"
+        assert run(["fuchsian", "--L", "2", "--out", str(out)]) == 0
+        assert sorted(resolutions) == [2048, 2560, 3072, 3584]
+        assert json.loads(out.read_text())["bergman_automorphy_residual"] <= 1e-12
 
     @pytest.mark.parametrize("argv, stages", [
         (["logdet", "--N", "8,16", *ELLIPSE01],
@@ -461,3 +496,45 @@ class TestBlasThreads:
         assert probe["env"] is None
         if module == "weldlab":
             assert probe["numpy"] is False
+
+
+# Runs ``python -m weldlab.cli`` with the arguments that follow it and
+# prints, as the last stdout line, the sorted names in sys.modules at exit.
+_MODULES_PROBE = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(sys.modules))))
+sys.argv[0] = "weldlab"
+runpy.run_module("weldlab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _modules_at_exit(argv, tmp_path) -> set:
+    env = dict(os.environ)
+    src = str(Path(weldlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+class TestImportFootprint:
+    """Each command loads the layer modules it calls and no lazily loaded
+    numpy submodule it does not use."""
+
+    LAYERS = {"series", "maps", "grunsky", "liouville", "fuchsian"}
+    NUMPY_LAZY = {"numpy.random", "numpy.ma", "numpy.polynomial"}
+
+    @pytest.mark.parametrize("argv, layers", [
+        (["--help"], set()),
+        (["fuchsian", "--L", "0"], {"fuchsian"}),
+        (["pair", *ELLIPSE01], {"maps", "series"}),
+        (["logdet", "--N", "8", *ELLIPSE01], {"grunsky", "maps", "series"}),
+    ], ids=["help", "fuchsian", "pair", "logdet"])
+    def test_command_loads_only_what_it_calls(self, tmp_path, argv, layers):
+        modules = _modules_at_exit(argv + ["--out", "x"], tmp_path)
+        loaded = {name for name in self.LAYERS if f"weldlab.{name}" in modules}
+        assert loaded == layers
+        assert not self.NUMPY_LAZY & modules

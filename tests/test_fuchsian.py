@@ -1,4 +1,5 @@
 import dataclasses
+from math import comb
 
 import numpy as np
 import pytest
@@ -210,6 +211,16 @@ class TestAutomorphy:
             resid = fx.automorphy_residual(fx.bergman_kernel, g, z, w)
             assert resid <= 1e-10
 
+    def test_disk_points_are_distinct_and_spread_by_area(self, octagon):
+        points = fx.disk_points(128, 0.8)
+        assert np.abs(points).max() <= 0.8
+        assert len(np.unique(points)) == 128
+        # half of them inside the disk of half the area
+        assert np.count_nonzero(np.abs(points) <= 0.8 / np.sqrt(2)) == 64
+        zs, ws = points[0::2], points[1::2]
+        for g in octagon.generators:
+            assert fx.automorphy_residual(fx.bergman_kernel, g, zs, ws) <= 1e-12
+
     def test_basepoint_interior_kernel_is_zero(self, identity_pair):
         # K1(z, w) = (1/(z-w)^2 - f'(z) f'(w)/(f(z)-f(w))^2)/pi off the
         # diagonal and -S(f)(z)/(6 pi) on it, for the identity pair's f
@@ -232,6 +243,16 @@ class TestTraceTerms:
     def test_alternating_sums_vanish(self, octagon):
         assert abs(fx.alternating_trace_sum(octagon, 1)) <= 2e-4
         assert abs(fx.alternating_trace_sum(octagon, 3)) <= 1e-3
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sums_equal_the_binomial_formula_bitwise(self, n):
+        # each term integrated afresh, summed in the same order
+        group = fx.octagon_group()
+        expected = fx.domain_area_integral(group)["value"]
+        for k in range(1, n + 1):
+            expected += (-1) ** k * comb(n, k) * fx.domain_area_integral(
+                group, n_theta=2048 + 512 * k)["value"]
+        assert fx.alternating_trace_sum(group, n) == expected
 
     def test_invalid_inputs(self, octagon):
         with pytest.raises(InvalidInput):
