@@ -33,9 +33,9 @@ is run as a program; a program that imported numpy first keeps its own.
 Each command imports the layer modules it calls inside its own function,
 so a process loads only what its command reads: building the parser
 imports no layer module, ``fuchsian`` loads ``weldlab.fuchsian`` alone,
-and ``pair`` loads ``maps`` and ``series``. The families and their
-parameters are ``FAMILY_PARAMS`` here, the one table of them, for the
-same reason.
+``scl`` loads ``weldlab.classical`` alone, and ``pair`` loads ``maps``
+and ``series``. The families and their parameters are ``FAMILY_PARAMS``
+here, the one table of them, for the same reason.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ def _cmd_fuchsian(args) -> int:
     from . import fuchsian as fx
     group = fx.octagon_group()
     enum = fx.enumerate_elements(group, args.L)
-    area = group.area()
+    area = fx.domain_area_integral(group)
     points = fx.disk_points(128, 0.8)
     zs, ws = points[0::2], points[1::2]
     autom = max(fx.automorphy_residual(fx.bergman_kernel, g, zs, ws)
@@ -310,8 +310,8 @@ def _cmd_fuchsian(args) -> int:
 
 
 def _cmd_scl(args) -> int:
-    from . import liouville as lv
-    doc = lv.s_cl_report(args.s2, args.genus)
+    from .classical import s_cl_report
+    doc = s_cl_report(args.s2, args.genus)
     _write_report(args, doc, "scl.json")
     return EXIT_OK
 
@@ -319,6 +319,7 @@ def _cmd_scl(args) -> int:
 def _cmd_sweep(args) -> int:
     from . import liouville as lv
     from . import maps as mp
+    from .classical import s_cl_report
     if args.family != "ellipse":
         raise InvalidInput("sweep currently supports the ellipse family")
     start, stop, step = _numbers(args, "range", ":", float, 3)
@@ -347,7 +348,7 @@ def _cmd_sweep(args) -> int:
             with stage("catalog"):
                 pair = mp.catalog("ellipse", c=c)
             rep = lv.identity_report(pair, grids, orders, stage=stage)
-            scl = lv.s_cl_report(max(-rep["S2_univ_via_B1"], 0.0), args.genus)
+            scl = s_cl_report(max(-rep["S2_univ_via_B1"], 0.0), args.genus)
             rows.append([
                 "ellipse", _fmt(c), _fmt(rep["S1"]),
                 _fmt(rep["S2_univ_via_B1"]), _fmt(rep["S2_univ_via_B4"]),

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import s_cl_report  # noqa: F401  (callers of liouville read it here)
 from .errors import InvalidInput, NumericalFailure
 from .grunsky import (ConvergenceReport, _untimed, build_b1, build_b4,
                       logdet_potential)
@@ -139,7 +140,7 @@ def s1_coefficient_route(pair: WeldingPair) -> float:
 
 
 # ---------------------------------------------------------------------------
-# identity and classical-action reports
+# identity report
 # ---------------------------------------------------------------------------
 
 def identity_report(pair: WeldingPair, grids=DEFAULT_GRIDS, orders=(16, 32, 64),
@@ -178,29 +179,4 @@ def identity_report(pair: WeldingPair, grids=DEFAULT_GRIDS, orders=(16, 32, 64),
         "residual_operators": abs(via_b1 - via_b4),
         "grids": [list(g) for g in grids],
         "orders": list(orders),
-    }
-
-
-def s_cl_report(s2_dg: float, genus: int) -> dict:
-    """Classical action from the determinant potential and the genus bound.
-
-    S_cl = -12 pi s2_dg + 8 pi (2g - 2); the bound 8 pi (2g - 2) is attained
-    exactly at s2_dg = 0 (the group point).
-    """
-    if genus < 2 or int(genus) != genus:
-        raise InvalidInput("genus must be an integer >= 2")
-    if s2_dg < -1e-12:
-        raise InvalidInput(
-            f"s2_dg = {s2_dg} is negative beyond tolerance; the regularized "
-            "trace is nonnegative, so an upstream computation is broken")
-    s2_dg = max(float(s2_dg), 0.0)
-    bound = 8.0 * np.pi * (2 * genus - 2)
-    s_cl = -12.0 * np.pi * s2_dg + bound
-    return {
-        "genus": int(genus),
-        "s2_dg": s2_dg,
-        "S_cl": s_cl,
-        "bound": bound,
-        "slack": bound - s_cl,
-        "is_fuchsian_point": bool(s2_dg <= 1e-12),
     }

@@ -6,11 +6,15 @@ operations for the reciprocal and O(n0^2 n1 log n1) for the log; the
 tests hold the FFT routines of ``weldlab.series`` to them at small sizes.
 The determinant reference takes one singular-value decomposition per
 order, against which the tests hold ``grunsky.logdet_potential``'s single
-factorization.
+factorization. The octagon references decide membership of the Dirichlet
+domain by comparing hyperbolic distances, the oracle of
+``fuchsian.domain_boundary_radius``, and invert the right-triangle
+relation that fixes the octagon's vertex radius.
 """
 
 import numpy as np
 
+from weldlab.fuchsian import _side_neighbours
 from weldlab.series import _smooth_length
 
 
@@ -59,3 +63,28 @@ def svd_logdet(b, orders):
         sigma = np.linalg.svd(b[:n, :n], compute_uv=False)
         estimates.append(float(np.log1p(-sigma ** 2).sum()))
     return estimates
+
+
+def hyperbolic_distance(z, w) -> np.ndarray:
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    rho = np.abs((z - w) / (1.0 - np.conj(w) * z))
+    return 2.0 * np.arctanh(rho)
+
+
+def in_dirichlet_domain(group, z, slack: float = 1e-12):
+    """True where d(z, 0) <= d(z, gamma 0) + slack for each of the eight side
+    pairings gamma: the octagon bounded by the eight side bisectors."""
+    z = np.asarray(z, dtype=complex)
+    d0 = hyperbolic_distance(z, 0.0)
+    inside = np.ones(z.shape, dtype=bool)
+    for p in _side_neighbours(group):
+        inside &= d0 <= hyperbolic_distance(z, p) + slack
+    return inside if inside.shape else bool(inside)
+
+
+def vertex_angle(vertex_radius_hyp: float) -> float:
+    """Interior angle of the regular octagon with the given hyperbolic
+    vertex radius (right-triangle relation cosh c = cot A cot B, with
+    A = pi/8 half a side sector)."""
+    return 2.0 * np.arctan(1.0 / (np.cosh(vertex_radius_hyp) * np.tan(np.pi / 8)))

@@ -291,19 +291,20 @@ class TestDeterminism:
 
     def test_fuchsian_integrates_each_resolution_once(self, tmp_path,
                                                        monkeypatch):
-        # the area and the trace sums' eleven terms read four resolutions
+        # the area and the trace sums' terms read four node counts per
+        # side sector
         from weldlab import fuchsian as fx
         domain_area_integral = fx.domain_area_integral
         resolutions = []
 
-        def counted(group, n_theta=2048):
-            resolutions.append(n_theta)
-            return domain_area_integral(group, n_theta)
+        def counted(group, nodes=64):
+            resolutions.append(nodes)
+            return domain_area_integral(group, nodes)
 
         monkeypatch.setattr(fx, "domain_area_integral", counted)
         out = tmp_path / "f.json"
         assert run(["fuchsian", "--L", "2", "--out", str(out)]) == 0
-        assert sorted(resolutions) == [2048, 2560, 3072, 3584]
+        assert set(resolutions) == {64, 72, 80, 88}
         assert json.loads(out.read_text())["bergman_automorphy_residual"] <= 1e-12
 
     @pytest.mark.parametrize("argv, stages", [
@@ -532,7 +533,8 @@ class TestImportFootprint:
         (["fuchsian", "--L", "0"], {"fuchsian"}),
         (["pair", *ELLIPSE01], {"maps", "series"}),
         (["logdet", "--N", "8", *ELLIPSE01], {"grunsky", "maps", "series"}),
-    ], ids=["help", "fuchsian", "pair", "logdet"])
+        (["scl", "--s2", "0"], set()),
+    ], ids=["help", "fuchsian", "pair", "logdet", "scl"])
     def test_command_loads_only_what_it_calls(self, tmp_path, argv, layers):
         modules = _modules_at_exit(argv + ["--out", "x"], tmp_path)
         loaded = {name for name in self.LAYERS if f"weldlab.{name}" in modules}

@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from references import hyperbolic_distance, in_dirichlet_domain, vertex_angle
 
 from weldlab import fuchsian as fx
 from weldlab.errors import InvalidInput, NumericalFailure
@@ -48,12 +49,12 @@ class TestOctagonGroup:
 
     def test_vertex_angle_condition(self, octagon):
         # eight vertex angles glue to 2 pi
-        assert abs(fx._vertex_angle(octagon.vertex_radius) - np.pi / 4) <= 1e-12
+        assert abs(vertex_angle(octagon.vertex_radius) - np.pi / 4) <= 1e-12
 
     def test_translation_geometry(self, octagon):
         # generator moves 0 by the translation length along its axis
         z0 = fx.apply_mobius(octagon.generators[0], 0.0)
-        assert abs(fx.hyperbolic_distance(z0, 0.0)
+        assert abs(hyperbolic_distance(z0, 0.0)
                    - octagon.translation_length) <= 1e-12
         assert abs(np.imag(z0)) <= 1e-14
 
@@ -103,11 +104,11 @@ class TestEnumeration:
 
 class TestDirichletDomain:
     def test_origin_inside(self, octagon):
-        assert fx.in_dirichlet_domain(octagon, 0.0)
+        assert in_dirichlet_domain(octagon, 0.0)
 
     def test_orbit_point_outside(self, octagon):
         z = fx.apply_mobius(octagon.generators[2], 0.0)
-        assert not fx.in_dirichlet_domain(octagon, z)
+        assert not in_dirichlet_domain(octagon, z)
 
     def test_vertices_on_boundary(self, octagon, enum2):
         # octagon vertices: distance ties within slack
@@ -116,9 +117,9 @@ class TestDirichletDomain:
         orbit = orbit[np.abs(orbit) > 1e-14]
         for k in range(8):
             v = rv * np.exp(1j * (np.pi / 8 + k * np.pi / 4))
-            assert fx.in_dirichlet_domain(octagon, v, slack=1e-9)
-            d0 = fx.hyperbolic_distance(v, 0.0)
-            dmin = min(fx.hyperbolic_distance(v, p) for p in orbit)
+            assert in_dirichlet_domain(octagon, v, slack=1e-9)
+            d0 = hyperbolic_distance(v, 0.0)
+            dmin = min(hyperbolic_distance(v, p) for p in orbit)
             assert abs(d0 - dmin) <= 1e-9
 
     def test_boundary_radius_closed_form(self, octagon):
@@ -126,9 +127,9 @@ class TestDirichletDomain:
         theta = 2 * np.pi * np.random.default_rng(11).random(1024)
         u = np.exp(1j * theta)
         r = fx.domain_boundary_radius(octagon, theta)
-        assert fx.in_dirichlet_domain(octagon, r * (1 - 1e-9) * u, slack=0.0).all()
-        assert not fx.in_dirichlet_domain(octagon, r * (1 + 1e-9) * u,
-                                          slack=0.0).any()
+        assert in_dirichlet_domain(octagon, r * (1 - 1e-9) * u, slack=0.0).all()
+        assert not in_dirichlet_domain(octagon, r * (1 + 1e-9) * u,
+                                       slack=0.0).any()
         # one side pairing bounds only a half-plane: most rays meet no bisector
         one_side = dataclasses.replace(octagon, generators=octagon.generators[:1])
         with pytest.raises(NumericalFailure):
@@ -142,23 +143,27 @@ class TestDirichletDomain:
         z = 0.9 * np.sqrt(rng.random(20_000)) * np.exp(2j * np.pi * rng.random(20_000))
         d_min = np.full(z.shape, np.inf)
         for p in orbit[np.abs(orbit) > 1e-14]:
-            d_min = np.minimum(d_min, fx.hyperbolic_distance(z, p))
-        expected = fx.hyperbolic_distance(z, 0.0) <= d_min
-        inside = fx.in_dirichlet_domain(octagon, z, slack=0.0)
+            d_min = np.minimum(d_min, hyperbolic_distance(z, p))
+        expected = hyperbolic_distance(z, 0.0) <= d_min
+        inside = in_dirichlet_domain(octagon, z, slack=0.0)
         assert 0 < expected.sum() < len(z)
         assert np.array_equal(inside, expected)
 
-    @pytest.mark.parametrize("n_theta", [2048, 2560, 3072, 3584])
+    @pytest.mark.parametrize("nodes", [64, 72, 80, 88])
     def test_radius_matches_length_two_orbit_bitwise(self, octagon, enum2,
-                                                     n_theta):
-        # the angle sets of the area integral and the trace terms, with
-        # every doubling of their refinement
-        orbit = orbit_of_zero(enum2)
-        for j in range(5):
-            n = n_theta * 2 ** j
-            theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-            assert np.array_equal(fx.domain_boundary_radius(octagon, theta),
-                                  bisector_radius_reference(orbit, theta))
+                                                     nodes, monkeypatch):
+        # the angle sets of the area integral and the trace terms
+        radius = fx.domain_boundary_radius
+        read = []
+        monkeypatch.setattr(fx, "domain_boundary_radius",
+                            lambda group, theta: read.append(theta)
+                            or radius(group, theta))
+        fx.domain_area_integral(octagon, nodes)
+        (theta,) = read
+        assert theta.size == 8 * nodes
+        assert np.array_equal(radius(octagon, theta),
+                              bisector_radius_reference(orbit_of_zero(enum2),
+                                                        theta))
 
     def test_tiling_partition(self, octagon):
         # random points inside the coverage range of the enumeration belong
@@ -180,8 +185,8 @@ class TestDirichletDomain:
         boundary_tie = np.zeros(n, dtype=bool)
         for m in relevant:
             w = fx.apply_mobius(np.linalg.inv(m), z)
-            inside = fx.in_dirichlet_domain(octagon, w, slack=0.0)
-            near = fx.in_dirichlet_domain(octagon, w, slack=1e-9) & ~inside
+            inside = in_dirichlet_domain(octagon, w, slack=0.0)
+            near = in_dirichlet_domain(octagon, w, slack=1e-9) & ~inside
             counts += inside.astype(int)
             boundary_tie |= near
         ok = boundary_tie | (counts == 1)
@@ -191,15 +196,23 @@ class TestDirichletDomain:
 class TestAreaIntegral:
     def test_genus_bound_value(self, octagon):
         report = fx.domain_area_integral(octagon)
-        assert abs(report["value"] - 1.0) <= 1e-4
+        assert abs(report["value"] - 1.0) <= 1e-13
 
     def test_integrand_at_origin(self):
         assert abs(fx.bergman_kernel(0.0, 0.0) - 1.0 / np.pi) <= 1e-15
 
+    @pytest.mark.parametrize("nodes", [16, 64, 88])
+    def test_report_lists_the_angles_read(self, octagon, nodes):
+        # a list, summed by the benchmark's tracer
+        assert fx.domain_area_integral(octagon, nodes)["n_theta"] == [8 * nodes]
+
     def test_stable_under_refinement(self, octagon):
-        a = fx.domain_area_integral(octagon, n_theta=2048)
-        b = fx.domain_area_integral(octagon, n_theta=4096)
-        assert abs(a["value"] - b["value"]) <= 1e-4
+        # the sector rule converges geometrically: each step of the ladder
+        # gains digits until roundoff
+        errors = [abs(fx.domain_area_integral(octagon, n)["value"] - 1.0)
+                  for n in (16, 32, 48, 64)]
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        assert errors[-1] <= 1e-13
 
 
 class TestAutomorphy:
@@ -241,8 +254,8 @@ class TestTraceTerms:
         assert abs(val - 1.0) <= 1e-4
 
     def test_alternating_sums_vanish(self, octagon):
-        assert abs(fx.alternating_trace_sum(octagon, 1)) <= 2e-4
-        assert abs(fx.alternating_trace_sum(octagon, 3)) <= 1e-3
+        for n in (1, 2, 3):
+            assert abs(fx.alternating_trace_sum(octagon, n)) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sums_equal_the_binomial_formula_bitwise(self, n):
@@ -251,7 +264,7 @@ class TestTraceTerms:
         expected = fx.domain_area_integral(group)["value"]
         for k in range(1, n + 1):
             expected += (-1) ** k * comb(n, k) * fx.domain_area_integral(
-                group, n_theta=2048 + 512 * k)["value"]
+                group, 64 + 8 * k)["value"]
         assert fx.alternating_trace_sum(group, n) == expected
 
     def test_invalid_inputs(self, octagon):

@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weldlab"
-LAYERS = ("series", "maps", "grunsky", "liouville", "fuchsian")
+LAYERS = ("series", "maps", "grunsky", "liouville", "fuchsian", "classical")
 
 KEPT = {
     "schwarzian": "criterion 7 checks its Taylor path; its evaluator path "
@@ -19,7 +19,6 @@ KEPT = {
                                  "of the operators with it",
     "s1_coefficient_route": "criterion 2's Parseval leg and the oracle of "
                             "the grid quadrature",
-    "in_dirichlet_domain": "the oracle of domain_boundary_radius",
     "domain_from_samples": "input of the planned boundary-operator route "
                            "(ROADMAP item 2)",
     "evaluate": "the tests' Horner oracle of either grading at arbitrary "
