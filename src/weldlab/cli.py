@@ -27,15 +27,20 @@ The command-line process runs OpenBLAS on one thread unless
 ``OPENBLAS_NUM_THREADS`` is already set. Each command is one short process
 on small matrices: a second BLAS thread makes ``import numpy`` slower and
 the first LAPACK call of a fresh process sometimes stall, and saves no wall
-time. The setting is made before numpy loads, so it holds when this module
-is run as a program; a program that imported numpy first keeps its own.
+time. The setting is made before any layer loads numpy, so it holds when
+this module is run as a program; a program that imported numpy first
+keeps its own.
 
 Each command imports the layer modules it calls inside its own function,
 so a process loads only what its command reads: building the parser
 imports no layer module, ``fuchsian`` loads ``weldlab.fuchsian`` alone,
 ``scl`` loads ``weldlab.classical`` alone, and ``pair`` loads ``maps``
 and ``series``. The families and their parameters are ``FAMILY_PARAMS``
-here, the one table of them, for the same reason.
+here, the one table of them, for the same reason. This module and
+``weldlab.fuchsian`` and ``weldlab.classical`` import no numpy, so
+``--help``, ``fuchsian`` and ``scl`` run without it (``--verbose`` loads
+it to print its version); every other command loads it through its
+layers.
 """
 
 from __future__ import annotations
@@ -44,15 +49,14 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 import time
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np  # noqa: E402  (OpenBLAS reads the variable as it loads)
-
-from . import __version__
+from . import __version__  # noqa: E402  (set before any layer loads numpy)
 from .errors import InvalidInput, NumericalFailure
 
 # the parameters of each cataloged family (``maps.catalog``), in the order
@@ -77,9 +81,10 @@ def _fmt(x) -> str:
 
 
 def _json_default(obj):
-    """``json.dumps`` hook for what json cannot write: numpy scalars as
-    their Python values, complex numbers as [re, im]."""
-    if isinstance(obj, np.generic):
+    """``json.dumps`` hook for what json cannot write: numpy scalars (any
+    object with ``item()``) as their Python values, complex numbers as
+    [re, im]."""
+    if hasattr(obj, "item"):
         return obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
@@ -303,9 +308,9 @@ def _cmd_fuchsian(args) -> int:
     }
     _write_report(args, doc, "fuchsian_octagon.json")
     ok = (group.relation_residual() <= 1e-10
-          and abs(area["value"] - (group.genus - 1)) <= 1e-4
+          and abs(area["value"] - (group.genus - 1)) <= 1e-12
           and autom <= 1e-10
-          and all(abs(v) <= 1e-3 for v in sums.values()))
+          and all(abs(v) <= 1e-12 for v in sums.values()))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -325,7 +330,7 @@ def _cmd_sweep(args) -> int:
     start, stop, step = _numbers(args, "range", ":", float, 3)
     # the loop below yields a value and ends only from a start at or below
     # a finite stop, approached by a positive step
-    if not (np.isfinite([start, stop, step]).all() and step > 0
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0
             and start <= stop + 1e-12):
         raise InvalidInput(f"--range {args.range!r} needs finite bounds, "
                            "start <= stop and a step > 0")
@@ -410,7 +415,7 @@ def _apply_config(parser, args, argv):
 def _finite_float(text: str) -> float:
     """argparse type of ``--tol`` and ``--s2``: nan and inf are invalid."""
     value = float(text)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
 
@@ -494,6 +499,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args = _apply_config(parser, args, argv)
         if args.verbose:
+            import numpy as np
             print(f"weldlab {__version__}, numpy {np.__version__}, "
                   f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}",
                   file=sys.stderr)

@@ -9,9 +9,14 @@ cosh(vertex) = cot(pi/8) cot(pi/8); the product relation
 
     G0 G1^-1 G2 G3^-1 G0^-1 G1 G2^-1 G3 = +-identity
 
-certifies the construction. Matrices live in SU(1,1): [[a, b], [conj(b),
-conj(a)]] with |a|^2 - |b|^2 = 1, acting by z -> (a z + b)/(conj(b) z +
-conj(a)) with derivative 1/(conj(b) z + conj(a))^2.
+certifies the construction. An element of SU(1,1) is the pair (a, b) of
+the matrix [[a, b], [conj(b), conj(a)]] with |a|^2 - |b|^2 = 1, acting by
+z -> (a z + b)/(conj(b) z + conj(a)) with derivative
+(|a|^2 - |b|^2)/(conj(b) z + conj(a))^2. The side pairings are held
+projectively as (1, p), p = G(0), the SU(1,1) element divided by
+cosh(l/2) for translation length l, so a word of length L is its SU(1,1)
+element divided by cosh(l/2)^L; the relation residual and the
+enumeration's keys multiply that factor back.
 
 The Dirichlet domain about 0 is the octagon itself, by Poincare's polygon
 theorem bounded by the bisectors between 0 and its eight images under the
@@ -24,71 +29,68 @@ on each side sector k pi/4 +- pi/8, so the angular part is Fejer's first
 rule on each of the eight sectors, with no kink inside a rule and exact to
 roundoff at 64 nodes per sector. The word-length enumeration only counts
 group elements.
+
+The module is scalar arithmetic on Python floats and complex numbers and
+loads no numpy; its functions take numpy arrays of points as well.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
-from math import comb
-
-import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 
 GENUS = 2
 _N_SIDES = 8
-_SECTOR = np.pi / _N_SIDES          # half opening angle of one side sector
-_TARGET_VERTEX_ANGLE = np.pi / 4.0  # eight corners glue to one 2 pi vertex
+_SECTOR = math.pi / _N_SIDES          # half opening angle of one side sector
+_TARGET_VERTEX_ANGLE = math.pi / 4.0  # eight corners glue to one 2 pi vertex
+_IDENTITY = (1.0 + 0.0j, 0.0j)
 
 
-def _rotation(phi: float) -> np.ndarray:
-    return np.array([[np.exp(1j * phi / 2.0), 0.0],
-                     [0.0, np.exp(-1j * phi / 2.0)]], dtype=complex)
+def compose(g, h):
+    """The product g h of two pairs (a, b)."""
+    (a1, b1), (a2, b2) = g, h
+    return (a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate())
 
 
-def _translation(length: float) -> np.ndarray:
-    """Hyperbolic translation along the real axis, length in the curvature
-    -1 metric."""
-    return np.array([[np.cosh(length / 2.0), np.sinh(length / 2.0)],
-                     [np.sinh(length / 2.0), np.cosh(length / 2.0)]],
-                    dtype=complex)
+def apply_mobius(g, z):
+    a, b = g
+    return (a * z + b) / (b.conjugate() * z + a.conjugate())
 
 
-def apply_mobius(m: np.ndarray, z):
-    return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
-
-
-def mobius_derivative(m: np.ndarray, z):
-    return 1.0 / (m[1, 0] * z + m[1, 1]) ** 2
+def mobius_derivative(g, z):
+    a, b = g
+    return (abs(a) ** 2 - abs(b) ** 2) / (b.conjugate() * z + a.conjugate()) ** 2
 
 
 @dataclass(frozen=True)
 class FuchsianGroup:
     """Octagon side-pairing generators (4 translations and inverses)."""
 
-    generators: tuple = field(repr=False)   # 8 SU(1,1) matrices
+    generators: tuple = field(repr=False)   # 8 pairs (1, p), p = G(0)
     genus: int = GENUS
     relation_word: tuple = ()
     vertex_radius: float = 0.0              # hyperbolic distance to a vertex
     translation_length: float = 0.0
 
-    def element(self, index: int) -> np.ndarray:
+    def element(self, index: int):
         """Signed index: +k is generator k (1-based), -k its inverse."""
         if index == 0 or abs(index) > 4:
             raise InvalidInput("generator index must be in 1..4 or -1..-4")
         k = abs(index) - 1
         return self.generators[k] if index > 0 else self.generators[k + 4]
 
-    def relation_product(self) -> np.ndarray:
-        out = np.eye(2, dtype=complex)
-        for idx in self.relation_word:
-            out = out @ self.element(idx)
-        return out
-
     def relation_residual(self) -> float:
-        p = self.relation_product()
-        eye = np.eye(2)
-        return float(min(np.abs(p - eye).max(), np.abs(p + eye).max()))
+        """Distance of the relation product, as an SU(1,1) element, to the
+        nearer of +-identity (largest entry of the difference)."""
+        a, b = _IDENTITY
+        for idx in self.relation_word:
+            a, b = compose((a, b), self.element(idx))
+        scale = math.cosh(self.translation_length / 2.0) ** len(self.relation_word)
+        a, b = a * scale, b * scale
+        return max(min(abs(a - 1.0), abs(a + 1.0)), abs(b))
 
 
 def octagon_group() -> FuchsianGroup:
@@ -98,16 +100,16 @@ def octagon_group() -> FuchsianGroup:
     cosh(vertex) = cot(pi/8) cot(pi/8), the right-triangle relation
     cosh c = cot A cot B of half a sector; the side distance follows from
     tanh(side) = tanh(vertex) * cos(pi/8), and each pairing translation has
-    length twice the side distance.
+    length twice the side distance. The pairing along angle k pi/4 moves 0
+    to p_k = tanh(length/2) e^{i k pi/4}, and its inverse to -p_k.
     """
-    rv = float(np.arccosh(
-        1.0 / (np.tan(_TARGET_VERTEX_ANGLE / 2.0) * np.tan(_SECTOR))))
-    rm = np.arctanh(np.tanh(rv) * np.cos(_SECTOR))
+    rv = math.acosh(
+        1.0 / (math.tan(_TARGET_VERTEX_ANGLE / 2.0) * math.tan(_SECTOR)))
+    rm = math.atanh(math.tanh(rv) * math.cos(_SECTOR))
     length = 2.0 * rm
-    rotations = [_rotation(k * np.pi / 4.0) for k in range(4)]
-    # the inverse of each translation is the translation by -length
-    gens = [r @ _translation(sign * length) @ np.conj(r.T)
-            for sign in (1.0, -1.0) for r in rotations]
+    images = [cmath.rect(math.tanh(length / 2.0), k * math.pi / 4.0)
+              for k in range(4)]
+    gens = [(1.0 + 0.0j, sign * p) for sign in (1.0, -1.0) for p in images]
     word = (1, -2, 3, -4, -1, 2, -3, 4)
     group = FuchsianGroup(generators=tuple(gens), genus=GENUS,
                           relation_word=word, vertex_radius=rv,
@@ -126,90 +128,86 @@ def octagon_group() -> FuchsianGroup:
 @dataclass(frozen=True)
 class GroupEnumeration:
     """Distinct elements representable by words of length <= max_word_length,
-    deduplicated up to overall sign (the matrices act projectively)."""
+    deduplicated up to overall sign (the pairs act projectively)."""
 
     max_word_length: int
-    elements: np.ndarray = field(repr=False)   # shape (count, 2, 2)
+    elements: list = field(repr=False)   # pairs (a, b), products of (1, p)
 
     @property
     def count(self) -> int:
         return len(self.elements)
 
 
-def _canonical_key(m: np.ndarray, scale: float = 1e-6):
-    """Hashable quantization of an SU(1,1) matrix up to sign.
+def _canonical_key(a: complex, b: complex, scale: float = 1e-6):
+    """Hashable quantization of the SU(1,1) pair (a, b) up to sign.
 
-    Two keys per matrix (plain and half-shifted grid) so that a pair of
+    Two keys per pair (plain and half-shifted grid) so that a pair of
     representations of one element differing by accumulated roundoff agrees
     on at least one key with overwhelming margin.
     """
-    a, b = m[0, 0], m[0, 1]
-    if (a.real, a.imag, b.real, b.imag) < (-a.real, -a.imag, -b.real, -b.imag):
-        a, b = -a, -b
-    vec = np.array([a.real, a.imag, b.real, b.imag])
-    k1 = tuple(np.round(vec / scale).astype(np.int64))
-    k2 = tuple(np.round(vec / scale + 0.5).astype(np.int64))
+    vec = (a.real, a.imag, b.real, b.imag)
+    vec = max(vec, tuple(-x for x in vec))
+    k1 = tuple(round(x / scale) for x in vec)
+    k2 = tuple(round(x / scale + 0.5) for x in vec)
     return k1, k2
 
 
 def enumerate_elements(group: FuchsianGroup, max_word_length: int) -> GroupEnumeration:
     """Breadth-first enumeration over the 8 generators up to the given
-    word length (capped at 8 to stay desk scale)."""
+    word length (capped at 8 to stay desk scale). Words of length L are
+    keyed as SU(1,1) elements, times cosh(l/2)^L."""
     if max_word_length < 0 or max_word_length > 8:
         raise InvalidInput("word length must lie in 0..8")
-    eye = np.eye(2, dtype=complex)
-    seen = {}
-    elements = [eye]
-    for key in _canonical_key(eye):
-        seen[key] = 0
-    frontier = [eye]
-    for _ in range(max_word_length):
+    step = math.cosh(group.translation_length / 2.0)
+    seen = set(_canonical_key(*_IDENTITY))
+    elements = [_IDENTITY]
+    frontier = [_IDENTITY]
+    for length in range(1, max_word_length + 1):
+        scale = step ** length
         new_frontier = []
         for el in frontier:
             for g in group.generators:
-                cand = el @ g
-                k1, k2 = _canonical_key(cand)
-                hit = seen.get(k1, seen.get(k2))
-                if hit is not None:
+                cand = compose(el, g)
+                k1, k2 = _canonical_key(cand[0] * scale, cand[1] * scale)
+                if k1 in seen or k2 in seen:
                     continue
-                idx = len(elements)
-                seen[k1] = idx
-                seen[k2] = idx
+                seen.update((k1, k2))
                 elements.append(cand)
                 new_frontier.append(cand)
         frontier = new_frontier
-    return GroupEnumeration(max_word_length=max_word_length,
-                            elements=np.array(elements))
+    return GroupEnumeration(max_word_length=max_word_length, elements=elements)
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet domain
 # ---------------------------------------------------------------------------
 
-def _side_neighbours(group: FuchsianGroup) -> np.ndarray:
+def _side_neighbours(group: FuchsianGroup) -> list:
     """gamma(0) = b / conj(a) for the side pairings gamma: the centres of
     the tiles across the octagon's sides."""
-    gens = np.array(group.generators)
-    return gens[:, 0, 1] / gens[:, 1, 1]
+    return [b / a.conjugate() for a, b in group.generators]
 
 
-def domain_boundary_radius(group: FuchsianGroup, theta) -> np.ndarray:
+def domain_boundary_radius(group: FuchsianGroup, theta) -> list:
     """Euclidean radius where the ray r e^{i theta} leaves the Dirichlet
-    domain: the smallest root r = q / (a + sqrt(a^2 - q^2)) over the images
-    p of 0 under the side pairings of the bisector equation
-    q r^2 - 2 a r + q = 0, where a = Re(conj(p) e^{i theta}) and q = |p|^2
-    (a root in (0, 1) needs a > q). A ray that meets no bisector raises
-    NumericalFailure."""
-    direction = np.exp(1j * np.asarray(theta, dtype=float))
-    radius = np.full(direction.shape, np.inf)
-    for p in _side_neighbours(group):
-        q = abs(p) ** 2
-        a = (np.conj(p) * direction).real
-        hit = a > q
-        radius[hit] = np.minimum(radius[hit],
-                                 q / (a[hit] + np.sqrt(a[hit] ** 2 - q * q)))
-    if not np.isfinite(radius).all():
-        raise NumericalFailure("a ray from 0 meets no side bisector")
+    domain, for each angle of ``theta``: the smallest root
+    r = q / (a + sqrt(a^2 - q^2)) over the images p of 0 under the side
+    pairings of the bisector equation q r^2 - 2 a r + q = 0, where
+    a = Re(conj(p) e^{i theta}) = Re(p) cos(theta) + Im(p) sin(theta) and
+    q = |p|^2 (a root in (0, 1) needs a > q). A ray that meets no bisector
+    raises NumericalFailure."""
+    sides = [(p.real, p.imag, abs(p) ** 2) for p in _side_neighbours(group)]
+    radius = []
+    for t in theta:
+        cos_t, sin_t = math.cos(t), math.sin(t)
+        r = math.inf
+        for x, y, q in sides:
+            a = x * cos_t + y * sin_t
+            if a > q:
+                r = min(r, q / (a + math.sqrt(a * a - q * q)))
+        if r == math.inf:
+            raise NumericalFailure("a ray from 0 meets no side bisector")
+        radius.append(r)
     return radius
 
 
@@ -222,53 +220,50 @@ def domain_area_integral(group: FuchsianGroup, nodes: int = 64) -> dict:
     so the angular integral is Fejer's first rule on each sector: angles
     k pi/4 + (pi/8) cos t_j with t_j = pi (j + 1/2) / nodes, and weights
     (2/nodes) (1 - 2 sum_{m=1}^{nodes/2} cos(2 m t_j) / (4 m^2 - 1))
-    (J. Waldvogel, BIT 46, 2006). The value is genus - 1 by Gauss-Bonnet;
-    n_theta is [8 * nodes], the number of angles read.
+    (J. Waldvogel, BIT 46, 2006), summed with math.fsum. The value is
+    genus - 1 by Gauss-Bonnet; n_theta is [8 * nodes], the number of angles
+    read.
     """
-    t = np.pi * (np.arange(nodes) + 0.5) / nodes
-    m = np.arange(1, nodes // 2 + 1)
-    weights = (2.0 / nodes) * (
-        1.0 - 2.0 * (np.cos(2.0 * np.outer(t, m)) / (4.0 * m * m - 1.0)).sum(axis=1))
-    theta = (2.0 * _SECTOR * np.arange(_N_SIDES)[:, None]
-             + _SECTOR * np.cos(t)[None, :])
+    t = [math.pi * (j + 0.5) / nodes for j in range(nodes)]
+    weights = [(2.0 / nodes) * (1.0 - 2.0 * math.fsum(
+        math.cos(2.0 * tj * m) / (4.0 * m * m - 1.0)
+        for m in range(1, nodes // 2 + 1))) for tj in t]
+    theta = [2.0 * _SECTOR * k + _SECTOR * math.cos(tj)
+             for k in range(_N_SIDES) for tj in t]
     rm = domain_boundary_radius(group, theta)
     # the rule's [-1, 1] spans a sector's half width pi/8 on either side
-    value = (float((rm ** 2 / (1.0 - rm ** 2)).sum(axis=0) @ weights)
-             * (_SECTOR / (2.0 * np.pi)))
-    return {"value": value, "n_theta": [_N_SIDES * nodes]}
+    value = math.fsum(w * r * r / (1.0 - r * r)
+                      for w, r in zip(weights * _N_SIDES, rm))
+    return {"value": value * (_SECTOR / (2.0 * math.pi)),
+            "n_theta": [_N_SIDES * nodes]}
 
 
 # ---------------------------------------------------------------------------
 # automorphy and basepoint trace identities
 # ---------------------------------------------------------------------------
 
-def automorphy_residual(kernel, gamma: np.ndarray, z_points, w_points) -> float:
+def automorphy_residual(kernel, gamma, z_points, w_points) -> float:
     """max |K(gamma z, gamma w) gamma'(z) conj(gamma'(w)) - K(z, w)| over the
-    samples, for a kernel anti-holomorphic in its second argument (Bergman
-    type)."""
-    z = np.asarray(z_points, dtype=complex)
-    w = np.asarray(w_points, dtype=complex)
-    gz = apply_mobius(gamma, z)
-    gw = apply_mobius(gamma, w)
-    dz = mobius_derivative(gamma, z)
-    dw = np.conj(mobius_derivative(gamma, w))
-    resid = kernel(gz, gw) * dz * dw - kernel(z, w)
-    return float(np.abs(resid).max())
+    sample pairs (z, w) of the two iterables of points, for a kernel
+    anti-holomorphic in its second argument (Bergman type)."""
+    return max(float(abs(
+        kernel(apply_mobius(gamma, z), apply_mobius(gamma, w))
+        * mobius_derivative(gamma, z) * mobius_derivative(gamma, w).conjugate()
+        - kernel(z, w))) for z, w in zip(z_points, w_points))
 
 
-def disk_points(n: int, radius: float) -> np.ndarray:
+def disk_points(n: int, radius: float) -> list:
     """n distinct points spread evenly by area over |z| <= radius: the
     golden-angle spiral, point j at radius sqrt((j + 1/2)/n) * radius and
     angle j * pi (3 - sqrt 5). A closed form, so the automorphy check needs
     no random generator."""
-    j = np.arange(n)
-    return (radius * np.sqrt((j + 0.5) / n)
-            * np.exp(1j * np.pi * (3.0 - np.sqrt(5.0)) * j))
+    return [cmath.rect(radius * math.sqrt((j + 0.5) / n),
+                       math.pi * (3.0 - math.sqrt(5.0)) * j) for j in range(n)]
 
 
 def bergman_kernel(z, w):
     """Reproducing kernel of the disk, 1/(pi (1 - z conj(w))^2)."""
-    return 1.0 / (np.pi * (1.0 - np.asarray(z) * np.conj(w)) ** 2)
+    return 1.0 / (math.pi * (1.0 - z * w.conjugate()) ** 2)
 
 
 def basepoint_trace_term(group: FuchsianGroup, k: int) -> float:
@@ -299,5 +294,5 @@ def alternating_trace_sum(group: FuchsianGroup, n: int) -> float:
         raise InvalidInput("n must be >= 1")
     total = domain_area_integral(group)["value"]
     for k in range(1, n + 1):
-        total += (-1) ** k * comb(n, k) * basepoint_trace_term(group, k)
+        total += (-1) ** k * math.comb(n, k) * basepoint_trace_term(group, k)
     return total

@@ -25,9 +25,10 @@ Conventions (also emitted in every CLI report):
   measures the same relations among truncated N x N blocks.
 * the determinant potential is reported with two signs:
   ``s2_univ`` = log det(I - B B*) <= 0 and ``s2_dg`` = -s2_univ >= 0.
-  ``logdet_potential`` takes every truncation order from one blocked
-  LDL^T factorization at the largest: of I - B and I + B for a real
-  block, of I - S for the real embedding S of a complex one. Each order
+  ``logdet_potential`` takes every truncation order from one LAPACK
+  Cholesky factorization at the largest, read as LDL^T pivots: of I - B
+  and I + B for a real block, of I - S for the real embedding S of a
+  complex one. Each order
   pairs two pivots whose diagonal entries -+b_kk cancel exactly, kept in
   defect form (the 1 never added), and every pivot positive certifies
   sigma_max(B_n) < 1 for all the orders at once.
@@ -344,9 +345,6 @@ def spectral_norm(b: np.ndarray) -> float:
     return float(np.linalg.norm(b, 2))
 
 
-# columns per panel of the blocked factorization: the panel loop runs one
-# numpy call per column, and the trailing update is one matmul per panel
-_PANEL = 128
 # the built b1 and b4 are symmetric to roundoff (|b - b^T| <= 5e-16 of
 # max(1, |b|) for the c = 0.5 ellipse at N = 1280); a larger gap is not a
 # block of a symmetric kernel
@@ -358,39 +356,28 @@ def _ldl_defects(a: np.ndarray):
     real symmetric a, which it overwrites; only its lower triangle is read.
 
     Pivot k is 1 + e_k with e_k = a_kk + u_k, where u_k is the update the
-    earlier pivots leave on the diagonal. The 1 is never added to e_k or
-    u_k, so both keep their relative digits far below one. The
-    factorization is blocked and right-looking: each panel of ``_PANEL``
-    columns is factored column by column, the rows below it are solved
-    against its unit-lower factor L11 (one matmul by the inverse of L11,
-    which the column loop accumulates as the product of its elementary
-    eliminations), and the trailing block takes one matmul. No LAPACK
-    routine runs. A pivot <= 0 raises NumericalFailure.
+    earlier pivots leave on the diagonal. Both come from one LAPACK
+    Cholesky factor L of I + a: pivot k is L_kk^2, and u_k is
+    -sum_{j<k} L_kj^2, read off the strict lower triangle, so the 1 is
+    never added to e_k or u_k and both keep their relative digits far below
+    one. A pivot that is not positive (or a NaN, which LAPACK lets through)
+    raises NumericalFailure.
     """
-    m = len(a)
     diag = a.diagonal().copy()
-    a[np.diag_indices(m)] = 0.0  # from here on the diagonal accumulates u
-    e = np.empty(m)
-    for p0 in range(0, m, _PANEL):
-        p1 = min(p0 + _PANEL, m)
-        panel = a[p0:p1, p0:p1]
-        unit_inv = np.eye(p1 - p0)
-        for k in range(p1 - p0):
-            e[p0 + k] = diag[p0 + k] + panel[k, k]
-            pivot = 1.0 + e[p0 + k]
-            if not pivot > 0.0:
-                raise NumericalFailure(
-                    "a pivot of the determinant's factorization is not "
-                    "positive: a truncated block is not a contraction")
-            col = panel[k + 1:, k]
-            lcol = col / pivot
-            panel[k + 1:, k + 1:] -= col[:, None] * lcol
-            panel[k + 1:, k] = lcol
-            unit_inv[k + 1:, :k + 1] -= lcol[:, None] * unit_inv[k, :k + 1]
-        if p1 < m:
-            w21 = a[p1:, p0:p1] @ unit_inv.T  # L21 D1
-            a[p1:, p1:] -= (w21 / (1.0 + e[p0:p1])) @ w21.T
-    return e, a.diagonal().copy()
+    a[np.diag_indices(len(a))] += 1.0
+    try:
+        low = np.linalg.cholesky(a)
+        certified = np.isfinite(low.diagonal()).all()
+    except np.linalg.LinAlgError:
+        certified = False
+    if not certified:
+        raise NumericalFailure(
+            "a pivot of the determinant's factorization is not "
+            "positive: a truncated block is not a contraction")
+    low[np.diag_indices(len(a))] = 0.0
+    low *= low
+    u = 0.0 - low.sum(axis=1)  # an empty sum gives +0, not -0
+    return diag + u, u
 
 
 def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:

@@ -29,7 +29,7 @@ FFT-tabulated unit-circle jets, so no Horner loop runs over the series.
 Every evaluation, derivative, reciprocal and circle sample of a series
 goes through ``series`` (``evaluate_array``, ``unit_circle_jets``,
 ``derivative_array``, ``reciprocal_array``, ``samples_from_coeffs``);
-Moebius maps are plain 2x2 matrices handled by ``fuchsian.apply_mobius``.
+Moebius maps are pairs (a, b) handled by ``fuchsian.apply_mobius``.
 """
 
 from __future__ import annotations

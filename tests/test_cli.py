@@ -307,6 +307,24 @@ class TestDeterminism:
         assert set(resolutions) == {64, 72, 80, 88}
         assert json.loads(out.read_text())["bergman_automorphy_residual"] <= 1e-12
 
+    @pytest.mark.parametrize("coarse", [{64, 72, 80, 88}, {72, 80, 88}],
+                             ids=["area", "trace-terms"])
+    def test_fuchsian_verdict_fails_on_a_coarse_rule(self, tmp_path,
+                                                     monkeypatch, coarse):
+        # 16 nodes per side sector put an integral 1.0e-5 off genus - 1:
+        # the area itself, or the trace terms and with them the trace sums
+        from weldlab import fuchsian as fx
+        domain_area_integral = fx.domain_area_integral
+        monkeypatch.setattr(fx, "domain_area_integral",
+                            lambda group, nodes=64: domain_area_integral(
+                                group, 16 if nodes in coarse else nodes))
+        out = tmp_path / "f.json"
+        assert run(["fuchsian", "--L", "2", "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        worst = max(abs(doc["area_integral"]["value"] - 1.0),
+                    *map(abs, doc["alternating_trace_sums"].values()))
+        assert 1e-6 < worst < 1e-4
+
     @pytest.mark.parametrize("argv, stages", [
         (["logdet", "--N", "8,16", *ELLIPSE01],
          ("catalog", "blocks", "determinant")),
@@ -491,11 +509,12 @@ class TestBlasThreads:
             pytest.skip("OpenBLAS caps its threads at the core count")
         assert probe["threads"] == int(expected)
 
-    @pytest.mark.parametrize("module", ["weldlab", "weldlab.series"])
+    @pytest.mark.parametrize("module", ["weldlab", "weldlab.series",
+                                        "weldlab.fuchsian"])
     def test_library_import_sets_nothing(self, module):
         probe = _blas_probe(module)
         assert probe["env"] is None
-        if module == "weldlab":
+        if module != "weldlab.series":
             assert probe["numpy"] is False
 
 
@@ -523,20 +542,48 @@ def _modules_at_exit(argv, tmp_path) -> set:
 
 class TestImportFootprint:
     """Each command loads the layer modules it calls and no lazily loaded
-    numpy submodule it does not use."""
+    numpy submodule it does not use; ``--help``, ``fuchsian`` and ``scl``
+    load no numpy at all."""
 
     LAYERS = {"series", "maps", "grunsky", "liouville", "fuchsian"}
     NUMPY_LAZY = {"numpy.random", "numpy.ma", "numpy.polynomial"}
 
-    @pytest.mark.parametrize("argv, layers", [
-        (["--help"], set()),
-        (["fuchsian", "--L", "0"], {"fuchsian"}),
-        (["pair", *ELLIPSE01], {"maps", "series"}),
-        (["logdet", "--N", "8", *ELLIPSE01], {"grunsky", "maps", "series"}),
-        (["scl", "--s2", "0"], set()),
+    @pytest.mark.parametrize("argv, layers, numpy", [
+        (["--help"], set(), False),
+        (["fuchsian", "--L", "0"], {"fuchsian"}, False),
+        (["pair", *ELLIPSE01], {"maps", "series"}, True),
+        (["logdet", "--N", "8", *ELLIPSE01], {"grunsky", "maps", "series"},
+         True),
+        (["scl", "--s2", "0"], set(), False),
     ], ids=["help", "fuchsian", "pair", "logdet", "scl"])
-    def test_command_loads_only_what_it_calls(self, tmp_path, argv, layers):
+    def test_command_loads_only_what_it_calls(self, tmp_path, argv, layers,
+                                              numpy):
         modules = _modules_at_exit(argv + ["--out", "x"], tmp_path)
         loaded = {name for name in self.LAYERS if f"weldlab.{name}" in modules}
         assert loaded == layers
+        assert ("numpy" in modules) is numpy
         assert not self.NUMPY_LAZY & modules
+
+    @pytest.mark.parametrize("argv", [["fuchsian", "--L", "2"],
+                                      ["scl", "--s2", "0"]],
+                             ids=["fuchsian", "scl"])
+    def test_runs_with_numpy_blocked(self, tmp_path, argv):
+        # sys.modules["numpy"] = None makes every import of numpy fail
+        blocked = tmp_path / "blocked.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(weldlab.__file__).resolve().parent.parent),
+                        env.get("PYTHONPATH")) if p)
+        code = ("import runpy, sys\n"
+                "sys.modules['numpy'] = None\n"
+                "sys.argv[0] = 'weldlab'\n"
+                "runpy.run_module('weldlab.cli', run_name='__main__', "
+                "alter_sys=True)\n")
+        done = subprocess.run([sys.executable, "-c", code, *argv,
+                               "--out", str(blocked)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        plain = tmp_path / "plain.json"
+        assert run(argv + ["--out", str(plain)]) == 0
+        assert blocked.read_bytes() == plain.read_bytes()

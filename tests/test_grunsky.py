@@ -376,6 +376,16 @@ class TestLogdet:
         with pytest.raises(NumericalFailure):
             gk.logdet_potential(np.eye(4, dtype=complex) * 1.2, [4])
 
+    @pytest.mark.parametrize("b", [
+        np.diag([np.nan, 0.5]),
+        np.diag([0.5, np.nan]),
+        np.array([[0.0, np.nan], [np.nan, 0.0]]),
+    ], ids=["first-pivot", "last-pivot", "off-diagonal"])
+    def test_nan_block_rejected(self, b):
+        # LAPACK's Cholesky passes a NaN pivot without an error
+        with pytest.raises(NumericalFailure):
+            gk.logdet_potential(b, [2])
+
     def test_certificate_covers_only_the_orders_asked(self):
         # the factorization stops at max(orders): B_1 = (0.5) is a
         # contraction, B_2 = diag(0.5, 1.2) is not

@@ -427,7 +427,7 @@ class TestSchwarzian:
         a = 1.2
         b = 0.3 + 0.2j
         norm = np.sqrt(a * a - abs(b) ** 2)
-        m = np.array([[a, b], [np.conj(b), a]]) / norm
+        m = (a / norm, b / norm)   # the SU(1,1) pair of a disk automorphism
         f = ellipse03.interior
         pts = 0.6 * np.sqrt(rng.random(100)) * np.exp(2j * np.pi * rng.random(100))
         lhs = mp.schwarzian(lambda z: evaluate(f, fx.apply_mobius(m, z)), pts)
