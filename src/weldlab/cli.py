@@ -109,16 +109,22 @@ def _write_text(path: str, text: str, verbose: bool):
         print(f"wrote {path}", file=sys.stderr)
 
 
+def _json_text(path: str, render) -> str:
+    """``render()``, the JSON text of report ``path``; the ValueError it
+    raises on a non-finite value (json has none) is a numerical failure."""
+    try:
+        return render()
+    except ValueError as exc:
+        raise NumericalFailure(f"report {path} holds a non-finite value: "
+                               f"{exc}") from exc
+
+
 def _write_report(args, doc: dict, default_name: str):
     doc = dict(doc)
     doc["conventions"] = CONVENTIONS
     path = _out_path(args, default_name)
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
-                          default=_json_default)
-    except ValueError as exc:
-        raise NumericalFailure(f"report {path} holds a non-finite value: "
-                               f"{exc}") from exc
+    text = _json_text(path, lambda: json.dumps(
+        doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default))
     _write_text(path, text + "\n", args.verbose)
     return path
 
@@ -194,7 +200,8 @@ def _cmd_pair(args) -> int:
     from . import maps as mp
     pair = _build_pair(args)
     path = _out_path(args, f"pair_{args.family}.json")
-    _write_text(path, mp.pair_to_json(pair), args.verbose)
+    _write_text(path, _json_text(path, lambda: mp.pair_to_json(pair)),
+                args.verbose)
     return EXIT_OK
 
 

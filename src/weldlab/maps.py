@@ -14,13 +14,13 @@ the parameters ``cli.FAMILY_PARAMS`` names for the command line:
                        is the reflection z -> 1/conj(z), by series algebra,
                        of the interior map of the reflected domain.
 
-Theodorsen's equation is solved by damped fixed-point iteration with mesh
-continuation (solve on a coarse grid, upsample, refine), which doubles the
-grid from ``START_SAMPLE_COUNT`` on until the coefficients are resolved.
-For polar smoothness bound max|rho'/rho| < 1, derived from rho, the
-undamped/0.8-damped iteration is the classical convergent scheme; above 1
-convergence is no longer guaranteed and a stronger damping of 0.4 is used,
-with the iteration cap as the safety net.
+Theodorsen's equation is solved by two-step (second-order Richardson)
+fixed-point iteration with mesh continuation (solve on a coarse grid,
+upsample, refine), which doubles the grid from ``START_SAMPLE_COUNT`` on
+until the coefficients are resolved. For the polar smoothness bound
+eps = max|rho'/rho|, derived from rho, every mode contracts by
+r = eps/(1 + sqrt(1 + eps^2)) < 1 per step (0.5 for the c = 0.5 ellipse);
+the iteration cap and the boundary check are the safety net.
 The boundary of every cataloged pair is cross-checked by a point-to-curve
 Newton distance between the two parametrizations, at O(K + L log L) cost
 for K terms: its samples are FFT circle sums and its Newton steps read the
@@ -76,7 +76,7 @@ class StarDomain:
     """Star-like Jordan domain given by a polar radius rho(theta) > 0.
 
     The other fields derive from rho. ``smoothness_bound`` is max|rho'/rho|,
-    estimated spectrally on a uniform grid; it sets the Theodorsen damping.
+    estimated spectrally on a uniform grid; it sets the Theodorsen rate.
     ``symmetric`` records that rho(-theta) == rho(theta) holds bitwise on
     the same grid: the domain is then its own conjugate, so its interior
     map has real Taylor coefficients.
@@ -104,10 +104,11 @@ def ellipse_domain(c: float) -> StarDomain:
     if not 0 < c < 1:
         raise InvalidInput("ellipse parameter must satisfy 0 < c < 1")
     a, b = 1.0 + c, 1.0 - c
+    mean, swing = 0.5 * (a * a + b * b), 0.5 * (b * b - a * a)
 
     def rho(th):
-        th = np.asarray(th, dtype=float)
-        return a * b / np.sqrt((b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2)
+        # b^2 cos^2 + a^2 sin^2 as one cosine of 2 th
+        return a * b / np.sqrt(mean + swing * np.cos(2.0 * np.asarray(th, float)))
 
     return StarDomain(rho=rho)
 
@@ -194,24 +195,16 @@ def _upsample_periodic(values: np.ndarray, m2: int) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(values)[:m // 2], m2) * (m2 / m)
 
 
-def _damping_for(bound: float) -> float:
-    """Damping of the fixed-point step for polar smoothness bound ``bound``;
-    from 1 on the classical criterion no longer guarantees convergence, so
-    the damping is strong and the iteration cap is the safety net."""
-    if bound <= 0.5:
-        return 1.0
-    if bound < 1.0:
-        return 0.8
-    return 0.4
-
-
 def theodorsen_interior(domain: StarDomain) -> TheodorsenResult:
-    """Interior map of a star-like domain by damped Theodorsen iteration.
+    """Interior map of a star-like domain by two-step Theodorsen iteration.
 
-    Solves phi(theta) = theta + K[log rho(phi(.))](theta) by mesh
-    continuation from 256 samples, damped by
-    ``_damping_for(domain.smoothness_bound)``; each mesh level iterates
-    until the residual is <= ``THEODORSEN_TOL``, for at most
+    Solves psi = K[log rho(theta + psi)] by mesh continuation from 256
+    samples with the two-step rule psi <- psi + alpha (K[.] - psi) +
+    beta (psi - psi_prev), beta = -r^2, alpha = 1 - r^2 and
+    r = eps/(1 + sqrt(1 + eps^2)) for eps = ``domain.smoothness_bound``:
+    on a Jacobian spectrum in i[-eps, eps] every mode contracts by r.
+    Each mesh level restarts with psi_prev = psi and iterates until the
+    residual |K[.] - psi| is <= ``THEODORSEN_TOL``, for at most
     ``MAX_ITERATIONS`` steps. From ``START_SAMPLE_COUNT`` on, a grid whose
     coefficients are not resolved is doubled, up to ``MAX_SAMPLE_COUNT``;
     the result's ``sample_count`` is the last grid.
@@ -219,7 +212,8 @@ def theodorsen_interior(domain: StarDomain) -> TheodorsenResult:
     for a ``symmetric`` domain it keeps only the real parts of the
     coefficients, which f(conj z) = conj f(z) makes real: a float64 series.
     """
-    damping = _damping_for(domain.smoothness_bound)
+    eps = domain.smoothness_bound
+    r2 = (eps / (1.0 + np.sqrt(1.0 + eps * eps))) ** 2
 
     mesh = 256
     psi = np.zeros(mesh)
@@ -227,10 +221,12 @@ def theodorsen_interior(domain: StarDomain) -> TheodorsenResult:
     residual = np.inf
     while True:
         theta = 2.0 * np.pi * np.arange(mesh) / mesh
+        prev = psi
         for _ in range(MAX_ITERATIONS):
             new = _conjugate_operator(np.log(domain.rho(theta + psi)))
             residual = float(np.abs(new - psi).max())
-            psi = (1.0 - damping) * psi + damping * new
+            # psi + (1 - r2)(new - psi) - r2 (psi - prev), rearranged
+            psi, prev = (1.0 - r2) * new + r2 * prev, psi
             total_iter += 1
             if residual <= THEODORSEN_TOL:
                 break
@@ -347,11 +343,18 @@ def distance_to_curve(points: np.ndarray, curve: ComplexSeries) -> np.ndarray:
     samples = samples_from_coeffs(curve, 1.0, _CURVE_SAMPLES)
     offsets = np.arange(-_START_STRIDE, _START_STRIDE + 1)
     start = np.empty(len(pts), dtype=np.int64)
+
+    def nearest(p, idx):  # argmin of |p - samples[idx]|^2, without hypot
+        near = samples[idx]
+        sq = (p.real - near.real) ** 2
+        sq += (p.imag - near.imag) ** 2
+        return sq.argmin(axis=1)
+
     for lo in range(0, len(pts), _START_BLOCK):
         p = pts[lo:lo + _START_BLOCK, None]
-        near = _START_STRIDE * np.abs(p - samples[::_START_STRIDE]).argmin(axis=1)
+        near = _START_STRIDE * nearest(p, np.s_[::_START_STRIDE])
         window = (near[:, None] + offsets) % _CURVE_SAMPLES
-        best = np.abs(p - samples[window]).argmin(axis=1)
+        best = nearest(p, window)
         start[lo:lo + _START_BLOCK] = window[np.arange(len(p)), best]
     t = 2.0 * np.pi * start / _CURVE_SAMPLES
 
@@ -538,21 +541,35 @@ def schwarzian(h, z):
 # JSON export
 # ---------------------------------------------------------------------------
 
-def _complex_list(arr: np.ndarray):
-    return [[float(x.real), float(x.imag)] for x in arr]
+def _coeff_list_json(coeffs: np.ndarray) -> str:
+    """``coeffs`` as [re, im] pairs in the layout ``json.dumps(indent=2)``
+    gives a list under a top-level key; a series has finite coefficients."""
+    pairs = ",\n".join([f"    [\n      {re!r},\n      {im!r}\n    ]"
+                        for re, im in zip(coeffs.real.tolist(),
+                                          coeffs.imag.tolist())])
+    return f"[\n{pairs}\n  ]"
 
 
 def pair_to_json(pair: WeldingPair) -> str:
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)``, but with
+    the coefficient lists rendered by ``_coeff_list_json``, not by json's
+    pure-Python indenting encoder; a non-finite residual raises ValueError."""
     doc = {
         "family_tag": pair.family_tag,
         "params": pair.params,
-        "taylor_coeffs": _complex_list(pair.interior.coeffs),
+        "taylor_coeffs": None,
         "taylor_resolved": pair.interior.resolved,
-        "laurent_coeffs": _complex_list(pair.exterior.coeffs),
+        "laurent_coeffs": None,
         "laurent_resolved": pair.exterior.resolved,
         "g_prime_at_infinity": [pair.g_prime_at_infinity.real,
                                 pair.g_prime_at_infinity.imag],
         "M": pair.sample_count,
         "residuals": {k: float(v) for k, v in pair.residuals.items()},
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    for key, series in (("taylor_coeffs", pair.interior),
+                        ("laurent_coeffs", pair.exterior)):
+        # a top-level key is the one at a two-space indent
+        text = text.replace(f'\n  "{key}": null',
+                            f'\n  "{key}": {_coeff_list_json(series.coeffs)}', 1)
+    return text

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -230,8 +231,29 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "numerical failure" in err and str(out) in err
 
+    def test_non_finite_pair_report_exit_3_and_no_file(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # the pair report has its own writer, behind the same refusal
+        from weldlab import maps as mp
+        build = mp.catalog
+        monkeypatch.setattr(mp, "catalog", lambda *a, **k: dataclasses.replace(
+            build(*a, **k), residuals={"boundary": float("nan")}))
+        out = tmp_path / "pair.json"
+        assert run(["pair", *ELLIPSE01, "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and str(out) in err
+
+    def test_map_past_its_reach_exit_3(self, tmp_path, capsys):
+        # c = 0.6: the iteration converges, but 16384 samples do not
+        # resolve the interior map, so the boundary check refuses the pair
+        code = run(["logdet", "--route", "b1", "--family", "ellipse",
+                    "--c", "0.6", "--N", "64", "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "boundary traces disagree" in capsys.readouterr().err
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
-        # extreme eccentricity: the damped iteration cannot settle
+        # extreme eccentricity: the iteration cannot settle
         code = run(["s1", "--family", "ellipse", "--c", "0.995",
                     "--out", str(tmp_path / "x.json")])
         assert code == 3

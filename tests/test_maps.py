@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -65,8 +66,8 @@ class TestTheodorsen:
             mp.StarDomain(rho=mp.ellipse_domain(0.5).rho, symmetric=False)
 
     def test_nonconvergence_diagnostic(self):
-        # smoothness bound 4.4: the damped iteration does not settle within
-        # its iteration cap
+        # smoothness bound 4.4: the two-step iteration does not settle
+        # within its iteration cap
         dom = mp.ellipse_domain(0.8)
         with pytest.raises(NumericalFailure):
             mp.theodorsen_interior(dom)
@@ -84,6 +85,26 @@ class TestTheodorsen:
         assert mp.START_SAMPLE_COUNT == 1024
         assert res.sample_count == mp.MAX_SAMPLE_COUNT == 16384
         assert res.series.resolved
+
+    # rate 0.5 at bound 4/3 (damped step 618 iterations, two-step 235) and
+    # rate 0.40 at bound 0.94 (damped 146, two-step 51)
+    @pytest.mark.parametrize("domain, most, samples", [
+        (mp.ellipse_domain(0.5), 260, 16384),
+        (mp.bump_domain(0.3, 3), 60, 1024),
+    ], ids=["ellipse-0.5", "bump-0.3-3"])
+    def test_two_step_iteration_count(self, domain, most, samples):
+        res = mp.theodorsen_interior(domain)
+        assert res.series.resolved and res.iterations <= most
+        assert res.sample_count == samples
+        assert res.residual <= mp.THEODORSEN_TOL
+
+    def test_ellipse_radius_is_the_polar_form(self):
+        # b^2 cos^2 + a^2 sin^2 taken as one cosine of 2 theta
+        a, b = 1.5, 0.5
+        theta = np.linspace(-7.0, 7.0, 1001)
+        polar = a * b / np.sqrt((b * np.cos(theta)) ** 2 + (a * np.sin(theta)) ** 2)
+        assert np.allclose(mp.ellipse_domain(0.5).rho(theta), polar,
+                           rtol=1e-15, atol=0)
 
     def test_sampled_domain_matches_closed_form(self):
         dom0 = mp.bump_domain(0.1, 3)
@@ -358,6 +379,13 @@ class TestCatalogInvariants:
         with pytest.raises(InvalidInput):
             mp.catalog("nosuch")
 
+    @pytest.mark.parametrize("c", [0.6, 0.7])
+    def test_past_the_map_reach_fails_the_boundary_check(self, c):
+        # the iteration converges here, but 16384 samples do not resolve
+        # the map (item 12 of the roadmap): the two traces disagree
+        with pytest.raises(NumericalFailure, match="boundary traces disagree"):
+            mp.catalog("ellipse", c=c)
+
     @pytest.fixture
     def solves(self, monkeypatch):
         """Results of every Theodorsen solve of an uncached catalog call."""
@@ -446,6 +474,19 @@ class TestSchwarzian:
 
 
 class TestPairSerialization:
+    @pytest.mark.parametrize("family, params", [
+        ("identity", {}), ("ellipse", {"c": 0.1}), ("ellipse", {"c": 0.5}),
+        ("fourier_bump", {"eps": 0.05, "k": 2})])
+    def test_text_is_the_json_layout(self, family, params):
+        text = mp.pair_to_json(mp.catalog(family, **params))
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+    def test_non_finite_residual_rejected(self, ellipse01):
+        # series coefficients are finite by construction; a residual may not be
+        bad = dataclasses.replace(ellipse01, residuals={"boundary": np.nan})
+        with pytest.raises(ValueError):
+            mp.pair_to_json(bad)
+
     def test_round_trip_bit_exact(self, ellipse03, ellipse01):
         for pair in (ellipse03, ellipse01):
             doc = json.loads(mp.pair_to_json(pair))
