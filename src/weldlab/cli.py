@@ -200,8 +200,9 @@ def _cmd_pair(args) -> int:
     from . import maps as mp
     pair = _build_pair(args)
     path = _out_path(args, f"pair_{args.family}.json")
-    _write_text(path, _json_text(path, lambda: mp.pair_to_json(pair)),
-                args.verbose)
+    text = _json_text(path, lambda: mp.pair_to_json(
+        pair, {"conventions": CONVENTIONS}))
+    _write_text(path, text + "\n", args.verbose)
     return EXIT_OK
 
 

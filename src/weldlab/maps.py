@@ -21,15 +21,18 @@ until the coefficients are resolved. For the polar smoothness bound
 eps = max|rho'/rho|, derived from rho, every mode contracts by
 r = eps/(1 + sqrt(1 + eps^2)) < 1 per step (0.5 for the c = 0.5 ellipse);
 the iteration cap and the boundary check are the safety net.
-The boundary of every cataloged pair is cross-checked by a point-to-curve
-Newton distance between the two parametrizations, at O(K + L log L) cost
-for K terms: its samples are FFT circle sums and its Newton steps read the
-FFT-tabulated unit-circle jets, so no Horner loop runs over the series.
+
+Every pair carries its curve, the star domain it was built on, in the
+pair's own frame. The boundary check reads each map's trace against it
+radially: |w| against rho(arg w) over m = ``BOUNDARY_SAMPLES`` FFT circle
+samples w, at O(K + m log m) cost for K terms and no Horner loop, and the
+trace must wind once about 0, which a map covering the curve twice does
+not.
 
 Every evaluation, derivative, reciprocal and circle sample of a series
-goes through ``series`` (``evaluate_array``, ``unit_circle_jets``,
-``derivative_array``, ``reciprocal_array``, ``samples_from_coeffs``);
-Moebius maps are pairs (a, b) handled by ``fuchsian.apply_mobius``.
+goes through ``series`` (``evaluate_array``, ``derivative_array``,
+``reciprocal_array``, ``samples_from_coeffs``); Moebius maps are pairs
+(a, b) handled by ``fuchsian.apply_mobius``.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .series import (
     evaluate_array,
     reciprocal_array,
     samples_from_coeffs,
-    unit_circle_jets,
 )
 
 BOUNDARY_TOL = 1e-8          # pair acceptance tolerance on the shared curve
@@ -61,10 +63,6 @@ THEODORSEN_TOL = 1e-12       # fixed-point residual that ends a mesh level
 MAX_ITERATIONS = 4000        # fixed-point steps allowed on one mesh level
 BOUNDARY_SAMPLES = 1024      # samples of each map that the boundary check reads
 _SMOOTHNESS_GRID = 4096      # samples for the numerical smoothness bound
-_CURVE_SAMPLES = 4096        # curve samples of the nearest-sample start
-_START_STRIDE = 16           # the start scans every 16th sample, then +-16
-_START_BLOCK = 64            # points per start block: 256 KB distance arrays
-_NEWTON_STEPS = 6            # projection steps after the start
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +306,15 @@ def inverted_series(h: ComplexSeries) -> ComplexSeries:
 
 @dataclass(frozen=True, eq=False)
 class WeldingPair:
-    """Normalized pair: f(0) = 0, f'(0) = 1 (Taylor), g(inf) = inf (Laurent)."""
+    """Normalized pair: f(0) = 0, f'(0) = 1 (Taylor), g(inf) = inf (Laurent).
+
+    ``curve`` is the shared Jordan curve, as the star domain about 0 in the
+    pair's own frame that both maps trace.
+    """
 
     interior: ComplexSeries
     exterior: ComplexSeries
+    curve: StarDomain
     family_tag: str
     params: dict = field(default_factory=dict)
     sample_count: int = 0
@@ -323,101 +326,74 @@ class WeldingPair:
         return complex(self.exterior.coeffs[0])
 
 
-def distance_to_curve(points: np.ndarray, curve: ComplexSeries) -> np.ndarray:
-    """Distance from each point to the image curve of |z| = 1 under ``curve``.
+def pair_boundary_residual(interior: ComplexSeries, exterior: ComplexSeries,
+                           curve: StarDomain) -> float:
+    """Largest radial gap | |w| - rho(arg w) | over ``BOUNDARY_SAMPLES``
+    samples w of each map's trace on |z| = 1.
 
-    Starts each point at its nearest of 4096 uniform curve samples (the
-    nearest of every 16th sample, then of the 33 around it) and takes six
-    Newton projection steps on the parameter t through
-    ``unit_circle_jets``; accurate to machine precision for analytic
-    curves, which is what makes sub-1e-8 boundary tolerances testable at
-    all. For m points and K terms it costs O(K + L log L) to tabulate the
-    curve on L > 2K points, O(m) per step, and no m x 4096 array: the start
-    runs over blocks of 64 points.
-
-    Every distance returned is |curve(t) - p| for some t, never below the
-    true distance: a poor start can only overstate a distance, so it can
-    fail a good pair but never pass a bad one.
+    The gap is the distance from w to one point of the curve, so it is
+    never below the true distance: a good pair may fail, a bad one never
+    passes. Each trace must also wind once about 0, its angles
+    arg(w_{j+1}/w_j) summing to 2 pi; one that does not, or that has a
+    sample which is not a finite number, raises NumericalFailure.
     """
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    samples = samples_from_coeffs(curve, 1.0, _CURVE_SAMPLES)
-    offsets = np.arange(-_START_STRIDE, _START_STRIDE + 1)
-    start = np.empty(len(pts), dtype=np.int64)
-
-    def nearest(p, idx):  # argmin of |p - samples[idx]|^2, without hypot
-        near = samples[idx]
-        sq = (p.real - near.real) ** 2
-        sq += (p.imag - near.imag) ** 2
-        return sq.argmin(axis=1)
-
-    for lo in range(0, len(pts), _START_BLOCK):
-        p = pts[lo:lo + _START_BLOCK, None]
-        near = _START_STRIDE * nearest(p, np.s_[::_START_STRIDE])
-        window = (near[:, None] + offsets) % _CURVE_SAMPLES
-        best = nearest(p, window)
-        start[lo:lo + _START_BLOCK] = window[np.arange(len(p)), best]
-    t = 2.0 * np.pi * start / _CURVE_SAMPLES
-
-    at = unit_circle_jets(curve)
-    for _ in range(_NEWTON_STEPS):
-        ct, dct = at(t)
-        grad = np.real((ct - pts) * np.conj(dct))
-        hess = np.abs(dct) ** 2
-        t = t - grad / np.maximum(hess, 1e-300)
-    return np.abs(at(t)[0] - pts)
-
-
-def pair_boundary_residual(interior: ComplexSeries, exterior: ComplexSeries) -> float:
-    """Two-sided sampled distance between the two boundary parametrizations:
-    the largest ``distance_to_curve`` of ``BOUNDARY_SAMPLES`` samples of
-    either map to the other's curve. Overflowing series give NaN, which the
-    caller rejects."""
+    gaps = []
     with np.errstate(over="ignore", invalid="ignore"):
-        fb = samples_from_coeffs(interior, 1.0, BOUNDARY_SAMPLES)
-        gb = samples_from_coeffs(exterior, 1.0, BOUNDARY_SAMPLES)
-        d = np.concatenate([distance_to_curve(fb, exterior),
-                            distance_to_curve(gb, interior)])
-    return float(d.max())
+        for side, series in (("interior", interior), ("exterior", exterior)):
+            w = samples_from_coeffs(series, 1.0, BOUNDARY_SAMPLES)
+            turns = np.angle(np.roll(w, -1) * np.conj(w)).sum() / (2 * np.pi)
+            if not abs(turns - 1.0) < 0.5:
+                raise NumericalFailure(
+                    f"the {side} boundary trace winds {turns:.3g} times "
+                    "about 0, not once")
+            gaps.append(np.abs(np.abs(w) - curve.rho(np.angle(w))).max())
+    return float(max(gaps))
 
 
 def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
-                   family_tag: str = "custom", params: dict = None,
-                   sample_count: int = 1024, extra_residuals: dict = None) -> WeldingPair:
-    """Apply the affine gauge lambda(w) = (w - raw_f(0))/raw_f'(0) to both maps.
+                   raw_curve: StarDomain, family_tag: str = "custom",
+                   params: dict = None, sample_count: int = 1024,
+                   extra_residuals: dict = None) -> WeldingPair:
+    """Apply the gauge w -> w/raw_f'(0) to both maps and their curve.
 
-    The output satisfies f(0) = 0 and f'(0) = 1 exactly; g'(inf) is the
-    rescaled Laurent leading coefficient. The two boundary traces must
-    agree to ``BOUNDARY_TOL``; a residual that is not a number fails too.
+    ``raw_f`` must fix 0, the centre of the star domain ``raw_curve``; the
+    gauge is then a scaling and a rotation, so the output satisfies
+    f(0) = 0 and f'(0) = 1 exactly, g'(inf) is the rescaled Laurent
+    leading coefficient, and the curve stays star-shaped about 0 with
+    radius rho(theta + arg a1)/|a1|. Both boundary traces must lie on that
+    curve to ``BOUNDARY_TOL``; a residual that is not a number fails too.
     The pair records ``sample_count``; the check does not read it.
     """
     if raw_f.kind is not Kind.TAYLOR_AT_ZERO:
         raise InvalidInput("raw interior map must be a Taylor series")
     if raw_g.kind is not Kind.LAURENT_AT_INFINITY:
         raise InvalidInput("raw exterior map must be a Laurent series")
+    if raw_f.coeffs[0] != 0:
+        raise InvalidInput("raw_f(0) != 0: f does not fix the curve's centre")
     if raw_f.order < 2 or raw_f.coeffs[1] == 0:
         raise InvalidInput("raw_f'(0) = 0: not univalent")
     if raw_g.coeffs[0] == 0:
         raise InvalidInput("raw_g'(infinity) = 0: g does not fix infinity")
 
-    a0, a1 = raw_f.coeffs[0], raw_f.coeffs[1]
+    a1 = raw_f.coeffs[1]
     fc = raw_f.coeffs / a1
     fc[0] = 0.0
     fc[1] = 1.0
-    gc = raw_g.coeffs / a1
-    if raw_g.order >= 2:
-        gc[1] -= a0 / a1
-
     interior = ComplexSeries.taylor(fc, resolved=raw_f.resolved)
-    exterior = ComplexSeries.laurent(gc, resolved=raw_g.resolved)
+    exterior = ComplexSeries.laurent(raw_g.coeffs / a1,
+                                     resolved=raw_g.resolved)
+    turn, scale = float(np.angle(a1)), float(abs(a1))
+    curve = StarDomain(rho=lambda th: raw_curve.rho(np.asarray(th, dtype=float)
+                                                    + turn) / scale)
     residuals = dict(extra_residuals or {})
-    resid = pair_boundary_residual(interior, exterior)
+    resid = pair_boundary_residual(interior, exterior, curve)
     residuals["boundary"] = resid
     if not resid <= BOUNDARY_TOL:
         raise NumericalFailure(
             f"boundary traces disagree: residual {resid:.3e} is not within "
             f"{BOUNDARY_TOL:.1e}"
         )
-    return WeldingPair(interior=interior, exterior=exterior,
+    return WeldingPair(interior=interior, exterior=exterior, curve=curve,
                        family_tag=family_tag, params=dict(params or {}),
                        sample_count=sample_count, residuals=residuals)
 
@@ -434,18 +410,20 @@ def _catalog_cached(family_tag: str, param_items: tuple) -> WeldingPair:
         return WeldingPair(
             interior=ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8),
             exterior=ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 8),
-            family_tag="identity", params={}, sample_count=START_SAMPLE_COUNT,
+            curve=bump_domain(0.0, 1), family_tag="identity", params={},
+            sample_count=START_SAMPLE_COUNT,
             residuals={"boundary": 0.0})
 
     if family_tag == "ellipse":
         c = params["c"]
-        theo = theodorsen_interior(ellipse_domain(c))
+        domain = ellipse_domain(c)
+        theo = theodorsen_interior(domain)
         # exact closed form z + c/z: trailing zeros state that the higher
         # Laurent coefficients vanish identically
         raw_g = ComplexSeries.laurent([1.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0],
                                       resolved=True)
         return normalize_pair(
-            theo.series, raw_g, family_tag="ellipse", params=params,
+            theo.series, raw_g, domain, family_tag="ellipse", params=params,
             sample_count=theo.sample_count,
             extra_residuals={"theodorsen": theo.residual})
 
@@ -462,7 +440,8 @@ def _catalog_cached(family_tag: str, param_items: tuple) -> WeldingPair:
         # scale the recovered curve away from the interior map's curve
         raw_g = inverted_series(theo_inv.series)
         return normalize_pair(
-            theo.series, raw_g, family_tag="fourier_bump", params=params,
+            theo.series, raw_g, domain, family_tag="fourier_bump",
+            params=params,
             sample_count=max(theo.sample_count, theo_inv.sample_count),
             extra_residuals={"theodorsen": max(theo.residual, theo_inv.residual)})
 
@@ -488,9 +467,11 @@ def catalog(family_tag: str, **params) -> WeldingPair:
 
 def inverted_pair(pair: WeldingPair) -> WeldingPair:
     """The pair of the reflected curve: roles of f and g swap through
-    z -> 1/conj(z), then the result is re-normalized."""
+    z -> 1/conj(z), the curve's radius becomes 1/rho, and the result is
+    re-normalized."""
     return normalize_pair(inverted_series(pair.exterior),
                           inverted_series(pair.interior),
+                          inverted_domain(pair.curve),
                           family_tag=pair.family_tag + "~inverted",
                           params=pair.params, sample_count=pair.sample_count)
 
@@ -550,11 +531,14 @@ def _coeff_list_json(coeffs: np.ndarray) -> str:
     return f"[\n{pairs}\n  ]"
 
 
-def pair_to_json(pair: WeldingPair) -> str:
+def pair_to_json(pair: WeldingPair, extra: dict = None) -> str:
     """The text of ``json.dumps(doc, indent=2, sort_keys=True)``, but with
     the coefficient lists rendered by ``_coeff_list_json``, not by json's
-    pure-Python indenting encoder; a non-finite residual raises ValueError."""
+    pure-Python indenting encoder; a non-finite residual raises ValueError.
+    ``extra`` holds further top-level keys of the document, such as the
+    command line's conventions block."""
     doc = {
+        **(extra or {}),
         "family_tag": pair.family_tag,
         "params": pair.params,
         "taylor_coeffs": None,

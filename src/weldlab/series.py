@@ -5,7 +5,7 @@ set where coefficients are made, carries realness to every consumer,
 which allocates in it and picks real or complex transforms by it alone.
 
 This module is the package's one place that evaluates, differentiates and
-samples a coefficient array. There are three evaluators:
+samples a coefficient array. There are two evaluators:
 
 * ``evaluate_array``, the only Horner loop (numpy's ``polyval``), takes
   arbitrary points: the Schwarzian of ``maps``, and ``evaluate``, the
@@ -14,10 +14,7 @@ samples a coefficient array. There are three evaluators:
   the product grids of the action quadrature and ``samples_from_coeffs``
   (one circle |z| = r, in either grading): it folds the coefficients
   modulo m and sums each circle exactly with one FFT, in O(K + m log m)
-  operations for K terms instead of Horner's O(K m);
-* ``unit_circle_jets`` takes arbitrary angles on |z| = 1, the Newton steps
-  of ``maps``' boundary check: it tabulates the curve and its Taylor jets
-  on a uniform grid by FFT once, then costs O(1) per angle, not O(K).
+  operations for K terms instead of Horner's O(K m).
 
 ``derivative`` is the only term-by-term derivative of either grading.
 Series division and the log are one Newton iteration (Brent and Kung):
@@ -63,11 +60,6 @@ _POWER_STEP = 64
 # Complex entries of one transform block of the Newton series inverse:
 # 2^17 values are 2 MB, whatever the shape of the series.
 _FFT_BLOCK = 1 << 17
-# Highest Taylor order of ``unit_circle_jets``: its grid has more than two
-# points per period of the top frequency, so |nu h s| < pi/2, and the
-# remainder of order 22, (pi/2)^23/23! e^(pi/2) = 6.0e-18 relative to
-# sum |c_k|, is below rounding.
-_JET_ORDER = 22
 
 
 class Kind(enum.Enum):
@@ -447,46 +439,3 @@ def samples_from_coeffs(a: ComplexSeries, radius: float, m: int):
     theta = 2.0 * np.pi * np.arange(m) / m
     return np.roll(p[::-1], 1) * (radius * np.exp(1j * theta))
 
-
-def unit_circle_jets(a: ComplexSeries):
-    """Evaluator of t -> a(e^(it)) and its t-derivative at arbitrary angles.
-
-    The curve sum c_k e^(i nu_k t) (nu_k = k for Taylor, 1 - k for Laurent)
-    is tabulated with its scaled jets
-    G_r[j] = sum c_k (i nu_k h)^r e^(i nu_k t_j) / r!, r <= ``_JET_ORDER``,
-    on the grid t_j = j h of the smallest power of two L > 2 max|nu_k|
-    points, one folded inverse FFT per order: O(R K + R L log L) once. An
-    angle t = (j + s) h with |s| <= 1/2 is then the polynomial
-    sum_r G_r[j] s^r and its s-derivative over h, O(R) per angle instead of
-    Horner's O(K). Returns a function of an angle array t giving the pair
-    (values, t-derivatives).
-    """
-    nu = np.arange(a.order)
-    if a.kind is Kind.LAURENT_AT_INFINITY:
-        nu = 1 - nu
-    size = 2
-    while size <= 2 * np.abs(nu).max():
-        size *= 2
-    h = 2.0 * np.pi / size
-    step = 1j * h * nu
-    bins = nu % size                             # distinct: L > 2 max|nu|
-    jets = np.zeros((_JET_ORDER + 1, size), dtype=complex)
-    term = a.coeffs
-    for r in range(_JET_ORDER + 1):
-        if r:
-            term = term * step / r
-        jets[r, bins] = term
-    jets = np.fft.ifft(jets, axis=1, norm="forward")
-
-    def at(t):
-        u = np.asarray(t, dtype=float) / h
-        j = np.rint(u)
-        s = u - j
-        j = j.astype(np.int64) % size
-        value, slope = jets[-1][j], np.zeros(j.shape, dtype=complex)
-        for row in jets[-2::-1]:
-            slope = slope * s + value
-            value = value * s + row[j]
-        return value, slope / h
-
-    return at

@@ -10,12 +10,24 @@ factorization. The octagon references decide membership of the Dirichlet
 domain by comparing hyperbolic distances, the oracle of
 ``fuchsian.domain_boundary_radius``, and invert the right-triangle
 relation that fixes the octagon's vertex radius.
+
+The curve references measure a welding pair's boundary the way the
+package did before it checked each trace against the pair's star curve:
+``dense_horner_distance`` projects points onto the image curve of a
+series by Newton steps on Horner values, and ``unit_circle_jets`` is the
+FFT jet evaluator that made such steps O(1) per angle.
 """
 
 import numpy as np
 
 from weldlab.fuchsian import _side_neighbours
-from weldlab.series import _smooth_length
+from weldlab.series import Kind, _smooth_length, derivative, evaluate
+
+# Highest Taylor order of ``unit_circle_jets``: its grid has more than two
+# points per period of the top frequency, so |nu h s| < pi/2, and the
+# remainder of order 22, (pi/2)^23/23! e^(pi/2) = 6.0e-18 relative to
+# sum |c_k|, is below rounding.
+_JET_ORDER = 22
 
 
 def triangular_reciprocal(c):
@@ -88,3 +100,64 @@ def vertex_angle(vertex_radius_hyp: float) -> float:
     vertex radius (right-triangle relation cosh c = cot A cot B, with
     A = pi/8 half a side sector)."""
     return 2.0 * np.arctan(1.0 / (np.cosh(vertex_radius_hyp) * np.tan(np.pi / 8)))
+
+
+def dense_horner_distance(points, curve):
+    """Distance from each point to the image curve of |z| = 1 under the
+    series ``curve``: the nearest of all 4096 curve samples by Horner, then
+    six Newton projection steps on Horner values."""
+    pts = np.asarray(points, dtype=complex)
+    grid = 2 * np.pi * np.arange(4096) / 4096
+    samples = evaluate(curve, np.exp(1j * grid))
+    t = np.concatenate([grid[np.abs(chunk[:, None] - samples).argmin(axis=1)]
+                        for chunk in np.array_split(pts, 8)])
+    slope = derivative(curve)
+    for _ in range(6):
+        z = np.exp(1j * t)
+        value, tangent = evaluate(curve, z), evaluate(slope, z) * 1j * z
+        t = t - np.real((value - pts) * np.conj(tangent)) / np.abs(tangent) ** 2
+    return np.abs(evaluate(curve, np.exp(1j * t)) - pts)
+
+
+def unit_circle_jets(a):
+    """Evaluator of t -> a(e^(it)) and its t-derivative at arbitrary angles.
+
+    The curve sum c_k e^(i nu_k t) (nu_k = k for Taylor, 1 - k for Laurent)
+    is tabulated with its scaled jets
+    G_r[j] = sum c_k (i nu_k h)^r e^(i nu_k t_j) / r!, r <= ``_JET_ORDER``,
+    on the grid t_j = j h of the smallest power of two L > 2 max|nu_k|
+    points, one folded inverse FFT per order: O(R K + R L log L) once. An
+    angle t = (j + s) h with |s| <= 1/2 is then the polynomial
+    sum_r G_r[j] s^r and its s-derivative over h, O(R) per angle instead of
+    Horner's O(K). Returns a function of an angle array t giving the pair
+    (values, t-derivatives).
+    """
+    nu = np.arange(a.order)
+    if a.kind is Kind.LAURENT_AT_INFINITY:
+        nu = 1 - nu
+    size = 2
+    while size <= 2 * np.abs(nu).max():
+        size *= 2
+    h = 2.0 * np.pi / size
+    step = 1j * h * nu
+    bins = nu % size                             # distinct: L > 2 max|nu|
+    jets = np.zeros((_JET_ORDER + 1, size), dtype=complex)
+    term = a.coeffs
+    for r in range(_JET_ORDER + 1):
+        if r:
+            term = term * step / r
+        jets[r, bins] = term
+    jets = np.fft.ifft(jets, axis=1, norm="forward")
+
+    def at(t):
+        u = np.asarray(t, dtype=float) / h
+        j = np.rint(u)
+        s = u - j
+        j = j.astype(np.int64) % size
+        value, slope = jets[-1][j], np.zeros(j.shape, dtype=complex)
+        for row in jets[-2::-1]:
+            slope = slope * s + value
+            value = value * s + row[j]
+        return value, slope / h
+
+    return at

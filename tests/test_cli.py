@@ -61,6 +61,17 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert doc["family_tag"] == "fourier_bump"
 
+    @pytest.mark.parametrize("argv", [["--family", "identity"], ELLIPSE01])
+    def test_pair_report_is_like_every_report(self, tmp_path, argv):
+        # the conventions block and the final newline of _write_report, in
+        # the json layout, though the coefficients are rendered apart
+        out = tmp_path / "pair.json"
+        assert run(["pair", *argv, "--out", str(out)]) == 0
+        text = out.read_text()
+        doc = json.loads(text)
+        assert doc["conventions"] == cli.CONVENTIONS
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
     def test_grunsky_command(self, tmp_path):
         out = tmp_path / "g.json"
         code = run(["grunsky", "--family", "identity", "--N", "16",

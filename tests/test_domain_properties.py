@@ -37,7 +37,7 @@ def asymmetric_pairs(draw):
     theo = mp.theodorsen_interior(domain)
     theo_inv = mp.theodorsen_interior(mp.inverted_domain(domain))
     return mp.normalize_pair(
-        theo.series, mp.inverted_series(theo_inv.series),
+        theo.series, mp.inverted_series(theo_inv.series), domain,
         sample_count=max(theo.sample_count, theo_inv.sample_count))
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from references import triangular_reciprocal
+from references import dense_horner_distance, triangular_reciprocal
 from weldlab import fuchsian as fx
 from weldlab import grunsky as gk
 from weldlab import maps as mp
@@ -31,7 +31,7 @@ class TestTheodorsen:
         # interior boundary against the closed-form exterior curve through
         # the shared ellipse
         fb = boundary_points(ellipse03.interior)
-        d = mp.distance_to_curve(fb, ellipse03.exterior)
+        d = dense_horner_distance(fb, ellipse03.exterior)
         assert d.max() <= 1e-8
 
     def test_bump_image_matches_rho(self):
@@ -130,7 +130,7 @@ class TestTheodorsen:
         f = mp.theodorsen_interior(sampled).series
         g = mp.inverted_series(
             mp.theodorsen_interior(mp.inverted_domain(sampled)).series)
-        pair = mp.normalize_pair(f, g, family_tag="sampled")
+        pair = mp.normalize_pair(f, g, sampled, family_tag="sampled")
         blocks = (gk.build_b1(pair, 16), gk.build_b4(pair, 16),
                   *gk.build_b2_b3(pair, 16))
         assert all(b.dtype == np.float64 for b in blocks)
@@ -167,7 +167,7 @@ class TestInversion:
         g = mp.inverted_series(res.series)
         gb = boundary_points(g)
         target = ComplexSeries.laurent([1.0, 0.0, c, 0, 0, 0, 0, 0])
-        assert mp.distance_to_curve(gb, target).max() <= 1e-8
+        assert dense_horner_distance(gb, target).max() <= 1e-8
 
     def test_involution(self, bump_pair):
         # reflecting twice returns either map, coefficient by coefficient
@@ -233,22 +233,54 @@ class TestNormalizePair:
         assert identity_pair.g_prime_at_infinity == 1.0
         assert identity_pair.interior.coeffs[0] == 0
         assert identity_pair.interior.coeffs[1] == 1
+        # the unit circle, so the reflected pair needs no special case
+        theta = np.linspace(-7.0, 7.0, 101)
+        assert np.all(identity_pair.curve.rho(theta) == 1.0)
+        assert mp.inverted_pair(identity_pair).residuals["boundary"] <= 1e-15
 
-    def test_affine_arithmetic(self):
-        # raw f with f(0) = 1, f'(0) = 2 is shifted and scaled back
-        raw_f = ComplexSeries.taylor([1.0, 2.0, 0.0, 0.0])
-        raw_g = ComplexSeries.laurent([2.0, 1.0, 0.0, 0.0])
-        pair = mp.normalize_pair(raw_f, raw_g)
+    def test_affine_arithmetic(self, ellipse03):
+        # the c = 0.3 pair and its curve scaled by 2 and turned by pi/4:
+        # the gauge w -> w/a1, a1 = 2 e^(i pi/4), maps all three back
+        a1 = 2.0 * np.exp(0.25j * np.pi)
+        raw = mp.StarDomain(rho=lambda th: 2.0 * ellipse03.curve.rho(
+            np.asarray(th) - 0.25 * np.pi))
+        pair = mp.normalize_pair(
+            ComplexSeries.taylor(a1 * ellipse03.interior.coeffs),
+            ComplexSeries.laurent(a1 * ellipse03.exterior.coeffs), raw)
         assert pair.interior.coeffs[0] == 0
         assert pair.interior.coeffs[1] == 1
-        assert abs(pair.g_prime_at_infinity - 1.0) <= 1e-15
-        # constant term of g absorbed the shift: (1 - 1)/2 = 0
-        assert abs(pair.exterior.coeffs[1]) <= 1e-15
+        assert np.abs(pair.interior.coeffs
+                      - ellipse03.interior.coeffs).max() <= 1e-15
+        assert abs(pair.g_prime_at_infinity
+                   - ellipse03.g_prime_at_infinity) <= 1e-15
+        theta = np.linspace(-7.0, 7.0, 101)
+        assert np.abs(pair.curve.rho(theta)
+                      - ellipse03.curve.rho(theta)).max() <= 1e-15
+        assert pair.residuals["boundary"] <= 1e-12
+        # the gauge is a scaling and a rotation: a raw f that moves the
+        # curve's centre 0 is refused, not translated
+        with pytest.raises(InvalidInput, match="raw_f\\(0\\)"):
+            mp.normalize_pair(ComplexSeries.taylor([1.0, 2.0, 0.0, 0.0]),
+                              ComplexSeries.laurent([2.0, 1.0, 0.0, 0.0]),
+                              mp.bump_domain(0.0, 1))
 
     def test_degenerate_rejected(self):
         with pytest.raises(InvalidInput):
             mp.normalize_pair(ComplexSeries.taylor([0.0, 0.0, 1.0]),
-                              ComplexSeries.laurent([1.0, 0.0]))
+                              ComplexSeries.laurent([1.0, 0.0]),
+                              mp.bump_domain(0.0, 1))
+
+    def test_twice_winding_interior_rejected(self):
+        # z (z - 1/2)/(1 - z/2), a degree-2 Blaschke product, traces the
+        # unit circle twice, as raw g = z traces it once: every sample lies
+        # on the curve, but f is not univalent, so its winding rejects it
+        k = np.arange(80)
+        coeffs = np.where(k >= 2, 3.0 * 0.5 ** k, 0.0)
+        coeffs[1] = -0.5
+        with pytest.raises(NumericalFailure, match="winds 2 times"):
+            mp.normalize_pair(ComplexSeries.taylor(coeffs),
+                              ComplexSeries.laurent([1.0, 0.0]),
+                              mp.bump_domain(0.0, 1))
 
     def test_ellipse_g_prime(self, ellipse03):
         # |g'(inf)| = 1/f_raw'(0) feeds the log term of the action; it is
@@ -257,39 +289,33 @@ class TestNormalizePair:
         assert ellipse03.g_prime_at_infinity == ellipse03.exterior.coeffs[0]
 
     def test_non_finite_residual_rejected(self, monkeypatch):
-        # the boundary samples of this map overflow, so its residual is
-        # NaN, and NaN > tol is False: only residual <= tol rejects it
+        # the boundary samples of this map overflow, so its trace has no
+        # winding number; a residual that is NaN fails too, since
+        # NaN > tol is False: only residual <= tol rejects it
         raw_f = ComplexSeries.taylor([0.0, 1.0, 1e308, 1e308])
         raw_g = ComplexSeries.laurent([1.0, 0.0])
-        with pytest.raises(NumericalFailure):
-            mp.normalize_pair(raw_f, raw_g)
+        circle = mp.bump_domain(0.0, 1)
+        with pytest.raises(NumericalFailure, match="winds nan times"):
+            mp.normalize_pair(raw_f, raw_g, circle)
         monkeypatch.setattr(mp, "pair_boundary_residual", lambda *a: np.nan)
-        with pytest.raises(NumericalFailure):
-            mp.normalize_pair(ComplexSeries.taylor([0.0, 1.0]), raw_g)
+        with pytest.raises(NumericalFailure, match="boundary traces disagree"):
+            mp.normalize_pair(ComplexSeries.taylor([0.0, 1.0]), raw_g, circle)
 
 
-def dense_horner_distance(points, curve):
-    """Reference distance: the nearest of all 4096 curve samples by
-    Horner, then six Newton steps on Horner values."""
-    pts = np.asarray(points, dtype=complex)
-    grid = 2 * np.pi * np.arange(4096) / 4096
-    samples = evaluate(curve, np.exp(1j * grid))
-    t = np.concatenate([grid[np.abs(chunk[:, None] - samples).argmin(axis=1)]
-                        for chunk in np.array_split(pts, 8)])
-    slope = derivative(curve)
-    for _ in range(6):
-        z = np.exp(1j * t)
-        value, tangent = evaluate(curve, z), evaluate(slope, z) * 1j * z
-        t = t - np.real((value - pts) * np.conj(tangent)) / np.abs(tangent) ** 2
-    return np.abs(evaluate(curve, np.exp(1j * t)) - pts)
+def two_curve_distance(f, g):
+    """The largest dense Horner distance of a trace's samples to the other
+    map's curve, either way round."""
+    return max(dense_horner_distance(boundary_points(f), g).max(),
+               dense_horner_distance(boundary_points(g), f).max())
 
 
 class TestBoundaryCheck:
     @pytest.mark.parametrize("which", ["ellipse05.interior",
                                        "bump_pair.exterior", "z + 0.3/z"])
     def test_normal_offset_is_the_distance(self, which, request):
-        # a point pushed off the curve along the unit normal by delta,
-        # well inside the curvature radius, is |delta| from it
+        # the reference projection: a point pushed off the curve along the
+        # unit normal by delta, well inside the curvature radius, is
+        # |delta| from it
         if which == "z + 0.3/z":
             curve = ComplexSeries.laurent([1.0, 0.0, 0.3])
         else:
@@ -300,25 +326,46 @@ class TestBoundaryCheck:
         tangent = evaluate(derivative(curve), z) * 1j * z
         normal = -1j * tangent / np.abs(tangent)
         for delta in (1e-3, -1e-3, 1e-6):
-            d = mp.distance_to_curve(evaluate(curve, z) + delta * normal, curve)
+            d = dense_horner_distance(evaluate(curve, z) + delta * normal, curve)
             assert np.abs(d - abs(delta)).max() <= 1e-14
 
-    @pytest.mark.parametrize("which", ["ellipse03", "bump_pair",
-                                       "ellipse03~inverted",
-                                       "bump_pair~inverted", "mismatched"])
+    # the radial gap is the distance to one point of the curve, at most
+    # sqrt(1 + eps^2) times the true distance for smoothness bound eps: on
+    # these pairs it reads 0.74 to 1.20 times the two-curve distance
+    @pytest.mark.parametrize("which", [
+        "ellipse01", "ellipse03", "ellipse05", "bump_pair", "bump03",
+        "ellipse01~inverted", "ellipse03~inverted", "ellipse05~inverted",
+        "bump_pair~inverted", "bump03~inverted", "mismatched"])
     def test_matches_dense_horner_check(self, which, request):
-        if which == "mismatched":
-            # the normalized c = 0.3 interior map against raw z + 0.31/z
-            f = request.getfixturevalue("ellipse03").interior
-            g = ComplexSeries.laurent([1.0, 0.0, 0.31])
-        else:
+        if which.startswith("bump03"):
+            pair = mp.catalog("fourier_bump", eps=0.3, k=3)
+        elif which != "mismatched":
             pair = request.getfixturevalue(which.split("~")[0])
-            if which.endswith("~inverted"):
-                pair = mp.inverted_pair(pair)
+        if which.endswith("~inverted"):
+            pair = mp.inverted_pair(pair)
+        if which == "mismatched":
+            # the c = 0.3 pair's exterior map with c = 0.31, a curve that
+            # misses the pair's by about 0.01
+            pair = request.getfixturevalue("ellipse03")
+            coeffs = np.array(pair.exterior.coeffs)
+            coeffs[2] *= 31 / 30
+            f, g = pair.interior, ComplexSeries.laurent(coeffs)
+        else:
             f, g = pair.interior, pair.exterior
-        dense = max(dense_horner_distance(boundary_points(f), g).max(),
-                    dense_horner_distance(boundary_points(g), f).max())
-        assert abs(mp.pair_boundary_residual(f, g) - dense) <= 1e-14
+        radial = mp.pair_boundary_residual(f, g, pair.curve)
+        dense = two_curve_distance(f, g)
+        assert dense / 2 <= radial <= 2 * dense
+
+    def test_perturbed_coefficient_fails(self, ellipse03):
+        # 1e-6 on coefficient 40 of the c = 0.3 interior map moves its
+        # trace off the curve by about that much (the check reads 1.2e-6)
+        coeffs = np.array(ellipse03.interior.coeffs)
+        coeffs[40] += 1e-6
+        f = ComplexSeries.taylor(coeffs)
+        resid = mp.pair_boundary_residual(f, ellipse03.exterior, ellipse03.curve)
+        assert 5e-7 <= resid and not resid <= mp.BOUNDARY_TOL
+        with pytest.raises(NumericalFailure, match="boundary traces disagree"):
+            mp.normalize_pair(f, ellipse03.exterior, ellipse03.curve)
 
     def test_no_horner_loop(self, ellipse05, monkeypatch):
         # a count, not a timing: the check of the 6408-term map must not
@@ -327,16 +374,17 @@ class TestBoundaryCheck:
             raise AssertionError("Horner loop in the boundary check")
         monkeypatch.setattr("weldlab.series.evaluate_array", refuse)
         monkeypatch.setattr(mp, "evaluate_array", refuse)
-        resid = mp.pair_boundary_residual(ellipse05.interior, ellipse05.exterior)
+        resid = mp.pair_boundary_residual(ellipse05.interior, ellipse05.exterior,
+                                          ellipse05.curve)
         assert resid <= mp.BOUNDARY_TOL
 
     def test_no_dense_start_matrix(self, ellipse05):
         # a 1024 x 4096 complex distance matrix alone is 64 MB; the check
-        # of the 6408-term map peaks at 12 MB, its jet table and the FFT
-        # that fills it
+        # of the 6408-term map samples each trace once on 1024 points
         tracemalloc.start()
         try:
-            mp.pair_boundary_residual(ellipse05.interior, ellipse05.exterior)
+            mp.pair_boundary_residual(ellipse05.interior, ellipse05.exterior,
+                                      ellipse05.curve)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -348,7 +396,8 @@ class TestCatalogInvariants:
                                          "ellipse03", "ellipse05", "bump_pair"])
     def test_boundary_agreement(self, fixture, request):
         pair = request.getfixturevalue(fixture)
-        assert mp.pair_boundary_residual(pair.interior, pair.exterior) <= 1e-7
+        assert mp.pair_boundary_residual(pair.interior, pair.exterior,
+                                         pair.curve) <= 1e-7
 
     @pytest.mark.parametrize("fixture", ["ellipse01", "ellipse03",
                                          "ellipse05", "bump_pair"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from references import slice_log, triangular_reciprocal
+from references import slice_log, triangular_reciprocal, unit_circle_jets
 from weldlab import maps as mp
 from weldlab import series
 from weldlab.errors import InvalidInput, NumericalFailure
@@ -16,7 +16,6 @@ from weldlab.series import (
     evaluate_on_circles,
     reciprocal_array,
     samples_from_coeffs,
-    unit_circle_jets,
 )
 
 
@@ -388,6 +387,7 @@ class TestEvaluateOnCircles:
 
 
 class TestUnitCircleJets:
+    # the reference jet evaluator of tests/references.py against Horner
     # order 128 puts the top Taylor frequency 127 just under half its
     # 256-point grid, where the jets' Taylor remainder is largest
     @pytest.mark.parametrize("kind", list(Kind))

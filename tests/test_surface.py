@@ -1,9 +1,12 @@
-"""Every public function of the layer modules has a caller in the package.
+"""Every public function and every module-level name of the layer modules
+has a reader in the package.
 
 A public top-level function that no code in ``src/weldlab`` reads, as a
 module attribute or as a bare name no local variable shadows, is reachable
 only from tests: it is either dead weight or kept on purpose, and then it
-is on the allowlist with the reason.
+is on the allowlist with the reason. The same holds for every name a layer
+module assigns at its top level, private or not, so that the constants of
+a deleted helper cannot outlive it.
 """
 
 import ast
@@ -24,14 +27,25 @@ KEPT = {
     "evaluate": "the tests' Horner oracle of either grading at arbitrary "
                 "points, against which the FFT evaluators are checked",
     "derivative": "the tests' derivative oracle of either grading: the "
-                  "t-derivatives of unit_circle_jets and the normals of the "
-                  "distance_to_curve oracle",
+                  "t-derivatives of the reference unit_circle_jets and the "
+                  "Newton steps of the reference dense_horner_distance",
 }
 
 
 def _public_functions(tree):
     return [node.name for node in tree.body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def _assigned(tree):
+    """Names a module binds by assignment at its top level."""
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets.append(node.target)
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
 def _locals(fn):
@@ -65,17 +79,26 @@ def _named(tree):
     return out
 
 
-def test_every_public_function_is_reached_or_kept():
+def _unread(names_of):
+    """The names ``names_of`` lists for a layer module that no module of
+    the package reads and the allowlist does not keep."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     used = set().union(*(_named(tree) for tree in trees.values()))
-    unreached = sorted(name for layer in LAYERS
-                       for name in _public_functions(trees[layer])
-                       if name not in used and name not in KEPT)
-    assert unreached == []
+    return sorted(name for layer in LAYERS for name in names_of(trees[layer])
+                  if name not in used and name not in KEPT)
+
+
+def test_every_public_function_is_reached_or_kept():
+    assert _unread(_public_functions) == []
+
+
+def test_every_module_level_name_is_read_or_kept():
+    assert _unread(_assigned) == []
 
 
 def test_allowlist_names_existing_functions():
-    defined = {name for layer in LAYERS for name in
-               _public_functions(ast.parse((PACKAGE / f"{layer}.py").read_text()))}
+    trees = [ast.parse((PACKAGE / f"{layer}.py").read_text()) for layer in LAYERS]
+    defined = {name for tree in trees
+               for name in _public_functions(tree) + _assigned(tree)}
     assert set(KEPT) <= defined
