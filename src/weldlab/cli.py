@@ -80,17 +80,6 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
-def _json_default(obj):
-    """``json.dumps`` hook for what json cannot write: numpy scalars (any
-    object with ``item()``) as their Python values, complex numbers as
-    [re, im]."""
-    if hasattr(obj, "item"):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _out_path(args, default_name: str):
     if args.out:
         return args.out
@@ -124,7 +113,7 @@ def _write_report(args, doc: dict, default_name: str):
     doc["conventions"] = CONVENTIONS
     path = _out_path(args, default_name)
     text = _json_text(path, lambda: json.dumps(
-        doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default))
+        doc, indent=2, sort_keys=True, allow_nan=False))
     _write_text(path, text + "\n", args.verbose)
     return path
 

@@ -439,12 +439,8 @@ class InversionCheck:
         return abs(self.s2_pair_b1 - self.s2_pair_b4)
 
 
-def _untimed(name: str):
-    return contextlib.nullcontext()
-
-
 def inversion_check(pair: WeldingPair, n: int, n_inverted: int = None,
-                    stage=_untimed) -> InversionCheck:
+                    stage=contextlib.nullcontext) -> InversionCheck:
     """Determinant potential of a pair against its reflected pair.
 
     Returns the potential log det(I - B B*) of the pair through its

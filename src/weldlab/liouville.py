@@ -34,14 +34,14 @@ strongly crowded pairs whose angular spectrum outruns the grid.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import s_cl_report  # noqa: F401  (callers of liouville read it here)
 from .errors import InvalidInput, NumericalFailure
-from .grunsky import (ConvergenceReport, _untimed, build_b1, build_b4,
-                      logdet_potential)
+from .grunsky import ConvergenceReport, build_b1, build_b4, logdet_potential
 from .maps import WeldingPair
 from .series import derivative_array, evaluate_on_circles, reciprocal_array
 
@@ -144,7 +144,7 @@ def s1_coefficient_route(pair: WeldingPair) -> float:
 # ---------------------------------------------------------------------------
 
 def identity_report(pair: WeldingPair, grids=DEFAULT_GRIDS, orders=(16, 32, 64),
-                    stage=_untimed) -> dict:
+                    stage=contextlib.nullcontext) -> dict:
     """Everything needed to check S1 = -12 pi S2_univ for one pair.
 
     ``stage(name)`` is a context manager entered around the action

@@ -12,11 +12,14 @@ samples a coefficient array. There are two evaluators:
   tests' Horner oracle for either grading;
 * ``evaluate_on_circles`` takes m uniform points on each of many circles,
   the product grids of the action quadrature and ``samples_from_coeffs``
-  (one circle |z| = r, in either grading): it folds the coefficients
-  modulo m and sums each circle exactly with one FFT, in O(K + m log m)
-  operations for K terms instead of Horner's O(K m).
+  (one circle |z| = r, in either grading): it lays the coefficients out
+  in rows of m, folds them on every circle at once by one matrix product
+  with the radial powers, and sums each circle exactly with one FFT, in
+  O(K + m log m) operations per circle for K terms instead of Horner's
+  O(K m), and in the memory of its result.
 
-``derivative`` is the only term-by-term derivative of either grading.
+``derivative_array`` is the only term-by-term derivative (of a Taylor
+array; the tests' ``derivative`` of either grading is built on it).
 Series division and the log are one Newton iteration (Brent and Kung):
 ``_log_bivariate``, the operator builders' log of a bivariate array,
 takes the inverse of its argument by ``_newton_inverse``, and
@@ -36,7 +39,10 @@ g(infinity) = infinity and finite g'(infinity) = leading coefficient.
 
 Coefficient extraction from unit-circle samples uses the FFT; coefficients
 below ``COEFF_FLOOR`` relative to the largest one are zeroed, which keeps
-downstream series algebra from amplifying sampling noise.
+downstream series algebra from amplifying sampling noise. The trimmed
+series is ``resolved`` only when what it keeps ends within the first 7/8
+of the M/2-coefficient window, so a spectrum still above the floor at the
+window's edge is never taken for a complete one.
 """
 
 from __future__ import annotations
@@ -52,11 +58,6 @@ from .errors import InvalidInput, NumericalFailure
 # noise with one order of headroom.
 COEFF_FLOOR = 1e-14
 
-# Entries of the weighted-coefficient block of ``evaluate_on_circles``:
-# 2^18 complex values are 4 MB, whatever the number of circles.
-_CIRCLE_BLOCK = 1 << 18
-# Length of the table of low powers r^j, j < _POWER_STEP, in ``_powers``.
-_POWER_STEP = 64
 # Complex entries of one transform block of the Newton series inverse:
 # 2^17 values are 2 MB, whatever the shape of the series.
 _FFT_BLOCK = 1 << 17
@@ -298,40 +299,30 @@ def evaluate_array(c: np.ndarray, z) -> np.ndarray:
     return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), c)
 
 
-def _powers(r: np.ndarray, n: int) -> np.ndarray:
-    """r^k for k < n, one row per radius.
-
-    Each entry is a product of two tabulated powers, r^(k - j) r^j with
-    j = k mod _POWER_STEP: within two roundings of r**k, at one multiply
-    per entry instead of one pow.
-    """
-    low = r[:, None] ** np.arange(_POWER_STEP, dtype=float)
-    high = r[:, None] ** np.arange(0, n, _POWER_STEP, dtype=float)
-    return (high[:, :, None] * low[:, None, :]).reshape(len(r), -1)[:, :n]
-
-
 def evaluate_on_circles(c: np.ndarray, radii, m: int) -> np.ndarray:
     """Values of sum(c_k z^k) at z = r e^(2 pi i j/m), j = 0..m-1, for each
     r in ``radii``; row i of the result holds the circle of radius radii[i].
 
-    On m uniform points, z^k depends on k only modulo m, so the weighted
-    coefficients c_k r^k are folded into m bins and one inverse FFT per
-    circle sums them exactly. Weights that underflow to 0 are terms far
-    below the rounding level of the sum.
+    On m uniform points, z^k depends on k only modulo m. With the
+    coefficients laid out in rows C[q, j] = c[j + m q], zero-padded to a
+    multiple of m, the folded sums on the circle |z| = r are
+    r^j sum_q r^(m q) C[q, j]: one matrix product of the radial powers
+    r^(m q) with C, one scaling by r^j and one inverse FFT per circle,
+    which sums them exactly. The work is O(n_r K + n_r m log m) for K
+    terms on n_r circles and the memory that of the n_r x m result.
+    Powers that underflow to 0 weight terms far below the rounding level
+    of the sum.
     """
     if m < 1:
         raise InvalidInput("a circle needs at least one point")
-    radii = np.asarray(radii, dtype=float)
-    width = -(-len(c) // m) * m                  # zero-padded to a multiple of m
-    rows = max(1, _CIRCLE_BLOCK // max(width, _POWER_STEP))
-    out = np.empty((len(radii), m), dtype=complex)
-    for start in range(0, len(radii), rows):
-        r = radii[start:start + rows]
-        weighted = np.zeros((len(r), width), dtype=c.dtype)
-        np.multiply(c, _powers(r, len(c)), out=weighted[:, :len(c)])
-        folded = weighted.reshape(len(r), width // m, m).sum(axis=1)
-        out[start:start + rows] = m * np.fft.ifft(folded, axis=1)
-    return out
+    r = np.asarray(radii, dtype=float)[:, None]
+    rows = np.zeros(-(-len(c) // m) * m, dtype=c.dtype)
+    rows[:len(c)] = c
+    rows = rows.reshape(-1, m)
+    folded = r ** (m * np.arange(len(rows), dtype=float)) @ rows
+    low = min(len(c), m)
+    folded[:, :low] *= r ** np.arange(low, dtype=float)
+    return m * np.fft.ifft(folded, axis=1)
 
 
 def derivative_array(c: np.ndarray) -> np.ndarray:
@@ -344,23 +335,6 @@ def derivative_array(c: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # series operations
 # ---------------------------------------------------------------------------
-
-def derivative(a: ComplexSeries) -> ComplexSeries:
-    """Term-by-term derivative.
-
-    Taylor output has order-1 coefficients (degenerate order-1 input gives
-    the zero series of order 1). Laurent-at-infinity output keeps the
-    z^(1-k) grading, gaining one slot: d/dz of c_k z^(1-k) lands at index
-    k+1 with factor (1-k).
-    """
-    if a.kind is Kind.TAYLOR_AT_ZERO:
-        return ComplexSeries.taylor(derivative_array(a.coeffs),
-                                    resolved=a.resolved)
-    out = np.zeros(a.order + 1, dtype=a.coeffs.dtype)
-    k = np.arange(a.order)
-    out[k + 1] = (1 - k) * a.coeffs
-    return ComplexSeries.laurent(out, resolved=a.resolved)
-
 
 def evaluate(a: ComplexSeries, z):
     """Evaluate the truncated series at complex point(s) z (vectorized)."""
@@ -377,9 +351,10 @@ def coeffs_from_samples(samples) -> ComplexSeries:
     """Recover Taylor coefficients from uniform samples on the unit circle.
 
     The sample count must be a power of two. Retains M/2 coefficients,
-    zeroing those below ``COEFF_FLOOR`` relative to the largest magnitude. A
-    non-decaying high-frequency tail means the samples are not those of a
-    map analytic on the closed disk and is rejected.
+    zeroing those below ``COEFF_FLOOR`` relative to the largest magnitude,
+    and is ``resolved`` when the last one kept lies in the first 7/8 of
+    that window. A non-decaying high-frequency tail means the samples are
+    not those of a map analytic on the closed disk and is rejected.
     """
     samples = np.asarray(samples, dtype=complex)
     m = len(samples)
@@ -418,10 +393,12 @@ def coeffs_from_samples(samples) -> ComplexSeries:
     nz = np.nonzero(np.abs(coeffs) > 0)[0]
     if nz.size == 0:
         return ComplexSeries.taylor(np.zeros(1), resolved=True)
-    # the trim only certifies exact padding when it cut before the Nyquist
-    # edge; otherwise spectral content may continue past the window
-    trimmed = int(nz.max()) + 1 < half - 4
-    return ComplexSeries.taylor(coeffs[:int(nz.max()) + 1], resolved=trimmed)
+    # the trim only certifies exact padding when the kept spectrum ends
+    # within the first 7/8 of the window: a k-fold sparse spectrum keeps
+    # only every k-th index, so its last one can sit just below the edge
+    # while still far above the floor, with the next one past the window
+    last = int(nz.max())
+    return ComplexSeries.taylor(coeffs[:last + 1], resolved=last < 7 * half // 8)
 
 
 def samples_from_coeffs(a: ComplexSeries, radius: float, m: int):

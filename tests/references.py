@@ -15,13 +15,16 @@ The curve references measure a welding pair's boundary the way the
 package did before it checked each trace against the pair's star curve:
 ``dense_horner_distance`` projects points onto the image curve of a
 series by Newton steps on Horner values, and ``unit_circle_jets`` is the
-FFT jet evaluator that made such steps O(1) per angle.
+FFT jet evaluator that made such steps O(1) per angle. Both take their
+slopes from ``derivative``, the term-by-term derivative of either
+grading, which no command of the package reads.
 """
 
 import numpy as np
 
 from weldlab.fuchsian import _side_neighbours
-from weldlab.series import Kind, _smooth_length, derivative, evaluate
+from weldlab.series import (ComplexSeries, Kind, _smooth_length, derivative_array,
+                            evaluate)
 
 # Highest Taylor order of ``unit_circle_jets``: its grid has more than two
 # points per period of the top frequency, so |nu h s| < pi/2, and the
@@ -100,6 +103,23 @@ def vertex_angle(vertex_radius_hyp: float) -> float:
     vertex radius (right-triangle relation cosh c = cot A cot B, with
     A = pi/8 half a side sector)."""
     return 2.0 * np.arctan(1.0 / (np.cosh(vertex_radius_hyp) * np.tan(np.pi / 8)))
+
+
+def derivative(a):
+    """Term-by-term derivative of a ``ComplexSeries``.
+
+    Taylor output has order-1 coefficients (degenerate order-1 input gives
+    the zero series of order 1). Laurent-at-infinity output keeps the
+    z^(1-k) grading, gaining one slot: d/dz of c_k z^(1-k) lands at index
+    k+1 with factor (1-k).
+    """
+    if a.kind is Kind.TAYLOR_AT_ZERO:
+        return ComplexSeries.taylor(derivative_array(a.coeffs),
+                                    resolved=a.resolved)
+    out = np.zeros(a.order + 1, dtype=a.coeffs.dtype)
+    k = np.arange(a.order)
+    out[k + 1] = (1 - k) * a.coeffs
+    return ComplexSeries.laurent(out, resolved=a.resolved)
 
 
 def dense_horner_distance(points, curve):

@@ -252,7 +252,8 @@ class TestAutomorphy:
         # K1(z, w) = (1/(z-w)^2 - f'(z) f'(w)/(f(z)-f(w))^2)/pi off the
         # diagonal and -S(f)(z)/(6 pi) on it, for the identity pair's f
         from weldlab import maps as mp
-        from weldlab.series import derivative, evaluate
+        from references import derivative
+        from weldlab.series import evaluate
         fp = derivative(identity_pair.interior)
         z, w = 0.2 + 0.1j, -0.4j
         fz, fw = evaluate(identity_pair.interior, [z, w])

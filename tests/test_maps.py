@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from references import dense_horner_distance, triangular_reciprocal
+from references import dense_horner_distance, derivative, triangular_reciprocal
 from weldlab import fuchsian as fx
 from weldlab import grunsky as gk
 from weldlab import maps as mp
 from weldlab.errors import InvalidInput, NumericalFailure
-from weldlab.series import COEFF_FLOOR, ComplexSeries, Kind, derivative, evaluate
+from weldlab.series import COEFF_FLOOR, ComplexSeries, Kind, evaluate
 
 
 def boundary_points(series, m=1024):
@@ -427,6 +427,15 @@ class TestCatalogInvariants:
             mp.catalog("fourier_bump", eps=0.9, k=2)  # bound >= 1
         with pytest.raises(InvalidInput):
             mp.catalog("nosuch")
+
+    # a k-fold spectrum keeps only indices 1 mod k, so its last kept index
+    # can land near the window edge while still far above the floor; such
+    # a cut map is not resolved, and the continuation doubles past it
+    @pytest.mark.parametrize("eps, k", [(0.1, 9), (0.05, 16), (0.1, 8)])
+    def test_high_k_bumps_resolve(self, eps, k):
+        pair = mp.catalog("fourier_bump", eps=eps, k=k)
+        assert pair.interior.resolved and pair.exterior.resolved
+        assert pair.residuals["boundary"] <= 1e-11
 
     @pytest.mark.parametrize("c", [0.6, 0.7])
     def test_past_the_map_reach_fails_the_boundary_check(self, c):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from references import slice_log, triangular_reciprocal, unit_circle_jets
+from references import derivative, slice_log, triangular_reciprocal, unit_circle_jets
 from weldlab import maps as mp
 from weldlab import series
 from weldlab.errors import InvalidInput, NumericalFailure
@@ -10,7 +12,6 @@ from weldlab.series import (
     ComplexSeries,
     Kind,
     coeffs_from_samples,
-    derivative,
     evaluate,
     evaluate_array,
     evaluate_on_circles,
@@ -300,6 +301,16 @@ class TestSampling:
         assert out.order == 47 and out.resolved
         assert np.abs(out.coeffs - 2.0 ** (-k.astype(float))).max() <= 1e-15
 
+    def test_sparse_spectrum_cut_at_the_edge_is_unresolved(self):
+        # z/(1 - s z^9) keeps only the indices 1 + 9j, which decay by
+        # s per step; at M = 1024 the last one kept, 505 at 2.7e-7 of the
+        # largest, sits just below the window edge 512 with the next, 514,
+        # past it: the tail never decayed, so the trim certifies nothing
+        s = np.exp(np.log(2.7e-7) / 56)
+        z = self.circle(1024)
+        out = coeffs_from_samples(z / (1.0 - s * z ** 9))
+        assert out.order == 506 and not out.resolved
+
     def test_round_trip_polynomials(self):
         rng = np.random.default_rng(5)
         m = 64
@@ -358,21 +369,30 @@ class TestEvaluateOnCircles:
     """The folded FFT evaluation against Horner at the explicit points
     r e^(2 pi i j/m)."""
 
-    # at K = 6408 the 97 radii span three blocks of weighted coefficients
+    # radii from 0, where only 0^0 = 1 weights a term, to just inside the
+    # unit circle, where at K = 6408 and m = 512 the last of the 13
+    # coefficient rows is weighted by 0.999^6144 = 2e-3
     RADII = np.concatenate([[0.0, 1e-3, 0.5, 0.999],
                             np.linspace(0.01, 0.99, 93)])
 
-    @pytest.mark.parametrize("order, m", [
+    SIZES = [
         (5, 16),       # K < m
         (16, 16),      # K = m
-        (40, 16),      # K > m: two folds and a padded third
+        (40, 16),      # K > m: two rows and a padded third
         (30, 12),      # m not a power of two
         (7, 1),        # one point per circle: the value at z = r
         (6408, 512),   # a c = 0.5 ellipse's length on the default grid
-    ])
-    def test_matches_horner(self, order, m):
+    ]
+
+    # complex coefficients, and real ones (every catalog pair's), which
+    # take a real matrix product before the transform
+    @pytest.mark.parametrize("order, m, real", [
+        pytest.param(order, m, real, id=f"{order}-{m}" + ("-real" if real else ""))
+        for order, m in SIZES for real in (False, True)])
+    def test_matches_horner(self, order, m, real):
         rng = np.random.default_rng(order + m)
         c = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+        c = np.ascontiguousarray(c.real) if real else c
         out = evaluate_on_circles(c, self.RADII, m)
         assert out.shape == (len(self.RADII), m)
         points = np.exp(2j * np.pi * np.arange(m) / m)
@@ -380,6 +400,21 @@ class TestEvaluateOnCircles:
         for r, row in zip(self.RADII, out):
             scale = np.sum(np.abs(c) * r ** k)
             assert np.abs(row - evaluate_array(c, r * points)).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_memory_is_set_by_the_output(self, dtype):
+        # no n_r x K array of weighted coefficients: the traced peak of one
+        # call stays within four complex outputs and four complex series
+        order, m = 6408, 512
+        c = np.random.default_rng(1).standard_normal(order).astype(dtype)
+        bound = 4 * len(self.RADII) * m * 16 + 4 * order * 16
+        tracemalloc.start()
+        try:
+            evaluate_on_circles(c, self.RADII, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_no_points_rejected(self):
         with pytest.raises(InvalidInput):

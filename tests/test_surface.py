@@ -26,9 +26,6 @@ KEPT = {
                            "(ROADMAP item 2)",
     "evaluate": "the tests' Horner oracle of either grading at arbitrary "
                 "points, against which the FFT evaluators are checked",
-    "derivative": "the tests' derivative oracle of either grading: the "
-                  "t-derivatives of the reference unit_circle_jets and the "
-                  "Newton steps of the reference dense_horner_distance",
 }
 
 
