@@ -1,5 +1,5 @@
-"""Batch front end: build pairs, run operator and identity checks, emit
-machine-readable reports.
+"""Batch front end: build pairs, run operator and identity checks, and
+write every report.
 
 Commands
 --------
@@ -18,10 +18,13 @@ input, 3 numerical failure. Configuration may come from ``--config`` files
 with ``key = value`` lines (``#`` comments); explicit flags win. The
 environment variable ``WELDLAB_OUTDIR`` sets the default output directory.
 
-Every JSON report carries a ``conventions`` block naming the basis, the
+Every JSON report, the pair's included, is written by ``_write_report``
+in one layout, and carries a ``conventions`` block naming the basis, the
 sign of the operator entries, and both sign conventions of the potential,
 since the literature disagrees on them. A report that would hold NaN or an
-infinity is not written (exit 3): json has no such values.
+infinity is not written (exit 3): json has no such values. The family and
+its parameters enter a report from the parsed flags; a pair does not
+carry them.
 
 The command-line process runs OpenBLAS on one thread unless
 ``OPENBLAS_NUM_THREADS`` is already set. Each command is one short process
@@ -98,22 +101,34 @@ def _write_text(path: str, text: str, verbose: bool):
         print(f"wrote {path}", file=sys.stderr)
 
 
-def _json_text(path: str, render) -> str:
-    """``render()``, the JSON text of report ``path``; the ValueError it
-    raises on a non-finite value (json has none) is a numerical failure."""
+def _coeff_list_json(coeffs) -> str:
+    """``coeffs`` as [re, im] pairs in the layout ``json.dumps(indent=2)``
+    gives a list under a top-level key; a series has finite coefficients."""
+    pairs = ",\n".join([f"    [\n      {re!r},\n      {im!r}\n    ]"
+                        for re, im in zip(coeffs.real.tolist(),
+                                          coeffs.imag.tolist())])
+    return f"[\n{pairs}\n  ]"
+
+
+def _write_report(args, doc: dict, default_name: str, coeffs=None):
+    """Write ``doc`` with the conventions block as the text of
+    ``json.dumps(indent=2, sort_keys=True)`` and a newline, and return its
+    path. ``coeffs`` maps further top-level keys to coefficient arrays,
+    rendered by ``_coeff_list_json``, not by json's pure-Python indenting
+    encoder. A non-finite value (json has none) is a numerical failure,
+    and no file is written."""
+    coeffs = coeffs or {}
+    doc = {**doc, **dict.fromkeys(coeffs), "conventions": CONVENTIONS}
+    path = _out_path(args, default_name)
     try:
-        return render()
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericalFailure(f"report {path} holds a non-finite value: "
                                f"{exc}") from exc
-
-
-def _write_report(args, doc: dict, default_name: str):
-    doc = dict(doc)
-    doc["conventions"] = CONVENTIONS
-    path = _out_path(args, default_name)
-    text = _json_text(path, lambda: json.dumps(
-        doc, indent=2, sort_keys=True, allow_nan=False))
+    for key, values in coeffs.items():
+        # a top-level key is the one at a two-space indent
+        text = text.replace(f'\n  "{key}": null',
+                            f'\n  "{key}": {_coeff_list_json(values)}', 1)
     _write_text(path, text + "\n", args.verbose)
     return path
 
@@ -140,8 +155,12 @@ def _family_params(args) -> dict:
 
 
 def _build_pair(args):
+    """The pair the family flags name, and the head of its report: the
+    family and its parameters as the flags gave them."""
     from . import maps as mp
-    return mp.catalog(args.family, **_family_params(args))
+    params = _family_params(args)
+    return mp.catalog(args.family, **params), {"family": args.family,
+                                                "params": params}
 
 
 def _numbers(args, flag: str, sep: str, cast, count: int = 0) -> list:
@@ -186,12 +205,19 @@ def _grid_ladder(args, levels: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _cmd_pair(args) -> int:
-    from . import maps as mp
-    pair = _build_pair(args)
-    path = _out_path(args, f"pair_{args.family}.json")
-    text = _json_text(path, lambda: mp.pair_to_json(
-        pair, {"conventions": CONVENTIONS}))
-    _write_text(path, text + "\n", args.verbose)
+    pair, head = _build_pair(args)
+    g_inf = pair.g_prime_at_infinity
+    doc = {
+        "family_tag": head["family"], "params": head["params"],
+        "taylor_resolved": pair.interior.resolved,
+        "laurent_resolved": pair.exterior.resolved,
+        "g_prime_at_infinity": [g_inf.real, g_inf.imag],
+        "M": pair.sample_count,
+        "residuals": {k: float(v) for k, v in pair.residuals.items()},
+    }
+    _write_report(args, doc, f"pair_{args.family}.json",
+                  coeffs={"taylor_coeffs": pair.interior.coeffs,
+                          "laurent_coeffs": pair.exterior.coeffs})
     return EXIT_OK
 
 
@@ -199,7 +225,7 @@ def _cmd_grunsky(args) -> int:
     from . import grunsky as gk
     n = max(_orders(args))
     with _stage(args, "catalog"):
-        pair = _build_pair(args)
+        pair, head = _build_pair(args)
     with _stage(args, "blocks"):
         b1, b4 = gk.build_b1(pair, n), gk.build_b4(pair, n)
         b2, b3 = gk.build_b2_b3(pair, n)
@@ -207,15 +233,15 @@ def _cmd_grunsky(args) -> int:
         residuals = gk.grunsky_identity_residual(b1, b2, b3, b4)
         norms = (gk.spectral_norm(b1), gk.spectral_norm(b4))
     doc = {
-        "family": pair.family_tag, "params": pair.params, "N": n,
+        **head, "N": n,
         "relation_residuals": list(residuals),
         "leading_block": n // 2,
         "spectral_norm_b1": norms[0],
         "spectral_norm_b4": norms[1],
     }
-    _write_report(args, doc, f"grunsky_{args.family}_N{n}.json")
+    path = _write_report(args, doc, f"grunsky_{args.family}_N{n}.json")
     if args.dump_matrices:
-        base = _out_path(args, f"grunsky_{args.family}_N{n}")
+        base = os.path.splitext(path)[0]
         for name, mtx in (("b1", b1), ("b2", b2), ("b3", b3), ("b4", b4)):
             _write_text(f"{base}_{name}.csv", gk.matrix_to_csv(mtx), args.verbose)
     worst = max(residuals)
@@ -227,14 +253,13 @@ def _cmd_logdet(args) -> int:
     orders = _orders(args)
     n = max(orders)
     with _stage(args, "catalog"):
-        pair = _build_pair(args)
+        pair, head = _build_pair(args)
     route = args.route
     with _stage(args, "blocks"):
         b = gk.build_b1(pair, n) if route == "b1" else gk.build_b4(pair, n)
     with _stage(args, "determinant"):
         report = gk.logdet_potential(b, orders)
-    doc = {"family": pair.family_tag, "params": pair.params, "route": route,
-           "report": report.to_dict(),
+    doc = {**head, "route": route, "report": report.to_dict(),
            "s2_univ": report.extrapolated, "s2_dg": -report.extrapolated}
     _write_report(args, doc, f"logdet_{args.family}_{route}.json")
     return EXIT_OK
@@ -244,11 +269,10 @@ def _cmd_s1(args) -> int:
     from . import liouville as lv
     grids = _grid_ladder(args, 3)
     with _stage(args, "catalog"):
-        pair = _build_pair(args)
+        pair, head = _build_pair(args)
     with _stage(args, "quadrature"):
         report = lv.s1(pair, grids)
-    doc = {"family": pair.family_tag, "params": pair.params,
-           "report": report.to_dict(), "S1": report.extrapolated}
+    doc = {**head, "report": report.to_dict(), "S1": report.extrapolated}
     _write_report(args, doc, f"s1_{args.family}.json")
     return EXIT_OK
 
@@ -257,9 +281,9 @@ def _cmd_identity(args) -> int:
     from . import liouville as lv
     grids, orders = _grid_ladder(args, 3), _orders(args)
     with _stage(args, "catalog"):
-        pair = _build_pair(args)
-    doc = lv.identity_report(pair, grids, orders,
-                             stage=functools.partial(_stage, args))
+        pair, head = _build_pair(args)
+    doc = {**head, **lv.identity_report(pair, grids, orders,
+                                        stage=functools.partial(_stage, args))}
     _write_report(args, doc, f"identity_{args.family}.json")
     rel = doc["residual_identity_relative"]
     return EXIT_OK if rel <= args.tol else EXIT_CHECK_FAILED
@@ -269,9 +293,9 @@ def _cmd_invert(args) -> int:
     from . import grunsky as gk
     n = max(_orders(args))
     with _stage(args, "catalog"):
-        pair = _build_pair(args)
+        pair, head = _build_pair(args)
     chk = gk.inversion_check(pair, n, stage=functools.partial(_stage, args))
-    doc = {"family": pair.family_tag, "params": pair.params, "N": n,
+    doc = {**head, "N": n,
            "s2_pair_b1": chk.s2_pair_b1,
            "s2_inverted_b1": chk.s2_inverted_b1,
            "s2_pair_b4": chk.s2_pair_b4,

@@ -165,8 +165,6 @@ def identity_report(pair: WeldingPair, grids=DEFAULT_GRIDS, orders=(16, 32, 64),
     resid_b4 = s1_val + 12.0 * np.pi * via_b4
     scale = max(1.0, abs(s1_val))
     return {
-        "family": pair.family_tag,
-        "params": pair.params,
         "S1": s1_val,
         "S1_report": s1_rep.to_dict(),
         "S2_univ_via_B1": via_b1,

@@ -31,15 +31,13 @@ not.
 
 Every evaluation, derivative, reciprocal and circle sample of a series
 goes through ``series`` (``evaluate_array``, ``derivative_array``,
-``reciprocal_array``, ``samples_from_coeffs``); Moebius maps are pairs
-(a, b) handled by ``fuchsian.apply_mobius``.
+``reciprocal_array``, ``samples_from_coeffs``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -315,8 +313,6 @@ class WeldingPair:
     interior: ComplexSeries
     exterior: ComplexSeries
     curve: StarDomain
-    family_tag: str
-    params: dict = field(default_factory=dict)
     sample_count: int = 0
     residuals: dict = field(default_factory=dict)
 
@@ -351,8 +347,7 @@ def pair_boundary_residual(interior: ComplexSeries, exterior: ComplexSeries,
 
 
 def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
-                   raw_curve: StarDomain, family_tag: str = "custom",
-                   params: dict = None, sample_count: int = 1024,
+                   raw_curve: StarDomain, sample_count: int = 1024,
                    extra_residuals: dict = None) -> WeldingPair:
     """Apply the gauge w -> w/raw_f'(0) to both maps and their curve.
 
@@ -362,7 +357,8 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
     leading coefficient, and the curve stays star-shaped about 0 with
     radius rho(theta + arg a1)/|a1|. Both boundary traces must lie on that
     curve to ``BOUNDARY_TOL``; a residual that is not a number fails too.
-    The pair records ``sample_count``; the check does not read it.
+    The pair records ``sample_count`` and, beside the boundary residual,
+    ``extra_residuals``; the check reads neither.
     """
     if raw_f.kind is not Kind.TAYLOR_AT_ZERO:
         raise InvalidInput("raw interior map must be a Taylor series")
@@ -394,7 +390,6 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
             f"{BOUNDARY_TOL:.1e}"
         )
     return WeldingPair(interior=interior, exterior=exterior, curve=curve,
-                       family_tag=family_tag, params=dict(params or {}),
                        sample_count=sample_count, residuals=residuals)
 
 
@@ -403,18 +398,17 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def _catalog_cached(family_tag: str, param_items: tuple) -> WeldingPair:
+def _catalog_cached(family: str, param_items: tuple) -> WeldingPair:
     params = dict(param_items)
 
-    if family_tag == "identity":
+    if family == "identity":
         return WeldingPair(
             interior=ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8),
             exterior=ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 8),
-            curve=bump_domain(0.0, 1), family_tag="identity", params={},
-            sample_count=START_SAMPLE_COUNT,
+            curve=bump_domain(0.0, 1), sample_count=START_SAMPLE_COUNT,
             residuals={"boundary": 0.0})
 
-    if family_tag == "ellipse":
+    if family == "ellipse":
         c = params["c"]
         domain = ellipse_domain(c)
         theo = theodorsen_interior(domain)
@@ -423,11 +417,10 @@ def _catalog_cached(family_tag: str, param_items: tuple) -> WeldingPair:
         raw_g = ComplexSeries.laurent([1.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0],
                                       resolved=True)
         return normalize_pair(
-            theo.series, raw_g, domain, family_tag="ellipse", params=params,
-            sample_count=theo.sample_count,
+            theo.series, raw_g, domain, sample_count=theo.sample_count,
             extra_residuals={"theodorsen": theo.residual})
 
-    if family_tag == "fourier_bump":
+    if family == "fourier_bump":
         eps, k = params["eps"], int(params["k"])
         domain = bump_domain(eps, k)
         if domain.smoothness_bound >= 1.0:
@@ -440,29 +433,27 @@ def _catalog_cached(family_tag: str, param_items: tuple) -> WeldingPair:
         # scale the recovered curve away from the interior map's curve
         raw_g = inverted_series(theo_inv.series)
         return normalize_pair(
-            theo.series, raw_g, domain, family_tag="fourier_bump",
-            params=params,
+            theo.series, raw_g, domain,
             sample_count=max(theo.sample_count, theo_inv.sample_count),
             extra_residuals={"theodorsen": max(theo.residual, theo_inv.residual)})
 
-    raise InvalidInput(f"unknown family tag: {family_tag!r}")
+    raise InvalidInput(f"unknown family: {family!r}")
 
 
-def catalog(family_tag: str, **params) -> WeldingPair:
+def catalog(family: str, **params) -> WeldingPair:
     """Construct a cataloged welding pair.
 
     Families: ``identity``, ``ellipse`` (parameter ``c`` in (0,1)),
     ``fourier_bump`` (parameters ``eps``, ``k``). The Theodorsen
     continuation doubles the sample count from ``START_SAMPLE_COUNT`` (up
     to ``MAX_SAMPLE_COUNT``) until the coefficients are resolved, so even
-    slowly-decaying expansions are fully resolved. Pairs are cached; each
-    call returns its own ``params`` and ``residuals`` dicts, so a caller's
-    edits never reach later results.
+    slowly-decaying expansions are fully resolved. The pair holds its maps,
+    their curve and how they were resolved, not the family or its
+    parameters. Pairs are cached; each call returns its own ``residuals``
+    dict, so a caller's edits never reach later results.
     """
-    items = tuple(sorted(params.items()))
-    pair = _catalog_cached(family_tag, items)
-    return dataclasses.replace(pair, params=dict(pair.params),
-                               residuals=dict(pair.residuals))
+    pair = _catalog_cached(family, tuple(sorted(params.items())))
+    return dataclasses.replace(pair, residuals=dict(pair.residuals))
 
 
 def inverted_pair(pair: WeldingPair) -> WeldingPair:
@@ -472,8 +463,7 @@ def inverted_pair(pair: WeldingPair) -> WeldingPair:
     return normalize_pair(inverted_series(pair.exterior),
                           inverted_series(pair.interior),
                           inverted_domain(pair.curve),
-                          family_tag=pair.family_tag + "~inverted",
-                          params=pair.params, sample_count=pair.sample_count)
+                          sample_count=pair.sample_count)
 
 
 # ---------------------------------------------------------------------------
@@ -516,44 +506,3 @@ def schwarzian(h, z):
         raise NumericalFailure("Schwarzian evaluation at a critical point")
     out = 6.0 * (t1 * t3 - t2 ** 2) / t1 ** 2
     return complex(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# JSON export
-# ---------------------------------------------------------------------------
-
-def _coeff_list_json(coeffs: np.ndarray) -> str:
-    """``coeffs`` as [re, im] pairs in the layout ``json.dumps(indent=2)``
-    gives a list under a top-level key; a series has finite coefficients."""
-    pairs = ",\n".join([f"    [\n      {re!r},\n      {im!r}\n    ]"
-                        for re, im in zip(coeffs.real.tolist(),
-                                          coeffs.imag.tolist())])
-    return f"[\n{pairs}\n  ]"
-
-
-def pair_to_json(pair: WeldingPair, extra: dict = None) -> str:
-    """The text of ``json.dumps(doc, indent=2, sort_keys=True)``, but with
-    the coefficient lists rendered by ``_coeff_list_json``, not by json's
-    pure-Python indenting encoder; a non-finite residual raises ValueError.
-    ``extra`` holds further top-level keys of the document, such as the
-    command line's conventions block."""
-    doc = {
-        **(extra or {}),
-        "family_tag": pair.family_tag,
-        "params": pair.params,
-        "taylor_coeffs": None,
-        "taylor_resolved": pair.interior.resolved,
-        "laurent_coeffs": None,
-        "laurent_resolved": pair.exterior.resolved,
-        "g_prime_at_infinity": [pair.g_prime_at_infinity.real,
-                                pair.g_prime_at_infinity.imag],
-        "M": pair.sample_count,
-        "residuals": {k: float(v) for k, v in pair.residuals.items()},
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    for key, series in (("taylor_coeffs", pair.interior),
-                        ("laurent_coeffs", pair.exterior)):
-        # a top-level key is the one at a two-space indent
-        text = text.replace(f'\n  "{key}": null',
-                            f'\n  "{key}": {_coeff_list_json(series.coeffs)}', 1)
-    return text

@@ -13,6 +13,7 @@ from weldlab import cli
 
 
 ELLIPSE01 = ("--family", "ellipse", "--c", "0.1")
+BUMP = ("--family", "fourier_bump", "--eps", "0.05", "--k", "2")
 
 
 def run(argv):
@@ -61,7 +62,9 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert doc["family_tag"] == "fourier_bump"
 
-    @pytest.mark.parametrize("argv", [["--family", "identity"], ELLIPSE01])
+    @pytest.mark.parametrize("argv", [["--family", "identity"], ELLIPSE01,
+                                      ["--family", "ellipse", "--c", "0.5"],
+                                      BUMP])
     def test_pair_report_is_like_every_report(self, tmp_path, argv):
         # the conventions block and the final newline of _write_report, in
         # the json layout, though the coefficients are rendered apart
@@ -72,6 +75,43 @@ class TestCommands:
         assert doc["conventions"] == cli.CONVENTIONS
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("c", [0.1, 0.3])
+    def test_pair_report_round_trip_bit_exact(self, tmp_path, c):
+        from weldlab import maps as mp
+        out = tmp_path / "pair.json"
+        assert run(["pair", "--family", "ellipse", "--c", str(c),
+                    "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        pair = mp.catalog("ellipse", c=c)
+        for key, series in (("taylor", pair.interior),
+                            ("laurent", pair.exterior)):
+            back = np.array([complex(re, im)
+                             for re, im in doc[f"{key}_coeffs"]])
+            assert np.array_equal(back, series.coeffs)
+            assert doc[f"{key}_resolved"] == series.resolved
+        assert complex(*doc["g_prime_at_infinity"]) == pair.g_prime_at_infinity
+        assert doc["M"] == pair.sample_count
+        assert doc["residuals"] == pair.residuals
+
+    @pytest.mark.parametrize("argv", [
+        ["pair"],
+        ["grunsky", "--N", "8"],
+        ["logdet", "--N", "8"],
+        ["s1", "--grid", "16x32"],
+        ["identity", "--N", "8", "--grid", "16x32"],
+        ["invert", "--N", "8"],
+    ], ids=lambda argv: argv[0])
+    def test_report_head_is_the_parsed_flags(self, tmp_path, argv):
+        # the family and its parameters come from the flags, not the pair;
+        # --k is parsed as an integer and written as one
+        out = tmp_path / "report.json"
+        assert run([*argv, *BUMP, "--out", str(out)]) in (0, 1)
+        text = out.read_text()
+        doc = json.loads(text)
+        assert doc["family_tag" if argv[0] == "pair" else "family"] == "fourier_bump"
+        assert doc["params"] == {"eps": 0.05, "k": 2}
+        assert '"k": 2\n' in text
+
     def test_grunsky_command(self, tmp_path):
         out = tmp_path / "g.json"
         code = run(["grunsky", "--family", "identity", "--N", "16",
@@ -79,6 +119,34 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out.read_text())
         assert max(doc["relation_residuals"]) <= 1e-12
+
+    def test_dump_matrices_beside_the_report(self, tmp_path, monkeypatch):
+        # each block's CSV takes the report's path without its extension,
+        # under --out as under the default name
+        from weldlab import grunsky as gk
+        from weldlab import maps as mp
+        # at N = 8 the relation residuals miss the default --tol
+        argv = ["grunsky", "--family", "ellipse", "--c", "0.3", "--N", "8",
+                "--dump-matrices", "--tol", "1"]
+        given, default = tmp_path / "given", tmp_path / "default"
+        given.mkdir()
+        default.mkdir()
+        monkeypatch.setenv("WELDLAB_OUTDIR", str(default))
+        assert run(argv + ["--out", str(given / "rep.json")]) == 0
+        assert run(argv) == 0
+        pair = mp.catalog("ellipse", c=0.3)
+        b2, b3 = gk.build_b2_b3(pair, 8)
+        blocks = {"b1": gk.build_b1(pair, 8), "b2": b2, "b3": b3,
+                  "b4": gk.build_b4(pair, 8)}
+        for folder, stem in ((given, "rep"), (default, "grunsky_ellipse_N8")):
+            csvs = {f"{stem}_{name}.csv" for name in blocks}
+            assert {p.name for p in folder.iterdir()} == csvs | {f"{stem}.json"}
+            for name, block in blocks.items():
+                cells = np.loadtxt(folder / f"{stem}_{name}.csv",
+                                   delimiter=",", skiprows=1, ndmin=2)
+                if np.iscomplexobj(block):
+                    cells = cells[:, 0::2] + 1j * cells[:, 1::2]
+                assert np.array_equal(cells, block)
 
     def test_invert_command(self, tmp_path):
         out = tmp_path / "inv.json"
@@ -244,7 +312,7 @@ class TestCommands:
 
     def test_non_finite_pair_report_exit_3_and_no_file(self, tmp_path,
                                                        capsys, monkeypatch):
-        # the pair report has its own writer, behind the same refusal
+        # the pair report goes through the writer of every report
         from weldlab import maps as mp
         build = mp.catalog
         monkeypatch.setattr(mp, "catalog", lambda *a, **k: dataclasses.replace(

