@@ -1,9 +1,12 @@
+import argparse
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from references import dense_horner_distance, derivative, triangular_reciprocal
+from weldlab import cli
 from weldlab import fuchsian as fx
 from weldlab import grunsky as gk
 from weldlab import maps as mp
@@ -525,3 +528,31 @@ class TestSchwarzian:
         # h = z^2 has h'(0) = 0
         with pytest.raises(NumericalFailure):
             mp.schwarzian(ComplexSeries.taylor([0, 0, 1.0]), 0.0)
+
+
+class TestPairSerialization:
+    # a pair is written by the command line's one report writer, which
+    # renders its coefficient lists apart from json's encoder
+    @pytest.mark.parametrize("family, params", [
+        ("identity", {}), ("ellipse", {"c": 0.1})])
+    def test_text_is_the_json_layout(self, tmp_path, family, params):
+        pair = mp.catalog(family, **params)
+        args = argparse.Namespace(out=str(tmp_path / "pair.json"),
+                                  verbose=False)
+        path = cli._write_report(args, {}, "unused.json",
+                                 coeffs={"taylor_coeffs": pair.interior.coeffs,
+                                         "laurent_coeffs": pair.exterior.coeffs})
+        text = (tmp_path / "pair.json").read_text()
+        assert path == args.out
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+
+    def test_non_finite_residual_rejected(self, tmp_path, ellipse01):
+        # series coefficients are finite by construction; a residual may not be
+        args = argparse.Namespace(out=str(tmp_path / "pair.json"),
+                                  verbose=False)
+        with pytest.raises(NumericalFailure):
+            cli._write_report(args, {"residuals": {"boundary": np.nan}},
+                              "unused.json",
+                              coeffs={"taylor_coeffs": ellipse01.interior.coeffs})
+        assert not (tmp_path / "pair.json").exists()
