@@ -364,8 +364,6 @@ def coeffs_from_samples(samples) -> ComplexSeries:
     coeffs = np.fft.fft(samples)[:half] / m
     mags = np.abs(coeffs)
     top = mags.max()
-    if top == 0.0:
-        return ComplexSeries.taylor(np.zeros(1), resolved=True)
     # analyticity diagnostic: the tail quarter must not dominate the head
     head = mags[:max(2, half // 4)].max()
     tail = mags[3 * half // 4:].max() if half >= 4 else 0.0

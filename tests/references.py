@@ -18,10 +18,14 @@ series by Newton steps on Horner values, and ``unit_circle_jets`` is the
 FFT jet evaluator that made such steps O(1) per angle. Both take their
 slopes from ``derivative``, the term-by-term derivative of either
 grading, which no command of the package reads.
+
+``schwarzian_by_samples`` differentiates any evaluator by sampling it on
+a small circle, the oracle of ``maps.schwarzian``'s series arithmetic.
 """
 
 import numpy as np
 
+from weldlab.errors import NumericalFailure
 from weldlab.fuchsian import _side_neighbours
 from weldlab.series import (ComplexSeries, Kind, _smooth_length, derivative_array,
                             evaluate)
@@ -181,3 +185,26 @@ def unit_circle_jets(a):
         return value, slope / h
 
     return at
+
+
+def schwarzian_by_samples(h, z):
+    """Schwarzian derivative of a plain evaluator ``h`` at z by local-circle
+    Fourier differentiation: 32 samples on a circle of radius
+    max(0.25 (1 - |z|), 1e-4) about z give its first three Taylor
+    coefficients there. h'(z) = 0 is rejected."""
+    z = np.asarray(z, dtype=complex)
+    scalar = z.shape == ()
+    zv = np.atleast_1d(z)
+    radius = np.maximum(0.25 * (1.0 - np.abs(zv)), 1e-4)
+    stencil = 32
+    theta = 2.0 * np.pi * np.arange(stencil) / stencil
+    ring = np.exp(1j * theta)
+    samples = np.asarray(h(zv[:, None] + radius[:, None] * ring[None, :]))
+    local = np.fft.fft(samples, axis=1) / stencil
+    t1 = local[:, 1] / radius
+    t2 = local[:, 2] / radius ** 2
+    t3 = local[:, 3] / radius ** 3
+    if np.any(np.abs(t1) < 1e-13):
+        raise NumericalFailure("Schwarzian evaluation at a critical point")
+    out = 6.0 * (t1 * t3 - t2 ** 2) / t1 ** 2
+    return complex(out[0]) if scalar else out

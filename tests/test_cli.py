@@ -331,6 +331,14 @@ class TestCommands:
         assert code == 3
         assert "boundary traces disagree" in capsys.readouterr().err
 
+    def test_bump_the_iteration_cannot_solve_exit_3(self, tmp_path, capsys):
+        # bump (0.9, 2) is refused by its construction, not by a bound
+        out = tmp_path / "pair.json"
+        code = run(["pair", "--family", "fourier_bump", "--eps", "0.9",
+                    "--k", "2", "--out", str(out)])
+        assert code == 3 and not out.exists()
+        assert "did not converge" in capsys.readouterr().err
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         # extreme eccentricity: the iteration cannot settle
         code = run(["s1", "--family", "ellipse", "--c", "0.995",

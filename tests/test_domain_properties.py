@@ -1,11 +1,11 @@
 """Properties of welding pairs of random asymmetric star domains.
 
 The domains rho = 1 + sum_j eps_j cos(k_j theta + phi_j) have up to three
-distinct frequencies k_j <= 6 and amplitudes eps_j <= 0.04, so their
-smoothness bound max|rho'/rho| stays below 0.04 * 15 / 0.88 < 1. Each phase
-phi_j lies in [0.1, pi - 0.1], so every term has an odd part and no domain
-is its own conjugate: the maps have complex coefficients and the blocks
-take the complex arithmetic path.
+distinct frequencies k_j <= 6 and amplitudes eps_j <= 0.04, and their pairs
+come from the catalog's recipe, ``maps.star_pair``. Each phase phi_j lies
+in [0.1, pi - 0.1], so every term has an odd part and no domain is its own
+conjugate: the maps have complex coefficients and the blocks take the
+complex arithmetic path.
 """
 
 import numpy as np
@@ -31,14 +31,8 @@ def asymmetric_pairs(draw):
         return 1.0 + sum(eps * np.cos(k * theta + phi) for k, eps, phi in terms)
 
     domain = mp.StarDomain(rho=rho)
-    assert domain.smoothness_bound < 1.0 and not domain.symmetric
-    # the catalog's bump recipe: the interior maps of the domain and of its
-    # reflection, the second reflected back out, then one normalization
-    theo = mp.theodorsen_interior(domain)
-    theo_inv = mp.theodorsen_interior(mp.inverted_domain(domain))
-    return mp.normalize_pair(
-        theo.series, mp.inverted_series(theo_inv.series), domain,
-        sample_count=max(theo.sample_count, theo_inv.sample_count))
+    assert not domain.symmetric
+    return mp.star_pair(domain)
 
 
 @PROPERTY

@@ -214,6 +214,16 @@ class TestBuildB2B3:
         _, b3_rect = gk.build_b2_b3(pair, 48, 49)
         assert np.abs(b3_rect[:, :48] - b2.T).max() <= 1e-10
 
+    def test_overlapping_maps_have_no_separating_radii(self):
+        # f = z and g = z/2: on the radii the check tries, the smallest
+        # |f|, 0.9 on r = 0.9, exceeds the largest |g|, 0.8 on R = 1.6
+        pair = mp.WeldingPair(
+            interior=ComplexSeries.taylor([0.0, 1.0], resolved=True),
+            exterior=ComplexSeries.laurent([0.5], resolved=True),
+            curve=mp.bump_domain(0.0, 1))
+        with pytest.raises(NumericalFailure, match="no separating radii"):
+            gk.build_b2_b3(pair, 8)
+
     def test_faber_oracle_ellipse(self, ellipse03):
         # Phi_n(g(u)) = u^n + c^n u^-n for g = u + c/u gives the mixed
         # coefficients in closed form through the u-coordinate of f

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from references import dense_horner_distance, derivative, triangular_reciprocal
+from references import (dense_horner_distance, derivative, schwarzian_by_samples,
+                        triangular_reciprocal)
 from weldlab import cli
 from weldlab import fuchsian as fx
 from weldlab import grunsky as gk
+from weldlab import liouville as lv
 from weldlab import maps as mp
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import COEFF_FLOOR, ComplexSeries, Kind, evaluate
@@ -424,10 +426,37 @@ class TestCatalogInvariants:
     def test_parameter_validation(self):
         with pytest.raises(InvalidInput):
             mp.catalog("ellipse", c=1.5)
-        with pytest.raises(InvalidInput):
-            mp.catalog("fourier_bump", eps=0.9, k=2)  # bound >= 1
+        with pytest.raises(NumericalFailure):
+            mp.catalog("fourier_bump", eps=0.9, k=2)  # iteration does not converge
         with pytest.raises(InvalidInput):
             mp.catalog("nosuch")
+
+    def test_fractional_bump_frequency_rejected(self):
+        with pytest.raises(InvalidInput, match="positive integer"):
+            mp.catalog("fourier_bump", eps=0.05, k=2.5)
+        # an integral float is the integer frequency, and its cache entry
+        assert mp.catalog("fourier_bump", eps=0.05, k=2.0).interior is \
+            mp.catalog("fourier_bump", eps=0.05, k=2).interior
+
+    def test_bump_past_the_classical_bound_matches_the_boundary_operator(self):
+        # bump (0.3, 5) has max|rho'/rho| = 1.57; its potential by the
+        # Neumann-Poincare boundary operator is -1.440868132432922
+        np_value = -1.440868132432922
+        pair = mp.catalog("fourier_bump", eps=0.3, k=5)
+        assert pair.curve.smoothness_bound > 1.0
+        s2 = gk.logdet_potential(gk.build_b1(pair, 1024), [1024]).extrapolated
+        assert abs(s2 - np_value) <= 1e-12
+        s1 = lv.s1_coefficient_route(pair)
+        assert abs(s1 + 12.0 * np.pi * np_value) <= 1e-14 * abs(s1)
+
+    @pytest.mark.parametrize("eps, k", [(0.5, 2), (0.4, 3), (0.25, 4),
+                                        (0.2, 5), (0.6, 2)])
+    def test_bumps_past_the_classical_bound_close_the_identity(self, eps, k):
+        pair = mp.catalog("fourier_bump", eps=eps, k=k)
+        assert pair.curve.smoothness_bound > 1.0
+        s2 = gk.logdet_potential(gk.build_b1(pair, 512), [512]).extrapolated
+        s1 = lv.s1_coefficient_route(pair)
+        assert abs(s1 + 12.0 * np.pi * s2) <= 1e-12 * abs(s1)
 
     # a k-fold spectrum keeps only indices 1 mod k, so its last kept index
     # can land near the window edge while still far above the floor; such
@@ -503,7 +532,7 @@ class TestSchwarzian:
         f = ellipse03.interior
         pts = 0.5 * np.exp(1j * 2 * np.pi * np.arange(7) / 7)
         via_series = mp.schwarzian(f, pts)
-        via_eval = mp.schwarzian(lambda z: evaluate(f, z), pts)
+        via_eval = schwarzian_by_samples(lambda z: evaluate(f, z), pts)
         assert np.abs(via_series - via_eval).max() <= 1e-9
 
     def test_cocycle(self, ellipse03):
@@ -515,7 +544,8 @@ class TestSchwarzian:
         m = (a / norm, b / norm)   # the SU(1,1) pair of a disk automorphism
         f = ellipse03.interior
         pts = 0.6 * np.sqrt(rng.random(100)) * np.exp(2j * np.pi * rng.random(100))
-        lhs = mp.schwarzian(lambda z: evaluate(f, fx.apply_mobius(m, z)), pts)
+        lhs = schwarzian_by_samples(lambda z: evaluate(f, fx.apply_mobius(m, z)),
+                                    pts)
         rhs = (mp.schwarzian(f, fx.apply_mobius(m, pts))
                * fx.mobius_derivative(m, pts) ** 2)
         assert np.abs(lhs - rhs).max() <= 1e-9

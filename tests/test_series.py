@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,13 @@ class TestSampling:
     def test_constant(self):
         out = coeffs_from_samples(np.full(16, 3.0, dtype=complex))
         assert out.order == 1 and abs(out.coeffs[0] - 3.0) <= 1e-14
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 1024])
+    def test_zero_samples(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = coeffs_from_samples(np.zeros(m, dtype=complex))
+        assert out.coeffs.tolist() == [0.0] and out.resolved
 
     def test_geometric(self):
         # 1/(1 - z/2): c_k = 2^-k down to the floor at k = 46; M = 128

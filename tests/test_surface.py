@@ -8,17 +8,21 @@ is on the allowlist with the reason. The same holds for every name a layer
 module assigns at its top level, private or not, so that the constants of
 a deleted helper cannot outlive it. No layer module imports ``json``: the
 command line writes every report, so the report format has one owner.
+Every public function of ``tests/references.py`` has a reader among the
+test modules, so a reference cannot outlive the test that held a routine
+to it.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weldlab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "weldlab"
 LAYERS = ("series", "maps", "grunsky", "liouville", "fuchsian", "classical")
 
 KEPT = {
-    "schwarzian": "criterion 7 checks its Taylor path; its evaluator path "
-                  "is the tests' oracle for that path",
+    "schwarzian": "criterion 7 and the Fuchsian tests read its series "
+                  "arithmetic",
     "grunsky_operator_residual": "criterion 3 measures the block relations "
                                  "of the operators with it",
     "s1_coefficient_route": "criterion 2's Parseval leg and the oracle of "
@@ -118,3 +122,10 @@ def test_no_layer_imports_json():
                  if "json" in _imported_modules(
                      ast.parse((PACKAGE / f"{layer}.py").read_text()))]
     assert importers == []
+
+
+def test_every_reference_has_a_reader():
+    references = _public_functions(ast.parse((TESTS / "references.py").read_text()))
+    used = set().union(*(_named(ast.parse(path.read_text()))
+                         for path in TESTS.glob("test_*.py")))
+    assert sorted(set(references) - used) == []
