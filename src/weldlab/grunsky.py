@@ -25,10 +25,11 @@ Conventions (also emitted in every CLI report):
   measures the same relations among truncated N x N blocks.
 * the determinant potential is reported with two signs:
   ``s2_univ`` = log det(I - B B*) <= 0 and ``s2_dg`` = -s2_univ >= 0.
-  ``logdet_potential`` takes every truncation order from one LAPACK
-  Cholesky factorization at the largest, read as LDL^T pivots: of I - B
+  ``logdet_potential`` takes every truncation order from LAPACK
+  Cholesky factorizations at the largest, read as LDL^T pivots: of I - B
   and I + B for a real block, of I - S for the real embedding S of a
-  complex one. Each order
+  complex one, one per symmetry orbit of the indices of a k-fold block.
+  Each order
   pairs two pivots whose diagonal entries -+b_kk cancel exactly, kept in
   defect form (the 1 never added), and every pivot positive certifies
   sigma_max(B_n) < 1 for all the orders at once.
@@ -37,7 +38,13 @@ All entries are computed from generating functions D with D(0, y) = 1 by
 one Newton series log, L = integral of D_x / D (``series._log_bivariate``:
 a Newton inverse of D and one product, all two-dimensional FFT products
 on 5-smooth lengths, O(N^2 log N) for an N x N block; b1 is the b4 of
-1/f(1/z)); no kernel quadrature is performed. Arrays keep their series'
+1/f(1/z)); no kernel quadrature is performed. A pair of a curve with
+k-fold rotational symmetry has series that are exactly zero off one
+residue class mod k (f keeps the powers 1 mod k, g those of z^(1-n) with
+n = 0 mod k), so its generating arrays, their logs and its blocks are
+exactly zero unless m + n = 0 (mod k): the log works on one residue class
+of its spectrum, and the determinant on one orbit of classes at a time.
+Arrays keep their series'
 dtype: a float64 pair (a conjugation-symmetric domain, see
 ``maps.StarDomain.symmetric``) gives real generating arrays, real
 transforms in the second variable and float64 blocks, so the determinant's
@@ -62,6 +69,7 @@ from .series import (
     ComplexSeries,
     Kind,
     _log_bivariate,
+    _symmetry_order,
     reciprocal_array,
     samples_from_coeffs,
 )
@@ -380,21 +388,48 @@ def _ldl_defects(a: np.ndarray):
     return diag + u, u
 
 
+def _pivot_defects(b: np.ndarray):
+    """The defects (e-, u-, e+, u+) of the two pivots of each index of a
+    symmetric block b: of I - B and I + B for a real b, of the interleaved
+    rows of I - S for the real embedding S of a complex one."""
+    if np.iscomplexobj(b):
+        n = len(b)
+        s = np.empty((2 * n, 2 * n))
+        s[0::2, 0::2] = -b.real
+        s[1::2, 1::2] = b.real
+        s[0::2, 1::2] = s[1::2, 0::2] = -b.imag
+        e, u = _ldl_defects(s)
+        return e[0::2], u[0::2], e[1::2], u[1::2]
+    return (*_ldl_defects(np.negative(b, dtype=float)),
+            *_ldl_defects(b.astype(float)))
+
+
 def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:
     """log det(I - B_n B_n*) over leading blocks B_n, n in ``orders``, of a
     symmetric block b (b = b^T, as b1 and b4 are by the kernel symmetry).
 
-    One factorization at m = max(orders) gives every order n <= m. A real
+    The factorization at m = max(orders) gives every order n <= m. A real
     b has det(I - B_n^2) = det(I - B_n) det(I + B_n), so the pivots of
     I - B and I + B (``_ldl_defects`` of -b and +b) pair up. A complex
     b = X + iY is embedded as the real symmetric S = [[X, Y], [Y, -X]] with
-    its two bases interleaved: the eigenvalues of S are +-sigma_k(B), and
+    its two bases interleaved: the eigenvalues of S are +-sigma_j(B), and
     its leading 2n section embeds B_n, so the pivots of I - S pair up at
-    positions 2k, 2k + 1. Either way index k has two pivots 1 + e-, 1 + e+
-    whose diagonal entries -+b_kk cancel exactly, and
-    log det(I - B_n B_n*) is the cumulative sum over k <= n of
+    positions 2j, 2j + 1. Either way index j has two pivots 1 + e-, 1 + e+
+    whose diagonal entries -+b_jj cancel exactly, and
+    log det(I - B_n B_n*) is the cumulative sum over j <= n of
     log1p(u- + u+ + e- e+), which keeps the digits of a potential far below
-    one in magnitude. The certificate is that every pivot is positive,
+    one in magnitude.
+
+    A k-fold block, whose entries b_mn are exactly 0 unless m + n = 0
+    (mod k) (k read off its zeros, ``series._symmetry_order``), couples
+    the residue class a of its indices only to the class -a: I -+ B, and
+    S, are block diagonal over the orbits {a, -a mod k}. Each orbit is
+    factored on its own, in index order; its leading sections are those
+    of b's, so its pivots are b's pivots at its indices, written back
+    there before the sum. For the 2-fold c = 0.5 ellipse's b1 at m = 1280
+    that is four factorizations of 640 instead of two of 1280, about
+    0.05 s instead of 0.12 s. With k = 1 there is one orbit, the whole
+    block. The certificate is that every pivot is positive,
     which is sigma_max(B_n) < 1 for every n <= m; a block without it raises
     NumericalFailure. A non-square b, or one not symmetric beyond
     roundoff, raises InvalidInput.
@@ -410,16 +445,14 @@ def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:
     scale = max(1.0, float(np.abs(bm).max()))
     if np.abs(bm - bm.T).max() > _SYMMETRY_TOL * scale:
         raise InvalidInput("the determinant needs a symmetric block (b = b^T)")
-    if np.iscomplexobj(bm):
-        s = np.empty((2 * m, 2 * m))
-        s[0::2, 0::2] = -bm.real
-        s[1::2, 1::2] = bm.real
-        s[0::2, 1::2] = s[1::2, 0::2] = -bm.imag
-        e, u = _ldl_defects(s)
-        e_minus, u_minus, e_plus, u_plus = e[0::2], u[0::2], e[1::2], u[1::2]
-    else:
-        e_minus, u_minus = _ldl_defects(np.negative(bm, dtype=float))
-        e_plus, u_plus = _ldl_defects(bm.astype(float))
+    k = _symmetry_order(bm, 1)
+    residue = np.arange(1, m + 1) % k
+    pivots = np.empty((4, m))
+    for a in range(k // 2 + 1):
+        orbit = np.flatnonzero((residue == a) | (residue == -a % k))
+        if orbit.size:
+            pivots[:, orbit] = _pivot_defects(bm[np.ix_(orbit, orbit)])
+    e_minus, u_minus, e_plus, u_plus = pivots
     curve = np.cumsum(np.log1p(u_minus + u_plus + e_minus * e_plus))
     return ConvergenceReport(orders, curve[np.array(orders) - 1])
 

@@ -276,10 +276,13 @@ def inverted_series(h: ComplexSeries) -> ComplexSeries:
 
     A Taylor h = z p(z) reflects to z / conj(p)(1/z) and a Laurent
     h = z p(1/z) to z / conj(p)(z): one reciprocal of conj(p), taken to
-    max(64, 2 * order) terms, doubled (up to ``MAX_SAMPLE_COUNT``) until its
-    last quarter is below the coefficient floor and trimmed there; it is
-    ``resolved`` when h is. An interior map must map the disk onto the
-    reflected domain itself (a rescaled map would recover a rescaled curve).
+    max(64, 2 * order) terms, doubled until its last quarter is below the
+    coefficient floor and trimmed there; it is ``resolved`` when h is. No
+    reciprocal is longer than ``MAX_SAMPLE_COUNT`` (or than p itself), and
+    one that has not decayed there raises NumericalFailure, which names
+    an unresolved h: its cut, not a zero of h(z)/z, may be what stops the
+    decay. An interior map must map the disk onto the reflected domain
+    itself (a rescaled map would recover a rescaled curve).
     """
     if h.kind is Kind.TAYLOR_AT_ZERO:
         if h.coeffs[0] != 0:
@@ -287,7 +290,7 @@ def inverted_series(h: ComplexSeries) -> ComplexSeries:
         p, kind = h.coeffs[1:], Kind.LAURENT_AT_INFINITY
     else:
         p, kind = h.coeffs, Kind.TAYLOR_AT_ZERO
-    n = max(64, 2 * h.order)
+    n = max(64, min(2 * h.order, MAX_SAMPLE_COUNT), len(p))
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             r = reciprocal_array(np.pad(np.conj(p), (0, n - len(p))))
@@ -296,10 +299,13 @@ def inverted_series(h: ComplexSeries) -> ComplexSeries:
         if np.isfinite(floor) and mags[3 * n // 4:].max() < floor:
             break
         if not np.isfinite(floor) or n >= MAX_SAMPLE_COUNT:
+            cause = ("h(z)/z vanishes on its side of the unit circle"
+                     if h.resolved else
+                     f"the input map is unresolved: its {h.order} terms "
+                     "are cut above the coefficient floor")
             raise NumericalFailure(
-                f"reflected coefficients have not decayed in {n} terms: "
-                "h(z)/z vanishes on its side of the unit circle")
-        n *= 2
+                f"reflected coefficients have not decayed in {n} terms: {cause}")
+        n = min(2 * n, MAX_SAMPLE_COUNT)
     r = r[:np.nonzero(mags >= floor)[0][-1] + 1]
     if kind is Kind.TAYLOR_AT_ZERO:
         r = np.concatenate([[0.0], r])

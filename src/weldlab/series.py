@@ -26,7 +26,10 @@ takes the inverse of its argument by ``_newton_inverse``, and
 ``reciprocal_array`` is the one-column case of that inverse, the only
 series division; the reflection z -> 1/conj(z) of ``maps`` is one such
 division and evaluates nothing. Their products are FFTs at O(n log n)
-per n-term product, not the O(n^2) of a triangular recursion.
+per n-term product, not the O(n^2) of a triangular recursion. Both read
+the k-fold symmetry of their argument off its exact zeros and work on
+one residue class mod k: the log on 1/k of the spectrum, the reciprocal
+on every k-th coefficient.
 
 Two expansion kinds are supported:
 
@@ -144,40 +147,96 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _y_transforms(n1: int, real: bool):
-    """Transforms in y of bivariate series truncated at y^n1.
+def _symmetry_order(a: np.ndarray, first: int = 0) -> int:
+    """The symmetry order k of an array: the gcd of p + q + 2 ``first``
+    over its nonzero entries a[p, q], where ``first`` is the index of its
+    first row and column (1 for a block), or 1 when every such sum is 0.
+    Every entry off the class p + q + 2 ``first`` = 0 (mod k) is then
+    exactly 0.
 
-    A series is an array whose row m holds the coefficients of x^m y^n,
-    n < n1. Its spectrum is the transform of every row at the smallest
-    5-smooth length >= 2 n1 - 1, which holds the product of two n1-term
-    rows without wrap-around (``rfft`` for real data), stored transposed:
-    one row per y-frequency, so that the x-transforms of ``_x_product``
-    run along contiguous rows. Returns three functions: ``forward`` (the
-    spectrum of a series), ``truncate`` (a spectrum cut back in place to
-    that of its series truncated at y^n1) and ``inverse`` (the series of a
-    spectrum, written into ``out``). Each works through blocks of rows of
-    at most ``_FFT_BLOCK`` entries.
+    Row p is shifted right by p, so that each antidiagonal becomes a
+    column: the rows of n0 + n1 flags, read n0 + n1 - 1 at a time. The
+    work and memory are those of the array, laid along its shorter side,
+    with no index arrays.
     """
-    size = _smooth_length(2 * n1 - 1)
+    if a.shape[0] > a.shape[1]:
+        a = a.T
+    n0, n1 = a.shape
+    pad = np.zeros((n0, n0 + n1), dtype=bool)
+    pad[:, :n1] = a != 0
+    skew = pad.ravel()[:n0 * (n0 + n1 - 1)].reshape(n0, n0 + n1 - 1)
+    sums = np.flatnonzero(skew.any(axis=0)) + 2 * first
+    return int(np.gcd.reduce(sums)) or 1
+
+
+def _y_transforms(n1: int, real: bool, order: int):
+    """Transforms in y of bivariate series truncated at y^n1 whose x^p y^q
+    terms vanish unless p + q = 0 (mod k), k = ``order``.
+
+    A series is an array whose row p holds the coefficients of x^p y^q,
+    q < n1. Each function takes the array's x-offset a: its row p is the
+    power x^(p + a), so it holds only the y-powers q = b + k t, with
+    b = -(p + a) mod k. Its spectrum is the transform of every row at a
+    length S = k m >= 2 n1 - 1, with m the smallest 5-smooth length that
+    gives one, which holds the product of two n1-term rows without
+    wrap-around. At frequency j that is the twiddle e^(-2 pi i j b/S)
+    times the length-m transform of the decimated row (c_(b + k t))_t, so
+    the spectrum keeps the frequencies of one length-m transform (``rfft``
+    for real data, m/2 + 1 of them), and a product at those frequencies
+    is exact for every class. With k = 1 the twiddles are 1 and the
+    transforms those of the whole rows. The spectrum is stored
+    transposed: one row per y-frequency, so that the x-transforms of
+    ``_x_product`` run along contiguous rows. Returns three functions:
+    ``forward`` (the spectrum of a series), ``truncate`` (a spectrum cut
+    back in place to that of its series truncated at y^n1) and
+    ``inverse`` (the series of a spectrum, written into ``out``, whose
+    off-class entries it leaves as they are). Each works through blocks
+    of rows of at most ``_FFT_BLOCK`` entries.
+    """
+    m = _smooth_length(-(-(2 * n1 - 1) // order))
     fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    width = size // 2 + 1 if real else size
-    step = max(1, _FFT_BLOCK // size)
+    width = m // 2 + 1 if real else m
+    step = max(1, _FFT_BLOCK // m)
+    twiddles = np.exp(-2j * np.pi / (order * m)
+                      * np.outer(np.arange(order), np.arange(width)))[:, :, None]
 
-    def forward(a):
+    def classes(count, offset):
+        """(residue r of the rows, class b of their y-powers, number of
+        those powers below y^n1) of each row class of an array."""
+        for r in range(min(order, count)):
+            b = -(r + offset) % order
+            yield r, b, len(range(b, n1, order))
+
+    def forward(a, offset):
         spec = np.empty((width, len(a)), dtype=complex)
-        for i in range(0, len(a), step):
-            spec[:, i:i + step] = fwd(a[i:i + step], size).T
+        for r, b, _ in classes(len(a), offset):
+            rows, cols = a[r::order, b::order], spec[:, r::order]
+            for i in range(0, len(rows), step):
+                cols[:, i:i + step] = fwd(rows[i:i + step], m).T
+                if b:
+                    cols[:, i:i + step] *= twiddles[b]
         return spec
 
-    def truncate(spec):
-        for i in range(0, spec.shape[1], step):
-            rows = inv(spec[:, i:i + step].T, size)[:, :n1]
-            spec[:, i:i + step] = fwd(rows, size).T
+    def truncate(spec, offset):
+        for r, b, kept in classes(spec.shape[1], offset):
+            cols = spec[:, r::order]
+            for i in range(0, cols.shape[1], step):
+                block = cols[:, i:i + step]
+                if b:
+                    block *= twiddles[b].conj()
+                block[:] = fwd(inv(block.T, m)[:, :kept], m).T
+                if b:
+                    block *= twiddles[b]
         return spec
 
-    def inverse(spec, out):
-        for i in range(0, spec.shape[1], step):
-            out[i:i + step] = inv(spec[:, i:i + step].T, size)[:, :n1]
+    def inverse(spec, out, offset):
+        for r, b, kept in classes(spec.shape[1], offset):
+            cols, rows = spec[:, r::order], out[r::order, b::order]
+            for i in range(0, cols.shape[1], step):
+                block = cols[:, i:i + step]
+                if b:
+                    block = block * twiddles[b].conj()
+                rows[i:i + step] = inv(block.T, m)[:, :kept]
         return out
 
     return forward, truncate, inverse
@@ -215,8 +274,9 @@ def _newton_inverse(d_spec, rows, truncate):
     D E, whose lower powers are those of 1, at a cyclic length >= k2 that
     wraps the higher ones onto the powers below k. With R = x^-k (D E - 1),
     the new powers of E are those of -E R below x^(k2-k), a product that
-    reads only that many powers of each factor. Both products are
-    truncated at y^n1 before they are used, and every product costs
+    reads only that many powers of each factor. Both products start at
+    x^k (``truncate``'s x-offset) and are truncated at y^n1 before they
+    are used, and every product costs
     O(k2 n1 log(k2 n1)), so the inverse costs O(rows n1 log(rows n1)).
     """
     e = np.empty((len(d_spec), rows), dtype=complex)
@@ -230,9 +290,9 @@ def _newton_inverse(d_spec, rows, truncate):
         h = k2 - k
         r = e[:, k:k2]
         _x_product(d_spec[:, :k2], e[:, :k], _smooth_length(k2), k, k2, r)
-        truncate(r)
+        truncate(r, k)
         _x_product(e[:, :h], r, _smooth_length(2 * h - 1), 0, h, r)
-        np.negative(truncate(r), out=r)
+        np.negative(truncate(r, k), out=r)
         k = k2
     return e
 
@@ -245,11 +305,19 @@ def _log_bivariate(d: np.ndarray) -> np.ndarray:
     L = integral of D_x / D in x: ``_newton_inverse`` gives 1/D below
     x^(n0-1), and one product with D_x at a linear length >= 2 n0 - 3
     gives the rest, so an n0 x n1 log costs O(n0 n1 log(n0 n1)) in
-    two-dimensional FFTs. The spectra are complex n0 x n1 arrays (half
-    the columns for real data), the products run on blocks of them, and
-    the log is written over the inverse's spectrum: at n0 = n1 = 1281 the
-    call's traced peak is 55 MiB. Real data takes real transforms and
-    gives a real log (the result has d's dtype). The error is roundoff
+    two-dimensional FFTs. D is k-fold, with k its ``_symmetry_order``:
+    its x^p y^q terms are exactly 0 unless p + q = 0 (mod k), as on the
+    generating arrays of a curve with k-fold rotational symmetry. Then so
+    are those of 1/D and of the log, so every spectrum keeps the n1/k
+    frequencies of one residue class (``_y_transforms``), and the log's
+    off-class entries come out as exact zeros; with k = 1 the spectra are
+    the transforms of whole rows. The spectra are complex arrays of n0
+    columns and n1/k rows (half of them for real data), the products run
+    on blocks of them, and the log is written over the inverse's
+    spectrum: at n0 = n1 = 1281 the call's traced peak is 55 MiB for a
+    1-fold array and 29.4 MiB for the 2-fold array of the c = 0.5
+    ellipse's b1. Real data takes real transforms and gives a real log
+    (the result has d's dtype). The error is roundoff
     relative to max|D| max|1/D|, which is of order one for the builders'
     generating arrays: on the catalog's, the log agrees with the
     triangular recursion that solves D dL/dx = dD/dx one power at a time
@@ -260,14 +328,15 @@ def _log_bivariate(d: np.ndarray) -> np.ndarray:
         raise InvalidInput("bivariate log requires D(0, y) = 1")
     if n0 == 1:
         return np.zeros((n0, n1), dtype=d.dtype)
-    forward, truncate, inverse = _y_transforms(n1, np.isrealobj(d))
-    spec = forward(d)
+    forward, truncate, inverse = _y_transforms(n1, np.isrealobj(d),
+                                               _symmetry_order(d))
+    spec = forward(d, 0)
     e = _newton_inverse(spec, n0 - 1, truncate)
-    spec[:, 1:] *= np.arange(1, n0)                    # the spectrum of D_x
+    spec[:, 1:] *= np.arange(1, n0)          # the spectrum of D_x, from x^1
     _x_product(spec[:, 1:], e, _smooth_length(2 * n0 - 3), 0, n0 - 1, e)
     del spec
     out = np.zeros((n0, n1), dtype=d.dtype)
-    inverse(e, out[1:])
+    inverse(e, out[1:], 1)
     out[1:] /= np.arange(1, n0)[:, None]
     return out
 
@@ -281,17 +350,22 @@ def reciprocal_array(c: np.ndarray) -> np.ndarray:
     """Coefficients of 1/sum(c_k z^k) to the same truncation; c[0] != 0.
 
     The one-column case of the bivariate Newton inverse, on c / c[0]:
-    O(n log n) operations, with an error of a few roundoffs relative to
-    max|c / c[0]| times the largest coefficient of the reciprocal. A real
-    array takes real transforms and gives a real reciprocal; a complex one
-    stays complex.
+    when the nonzero coefficients sit on the multiples of k (the gcd of
+    their indices), 1/c is a series in z^k, taken from c[::k] with exact
+    zeros between. O(n log n) operations, with an error of a few
+    roundoffs relative to max|c / c[0]| times the largest coefficient of
+    the reciprocal. A real array takes real transforms and gives a real
+    reciprocal; a complex one stays complex.
     """
     if c[0] == 0:
         raise InvalidInput("cannot invert a series with zero constant term")
-    unit = (c / c[0])[:, None]
-    forward, truncate, inverse = _y_transforms(1, np.isrealobj(unit))
-    spec = _newton_inverse(forward(unit), len(c), truncate)
-    return inverse(spec, np.empty_like(unit))[:, 0] / c[0]
+    k = _symmetry_order(c[:, None])
+    unit = (c[::k] / c[0])[:, None]
+    forward, truncate, inverse = _y_transforms(1, np.isrealobj(unit), 1)
+    spec = _newton_inverse(forward(unit, 0), len(unit), truncate)
+    out = np.zeros(len(c), dtype=unit.dtype)
+    out[::k] = inverse(spec, np.empty_like(unit), 0)[:, 0] / c[0]
+    return out
 
 
 def evaluate_array(c: np.ndarray, z) -> np.ndarray:

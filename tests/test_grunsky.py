@@ -8,6 +8,7 @@ import pytest
 from weldlab import grunsky as gk
 from weldlab import liouville as lv
 from weldlab import maps as mp
+from weldlab import series
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import ComplexSeries, Kind, evaluate
 
@@ -164,6 +165,26 @@ class TestBuildB1:
         monkeypatch.setattr(gk, "_log_bivariate", traced)
         gk.build_b1(ellipse05, 1280)
         assert len(peaks) == 1 and peaks[0] <= 88 << 20
+
+    def test_two_fold_log_memory(self, ellipse05, monkeypatch):
+        # the c = 0.5 generating array is 2-fold, so the log keeps one
+        # residue class of its spectrum, half the y-frequencies, and its
+        # traced peak at N = 1280 is 29.4 MiB
+        peaks, orders = [], []
+        log = gk._log_bivariate
+
+        def traced(d):
+            orders.append(series._symmetry_order(d))
+            tracemalloc.start()
+            try:
+                return log(d)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(gk, "_log_bivariate", traced)
+        gk.build_b1(ellipse05, 1280)
+        assert orders == [2] and peaks[0] <= 32 << 20
 
     def test_cross_operator_consistency(self, ellipse03):
         # log det agreement between the interior and exterior routes
@@ -446,6 +467,45 @@ class TestLogdet:
             b = build(pair, 64)
             assert b.dtype == np.complex128
             assert svd_gap(b, (16, 32, 64)) <= 2e-15
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        """The size of every matrix the determinant factors."""
+        sizes = []
+        ldl_defects = gk._ldl_defects
+
+        def recorded(a):
+            sizes.append(len(a))
+            return ldl_defects(a)
+
+        monkeypatch.setattr(gk, "_ldl_defects", recorded)
+        return sizes
+
+    # at the odd order 65 the classes of a 2-fold block hold 32 and 33
+    # indices, and those of a 3-fold block 21 (0 mod 3) and 22 + 22 (1 and
+    # 2 mod 3, one orbit); a complex block's embedding doubles each
+    @pytest.mark.parametrize("family, params, angle, sizes", [
+        ("ellipse", {"c": 0.3}, 0.0, [32, 32, 33, 33]),
+        ("fourier_bump", {"eps": 0.05, "k": 3}, 0.0, [21, 21, 44, 44]),
+        ("ellipse", {"c": 0.3}, 0.7, [64, 66]),
+    ], ids=["2-fold", "3-fold", "2-fold-complex"])
+    @pytest.mark.parametrize("route", ["b1", "b4"])
+    def test_factors_each_symmetry_orbit(self, family, params, angle, sizes,
+                                         route, factored):
+        pair = mp.catalog(family, **params)
+        if angle:
+            pair = rotated(pair, angle)
+        build = gk.build_b1 if route == "b1" else gk.build_b4
+        b = build(pair, 65)
+        assert np.iscomplexobj(b) == bool(angle)
+        assert svd_gap(b, (9, 17, 33, 65)) <= 2e-15
+        assert factored == sizes
+
+    def test_off_class_entry_factors_whole(self, ellipse03, factored):
+        b = gk.build_b1(ellipse03, 65)
+        b[0, 1] = b[1, 0] = 1e-30   # m + n = 3 in a 2-fold block
+        assert svd_gap(b, (9, 17, 33, 65)) <= 2e-15
+        assert factored == [65, 65]
 
     @pytest.mark.parametrize("route", ["b1", "b4"])
     @pytest.mark.parametrize("k", [2, 3])

@@ -13,6 +13,7 @@ from weldlab import grunsky as gk
 from weldlab import liouville as lv
 from weldlab import maps as mp
 from weldlab.errors import InvalidInput, NumericalFailure
+from weldlab.series import _symmetry_order
 from weldlab.series import COEFF_FLOOR, ComplexSeries, Kind, evaluate
 
 
@@ -216,6 +217,26 @@ class TestInversion:
             assert np.abs(full[new.order:]).max(initial=0.0) <= floor + tol
             if not (np.abs(np.abs(full) - floor) <= tol).any():
                 assert new.order == ref.order
+
+    def test_unresolved_input_is_named_within_the_cap(self, monkeypatch):
+        # the reflected bump (0.3, 8) ends unresolved at 8186 terms on
+        # 16384 samples: the reflection of that cut map does not decay,
+        # and the cause is the cut, not a zero of h(z)/z
+        h = mp.theodorsen_interior(mp.inverted_domain(mp.bump_domain(0.3, 8))).series
+        assert not h.resolved and h.order == 8186
+        lengths = []
+        reciprocal = mp.reciprocal_array
+
+        def recorded(c):
+            lengths.append(len(c))
+            return reciprocal(c)
+
+        monkeypatch.setattr(mp, "reciprocal_array", recorded)
+        with pytest.raises(NumericalFailure, match="unresolved") as failure:
+            mp.inverted_series(h)
+        assert "8186 terms" in str(failure.value)
+        assert "vanishes" not in str(failure.value)
+        assert lengths and max(lengths) <= mp.MAX_SAMPLE_COUNT
 
     def test_vanishing_map_rejected(self):
         # z + 2z^2 vanishes at -1/2: the reflected coefficients grow
@@ -457,6 +478,21 @@ class TestCatalogInvariants:
         s2 = gk.logdet_potential(gk.build_b1(pair, 512), [512]).extrapolated
         s1 = lv.s1_coefficient_route(pair)
         assert abs(s1 + 12.0 * np.pi * s2) <= 1e-12 * abs(s1)
+
+    # the blocks and the determinant split a k-fold pair by residue class
+    # only where its coefficients are exactly zero off the class: f keeps
+    # the indices 1 mod k, g (graded z^(1-n)) the indices 0 mod k
+    @pytest.mark.parametrize("family, params, k", [
+        ("ellipse", {"c": 0.1}, 2), ("ellipse", {"c": 0.3}, 2),
+        ("ellipse", {"c": 0.5}, 2), ("fourier_bump", {"eps": 0.05, "k": 2}, 2),
+        ("fourier_bump", {"eps": 0.05, "k": 3}, 3)])
+    def test_k_fold_pairs_are_exactly_zero_off_class(self, family, params, k):
+        pair = mp.catalog(family, **params)
+        f, g = pair.interior.coeffs, pair.exterior.coeffs
+        assert np.all(f[np.arange(len(f)) % k != 1] == 0.0)
+        assert np.all(g[np.arange(len(g)) % k != 0] == 0.0)
+        for build in (gk.build_b1, gk.build_b4):
+            assert _symmetry_order(build(pair, 64), 1) == k
 
     # a k-fold spectrum keeps only indices 1 mod k, so its last kept index
     # can land near the window edge while still far above the floor; such

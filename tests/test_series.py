@@ -224,6 +224,89 @@ class TestLogBivariate:
                 assert _smooth_length(n) == expected
 
 
+def _k_fold(d, k):
+    """d with every entry off the class p + q = 0 (mod k) set to 0."""
+    d = d.copy()
+    d[np.add.outer(np.arange(d.shape[0]), np.arange(d.shape[1])) % k != 0] = 0.0
+    return d
+
+
+class TestSymmetryClasses:
+    """A k-fold array, whose x^p y^q terms vanish unless p + q = 0 (mod k),
+    takes its log on one residue class of the spectrum, and a series whose
+    nonzero coefficients sit on multiples of k takes its reciprocal on
+    those; k is read off the exact zeros."""
+
+    @pytest.fixture
+    def orders(self, monkeypatch):
+        """The symmetry order of every transform set the module makes."""
+        seen = []
+        y_transforms = series._y_transforms
+
+        def recorded(n1, real, order):
+            seen.append(order)
+            return y_transforms(n1, real, order)
+
+        monkeypatch.setattr(series, "_y_transforms", recorded)
+        return seen
+
+    @pytest.mark.parametrize("n0, n1", [(7, 1), (9, 2), (17, 17), (33, 64),
+                                        (65, 129), (200, 5)])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_log_matches_slice_recursion(self, n0, n1, k, dtype, orders):
+        d = _k_fold(_decaying_array(n0, n1, dtype, 100 * k + n0), k)
+        out, ref = _log_bivariate(d), slice_log(d)
+        assert orders == [k] and out.dtype == ref.dtype
+        off = np.add.outer(np.arange(n0), np.arange(n1)) % k != 0
+        assert np.all(out[off] == 0.0)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_off_class_entry_takes_the_whole_spectrum(self, dtype, orders):
+        d = _k_fold(_decaying_array(33, 64, dtype, 5), 2)
+        d[4, 7] = 1e-3
+        out, ref = _log_bivariate(d), slice_log(d)
+        assert orders == [1]
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_order_is_the_gcd_of_the_nonzero_powers(self):
+        d = np.zeros((9, 13))
+        d[0, 0] = 1.0
+        assert series._symmetry_order(d) == 1
+        d[2, 4] = d[5, 7] = 0.5
+        assert series._symmetry_order(d) == 6
+        d[8, 1] = 0.5
+        assert series._symmetry_order(d) == 3
+        assert series._symmetry_order(d.T) == 3
+        assert series._symmetry_order(d[1:, 1:], 1) == 3
+
+    @pytest.mark.parametrize("n", [5, 64, 129, 512])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_sparse_reciprocal_matches_triangular_recursion(self, n, k, dtype,
+                                                            monkeypatch):
+        rng = np.random.default_rng(10 * n + k)
+        c = rng.uniform(-0.1, 0.1, n) * 0.9 ** np.arange(n)
+        if dtype is complex:
+            c = c + 1j * rng.uniform(-0.1, 0.1, n) * 0.9 ** np.arange(n)
+        off = np.arange(n) % k != 0
+        c[off] = 0.0
+        c[0] = 1.5
+        rows = []
+        newton_inverse = series._newton_inverse
+
+        def recorded(d_spec, count, truncate):
+            rows.append(count)
+            return newton_inverse(d_spec, count, truncate)
+
+        monkeypatch.setattr(series, "_newton_inverse", recorded)
+        out, ref = reciprocal_array(c), triangular_reciprocal(c)
+        assert rows == [len(c[::k])] and out.dtype == ref.dtype
+        assert np.all(out[off] == 0.0)
+        assert np.abs(out - ref).max() <= 2e-16 * np.abs(ref).max()
+
+
 class TestReciprocal:
     """The Newton reciprocal against the triangular recursion it replaced,
     at n <= 512."""
@@ -260,9 +343,9 @@ class TestReciprocal:
         paths = []
         y_transforms = series._y_transforms
 
-        def recorded(n1, real):
+        def recorded(n1, real, order):
             paths.append(real)
-            return y_transforms(n1, real)
+            return y_transforms(n1, real, order)
 
         monkeypatch.setattr(series, "_y_transforms", recorded)
         c = np.array([2.0, 0.5, -0.25, 0.125])
