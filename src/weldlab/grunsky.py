@@ -28,8 +28,9 @@ Conventions (also emitted in every CLI report):
   ``logdet_potential`` takes every truncation order from LAPACK
   Cholesky factorizations at the largest, read as LDL^T pivots: of I - B
   and I + B for a real block, of I - S for the real embedding S of a
-  complex one, one per symmetry orbit of the indices of a k-fold block.
-  Each order
+  complex one, one per symmetry orbit of the indices of a k-fold block
+  (each index of a diagonal one), orbits of equal size in one stacked
+  call. Each order
   pairs two pivots whose diagonal entries -+b_kk cancel exactly, kept in
   defect form (the 1 never added), and every pivot positive certifies
   sigma_max(B_n) < 1 for all the orders at once.
@@ -41,9 +42,20 @@ on 5-smooth lengths, O(N^2 log N) for an N x N block; b1 is the b4 of
 1/f(1/z)); no kernel quadrature is performed. A pair of a curve with
 k-fold rotational symmetry has series that are exactly zero off one
 residue class mod k (f keeps the powers 1 mod k, g those of z^(1-n) with
-n = 0 mod k), so its generating arrays, their logs and its blocks are
-exactly zero unless m + n = 0 (mod k): the log works on one residue class
-of its spectrum, and the determinant on one orbit of classes at a time.
+n = 0 mod k; ``maps.StarDomain.order``), so the generating arrays of b1
+and b4, their logs and the blocks are exactly zero unless m + n = 0
+(mod k), and those of b2 and b3 unless m - n = 0 (mod k), since
+log(1 - f(z)/g(w)) is invariant under (z, w) -> (omega z, omega w). Both
+read their classes off exact zeros (``series._class_order``): the log
+works on one residue class of its spectrum in either orientation, and
+the determinant on one orbit of classes at a time. An array whose
+entries all lie on m = n, as the ellipse's b4 from log(1 - c/(zw)), is a
+series in one variable: the log takes its diagonal as one column, and
+the determinant factors each index alone. The builders hand the log its
+generating array in a list it empties, so the array is freed once its
+spectrum is taken, and weight its output by row blocks: b1 of the
+c = 0.5 ellipse at N = 1280 peaks at the log's own 29.4 MiB traced
+(50.1 MiB when the array and two full-size weight temporaries were kept).
 Arrays keep their series'
 dtype: a float64 pair (a conjugation-symmetric domain, see
 ``maps.StarDomain.symmetric``) gives real generating arrays, real
@@ -68,8 +80,8 @@ from .maps import WeldingPair, inverted_pair
 from .series import (
     ComplexSeries,
     Kind,
+    _class_order,
     _log_bivariate,
-    _symmetry_order,
     reciprocal_array,
     samples_from_coeffs,
 )
@@ -118,6 +130,10 @@ class ConvergenceReport:
 # generating arrays and blocks
 # ---------------------------------------------------------------------------
 
+# entries of one row block of a block's weights and of its symmetry check:
+# 2^17 values are 1 MB of float64
+_ROW_BLOCK = 1 << 17
+
 def _padded(coeffs: np.ndarray, need: int) -> np.ndarray:
     out = np.zeros(need, dtype=coeffs.dtype)
     out[:len(coeffs)] = coeffs[:need]
@@ -136,11 +152,6 @@ def _side(pair_or_series, kind: Kind) -> ComplexSeries:
                                else "exterior block needs a Laurent series")
         return pair_or_series
     raise InvalidInput("expected a WeldingPair or ComplexSeries")
-
-
-def _sqrt_weights(rows: int, cols: int) -> np.ndarray:
-    return np.sqrt(np.outer(np.arange(1, rows + 1, dtype=float),
-                            np.arange(1, cols + 1, dtype=float)))
 
 
 def _block_cols(n: int, cols) -> int:
@@ -164,22 +175,34 @@ def _require_order(series: ComplexSeries, need: int, side: str):
         "coefficients the block reads, and its tail is not resolved")
 
 
-def _block(d: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """-sqrt(mn) [x^m y^n] log D for m = 1..rows, n = 1..cols."""
-    ell = _log_bivariate(d)  # first: the weights would add to its peak memory
-    return np.ascontiguousarray(-_sqrt_weights(rows, cols) * ell[1:, 1:])
+def _block(held: list, rows: int, cols: int) -> np.ndarray:
+    """-sqrt(mn) [x^m y^n] log D for m = 1..rows, n = 1..cols, of the
+    generating array D that ``held`` holds as its one item: the log takes
+    it out, so D is freed once its spectrum is taken. The weights are
+    applied by row blocks of at most ``_ROW_BLOCK`` entries as the block
+    is copied out of the log, so no full-size weight array is formed."""
+    ell = _log_bivariate(held)
+    out = np.empty((rows, cols), dtype=ell.dtype)
+    n = np.arange(1, cols + 1, dtype=float)
+    step = max(1, _ROW_BLOCK // cols)
+    for i in range(0, rows, step):
+        m = np.arange(i + 1, min(i + step, rows) + 1, dtype=float)
+        np.multiply(-np.sqrt(np.outer(m, n)), ell[i + 1:i + 1 + len(m), 1:],
+                    out=out[i:i + len(m)])
+    return out
 
 
-def _exterior_block(g: np.ndarray, n: int, cols: int) -> np.ndarray:
-    """The block of log((g(z)-g(w))/(z-w)) for Laurent coefficients g with
-    g[0] != 0: its argument is 1 - sum_{p,q>=1} (g[p+q]/g[0]) z^-p w^-q."""
+def _exterior_array(g: np.ndarray, n: int, cols: int) -> np.ndarray:
+    """The generating array of log((g(z)-g(w))/(z-w)) for Laurent
+    coefficients g with g[0] != 0: its argument is
+    1 - sum_{p,q>=1} (g[p+q]/g[0]) z^-p w^-q."""
     gg = _padded(g, n + cols + 2)
     gg = gg / gg[0]
     d = np.zeros((n + 1, cols + 1), dtype=gg.dtype)
     d[0, 0] = 1.0
     for p in range(1, n + 1):
         d[p, 1:] = -gg[p + 1:p + cols + 1]
-    return _block(d, n, cols)
+    return d
 
 
 def build_b1(pair, n: int, cols: int = None) -> np.ndarray:
@@ -192,7 +215,7 @@ def build_b1(pair, n: int, cols: int = None) -> np.ndarray:
     fseries = _side(pair, Kind.TAYLOR_AT_ZERO)
     _require_order(fseries, n + cols + 2, "interior")
     quotient = _padded(fseries.coeffs, n + cols + 3)[1:]  # f(z)/z, f'(0) != 0
-    return _exterior_block(reciprocal_array(quotient), n, cols)
+    return _block([_exterior_array(reciprocal_array(quotient), n, cols)], n, cols)
 
 
 def build_b4(pair, n: int, cols: int = None) -> np.ndarray:
@@ -207,7 +230,7 @@ def build_b4(pair, n: int, cols: int = None) -> np.ndarray:
     _require_order(gseries, n + cols + 1, "exterior")
     if gseries.coeffs[0] == 0:
         raise InvalidInput("exterior map must have nonzero leading coefficient")
-    return _exterior_block(gseries.coeffs, n, cols)
+    return _block([_exterior_array(gseries.coeffs, n, cols)], n, cols)
 
 
 def separation_radii(pair):
@@ -228,13 +251,13 @@ def separation_radii(pair):
     return None
 
 
-def _mixed_block(first: np.ndarray, second: np.ndarray, rows: int,
+def _mixed_array(first: np.ndarray, second: np.ndarray, rows: int,
                  cols: int) -> np.ndarray:
-    """The block of log(1 + u(x) v(y)), where ``first`` and ``second``
-    hold the coefficients of u and v (zero constant terms)."""
+    """The generating array of log(1 + u(x) v(y)), where ``first`` and
+    ``second`` hold the coefficients of u and v (zero constant terms)."""
     e = np.outer(first[:rows + 1], second[:cols + 1])
     e[0, 0] = 1.0
-    return _block(e, rows, cols)
+    return e
 
 
 def build_b2_b3(pair, n: int, cols: int = None):
@@ -262,10 +285,10 @@ def build_b2_b3(pair, n: int, cols: int = None):
     inv = reciprocal_array(g_arr)
     dcoef = np.zeros(big + 1, dtype=inv.dtype)
     dcoef[1:] = inv[:big]
-    b2 = _mixed_block(-f_arr, dcoef, n, cols)
+    b2 = _block([_mixed_array(-f_arr, dcoef, n, cols)], n, cols)
     if cols == n:
         return b2, np.ascontiguousarray(b2.T)
-    return b2, _mixed_block(-dcoef, f_arr, n, cols)
+    return b2, _block([_mixed_array(-dcoef, f_arr, n, cols)], n, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -360,48 +383,94 @@ _SYMMETRY_TOL = 1e-12
 
 
 def _ldl_defects(a: np.ndarray):
-    """Pivot defects (e, u) of the LDL^T factorization of I + a, for a
-    real symmetric a, which it overwrites; only its lower triangle is read.
+    """Pivot defects (e, u) of the LDL^T factorizations of I + a, for a
+    real symmetric a or a stack of them (shape (..., n, n)), which it
+    overwrites; only the lower triangles are read.
 
     Pivot k is 1 + e_k with e_k = a_kk + u_k, where u_k is the update the
     earlier pivots leave on the diagonal. Both come from one LAPACK
-    Cholesky factor L of I + a: pivot k is L_kk^2, and u_k is
-    -sum_{j<k} L_kj^2, read off the strict lower triangle, so the 1 is
-    never added to e_k or u_k and both keep their relative digits far below
-    one. A pivot that is not positive (or a NaN, which LAPACK lets through)
-    raises NumericalFailure.
+    Cholesky factor L of I + a (one call for the whole stack): pivot k is
+    L_kk^2, and u_k is -sum_{j<k} L_kj^2, read off the strict lower
+    triangle, so the 1 is never added to e_k or u_k and both keep their
+    relative digits far below one. A pivot that is not positive (or a
+    NaN, which LAPACK lets through) raises NumericalFailure.
     """
-    diag = a.diagonal().copy()
-    a[np.diag_indices(len(a))] += 1.0
+    diag = np.arange(a.shape[-1])
+    entries = a[..., diag, diag]
+    a[..., diag, diag] += 1.0
     try:
         low = np.linalg.cholesky(a)
-        certified = np.isfinite(low.diagonal()).all()
+        certified = np.isfinite(low[..., diag, diag]).all()
     except np.linalg.LinAlgError:
         certified = False
     if not certified:
         raise NumericalFailure(
             "a pivot of the determinant's factorization is not "
             "positive: a truncated block is not a contraction")
-    low[np.diag_indices(len(a))] = 0.0
+    low[..., diag, diag] = 0.0
     low *= low
-    u = 0.0 - low.sum(axis=1)  # an empty sum gives +0, not -0
-    return diag + u, u
+    u = 0.0 - low.sum(axis=-1)  # an empty sum gives +0, not -0
+    return entries + u, u
 
 
-def _pivot_defects(b: np.ndarray):
-    """The defects (e-, u-, e+, u+) of the two pivots of each index of a
-    symmetric block b: of I - B and I + B for a real b, of the interleaved
-    rows of I - S for the real embedding S of a complex one."""
+def _pivot_defects(b: np.ndarray, group: np.ndarray):
+    """The defects (e-, u-, e+, u+) of the two pivots of each index of the
+    orbits ``group`` (one per row, ``_orbits``) of a symmetric block b: of
+    I - B and I + B for a real b, of the interleaved rows of I - S for the
+    real embedding S of a complex one, each factored as one stack. A real
+    b's stack is gathered anew for each sign and factored in place, so
+    only one is held at a time."""
+    rows, cols = group[:, :, None], group[:, None, :]
     if np.iscomplexobj(b):
-        n = len(b)
-        s = np.empty((2 * n, 2 * n))
-        s[0::2, 0::2] = -b.real
-        s[1::2, 1::2] = b.real
-        s[0::2, 1::2] = s[1::2, 0::2] = -b.imag
+        sub, n = b[rows, cols], group.shape[1]
+        s = np.empty((len(group), 2 * n, 2 * n))
+        s[:, 0::2, 0::2] = -sub.real
+        s[:, 1::2, 1::2] = sub.real
+        s[:, 0::2, 1::2] = s[:, 1::2, 0::2] = -sub.imag
+        del sub
         e, u = _ldl_defects(s)
-        return e[0::2], u[0::2], e[1::2], u[1::2]
-    return (*_ldl_defects(np.negative(b, dtype=float)),
-            *_ldl_defects(b.astype(float)))
+        return e[:, 0::2], u[:, 0::2], e[:, 1::2], u[:, 1::2]
+
+    def factored(sign):
+        a = b[rows, cols].astype(float, copy=False)
+        return _ldl_defects(np.multiply(a, sign, out=a))
+
+    return (*factored(-1.0), *factored(1.0))
+
+
+def _orbits(m: int, order: int):
+    """The symmetry orbits of the indices 1..m of a block whose entries
+    b_mn vanish off the classes of its signed ``order`` (``_class_order``
+    with first index 1), grouped by size: for each size s, ascending, an
+    array of the orbits of s indices, one row each, in index order.
+
+    For order k > 0 (m + n = 0 mod k) the class a of an index is coupled
+    only to the class -a, so the orbits are {a, -a mod k}; for order -k
+    (m - n = 0 mod k) each class is its own orbit; for order 0 (a diagonal
+    block) each index is.
+    """
+    index = np.arange(1, m + 1)
+    if order > 0:
+        label = np.minimum(index % order, -index % order)
+    else:
+        label = index % -order if order else index - 1
+    members = np.argsort(label, kind="stable")
+    sizes = np.bincount(label)
+    starts = np.cumsum(sizes) - sizes
+    for s in sorted(set(sizes[sizes > 0].tolist())):
+        yield members[starts[sizes == s][:, None] + np.arange(s)]
+
+
+def _asymmetry(b: np.ndarray):
+    """(max |b - b^T|, max |b|) of a square b, by row blocks of at most
+    ``_ROW_BLOCK`` entries; a NaN entry makes both NaN."""
+    step = max(1, _ROW_BLOCK // len(b))
+    gaps, sizes = [], []
+    for i in range(0, len(b), step):
+        rows = b[i:i + step]
+        gaps.append(np.abs(rows - b[:, i:i + step].T).max())
+        sizes.append(np.abs(rows).max())
+    return float(np.max(gaps)), float(np.max(sizes))
 
 
 def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:
@@ -420,16 +489,25 @@ def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:
     log1p(u- + u+ + e- e+), which keeps the digits of a potential far below
     one in magnitude.
 
-    A k-fold block, whose entries b_mn are exactly 0 unless m + n = 0
-    (mod k) (k read off its zeros, ``series._symmetry_order``), couples
-    the residue class a of its indices only to the class -a: I -+ B, and
-    S, are block diagonal over the orbits {a, -a mod k}. Each orbit is
-    factored on its own, in index order; its leading sections are those
-    of b's, so its pivots are b's pivots at its indices, written back
-    there before the sum. For the 2-fold c = 0.5 ellipse's b1 at m = 1280
-    that is four factorizations of 640 instead of two of 1280, about
-    0.05 s instead of 0.12 s. With k = 1 there is one orbit, the whole
-    block. The certificate is that every pivot is positive,
+    The classes of b are read off its exact zeros
+    (``series._class_order``). A k-fold block, whose entries b_mn are
+    exactly 0 unless m + n = 0 (mod k), couples the residue class a of its
+    indices only to the class -a: I -+ B, and S, are block diagonal over
+    the orbits {a, -a mod k}. A block whose entries vanish unless
+    m - n = 0 (mod k) couples each class only to itself, and a diagonal
+    block (the exterior block of an ellipse) each index only to itself.
+    Each orbit is factored on its own, in index order, and orbits of
+    equal size are stacked into one LAPACK call; the leading sections of
+    an orbit are those of b's, so its pivots are b's pivots at its
+    indices, written back there before the sum. For the 2-fold c = 0.5
+    ellipse's b1 at m = 1280 that is one stacked factorization of two
+    640 x 640 matrices per sign, about 0.05 s where one of 1280 took
+    0.12 s; its diagonal b4 at 960 is one stack of 960 1 x 1 pivots per
+    sign. With k = 1 there is one orbit, the whole block. The symmetry
+    check and the scale it is read against run by row blocks, so no
+    full-size temporary is formed, and each sign's stack is gathered anew
+    and factored in place: 12.6 MiB traced for b1 at 1280. The
+    certificate is that every pivot is positive,
     which is sigma_max(B_n) < 1 for every n <= m; a block without it raises
     NumericalFailure. A non-square b, or one not symmetric beyond
     roundoff, raises InvalidInput.
@@ -442,16 +520,12 @@ def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:
         raise InvalidInput("orders must be one or more orders in [1, N]")
     m = max(orders)
     bm = b[:m, :m]
-    scale = max(1.0, float(np.abs(bm).max()))
-    if np.abs(bm - bm.T).max() > _SYMMETRY_TOL * scale:
+    gap, scale = _asymmetry(bm)
+    if gap > _SYMMETRY_TOL * max(1.0, scale):
         raise InvalidInput("the determinant needs a symmetric block (b = b^T)")
-    k = _symmetry_order(bm, 1)
-    residue = np.arange(1, m + 1) % k
     pivots = np.empty((4, m))
-    for a in range(k // 2 + 1):
-        orbit = np.flatnonzero((residue == a) | (residue == -a % k))
-        if orbit.size:
-            pivots[:, orbit] = _pivot_defects(bm[np.ix_(orbit, orbit)])
+    for group in _orbits(m, _class_order(bm, 1)):
+        pivots[:, group.ravel()] = np.reshape(_pivot_defects(bm, group), (4, -1))
     e_minus, u_minus, e_plus, u_plus = pivots
     curve = np.cumsum(np.log1p(u_minus + u_plus + e_minus * e_plus))
     return ConvergenceReport(orders, curve[np.array(orders) - 1])

@@ -28,8 +28,10 @@ series division; the reflection z -> 1/conj(z) of ``maps`` is one such
 division and evaluates nothing. Their products are FFTs at O(n log n)
 per n-term product, not the O(n^2) of a triangular recursion. Both read
 the k-fold symmetry of their argument off its exact zeros and work on
-one residue class mod k: the log on 1/k of the spectrum, the reciprocal
-on every k-th coefficient.
+one residue class mod k: the log on 1/k of the spectrum, with classes
+p + q = 0 or p - q = 0 (mod k) of its x^p y^q terms, and on the
+diagonal alone when they all lie on p = q; the reciprocal on every k-th
+coefficient.
 
 Two expansion kinds are supported:
 
@@ -147,12 +149,8 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _symmetry_order(a: np.ndarray, first: int = 0) -> int:
-    """The symmetry order k of an array: the gcd of p + q + 2 ``first``
-    over its nonzero entries a[p, q], where ``first`` is the index of its
-    first row and column (1 for a block), or 1 when every such sum is 0.
-    Every entry off the class p + q + 2 ``first`` = 0 (mod k) is then
-    exactly 0.
+def _diagonal_sums(a: np.ndarray) -> np.ndarray:
+    """The distinct sums p + q over the nonzero entries a[p, q], ascending.
 
     Row p is shifted right by p, so that each antidiagonal becomes a
     column: the rows of n0 + n1 flags, read n0 + n1 - 1 at a time. The
@@ -165,18 +163,46 @@ def _symmetry_order(a: np.ndarray, first: int = 0) -> int:
     pad = np.zeros((n0, n0 + n1), dtype=bool)
     pad[:, :n1] = a != 0
     skew = pad.ravel()[:n0 * (n0 + n1 - 1)].reshape(n0, n0 + n1 - 1)
-    sums = np.flatnonzero(skew.any(axis=0)) + 2 * first
-    return int(np.gcd.reduce(sums)) or 1
+    return np.flatnonzero(skew.any(axis=0))
+
+
+def _symmetry_order(a: np.ndarray, first: int = 0) -> int:
+    """The symmetry order k of an array: the gcd of p + q + 2 ``first``
+    over its nonzero entries a[p, q], where ``first`` is the index of its
+    first row and column (1 for a block), or 1 when every such sum is 0.
+    Every entry off the class p + q + 2 ``first`` = 0 (mod k) is then
+    exactly 0.
+    """
+    return int(np.gcd.reduce(_diagonal_sums(a) + 2 * first)) or 1
+
+
+def _class_order(a: np.ndarray, first: int = 0) -> int:
+    """The classes of an array's nonzero entries, as a signed order:
+    k > 0 when they all lie on p + q + 2 ``first`` = 0 (mod k), the
+    ``_symmetry_order``; -k when they lie on p - q = 0 (mod k) for a
+    larger k, the gcd of p - q; 0 when they all lie on p = q (or there are
+    none). The rows of a flipped array a[::-1] have the sums
+    p + q = n0 - 1 - (p - q) of the original's differences.
+    """
+    minus = int(np.gcd.reduce(_diagonal_sums(a[::-1]) - (len(a) - 1)))
+    if minus == 0:
+        return 0
+    plus = _symmetry_order(a, first)
+    return plus if plus >= minus else -minus
 
 
 def _y_transforms(n1: int, real: bool, order: int):
     """Transforms in y of bivariate series truncated at y^n1 whose x^p y^q
-    terms vanish unless p + q = 0 (mod k), k = ``order``.
+    terms vanish off one family of residue classes mod k = |``order``|:
+    p + q = 0 (mod k) for order > 0, p - q = 0 (mod k) for order < 0
+    (``_class_order``).
 
     A series is an array whose row p holds the coefficients of x^p y^q,
     q < n1. Each function takes the array's x-offset a: its row p is the
-    power x^(p + a), so it holds only the y-powers q = b + k t, with
-    b = -(p + a) mod k. Its spectrum is the transform of every row at a
+    power x^(p + a), so it holds only the y-powers q = b + k t, with the
+    class function b = -+(p + a) mod k, whose sign is that of -``order``.
+    Either family is closed under products, and so under the inverse and
+    the log. Its spectrum is the transform of every row at a
     length S = k m >= 2 n1 - 1, with m the smallest 5-smooth length that
     gives one, which holds the product of two n1-term rows without
     wrap-around. At frequency j that is the twiddle e^(-2 pi i j b/S)
@@ -193,24 +219,25 @@ def _y_transforms(n1: int, real: bool, order: int):
     off-class entries it leaves as they are). Each works through blocks
     of rows of at most ``_FFT_BLOCK`` entries.
     """
-    m = _smooth_length(-(-(2 * n1 - 1) // order))
+    k, sign = abs(order), (-1 if order > 0 else 1)
+    m = _smooth_length(-(-(2 * n1 - 1) // k))
     fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     width = m // 2 + 1 if real else m
     step = max(1, _FFT_BLOCK // m)
-    twiddles = np.exp(-2j * np.pi / (order * m)
-                      * np.outer(np.arange(order), np.arange(width)))[:, :, None]
+    twiddles = np.exp(-2j * np.pi / (k * m)
+                      * np.outer(np.arange(k), np.arange(width)))[:, :, None]
 
     def classes(count, offset):
         """(residue r of the rows, class b of their y-powers, number of
         those powers below y^n1) of each row class of an array."""
-        for r in range(min(order, count)):
-            b = -(r + offset) % order
-            yield r, b, len(range(b, n1, order))
+        for r in range(min(k, count)):
+            b = sign * (r + offset) % k
+            yield r, b, len(range(b, n1, k))
 
     def forward(a, offset):
         spec = np.empty((width, len(a)), dtype=complex)
         for r, b, _ in classes(len(a), offset):
-            rows, cols = a[r::order, b::order], spec[:, r::order]
+            rows, cols = a[r::k, b::k], spec[:, r::k]
             for i in range(0, len(rows), step):
                 cols[:, i:i + step] = fwd(rows[i:i + step], m).T
                 if b:
@@ -219,7 +246,7 @@ def _y_transforms(n1: int, real: bool, order: int):
 
     def truncate(spec, offset):
         for r, b, kept in classes(spec.shape[1], offset):
-            cols = spec[:, r::order]
+            cols = spec[:, r::k]
             for i in range(0, cols.shape[1], step):
                 block = cols[:, i:i + step]
                 if b:
@@ -231,7 +258,7 @@ def _y_transforms(n1: int, real: bool, order: int):
 
     def inverse(spec, out, offset):
         for r, b, kept in classes(spec.shape[1], offset):
-            cols, rows = spec[:, r::order], out[r::order, b::order]
+            cols, rows = spec[:, r::k], out[r::k, b::k]
             for i in range(0, cols.shape[1], step):
                 block = cols[:, i:i + step]
                 if b:
@@ -297,21 +324,29 @@ def _newton_inverse(d_spec, rows, truncate):
     return e
 
 
-def _log_bivariate(d: np.ndarray) -> np.ndarray:
+def _log_bivariate(d) -> np.ndarray:
     """log of a truncated bivariate series, row index = powers of the first
     variable x. Requires D(0, y) = 1 (a unit first row); row 0 of the log
-    is 0.
+    is 0. ``d`` is the array D, or a list holding it as its one item,
+    which the log takes out of the list: the operator builders hand it
+    over that way, so that no reference outlives its spectrum and D's
+    memory is freed before the Newton inverse runs. An array passed
+    itself is left as it is.
 
     L = integral of D_x / D in x: ``_newton_inverse`` gives 1/D below
     x^(n0-1), and one product with D_x at a linear length >= 2 n0 - 3
     gives the rest, so an n0 x n1 log costs O(n0 n1 log(n0 n1)) in
-    two-dimensional FFTs. D is k-fold, with k its ``_symmetry_order``:
-    its x^p y^q terms are exactly 0 unless p + q = 0 (mod k), as on the
-    generating arrays of a curve with k-fold rotational symmetry. Then so
-    are those of 1/D and of the log, so every spectrum keeps the n1/k
-    frequencies of one residue class (``_y_transforms``), and the log's
-    off-class entries come out as exact zeros; with k = 1 the spectra are
-    the transforms of whole rows. The spectra are complex arrays of n0
+    two-dimensional FFTs. The classes of D are read off its exact zeros
+    (``_class_order``): when its x^p y^q terms are exactly 0 unless
+    p + q = 0 (mod k), as on the generating arrays of a curve with k-fold
+    rotational symmetry, or unless p - q = 0 (mod k), as on the mixed
+    arrays of such a curve, so are those of 1/D and of the log, so every
+    spectrum keeps the n1/k frequencies of one residue class
+    (``_y_transforms``), and the log's off-class entries come out as
+    exact zeros; with k = 1 the spectra are the transforms of whole rows.
+    When every nonzero term lies on p = q, D is a series in t = xy, and
+    its log is the one-column log of its diagonal, with exact zeros off
+    it. The spectra are complex arrays of n0
     columns and n1/k rows (half of them for real data), the products run
     on blocks of them, and the log is written over the inverse's
     spectrum: at n0 = n1 = 1281 the call's traced peak is 55 MiB for a
@@ -323,19 +358,27 @@ def _log_bivariate(d: np.ndarray) -> np.ndarray:
     triangular recursion that solves D dL/dx = dD/dx one power at a time
     to 1e-16 of the largest entry.
     """
-    n0, n1 = d.shape
+    if isinstance(d, list):
+        d = d.pop()
+    (n0, n1), dtype = d.shape, d.dtype
     if d[0, 0] != 1.0 or np.any(d[0, 1:] != 0):
         raise InvalidInput("bivariate log requires D(0, y) = 1")
     if n0 == 1:
-        return np.zeros((n0, n1), dtype=d.dtype)
-    forward, truncate, inverse = _y_transforms(n1, np.isrealobj(d),
-                                               _symmetry_order(d))
+        return np.zeros((n0, n1), dtype=dtype)
+    order = _class_order(d)
+    if order == 0:
+        out = np.zeros((n0, n1), dtype=dtype)
+        diagonal = np.arange(min(n0, n1))
+        out[diagonal, diagonal] = _log_bivariate(d[diagonal, diagonal][:, None])[:, 0]
+        return out
+    forward, truncate, inverse = _y_transforms(n1, np.isrealobj(d), order)
     spec = forward(d, 0)
+    del d
     e = _newton_inverse(spec, n0 - 1, truncate)
     spec[:, 1:] *= np.arange(1, n0)          # the spectrum of D_x, from x^1
     _x_product(spec[:, 1:], e, _smooth_length(2 * n0 - 3), 0, n0 - 1, e)
     del spec
-    out = np.zeros((n0, n1), dtype=d.dtype)
+    out = np.zeros((n0, n1), dtype=dtype)
     inverse(e, out[1:], 1)
     out[1:] /= np.arange(1, n0)[:, None]
     return out

@@ -169,12 +169,13 @@ class TestBuildB1:
     def test_two_fold_log_memory(self, ellipse05, monkeypatch):
         # the c = 0.5 generating array is 2-fold, so the log keeps one
         # residue class of its spectrum, half the y-frequencies, and its
-        # traced peak at N = 1280 is 29.4 MiB
+        # traced peak at N = 1280 is 29.4 MiB; the builder hands the array
+        # over in a list
         peaks, orders = [], []
         log = gk._log_bivariate
 
         def traced(d):
-            orders.append(series._symmetry_order(d))
+            orders.append(series._symmetry_order(d[0]))
             tracemalloc.start()
             try:
                 return log(d)
@@ -185,6 +186,20 @@ class TestBuildB1:
         monkeypatch.setattr(gk, "_log_bivariate", traced)
         gk.build_b1(ellipse05, 1280)
         assert orders == [2] and peaks[0] <= 32 << 20
+
+    def test_build_memory(self, ellipse05):
+        # the generating array is freed once its spectrum is taken and the
+        # weights are applied by row blocks, so the whole build peaks at
+        # the log's own working set (29.4 MiB; 50.1 MiB when the array
+        # lived through the Newton inverse beside two weight temporaries)
+        gk.build_b1(ellipse05, 64)
+        tracemalloc.start()
+        try:
+            gk.build_b1(ellipse05, 1280)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 31 << 20
 
     def test_cross_operator_consistency(self, ellipse03):
         # log det agreement between the interior and exterior routes
@@ -207,6 +222,18 @@ class TestBuildB4:
         assert np.abs(np.diag(b4) - c ** k).max() <= 1e-13
         off = b4 - np.diag(np.diag(b4))
         assert np.abs(off).max() <= 1e-14
+
+    @pytest.mark.parametrize("c", [0.1, 0.3, 0.5])
+    def test_ellipse_block_is_diagonal(self, c):
+        # log(1 - c t) in t = 1/(zw): the log is the one-column log of the
+        # generating array's diagonal, with exact zeros off it
+        b4 = gk.build_b4(mp.catalog("ellipse", c=c), 960)
+        powers = c ** np.arange(1, 961)
+        assert np.all(b4[~np.eye(960, dtype=bool)] == 0.0)
+        assert np.abs(np.diag(b4) - powers).max() <= 1e-15 * c
+        value = gk.logdet_potential(b4, [960]).extrapolated
+        closed = np.log1p(-powers ** 2).sum()
+        assert abs(value - closed) <= 1e-15 * abs(closed)
 
     def test_affine_rescaling_invariance(self):
         c = 0.3
@@ -234,6 +261,24 @@ class TestBuildB2B3:
         # coefficients
         _, b3_rect = gk.build_b2_b3(pair, 48, 49)
         assert np.abs(b3_rect[:, :48] - b2.T).max() <= 1e-10
+
+    def test_k_fold_mixed_array_takes_difference_classes(self, monkeypatch):
+        # log(1 - f(z)/g(w)) in x = z, y = 1/w is invariant under
+        # (x, y) -> (omega x, omega^-1 y): a 3-fold pair's mixed array sits
+        # on p - q = 0 (mod 3), where the gcd of p + q is 1
+        classes = []
+        log = gk._log_bivariate
+
+        def recorded(d):
+            classes.append(series._class_order(d[0]))
+            return log(d)
+
+        monkeypatch.setattr(gk, "_log_bivariate", recorded)
+        pair = mp.catalog("fourier_bump", eps=0.0549, k=3)
+        b2, _ = gk.build_b2_b3(pair, 64)
+        assert classes == [-3]
+        m = np.arange(1, 65)
+        assert np.all(b2[np.subtract.outer(m, m) % 3 != 0] == 0.0)
 
     def test_overlapping_maps_have_no_separating_radii(self):
         # f = z and g = z/2: on the radii the check tries, the smallest
@@ -468,14 +513,28 @@ class TestLogdet:
             assert b.dtype == np.complex128
             assert svd_gap(b, (16, 32, 64)) <= 2e-15
 
+    def test_memory(self, ellipse05):
+        # the symmetry check runs by row blocks and each sign's orbits are
+        # gathered into one stack, factored in place: 12.6 MiB traced,
+        # where the full-size |b - b^T| temporaries took it to 25.0 MiB
+        b = gk.build_b1(ellipse05, 1280)
+        tracemalloc.start()
+        try:
+            gk.logdet_potential(b, [320, 640, 1280])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 << 20
+
     @pytest.fixture
     def factored(self, monkeypatch):
-        """The size of every matrix the determinant factors."""
+        """The size of every matrix the determinant factors, one entry per
+        matrix of a stacked call."""
         sizes = []
         ldl_defects = gk._ldl_defects
 
         def recorded(a):
-            sizes.append(len(a))
+            sizes.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
             return ldl_defects(a)
 
         monkeypatch.setattr(gk, "_ldl_defects", recorded)
@@ -483,11 +542,13 @@ class TestLogdet:
 
     # at the odd order 65 the classes of a 2-fold block hold 32 and 33
     # indices, and those of a 3-fold block 21 (0 mod 3) and 22 + 22 (1 and
-    # 2 mod 3, one orbit); a complex block's embedding doubles each
+    # 2 mod 3, one orbit); the ellipse's b4 is diagonal, so each index is
+    # its own orbit; a complex block's embedding doubles each
     @pytest.mark.parametrize("family, params, angle, sizes", [
-        ("ellipse", {"c": 0.3}, 0.0, [32, 32, 33, 33]),
-        ("fourier_bump", {"eps": 0.05, "k": 3}, 0.0, [21, 21, 44, 44]),
-        ("ellipse", {"c": 0.3}, 0.7, [64, 66]),
+        ("ellipse", {"c": 0.3}, 0.0, {"b1": [32, 32, 33, 33], "b4": [1] * 130}),
+        ("fourier_bump", {"eps": 0.05, "k": 3}, 0.0,
+         {"b1": [21, 21, 44, 44], "b4": [21, 21, 44, 44]}),
+        ("ellipse", {"c": 0.3}, 0.7, {"b1": [64, 66], "b4": [2] * 65}),
     ], ids=["2-fold", "3-fold", "2-fold-complex"])
     @pytest.mark.parametrize("route", ["b1", "b4"])
     def test_factors_each_symmetry_orbit(self, family, params, angle, sizes,
@@ -499,13 +560,32 @@ class TestLogdet:
         b = build(pair, 65)
         assert np.iscomplexobj(b) == bool(angle)
         assert svd_gap(b, (9, 17, 33, 65)) <= 2e-15
-        assert factored == sizes
+        assert factored == sizes[route]
 
     def test_off_class_entry_factors_whole(self, ellipse03, factored):
         b = gk.build_b1(ellipse03, 65)
         b[0, 1] = b[1, 0] = 1e-30   # m + n = 3 in a 2-fold block
         assert svd_gap(b, (9, 17, 33, 65)) <= 2e-15
         assert factored == [65, 65]
+
+    def test_rotated_ellipse_factors_each_index(self, ellipse03, factored):
+        # the complex b4 of a rotated ellipse is diagonal too: each index
+        # is its own orbit, and the 2 x 2 embeddings go in one stack
+        b = gk.build_b4(rotated(ellipse03, 0.7), 64)
+        assert b.dtype == np.complex128
+        assert np.all(b[~np.eye(64, dtype=bool)] == 0.0)
+        assert svd_gap(b, (16, 32, 64)) <= 2e-15
+        assert factored == [2] * 64
+
+    @pytest.mark.parametrize("b, error", [
+        (np.diag([0.5, 0.2, 1.0]), NumericalFailure),       # a pivot of 0
+        (np.diag([0.5, -1.5, 0.2]), NumericalFailure),
+        (np.array([[0.5, 0.0, 0.0], [0.0, 0.2, 1e-3],
+                   [0.0, 0.0, 0.1]]), InvalidInput),       # not symmetric
+    ], ids=["unit-entry", "large-entry", "asymmetric"])
+    def test_diagonal_block_keeps_its_checks(self, b, error):
+        with pytest.raises(error):
+            gk.logdet_potential(b, [3])
 
     @pytest.mark.parametrize("route", ["b1", "b4"])
     @pytest.mark.parametrize("k", [2, 3])

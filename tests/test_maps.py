@@ -69,6 +69,18 @@ class TestTheodorsen:
         with pytest.raises(TypeError):
             mp.StarDomain(rho=mp.ellipse_domain(0.5).rho, symmetric=False)
 
+    def test_rotation_order_is_kept_and_checked(self):
+        # the order is stated by the curve's constructor, kept by its
+        # reflection and its normalized pair's curve, and checked against
+        # rho on the rotated grid
+        for dom, k in ((mp.ellipse_domain(0.5), 2), (mp.bump_domain(0.3, 5), 5)):
+            assert dom.order == mp.inverted_domain(dom).order == k
+        assert mp.catalog("fourier_bump", eps=0.3, k=3).curve.order == 3
+        assert mp.domain_from_samples(np.full(8, 1.5)).order == 1
+        for order in (3, 0, 1.5):
+            with pytest.raises(InvalidInput):
+                mp.StarDomain(rho=mp.ellipse_domain(0.5).rho, order=order)
+
     def test_nonconvergence_diagnostic(self):
         # smoothness bound 4.4: the two-step iteration does not settle
         # within its iteration cap
@@ -481,11 +493,16 @@ class TestCatalogInvariants:
 
     # the blocks and the determinant split a k-fold pair by residue class
     # only where its coefficients are exactly zero off the class: f keeps
-    # the indices 1 mod k, g (graded z^(1-n)) the indices 0 mod k
+    # the indices 1 mod k, g (graded z^(1-n)) the indices 0 mod k. The
+    # power-of-two Theodorsen grid is not invariant under a rotation by
+    # 2 pi/3 or 2 pi/5, so the bumps (0.3, 3) and (0.3, 5) would keep
+    # discretization error of 1e-14 off class if the solve did not zero it
     @pytest.mark.parametrize("family, params, k", [
         ("ellipse", {"c": 0.1}, 2), ("ellipse", {"c": 0.3}, 2),
         ("ellipse", {"c": 0.5}, 2), ("fourier_bump", {"eps": 0.05, "k": 2}, 2),
-        ("fourier_bump", {"eps": 0.05, "k": 3}, 3)])
+        ("fourier_bump", {"eps": 0.05, "k": 3}, 3),
+        ("fourier_bump", {"eps": 0.3, "k": 3}, 3),
+        ("fourier_bump", {"eps": 0.3, "k": 5}, 5)])
     def test_k_fold_pairs_are_exactly_zero_off_class(self, family, params, k):
         pair = mp.catalog(family, **params)
         f, g = pair.interior.coeffs, pair.exterior.coeffs

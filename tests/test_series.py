@@ -224,10 +224,11 @@ class TestLogBivariate:
                 assert _smooth_length(n) == expected
 
 
-def _k_fold(d, k):
-    """d with every entry off the class p + q = 0 (mod k) set to 0."""
+def _k_fold(d, k, sign=1):
+    """d with every entry off the class p + q = 0 (mod k) set to 0, or off
+    p - q = 0 (mod k) for ``sign`` -1."""
     d = d.copy()
-    d[np.add.outer(np.arange(d.shape[0]), np.arange(d.shape[1])) % k != 0] = 0.0
+    d[np.add.outer(np.arange(d.shape[0]), sign * np.arange(d.shape[1])) % k != 0] = 0.0
     return d
 
 
@@ -269,6 +270,59 @@ class TestSymmetryClasses:
         out, ref = _log_bivariate(d), slice_log(d)
         assert orders == [1]
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    # the mixed arrays of a k-fold pair sit on p - q = 0 (mod k); for
+    # k = 2 the two orientations are one class, read as p + q
+    @pytest.mark.parametrize("n0, n1", [(9, 2), (17, 17), (33, 64),
+                                        (65, 129), (200, 5)])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_difference_classes_match_slice_recursion(self, n0, n1, k, dtype,
+                                                      orders):
+        d = _k_fold(_decaying_array(n0, n1, dtype, 100 * k + n0 + 7), k, -1)
+        out, ref = _log_bivariate(d), slice_log(d)
+        assert orders == [2 if k == 2 else -k] and out.dtype == ref.dtype
+        off = np.subtract.outer(np.arange(n0), np.arange(n1)) % k != 0
+        assert np.all(out[off] == 0.0)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n0, n1", [(2, 2), (17, 9), (33, 64)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_diagonal_array_is_a_series_in_xy(self, n0, n1, dtype, orders):
+        # a log whose terms all lie on p = q is the one-column log of the
+        # diagonal in t = xy, with exact zeros off it
+        d = _decaying_array(n0, n1, dtype, n0 + n1)
+        d[~np.eye(n0, n1, dtype=bool)] = 0.0
+        out, ref = _log_bivariate(d), slice_log(d)
+        assert orders == [1] and out.dtype == ref.dtype
+        assert np.all(out[~np.eye(n0, n1, dtype=bool)] == 0.0)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_array_handed_over_in_a_list_is_taken_out(self):
+        d = _k_fold(_decaying_array(17, 17, float, 3), 2)
+        held = [d.copy()]
+        out = _log_bivariate(held)
+        assert held == [] and np.array_equal(out, _log_bivariate(d))
+
+    def test_class_order_reads_either_orientation(self):
+        d = np.zeros((9, 13))
+        d[0, 0] = 1.0
+        assert series._class_order(d) == 0
+        d[3, 3] = d[5, 5] = 0.5
+        assert series._class_order(d) == 0
+        d[7, 1] = 0.5                              # p - q = 6, p + q = 8
+        assert series._class_order(d) == -6
+        assert series._class_order(d.T) == -6
+        d[2, 4] = 0.5                              # p - q = -2, p + q = 6
+        assert series._class_order(d) == 2
+        d[1, 4] = 0.5                              # p - q = -3, p + q = 5
+        assert series._class_order(d) == 1
+        # a block's indices start at 1: b[0, 1] is m = 1, n = 2
+        e = np.zeros((6, 6))
+        e[0, 1] = e[1, 0] = e[2, 2] = 0.5          # m + n = 3, 3, 6
+        assert series._class_order(e, 1) == 3
+        e[4, 1] = 0.5                              # m + n = 7, m - n = 3
+        assert series._class_order(e, 1) == 1
 
     def test_order_is_the_gcd_of_the_nonzero_powers(self):
         d = np.zeros((9, 13))
