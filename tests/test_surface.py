@@ -27,8 +27,6 @@ KEPT = {
                                  "of the operators with it",
     "s1_coefficient_route": "criterion 2's Parseval leg and the oracle of "
                             "the grid quadrature",
-    "domain_from_samples": "input of the planned boundary-operator route "
-                           "(ROADMAP item 2)",
     "evaluate": "the tests' Horner oracle of either grading at arbitrary "
                 "points, against which the FFT evaluators are checked",
 }
