@@ -27,18 +27,24 @@ genus - 1, the basepoint value entering the trace identities. Its radial
 part is closed-form; the boundary radius is analytic between two vertices,
 on each side sector k pi/4 +- pi/8, so the angular part is Fejer's first
 rule on each of the eight sectors, with no kink inside a rule and exact to
-roundoff at 64 nodes per sector. The word-length enumeration only counts
-group elements.
+roundoff at 64 nodes per sector. The alternating trace sums of one group
+share their terms, one area integral per node count, so alternating_sum
+sums terms that a caller integrated once. The word-length enumeration only
+counts group elements.
 
 The module is scalar arithmetic on Python floats and complex numbers and
-loads no numpy; its functions take numpy arrays of points as well.
+loads no numpy; its functions take numpy arrays of points as well. Its two
+records are ``collections.namedtuple`` subclasses, immutable and equal by
+value, so importing it loads neither ``dataclasses`` nor the ``inspect``
+module that ``dataclasses`` imports: both take a numpy-free command-line
+process several milliseconds to load.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import InvalidInput, NumericalFailure
 
@@ -65,15 +71,15 @@ def mobius_derivative(g, z):
     return (abs(a) ** 2 - abs(b) ** 2) / (b.conjugate() * z + a.conjugate()) ** 2
 
 
-@dataclass(frozen=True)
-class FuchsianGroup:
-    """Octagon side-pairing generators (4 translations and inverses)."""
+class FuchsianGroup(namedtuple("FuchsianGroup", (
+        "generators", "genus", "relation_word", "vertex_radius",
+        "translation_length"))):
+    """Octagon side-pairing generators (4 translations and inverses): the
+    8 pairs (1, p), p = G(0), the genus, the relation word of signed
+    generator indices, the hyperbolic distance from 0 to a vertex and the
+    translation length of a generator."""
 
-    generators: tuple = field(repr=False)   # 8 pairs (1, p), p = G(0)
-    genus: int = GENUS
-    relation_word: tuple = ()
-    vertex_radius: float = 0.0              # hyperbolic distance to a vertex
-    translation_length: float = 0.0
+    __slots__ = ()
 
     def element(self, index: int):
         """Signed index: +k is generator k (1-based), -k its inverse."""
@@ -125,16 +131,16 @@ def octagon_group() -> FuchsianGroup:
 # enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupEnumeration:
+class GroupEnumeration(namedtuple("GroupEnumeration",
+                                  ("max_word_length", "elements"))):
     """Distinct elements representable by words of length <= max_word_length,
-    deduplicated up to overall sign (the pairs act projectively)."""
+    deduplicated up to overall sign (the pairs act projectively); the
+    elements are pairs (a, b), products of the (1, p)."""
 
-    max_word_length: int
-    elements: list = field(repr=False)   # pairs (a, b), products of (1, p)
+    __slots__ = ()
 
     @property
-    def count(self) -> int:
+    def count(self) -> int:     # shadows the tuple method count
         return len(self.elements)
 
 
@@ -280,19 +286,29 @@ def basepoint_trace_term(group: FuchsianGroup, k: int) -> float:
     return domain_area_integral(group, 64 + 8 * k)["value"]
 
 
+def alternating_sum(terms) -> float:
+    """sum_{k=0}^{n} (-1)^k C(n,k) * terms[k] for the n + 1 ``terms``,
+    added in the order of k. The command line integrates its terms once
+    and reads the sums for n = 1, 2, 3 off their leading parts."""
+    n = len(terms) - 1
+    total = terms[0]
+    for k in range(1, n + 1):
+        total += (-1) ** k * math.comb(n, k) * terms[k]
+    return total
+
+
 def alternating_trace_sum(group: FuchsianGroup, n: int) -> float:
     """sum_{k=0}^{n} (-1)^k C(n,k) * (k-th trace term); zero for n >= 1.
 
     The k = 0 term is the area integral at its default node count and the
-    terms k >= 1 are basepoint_trace_term(group, k). Every term is the same
-    exact integral to roundoff, so the sum is roundoff amplified by the
-    binomial weights: it checks that the terms agree, not the trace
-    identity itself, which needs the surface's own kernels (the quadratic
-    differentials' Poincare series).
+    terms k >= 1 are basepoint_trace_term(group, k), summed by
+    alternating_sum. Every term is the same exact integral to roundoff, so
+    the sum is roundoff amplified by the binomial weights: it checks that
+    the terms agree, not the trace identity itself, which needs the
+    surface's own kernels (the quadratic differentials' Poincare series).
     """
     if n < 1:
         raise InvalidInput("n must be >= 1")
-    total = domain_area_integral(group)["value"]
-    for k in range(1, n + 1):
-        total += (-1) ** k * math.comb(n, k) * basepoint_trace_term(group, k)
-    return total
+    return alternating_sum([domain_area_integral(group)["value"]]
+                           + [basepoint_trace_term(group, k)
+                              for k in range(1, n + 1)])

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,22 @@ class TestCommands:
         assert code == 2  # missing --c
         err = capsys.readouterr().err
         assert "usage" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["identity", "--family", "ellipse", "--N", "16"],
+        ["s1", "--family", "ellipse", "--c", "0.3", "--grid", "4x8"],
+        ["scl", "--s2", "0", "--config", "missing.cfg"],
+        ["batch", "missing.txt"],
+    ], ids=["missing-param", "small-grid", "missing-config", "missing-file"])
+    def test_invalid_input_prints_the_command_usage(self, tmp_path, capsys,
+                                                    monkeypatch, argv):
+        # the failing command's flags, not the list of every command
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: ")
+        assert err[1].startswith(f"usage: weldlab {argv[0]} [-h] ")
+        assert not any("{pair," in line for line in err)
 
     def test_invalid_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -363,7 +380,7 @@ class TestDeterminism:
     def test_fuchsian_integrates_each_resolution_once(self, tmp_path,
                                                        monkeypatch):
         # the area and the trace sums' terms read four node counts per
-        # side sector
+        # side sector, each integrated once for all three sums
         from weldlab import fuchsian as fx
         domain_area_integral = fx.domain_area_integral
         resolutions = []
@@ -375,7 +392,7 @@ class TestDeterminism:
         monkeypatch.setattr(fx, "domain_area_integral", counted)
         out = tmp_path / "f.json"
         assert run(["fuchsian", "--L", "2", "--out", str(out)]) == 0
-        assert set(resolutions) == {64, 72, 80, 88}
+        assert sorted(resolutions) == [64, 72, 80, 88]
         assert json.loads(out.read_text())["bergman_automorphy_residual"] <= 1e-12
 
     @pytest.mark.parametrize("coarse", [{64, 72, 80, 88}, {72, 80, 88}],
@@ -494,6 +511,9 @@ class TestConfigFile:
         # the subparsers' own dest: it would run logdet on identity's flags
         ("command = logdet\n", "unknown config key: command"),
         ("verbose = maybe\n", "verbose = 'maybe' is not one of"),
+        # argparse checks no default against the flag's choices
+        ("family = nope\n", "config key family = 'nope' is not one of "
+                            "identity, ellipse, fourier_bump"),
     ])
     def test_config_key_outside_the_flags_exit_2(self, tmp_path, capsys,
                                                  text, message):
@@ -504,6 +524,34 @@ class TestConfigFile:
                     "--grid", "16x32", "--config", str(cfg), "--out", str(out)])
         assert code == 2 and not out.exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, flags", [
+        ("s2 = 0.5\n", ["scl", "--s2", "0.5"]),
+        ("family = ellipse\nc = 0.1\n",
+         ["pair", "--family", "ellipse", "--c", "0.1"]),
+    ], ids=["scl", "pair"])
+    def test_config_supplies_a_required_flag(self, tmp_path, config, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        by_config, by_flags = tmp_path / "config.json", tmp_path / "flags.json"
+        assert run([flags[0], "--config", str(cfg),
+                    "--out", str(by_config)]) == 0
+        assert run(flags + ["--out", str(by_flags)]) == 0
+        assert by_config.read_bytes() == by_flags.read_bytes()
+
+    def test_required_flag_given_by_neither_is_argparse_error(self, tmp_path,
+                                                              capsys):
+        cfg = tmp_path / "genus.cfg"
+        cfg.write_text("genus = 3\n")
+        errors = []
+        for argv in (["scl"], ["scl", "--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[1] == errors[0]
+        assert errors[0].endswith("weldlab scl: error: the following "
+                                  "arguments are required: --s2\n")
 
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -657,13 +705,21 @@ print(json.dumps({"env": env, "numpy": loaded, "threads": blas_threads()}))
 """
 
 
-def _blas_probe(module: str, setting=None) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if setting is not None:
-        env["OPENBLAS_NUM_THREADS"] = setting
+def _src_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH,
+    for a child process."""
+    env = dict(os.environ)
     src = str(Path(weldlab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _blas_probe(module: str, setting=None) -> dict:
+    env = _src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
     done = subprocess.run([sys.executable, "-c", _BLAS_PROBE, module],
                           env=env, capture_output=True, text=True,
                           timeout=120, check=True)
@@ -705,12 +761,8 @@ runpy.run_module("weldlab.cli", run_name="__main__", alter_sys=True)
 
 
 def _modules_at_exit(argv, tmp_path) -> set:
-    env = dict(os.environ)
-    src = str(Path(weldlab.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv],
-                          env=env, cwd=tmp_path, capture_output=True,
+                          env=_src_env(), cwd=tmp_path, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
@@ -719,7 +771,7 @@ def _modules_at_exit(argv, tmp_path) -> set:
 class TestImportFootprint:
     """Each command loads the layer modules it calls and no lazily loaded
     numpy submodule it does not use; ``--help``, ``fuchsian`` and ``scl``
-    load no numpy at all."""
+    load no numpy, ``dataclasses`` or ``inspect`` at all."""
 
     LAYERS = {"series", "maps", "grunsky", "liouville", "fuchsian"}
     NUMPY_LAZY = {"numpy.random", "numpy.ma", "numpy.polynomial"}
@@ -739,6 +791,10 @@ class TestImportFootprint:
         assert loaded == layers
         assert ("numpy" in modules) is numpy
         assert not self.NUMPY_LAZY & modules
+        if not numpy:
+            # a numpy-free process loads no dataclasses, nor the inspect
+            # module that dataclasses imports
+            assert not {"dataclasses", "inspect"} & modules
 
     @pytest.mark.parametrize("argv", [["fuchsian", "--L", "2"],
                                       ["scl", "--s2", "0"]],
@@ -746,10 +802,6 @@ class TestImportFootprint:
     def test_runs_with_numpy_blocked(self, tmp_path, argv):
         # sys.modules["numpy"] = None makes every import of numpy fail
         blocked = tmp_path / "blocked.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(Path(weldlab.__file__).resolve().parent.parent),
-                        env.get("PYTHONPATH")) if p)
         code = ("import runpy, sys\n"
                 "sys.modules['numpy'] = None\n"
                 "sys.argv[0] = 'weldlab'\n"
@@ -757,9 +809,33 @@ class TestImportFootprint:
                 "alter_sys=True)\n")
         done = subprocess.run([sys.executable, "-c", code, *argv,
                                "--out", str(blocked)],
-                              env=env, capture_output=True, text=True,
+                              env=_src_env(), capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
         plain = tmp_path / "plain.json"
         assert run(argv + ["--out", str(plain)]) == 0
         assert blocked.read_bytes() == plain.read_bytes()
+
+
+class TestProcessExit:
+    """``python -m weldlab.cli`` ends with ``gc.freeze()``, so interpreter
+    shutdown collects nothing; its exit code and every line it wrote to
+    stderr still reach the caller."""
+
+    def test_batch_process_exits_with_the_largest_code(self, tmp_path):
+        lines = ("scl --s2 0 --out a.json\n"
+                 "grunsky --family identity --N 8 --tol=-1 --out b.json\n"
+                 "scl --s2 1e308 --out c.json\n")
+        done = subprocess.run([sys.executable, "-m", "weldlab.cli", "batch",
+                               "-", "--verbose"], input=lines,
+                              env=_src_env(), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3, done.stderr
+        err = done.stderr.splitlines()
+        assert [line for line in err if line.startswith("line ")] == [
+            "line 1: exit 0", "line 2: exit 1", "line 3: exit 3"]
+        timed = [line for line in err if line.startswith("batch line ")]
+        assert len(timed) == 3
+        for n, line in enumerate(timed, 1):
+            assert re.fullmatch(rf"batch line {n}: \d+\.\d{{3}} s", line)
+        assert done.stderr.endswith("line 3: exit 3\n")

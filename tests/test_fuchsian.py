@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from math import comb
 
@@ -144,7 +143,7 @@ class TestDirichletDomain:
         assert not in_dirichlet_domain(octagon, r * (1 + 1e-9) * u,
                                        slack=0.0).any()
         # one side pairing bounds only a half-plane: most rays meet no bisector
-        one_side = dataclasses.replace(octagon, generators=octagon.generators[:1])
+        one_side = octagon._replace(generators=octagon.generators[:1])
         with pytest.raises(NumericalFailure):
             fx.domain_boundary_radius(one_side, theta)
 

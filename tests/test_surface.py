@@ -27,6 +27,9 @@ KEPT = {
                                  "of the operators with it",
     "s1_coefficient_route": "criterion 2's Parseval leg and the oracle of "
                             "the grid quadrature",
+    "alternating_trace_sum": "criterion 6 reads a group's trace sums "
+                             "through it; the command line integrates its "
+                             "terms once and sums them by alternating_sum",
     "evaluate": "the tests' Horner oracle of either grading at arbitrary "
                 "points, against which the FFT evaluators are checked",
 }
