@@ -42,7 +42,8 @@ keeps its own.
 
 Each command imports the layer modules it calls inside its own function,
 so a process loads only what its command reads: building the parser
-imports no layer module, ``fuchsian`` loads ``weldlab.fuchsian`` alone,
+imports no layer module and adds the flags of the command it parses
+alone, ``fuchsian`` loads ``weldlab.fuchsian`` alone,
 ``scl`` loads ``weldlab.classical`` alone, and ``pair`` loads ``maps``
 and ``series``. The families and their parameters are ``FAMILY_PARAMS``
 here, the one table of them, for the same reason. This module and
@@ -470,12 +471,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_command(subs, name: str, help: str, tol=None, params=False,
-                 orders=False, grid=False):
-    """A subcommand with the shared flags it reads and no others. Flags
-    cannot be abbreviated, so another command's flag is rejected, not read
-    as a prefix (``fuchsian --c`` would mean ``--config``)."""
-    sub = subs.add_parser(name, help=help, allow_abbrev=False)
+def _add_shared(sub, tol=None, params=False, orders=False, grid=False):
+    """The shared flags a command reads, and no others. Flags cannot be
+    abbreviated (``allow_abbrev=False`` on every command parser), so
+    another command's flag is rejected, not read as a prefix
+    (``fuchsian --c`` would mean ``--config``)."""
     sub.add_argument("--config", default=None, help="key = value config file")
     sub.add_argument("--out", default=None, help="output file path")
     sub.add_argument("--verbose", "-v", action="store_true")
@@ -493,39 +493,69 @@ def _add_command(subs, name: str, help: str, tol=None, params=False,
                          help="comma-separated truncation orders")
     if grid:
         sub.add_argument("--grid", default="256x512", help="n_r x n_theta")
-    return sub
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _grunsky_flags(sub):
+    _add_shared(sub, tol=1e-5, params=True, orders=True)
+    sub.add_argument("--dump-matrices", action="store_true")
+
+
+def _logdet_flags(sub):
+    _add_shared(sub, params=True, orders=True)
+    sub.add_argument("--route", choices=["b1", "b4"], default="b1")
+
+
+def _fuchsian_flags(sub):
+    _add_shared(sub)
+    sub.add_argument("--L", type=int, default=2, help="enumeration word length")
+
+
+def _scl_flags(sub):
+    _add_shared(sub)
+    sub.add_argument("--s2", type=_finite_float, required=True, help="s2_dg >= 0")
+    sub.add_argument("--genus", type=int, default=2)
+
+
+def _batch_flags(sub):
+    sub.add_argument("file", metavar="FILE",
+                     help="one command line per line ('-': stdin)")
+    sub.add_argument("--verbose", "-v", action="store_true")
+
+
+# each command's help line and the function that adds its flags, in the
+# order of the top-level help
+_PARSERS = {
+    "pair": ("construct and export a pair",
+             functools.partial(_add_shared, params=True)),
+    "grunsky": ("operator blocks and residuals", _grunsky_flags),
+    "logdet": ("determinant potential", _logdet_flags),
+    "s1": ("Liouville action quadrature",
+           functools.partial(_add_shared, params=True, grid=True)),
+    "identity": ("S1 vs -12 pi S2 check",
+                 functools.partial(_add_shared, tol=1e-3, params=True,
+                                   orders=True, grid=True)),
+    "invert": ("inversion-symmetry check",
+               functools.partial(_add_shared, tol=1e-6, params=True,
+                                 orders=True)),
+    "fuchsian": ("octagon basepoint suite", _fuchsian_flags),
+    "scl": ("classical-action report", _scl_flags),
+    "batch": ("run a file of command lines in one process", _batch_flags),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with a subparser for every command, of which only the
+    one named ``command`` gets its flags: a process parses one command,
+    and the others' ~60 arguments would be built for nothing. The
+    top-level help and its "invalid choice" message list all nine."""
     parser = argparse.ArgumentParser(
         prog="weldlab",
         description="Welding-pair potentials: determinants vs quadrature")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    _add_command(subs, "pair", "construct and export a pair", params=True)
-    g = _add_command(subs, "grunsky", "operator blocks and residuals",
-                     tol=1e-5, params=True, orders=True)
-    g.add_argument("--dump-matrices", action="store_true")
-    ld = _add_command(subs, "logdet", "determinant potential", params=True,
-                      orders=True)
-    ld.add_argument("--route", choices=["b1", "b4"], default="b1")
-    _add_command(subs, "s1", "Liouville action quadrature", params=True,
-                 grid=True)
-    _add_command(subs, "identity", "S1 vs -12 pi S2 check", tol=1e-3,
-                 params=True, orders=True, grid=True)
-    _add_command(subs, "invert", "inversion-symmetry check", tol=1e-6,
-                 params=True, orders=True)
-    fz = _add_command(subs, "fuchsian", "octagon basepoint suite")
-    fz.add_argument("--L", type=int, default=2, help="enumeration word length")
-    sc = _add_command(subs, "scl", "classical-action report")
-    sc.add_argument("--s2", type=_finite_float, required=True, help="s2_dg >= 0")
-    sc.add_argument("--genus", type=int, default=2)
-    bt = subs.add_parser("batch", help="run a file of command lines in one "
-                         "process", allow_abbrev=False)
-    bt.add_argument("file", metavar="FILE",
-                    help="one command line per line ('-': stdin)")
-    bt.add_argument("--verbose", "-v", action="store_true")
-
+    for name, (help, add_flags) in _PARSERS.items():
+        sub = subs.add_parser(name, help=help, allow_abbrev=False)
+        if name == command:
+            add_flags(sub)
     return parser
 
 
@@ -543,8 +573,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     # the parser of the command argv names: argparse reads it first
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction))

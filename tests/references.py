@@ -24,15 +24,21 @@ a small circle, the oracle of ``maps.schwarzian``'s series arithmetic.
 
 ``domain_from_samples`` interpolates a star domain from uniform radius
 samples, so the tests can build a pair on a curve known only by samples.
+
+``whole_grid_s1_value`` is the action quadrature as it ran before
+``liouville.s1_value`` took its grid one band of circles at a time: every
+n_r x n_theta array at once, the reference that the bands must match bit
+for bit.
 """
 
 import numpy as np
 
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.fuchsian import _side_neighbours
+from weldlab.liouville import INTEGRAND_CAP, _action_sides, _log_term
 from weldlab.maps import StarDomain
 from weldlab.series import (ComplexSeries, Kind, _smooth_length, derivative_array,
-                            evaluate)
+                            evaluate, evaluate_on_circles)
 
 # Highest Taylor order of ``unit_circle_jets``: its grid has more than two
 # points per period of the top frequency, so |nu h s| < pi/2, and the
@@ -246,3 +252,21 @@ def domain_from_samples(values) -> StarDomain:
         return out.reshape(np.shape(th))
 
     return StarDomain(rho=rho)
+
+
+def whole_grid_s1_value(pair, grid) -> float:
+    """``liouville.s1_value`` with each side evaluated, weighted and checked
+    on the whole grid at once."""
+    r, wr, _ = grid.nodes
+    integrals = []
+    for num, den, s in _action_sides(pair):
+        vals = np.abs(evaluate_on_circles(num, r, grid.n_theta)
+                      / evaluate_on_circles(den, r, grid.n_theta)) ** 2
+        vals *= r[:, None] ** (2 * s)
+        if vals.max() > INTEGRAND_CAP:
+            raise NumericalFailure(
+                "integrand exceeds the blow-up cap near the boundary: "
+                "curve appears to fall outside the finite-action class")
+        integrals.append(float((vals * r[:, None]).sum(axis=1).dot(wr)
+                               * (2.0 * np.pi / grid.n_theta)))
+    return sum(integrals) + _log_term(pair)

@@ -16,6 +16,7 @@ from weldlab import cli
 
 ELLIPSE01 = ("--family", "ellipse", "--c", "0.1")
 BUMP = ("--family", "fourier_bump", "--eps", "0.05", "--k", "2")
+SHARED = ("--config", "--out", "--verbose")
 
 
 def run(argv):
@@ -195,6 +196,30 @@ class TestCommands:
                         "invert", "fuchsian", "scl", "batch"):
             assert command in out
         assert "sweep" not in out
+
+    @pytest.mark.parametrize("command, flags", [
+        ("pair", SHARED + ("--family", "--c", "--eps", "--k")),
+        ("grunsky", SHARED + ("--tol", "--family", "--c", "--eps", "--k",
+                              "--N", "--dump-matrices")),
+        ("logdet", SHARED + ("--family", "--c", "--eps", "--k", "--N",
+                             "--route")),
+        ("s1", SHARED + ("--family", "--c", "--eps", "--k", "--grid")),
+        ("identity", SHARED + ("--tol", "--family", "--c", "--eps", "--k",
+                               "--N", "--grid")),
+        ("invert", SHARED + ("--tol", "--family", "--c", "--eps", "--k",
+                             "--N")),
+        ("fuchsian", SHARED + ("--L",)),
+        ("scl", SHARED + ("--s2", "--genus")),
+        ("batch", ("--verbose",)),
+    ])
+    def test_command_help_lists_its_own_flags(self, command, flags, capsys):
+        # the parser builds the flags of the command it is given alone
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        listed = set(re.findall(r"(?<![\w-])--[\w-]+", out))
+        assert listed == {"--help", *flags}
 
     def test_unknown_family_names_the_choices(self, capsys):
         with pytest.raises(SystemExit) as exc:

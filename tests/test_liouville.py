@@ -1,8 +1,13 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from references import whole_grid_s1_value
 from weldlab import liouville as lv
-from weldlab.errors import InvalidInput
+from weldlab.errors import InvalidInput, NumericalFailure
+from weldlab.series import ComplexSeries, Kind
 
 
 def closed_form_s2(c, terms=400):
@@ -70,6 +75,42 @@ class TestS1:
                                        ellipse03, bump_pair):
         for pair in (identity_pair, ellipse01, ellipse03, bump_pair):
             assert lv.s1(pair, [(64, 128), (128, 256)]).extrapolated >= -1e-10
+
+
+class TestBands:
+    """``s1_value`` takes its grid one band of circles at a time."""
+
+    def test_peak_does_not_grow_with_the_grid(self, ellipse05):
+        # 32 MiB traced with the (256, 2048) grid's arrays held at once
+        lv.s1_value(ellipse05, lv.QuadratureGrid(2, 2048))
+        tracemalloc.start()
+        try:
+            lv.s1_value(ellipse05, lv.QuadratureGrid(256, 2048))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+
+    @pytest.mark.parametrize("grid", [*lv.DEFAULT_GRIDS, (256, 2048)])
+    @pytest.mark.parametrize("fixture", ["ellipse01", "ellipse05", "bump_pair"])
+    def test_bitwise_the_whole_grid(self, fixture, grid, request):
+        pair = request.getfixturevalue(fixture)
+        g = lv.QuadratureGrid(*grid)
+        assert lv.s1_value(pair, g) == whole_grid_s1_value(pair, g)
+
+    def test_cap_checked_on_the_outermost_band(self, identity_pair):
+        # f = z + a z^2 with a just below 1/2: f' nearly vanishes at z = -1,
+        # so |f''/f'|^2 exceeds the cap on the outermost of the 256 circles
+        # alone. Only the interior enters, the identity's exterior adds 0.
+        pair = dataclasses.replace(
+            identity_pair,
+            interior=ComplexSeries(Kind.TAYLOR_AT_ZERO, [0.0, 1.0, 0.49998]))
+        with pytest.raises(NumericalFailure, match="^integrand exceeds the "
+                           "blow-up cap near the boundary: curve appears to "
+                           "fall outside the finite-action class$"):
+            lv.s1_value(pair, lv.QuadratureGrid(256, 512))
+        grid = lv.QuadratureGrid(128, 512)   # every circle under the cap
+        assert lv.s1_value(pair, grid) == whole_grid_s1_value(pair, grid)
 
 
 class TestIdentityReport:
