@@ -29,6 +29,10 @@ samples, so the tests can build a pair on a curve known only by samples.
 ``liouville.s1_value`` took its grid one band of circles at a time: every
 n_r x n_theta array at once, the reference that the bands must match bit
 for bit.
+
+``christoffel_weights`` is the Gauss-Legendre weight at a node by the
+Christoffel sum, a sum of positive terms, the oracle of the radial rule of
+``liouville.QuadratureGrid``.
 """
 
 import numpy as np
@@ -270,3 +274,14 @@ def whole_grid_s1_value(pair, grid) -> float:
         integrals.append(float((vals * r[:, None]).sum(axis=1).dot(wr)
                                * (2.0 * np.pi / grid.n_theta)))
     return sum(integrals) + _log_term(pair)
+
+
+def christoffel_weights(x, n) -> np.ndarray:
+    """1 / sum_{k<n} (k + 1/2) P_k(x)^2, the n-point Gauss-Legendre weight at
+    each node x, with P_k by the three-term recurrence."""
+    p0, p1 = np.zeros_like(x), np.ones_like(x)
+    total = 0.5 * p1
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        total += (k + 0.5) * p1 ** 2
+    return 1.0 / total

@@ -795,8 +795,9 @@ def _modules_at_exit(argv, tmp_path) -> set:
 
 class TestImportFootprint:
     """Each command loads the layer modules it calls and no lazily loaded
-    numpy submodule it does not use; ``--help``, ``fuchsian`` and ``scl``
-    load no numpy, ``dataclasses`` or ``inspect`` at all."""
+    numpy submodule (the action quadrature's nodes need no
+    ``numpy.polynomial``); ``--help``, ``fuchsian`` and ``scl`` load no
+    numpy, ``dataclasses`` or ``inspect`` at all."""
 
     LAYERS = {"series", "maps", "grunsky", "liouville", "fuchsian"}
     NUMPY_LAZY = {"numpy.random", "numpy.ma", "numpy.polynomial"}
@@ -808,7 +809,10 @@ class TestImportFootprint:
         (["logdet", "--N", "8", *ELLIPSE01], {"grunsky", "maps", "series"},
          True),
         (["scl", "--s2", "0"], set(), False),
-    ], ids=["help", "fuchsian", "pair", "logdet", "scl"])
+        (["s1", *ELLIPSE01], {"grunsky", "liouville", "maps", "series"}, True),
+        (["identity", "--N", "8,16", *ELLIPSE01],
+         {"grunsky", "liouville", "maps", "series"}, True),
+    ], ids=["help", "fuchsian", "pair", "logdet", "scl", "s1", "identity"])
     def test_command_loads_only_what_it_calls(self, tmp_path, argv, layers,
                                               numpy):
         modules = _modules_at_exit(argv + ["--out", "x"], tmp_path)

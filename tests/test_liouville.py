@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from references import whole_grid_s1_value
+from references import christoffel_weights, whole_grid_s1_value
 from weldlab import liouville as lv
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import ComplexSeries, Kind
@@ -24,6 +24,34 @@ class TestQuadratureGrid:
     def test_too_small_rejected(self):
         with pytest.raises(InvalidInput):
             lv.QuadratureGrid(1, 2)
+
+    @pytest.mark.parametrize("n, tol", [
+        *((n, 2e-12) for n in (2, 3, 7, 64, 65, 128, 256)),
+        (512, 1e-11), (1024, 1e-11)])
+    def test_weights_meet_the_christoffel_sum(self, n, tol):
+        # leggauss's eigensolve misses by 1.4e-11 at n = 128 and 1.2e-9 at 1024
+        x, w = lv._gauss_legendre(n)
+        ref = christoffel_weights(x, n)
+        assert np.max(np.abs(w - ref) / ref) <= tol
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 65, 128, 256])
+    def test_even_moments_exact(self, n):
+        # the rule integrates x^(2j), j < n, exactly: sum w x^(2j) = 2/(2j+1)
+        x, w = lv._gauss_legendre(n)
+        exact = 2.0 / (2.0 * np.arange(n) + 1.0)
+        moments = x[None, :] ** (2 * np.arange(n))[:, None] @ w
+        assert np.max(np.abs(moments - exact) / exact) <= 2e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 65, 128, 256])
+    def test_nodes_symmetric_and_those_of_leggauss(self, n):
+        from numpy.polynomial.legendre import leggauss
+        x, w = lv._gauss_legendre(n)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0)
+        if n % 2:
+            assert x[n // 2] == 0.0
+        ref = leggauss(n)[0]
+        assert np.all(np.abs(x - ref) <= 2 * np.spacing(np.abs(ref)))
 
 
 class TestS1:
@@ -97,6 +125,19 @@ class TestBands:
         pair = request.getfixturevalue(fixture)
         g = lv.QuadratureGrid(*grid)
         assert lv.s1_value(pair, g) == whole_grid_s1_value(pair, g)
+
+    def test_nan_fails_the_cap(self, identity_pair):
+        # z + 1e306 z^30: f' and f'' get infinite coefficients, their FFT
+        # evaluation makes the integrand NaN, and NaN > INTEGRAND_CAP is False
+        c = np.zeros(31)
+        c[1], c[30] = 1.0, 1e306
+        pair = dataclasses.replace(
+            identity_pair, interior=ComplexSeries(Kind.TAYLOR_AT_ZERO, c))
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalFailure, match="^integrand exceeds the blow-up cap "
+                "near the boundary: curve appears to fall outside the "
+                "finite-action class$"):
+            lv.s1_value(pair, lv.QuadratureGrid(16, 32))
 
     def test_cap_checked_on_the_outermost_band(self, identity_pair):
         # f = z + a z^2 with a just below 1/2: f' nearly vanishes at z = -1,
