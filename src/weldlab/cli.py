@@ -13,6 +13,10 @@ fuchsian  octagon group suite (relation, area, automorphy, trace sums)
 scl       classical-action report from a given s2_dg and genus
 batch     run a file of command lines, one per line, in this process
 
+Each command is one row of ``_COMMANDS``: its help line, its handler and
+its flags. ``_build_pair``, the step of every command that builds a pair,
+times the catalog as the ``catalog`` stage ``--verbose`` prints.
+
 Exit codes: 0 success, 1 a requested tolerance check failed, 2 invalid
 input, 3 numerical failure; invalid input that ``main`` reports prints
 the failing command's usage. Configuration may come from ``--config``
@@ -151,22 +155,19 @@ def _stage(args, name: str):
               file=sys.stderr)
 
 
-def _family_params(args) -> dict:
+def _build_pair(args):
+    """The pair the family flags name, built under the ``catalog`` stage,
+    and the head of its report: the family and its parameters as the
+    flags gave them."""
     names = FAMILY_PARAMS[args.family]
     params = {name: getattr(args, name) for name in names}
     if None in params.values():
         raise InvalidInput(f"{args.family} needs "
                            + " and ".join(f"--{name}" for name in names))
-    return params
-
-
-def _build_pair(args):
-    """The pair the family flags name, and the head of its report: the
-    family and its parameters as the flags gave them."""
-    from . import maps as mp
-    params = _family_params(args)
-    return mp.catalog(args.family, **params), {"family": args.family,
-                                                "params": params}
+    with _stage(args, "catalog"):
+        from . import maps as mp
+        pair = mp.catalog(args.family, **params)
+    return pair, {"family": args.family, "params": params}
 
 
 def _numbers(args, flag: str, sep: str, count: int = 0) -> list:
@@ -230,8 +231,7 @@ def _cmd_pair(args) -> int:
 def _cmd_grunsky(args) -> int:
     from . import grunsky as gk
     n = max(_orders(args))
-    with _stage(args, "catalog"):
-        pair, head = _build_pair(args)
+    pair, head = _build_pair(args)
     with _stage(args, "blocks"):
         b1, b4 = gk.build_b1(pair, n), gk.build_b4(pair, n)
         b2, b3 = gk.build_b2_b3(pair, n)
@@ -258,8 +258,7 @@ def _cmd_logdet(args) -> int:
     from . import grunsky as gk
     orders = _orders(args)
     n = max(orders)
-    with _stage(args, "catalog"):
-        pair, head = _build_pair(args)
+    pair, head = _build_pair(args)
     route = args.route
     with _stage(args, "blocks"):
         b = gk.build_b1(pair, n) if route == "b1" else gk.build_b4(pair, n)
@@ -274,8 +273,7 @@ def _cmd_logdet(args) -> int:
 def _cmd_s1(args) -> int:
     from . import liouville as lv
     grids = _grid_ladder(args)
-    with _stage(args, "catalog"):
-        pair, head = _build_pair(args)
+    pair, head = _build_pair(args)
     with _stage(args, "quadrature"):
         report = lv.s1(pair, grids)
     doc = {**head, "report": report.to_dict(), "S1": report.extrapolated}
@@ -286,8 +284,7 @@ def _cmd_s1(args) -> int:
 def _cmd_identity(args) -> int:
     from . import liouville as lv
     grids, orders = _grid_ladder(args), _orders(args)
-    with _stage(args, "catalog"):
-        pair, head = _build_pair(args)
+    pair, head = _build_pair(args)
     doc = {**head, **lv.identity_report(pair, grids, orders,
                                         stage=functools.partial(_stage, args))}
     _write_report(args, doc, f"identity_{args.family}.json")
@@ -298,8 +295,7 @@ def _cmd_identity(args) -> int:
 def _cmd_invert(args) -> int:
     from . import grunsky as gk
     n = max(_orders(args))
-    with _stage(args, "catalog"):
-        pair, head = _build_pair(args)
+    pair, head = _build_pair(args)
     chk = gk.inversion_check(pair, n, stage=functools.partial(_stage, args))
     doc = {**head, "N": n,
            "s2_pair_b1": chk.s2_pair_b1,
@@ -495,90 +491,63 @@ def _add_shared(sub, tol=None, params=False, orders=False, grid=False):
         sub.add_argument("--grid", default="256x512", help="n_r x n_theta")
 
 
-def _grunsky_flags(sub):
-    _add_shared(sub, tol=1e-5, params=True, orders=True)
-    sub.add_argument("--dump-matrices", action="store_true")
-
-
-def _logdet_flags(sub):
-    _add_shared(sub, params=True, orders=True)
-    sub.add_argument("--route", choices=["b1", "b4"], default="b1")
-
-
-def _fuchsian_flags(sub):
-    _add_shared(sub)
-    sub.add_argument("--L", type=int, default=2, help="enumeration word length")
-
-
-def _scl_flags(sub):
-    _add_shared(sub)
-    sub.add_argument("--s2", type=_finite_float, required=True, help="s2_dg >= 0")
-    sub.add_argument("--genus", type=int, default=2)
-
-
-def _batch_flags(sub):
-    sub.add_argument("file", metavar="FILE",
-                     help="one command line per line ('-': stdin)")
-    sub.add_argument("--verbose", "-v", action="store_true")
-
-
-# each command's help line and the function that adds its flags, in the
-# order of the top-level help
-_PARSERS = {
-    "pair": ("construct and export a pair",
-             functools.partial(_add_shared, params=True)),
-    "grunsky": ("operator blocks and residuals", _grunsky_flags),
-    "logdet": ("determinant potential", _logdet_flags),
-    "s1": ("Liouville action quadrature",
-           functools.partial(_add_shared, params=True, grid=True)),
-    "identity": ("S1 vs -12 pi S2 check",
-                 functools.partial(_add_shared, tol=1e-3, params=True,
-                                   orders=True, grid=True)),
-    "invert": ("inversion-symmetry check",
-               functools.partial(_add_shared, tol=1e-6, params=True,
-                                 orders=True)),
-    "fuchsian": ("octagon basepoint suite", _fuchsian_flags),
-    "scl": ("classical-action report", _scl_flags),
-    "batch": ("run a file of command lines in one process", _batch_flags),
+# each command, in the order of the top-level help: its help line, its
+# handler, the ``_add_shared`` keywords of its flags (None: no shared
+# flags) and its own flags as (names, keywords) of ``add_argument``
+_COMMANDS = {
+    "pair": ("construct and export a pair", _cmd_pair, {"params": True}, []),
+    "grunsky": ("operator blocks and residuals", _cmd_grunsky,
+                {"tol": 1e-5, "params": True, "orders": True},
+                [(("--dump-matrices",), {"action": "store_true"})]),
+    "logdet": ("determinant potential", _cmd_logdet,
+               {"params": True, "orders": True},
+               [(("--route",), {"choices": ["b1", "b4"], "default": "b1"})]),
+    "s1": ("Liouville action quadrature", _cmd_s1,
+           {"params": True, "grid": True}, []),
+    "identity": ("S1 vs -12 pi S2 check", _cmd_identity,
+                 {"tol": 1e-3, "params": True, "orders": True, "grid": True},
+                 []),
+    "invert": ("inversion-symmetry check", _cmd_invert,
+               {"tol": 1e-6, "params": True, "orders": True}, []),
+    "fuchsian": ("octagon basepoint suite", _cmd_fuchsian, {},
+                 [(("--L",), {"type": int, "default": 2,
+                              "help": "enumeration word length"})]),
+    "scl": ("classical-action report", _cmd_scl, {},
+            [(("--s2",), {"type": _finite_float, "required": True,
+                          "help": "s2_dg >= 0"}),
+             (("--genus",), {"type": int, "default": 2})]),
+    "batch": ("run a file of command lines in one process", _cmd_batch, None,
+              [(("file",), {"metavar": "FILE",
+                            "help": "one command line per line ('-': stdin)"}),
+               (("--verbose", "-v"), {"action": "store_true"})]),
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser with a subparser for every command, of which only the
-    one named ``command`` gets its flags: a process parses one command,
-    and the others' ~60 arguments would be built for nothing. The
-    top-level help and its "invalid choice" message list all nine."""
+def _build_parser(command):
+    """The parser with a subparser for every command, and the subparser of
+    ``command`` (None if no command has that name), the one that gets its
+    flags: a process parses one command, and the others' ~60 arguments
+    would be built for nothing. The top-level help and its "invalid
+    choice" message list all nine."""
     parser = argparse.ArgumentParser(
         prog="weldlab",
         description="Welding-pair potentials: determinants vs quadrature")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help, add_flags) in _PARSERS.items():
+    chosen = None
+    for name, (help, _, shared, flags) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help, allow_abbrev=False)
         if name == command:
-            add_flags(sub)
-    return parser
-
-
-_COMMANDS = {
-    "pair": _cmd_pair,
-    "grunsky": _cmd_grunsky,
-    "logdet": _cmd_logdet,
-    "s1": _cmd_s1,
-    "identity": _cmd_identity,
-    "invert": _cmd_invert,
-    "fuchsian": _cmd_fuchsian,
-    "scl": _cmd_scl,
-    "batch": _cmd_batch,
-}
+            chosen = sub
+            if shared is not None:
+                _add_shared(sub, **shared)
+            for names, keywords in flags:
+                sub.add_argument(*names, **keywords)
+    return parser, chosen
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
-    # the parser of the command argv names: argparse reads it first
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    sub = commands.choices.get(argv[0]) if argv else None
+    parser, sub = _build_parser(argv[0] if argv else None)
     try:
         args = _parse(parser, sub, argv)
         if args.verbose:
@@ -586,7 +555,7 @@ def main(argv=None) -> int:
             print(f"weldlab {__version__}, numpy {np.__version__}, "
                   f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}",
                   file=sys.stderr)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         sub.print_usage(sys.stderr)

@@ -5,8 +5,10 @@ Each command line of ``tests/corpus/lines.txt`` runs as its own
 writes is copied to ``tests/corpus/files/``; its exit code, stdout and
 stderr go to ``tests/corpus/expected.json``, whose header names the numpy
 and BLAS versions the corpus was made with. ``tests/test_corpus.py``
-replays the lines as one ``weldlab batch`` in process and compares
-everything byte for byte.
+replays the lines as one ``weldlab batch`` child and compares everything
+byte for byte. Every child runs in the environment ``child_env`` gives,
+so BLAS runs on the thread count the command line sets, whatever this
+shell exports: a product's last digit can depend on it.
 
     python tests/make_corpus.py [--src DIR]
 
@@ -27,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
+SRC = CORPUS.parent.parent / "src"
 
 
 def command_lines() -> list:
@@ -44,14 +47,23 @@ def versions() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
+def child_env(src) -> dict:
+    """The environment of a command-line child: this one without
+    ``WELDLAB_OUTDIR`` and ``OPENBLAS_NUM_THREADS``, and with ``src`` first
+    on ``PYTHONPATH``."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("WELDLAB_OUTDIR", "OPENBLAS_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default=str(CORPUS.parent.parent / "src"),
+    ap.add_argument("--src", default=str(SRC),
                     help="directory holding the weldlab package to run")
     args = ap.parse_args(argv)
-    env = {k: v for k, v in os.environ.items() if k != "WELDLAB_OUTDIR"}
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.abspath(args.src), env.get("PYTHONPATH")) if p)
+    env = child_env(args.src)
     files = CORPUS / "files"
     shutil.rmtree(files, ignore_errors=True)
     files.mkdir()

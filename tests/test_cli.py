@@ -447,6 +447,7 @@ class TestDeterminism:
         (["identity", "--N", "8,16", "--grid", "16x32", *ELLIPSE01],
          ("catalog", "quadrature", "blocks", "determinant")),
         (["s1", "--grid", "16x32", *ELLIPSE01], ("catalog", "quadrature")),
+        (["pair", *ELLIPSE01], ("catalog",)),
     ])
     def test_verbose_stage_timings_stay_out_of_the_report(self, tmp_path,
                                                           capsys, argv, stages):
@@ -677,7 +678,9 @@ class TestBatch:
         def fault(args):
             raise RuntimeError("a fault")
 
-        monkeypatch.setitem(cli._COMMANDS, "fuchsian", fault)
+        help, _, shared, flags = cli._COMMANDS["fuchsian"]
+        monkeypatch.setitem(cli._COMMANDS, "fuchsian",
+                            (help, fault, shared, flags))
         code = run_batch(tmp_path, "fuchsian\nscl --s2 0 --out a.json\n")
         assert code == 1
         assert (tmp_path / "a.json").exists()
@@ -812,10 +815,19 @@ class TestImportFootprint:
         (["s1", *ELLIPSE01], {"grunsky", "liouville", "maps", "series"}, True),
         (["identity", "--N", "8,16", *ELLIPSE01],
          {"grunsky", "liouville", "maps", "series"}, True),
-    ], ids=["help", "fuchsian", "pair", "logdet", "scl", "s1", "identity"])
+        (["grunsky", *ELLIPSE01], {"grunsky", "maps", "series"}, True),
+        (["invert", "--N", "16", *ELLIPSE01], {"grunsky", "maps", "series"},
+         True),
+        (["batch", "lines.txt"], set(), False),
+    ], ids=["help", "fuchsian", "pair", "logdet", "scl", "s1", "identity",
+            "grunsky", "invert", "batch"])
     def test_command_loads_only_what_it_calls(self, tmp_path, argv, layers,
                                               numpy):
-        modules = _modules_at_exit(argv + ["--out", "x"], tmp_path)
+        # batch has no --out; its one line writes scl.json where it runs
+        (tmp_path / "lines.txt").write_text("scl --s2 0\n")
+        if argv[0] != "batch":
+            argv = argv + ["--out", "x"]
+        modules = _modules_at_exit(argv, tmp_path)
         loaded = {name for name in self.LAYERS if f"weldlab.{name}" in modules}
         assert loaded == layers
         assert ("numpy" in modules) is numpy
