@@ -65,7 +65,10 @@ complex128 pair takes the complex path. Every builder returns the leading
 n rows and ``cols`` columns (default n) of its block; the entries are
 exact to roundoff given series coefficients through index n + cols + 1
 (b4: n + cols), which a series must hold unless it is resolved: its
-missing coefficients are then zero to the floor.
+missing coefficients are then zero to the floor. The mixed blocks, like b1
+and b4, refuse a pair only for what they read, missing coefficients: the
+entries are exact series algebra, so the curve's shape is never asked
+for, and ``maps.normalize_pair`` checks it where the pair is made.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ from .series import (
     _class_order,
     _log_bivariate,
     reciprocal_array,
-    samples_from_coeffs,
 )
 
 
@@ -233,24 +235,6 @@ def build_b4(pair, n: int, cols: int = None) -> np.ndarray:
     return _block([_exterior_array(gseries.coeffs, n, cols)], n, cols)
 
 
-def separation_radii(pair):
-    """Radii (r, R) with max|f| on |z|=r below min|g| on |w|=R, or None.
-
-    Tries r = 0.98, 0.95, 0.9 and, for each, R = 1.1, 1.25, 1.4, 1.6, on
-    512 samples per circle. This is the geometric sanity check behind the
-    mixed expansion: the bivariate monomial series of log(1 - f/g)
-    converges on the product of the two circles exactly when they separate
-    the curve.
-    """
-    for r in (0.98, 0.95, 0.9):
-        fmax = np.abs(samples_from_coeffs(pair.interior, r, 512)).max()
-        for big_r in (1.1, 1.25, 1.4, 1.6):
-            gmin = np.abs(samples_from_coeffs(pair.exterior, big_r, 512)).min()
-            if fmax < gmin:
-                return (r, big_r)
-    return None
-
-
 def _mixed_array(first: np.ndarray, second: np.ndarray, rows: int,
                  cols: int) -> np.ndarray:
     """The generating array of log(1 + u(x) v(y)), where ``first`` and
@@ -267,6 +251,9 @@ def build_b2_b3(pair, n: int, cols: int = None):
     square block's b3 is the transpose of its b2. When cols != n, the b3
     rows are the leading n columns of a different rectangle of b2, so they
     come from a second log with the roles of the two variables swapped.
+    As for b1 and b4, only missing coefficients refuse a pair
+    (InvalidInput): one reciprocal and one log are exact for any pair,
+    an off-centre disk included, so its curve is never sampled.
     """
     cols = _block_cols(n, cols)
     big = max(n, cols)
@@ -274,13 +261,8 @@ def build_b2_b3(pair, n: int, cols: int = None):
     gseries = _side(pair, Kind.LAURENT_AT_INFINITY)
     _require_order(fseries, big + 1, "interior")
     _require_order(gseries, big + 1, "exterior")
-    a, g = fseries.coeffs, gseries.coeffs
-    if separation_radii(pair) is None:
-        raise NumericalFailure(
-            "no separating radii r < 1 < R with |f| < |g| found; the pair "
-            "does not bound a common curve in the expected way")
-    f_arr = _padded(a, big + 1)
-    g_arr = _padded(g, big + 1)
+    f_arr = _padded(fseries.coeffs, big + 1)
+    g_arr = _padded(gseries.coeffs, big + 1)
     # Laurent coefficients of 1/g: 1/g(w) = x * recip(sum g_k x^k), x = 1/w
     inv = reciprocal_array(g_arr)
     dcoef = np.zeros(big + 1, dtype=inv.dtype)

@@ -74,12 +74,11 @@ class QuadratureGrid:
 
     @property
     def nodes(self):
-        """Radial nodes, radial weights and angles; the radial rule is
-        ``_gauss_legendre(n_r)`` (Newton on the Legendre recurrence, no
-        eigensolve) mapped from [-1, 1] to (0, 1)."""
+        """Radial nodes and weights: ``_gauss_legendre(n_r)`` (Newton on
+        the Legendre recurrence, no eigensolve) mapped from [-1, 1] to
+        (0, 1). The n_theta angles are uniform, 2 pi j / n_theta."""
         x, w = _gauss_legendre(self.n_r)
-        theta = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-        return 0.5 * (x + 1.0), 0.5 * w, theta
+        return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _gauss_legendre(n: int):
@@ -137,7 +136,7 @@ def s1_value(pair: WeldingPair, grid: QuadratureGrid) -> float:
     one band of ``_BAND // n_theta`` circles at a time, and the angular
     sums of its circles are gathered for the one radial dot product.
     """
-    r, wr, _ = grid.nodes
+    r, wr = grid.nodes
     m = grid.n_theta
     step = max(1, _BAND // m)
     integrals = []

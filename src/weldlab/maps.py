@@ -310,7 +310,8 @@ class WeldingPair:
     """Normalized pair: f(0) = 0, f'(0) = 1 (Taylor), g(inf) = inf (Laurent).
 
     ``curve`` is the shared Jordan curve, as the star domain about 0 in the
-    pair's own frame that both maps trace.
+    pair's own frame that both maps trace. Every route trusts a pair:
+    ``normalize_pair`` is where its curve is checked.
     """
 
     interior: ComplexSeries

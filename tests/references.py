@@ -25,6 +25,11 @@ a small circle, the oracle of ``maps.schwarzian``'s series arithmetic.
 ``domain_from_samples`` interpolates a star domain from uniform radius
 samples, so the tests can build a pair on a curve known only by samples.
 
+``disk_domain`` is the off-centre disk |w - a| < 1 as a star domain about
+0, a Moebius image of the unit disk: the basepoint of universal
+Teichmueller space, where both potentials and the blocks b1, b4 vanish
+and b2 is unitary.
+
 ``whole_grid_s1_value`` is the action quadrature as it ran before
 ``liouville.s1_value`` took its grid one band of circles at a time: every
 n_r x n_theta array at once, the reference that the bands must match bit
@@ -258,10 +263,20 @@ def domain_from_samples(values) -> StarDomain:
     return StarDomain(rho=rho)
 
 
+def disk_domain(a) -> StarDomain:
+    """The disk |w - a| < 1, |a| < 1, by its polar radius about 0:
+    rho(theta) = Re(t) + sqrt(1 - Im(t)^2) with t = conj(a) e^(i theta)."""
+    def rho(th):
+        t = np.conj(a) * np.exp(1j * np.asarray(th, dtype=float))
+        return t.real + np.sqrt(1.0 - t.imag ** 2)
+
+    return StarDomain(rho=rho)
+
+
 def whole_grid_s1_value(pair, grid) -> float:
     """``liouville.s1_value`` with each side evaluated, weighted and checked
     on the whole grid at once."""
-    r, wr, _ = grid.nodes
+    r, wr = grid.nodes
     integrals = []
     for num, den, s in _action_sides(pair):
         vals = np.abs(evaluate_on_circles(num, r, grid.n_theta)

@@ -50,6 +50,16 @@ def test_blocks_are_complex_and_the_potential_is_nonpositive(pair):
 
 @PROPERTY
 @given(asymmetric_pairs())
+def test_mixed_blocks_take_the_complex_path(pair):
+    # a square build transposes b2; the operator residual builds them
+    # rectangular, with b3 from the second log on complex arrays
+    b2, b3 = gk.build_b2_b3(pair, 16)
+    assert b2.dtype == np.complex128 and np.array_equal(b3, b2.T)
+    assert max(gk.grunsky_operator_residual(pair, 16)) <= 1e-12
+
+
+@PROPERTY
+@given(asymmetric_pairs())
 def test_grid_action_matches_parseval(pair):
     # the widest draws leave the 256 angles a relative gap of 1.2e-10
     parseval = lv.s1_coefficient_route(pair)

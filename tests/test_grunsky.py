@@ -12,7 +12,7 @@ from weldlab import series
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import ComplexSeries, Kind, evaluate
 
-from references import svd_logdet
+from references import disk_domain, svd_logdet
 
 
 def closed_form_logdet(c, n):
@@ -280,15 +280,22 @@ class TestBuildB2B3:
         m = np.arange(1, 65)
         assert np.all(b2[np.subtract.outer(m, m) % 3 != 0] == 0.0)
 
-    def test_overlapping_maps_have_no_separating_radii(self):
-        # f = z and g = z/2: on the radii the check tries, the smallest
-        # |f|, 0.9 on r = 0.9, exceeds the largest |g|, 0.8 on R = 1.6
-        pair = mp.WeldingPair(
-            interior=ComplexSeries.taylor([0.0, 1.0], resolved=True),
-            exterior=ComplexSeries.laurent([0.5], resolved=True),
-            curve=mp.bump_domain(0.0, 1))
-        with pytest.raises(NumericalFailure, match="no separating radii"):
-            gk.build_b2_b3(pair, 8)
+    @pytest.mark.parametrize("a", [0.5, 0.7, 0.35 + 0.35j, 0.6j, -0.45 + 0.3j])
+    def test_off_centre_disk_is_the_basepoint(self, a):
+        # |w - a| < 1 is a Moebius image of the unit disk: b1 = b4 = 0, b2
+        # is unitary and S1 = s2 = 0 exactly. Its truncated relations are
+        # not small, as b2's rows decay only like |a|^k, so the operator
+        # relations are the oracle
+        pair = mp.star_pair(disk_domain(a))
+        b2, b3 = gk.build_b2_b3(pair, 32)
+        assert np.array_equal(b3, b2.T)
+        assert b2.dtype == (np.float64 if a == a.real else np.complex128)
+        assert max(gk.grunsky_operator_residual(pair, 16)) <= 1e-11
+        for build in (gk.build_b1, gk.build_b4):
+            s2 = gk.logdet_potential(build(pair, 64), [64]).extrapolated
+            assert abs(s2) <= 1e-20
+        assert abs(lv.s1_value(pair, lv.QuadratureGrid(64, 128))) <= 1e-13
+        assert abs(lv.s1_coefficient_route(pair)) <= 1e-13
 
     def test_faber_oracle_ellipse(self, ellipse03):
         # Phi_n(g(u)) = u^n + c^n u^-n for g = u + c/u gives the mixed
