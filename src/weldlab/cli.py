@@ -54,8 +54,8 @@ here, the one table of them, for the same reason. This module and
 ``weldlab.fuchsian`` and ``weldlab.classical`` import no numpy, so
 ``--help``, ``fuchsian`` and ``scl`` run without it (``--verbose`` loads
 it to print its version); every other command loads it through its
-layers. ``fuchsian`` integrates the area at each of its four node counts
-once and reads its three trace sums off those four terms.
+layers. ``fuchsian`` reads the area and its three trace sums from one
+``fuchsian.trace_sums``, which integrates each of four node counts once.
 
 Run as a program, the module calls ``gc.freeze()`` after ``main``
 returns: the collections of interpreter shutdown then skip every object
@@ -296,15 +296,10 @@ def _cmd_invert(args) -> int:
     from . import grunsky as gk
     n = max(_orders(args))
     pair, head = _build_pair(args)
-    chk = gk.inversion_check(pair, n, stage=functools.partial(_stage, args))
     doc = {**head, "N": n,
-           "s2_pair_b1": chk.s2_pair_b1,
-           "s2_inverted_b1": chk.s2_inverted_b1,
-           "s2_pair_b4": chk.s2_pair_b4,
-           "symmetry_gap": chk.symmetry_gap,
-           "route_gap": chk.route_gap}
+           **gk.inversion_check(pair, n, stage=functools.partial(_stage, args))}
     _write_report(args, doc, f"invert_{args.family}.json")
-    ok = chk.symmetry_gap <= args.tol and chk.route_gap <= args.tol
+    ok = doc["symmetry_gap"] <= args.tol and doc["route_gap"] <= args.tol
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -312,15 +307,11 @@ def _cmd_fuchsian(args) -> int:
     from . import fuchsian as fx
     group = fx.octagon_group()
     enum = fx.enumerate_elements(group, args.L)
-    area = fx.domain_area_integral(group)
+    area, sums = fx.trace_sums(group)
     points = fx.disk_points(128, 0.8)
     zs, ws = points[0::2], points[1::2]
     autom = max(fx.automorphy_residual(fx.bergman_kernel, g, zs, ws)
                 for g in group.generators)
-    # each node count integrated once: the sum for n reads terms 0..n
-    terms = [area["value"]] + [fx.basepoint_trace_term(group, k)
-                               for k in (1, 2, 3)]
-    sums = {n: fx.alternating_sum(terms[:n + 1]) for n in (1, 2, 3)}
     doc = {
         "relation_residual": group.relation_residual(),
         "relation_word": list(group.relation_word),
@@ -330,10 +321,10 @@ def _cmd_fuchsian(args) -> int:
         "area_integral": area,
         "genus_minus_one": group.genus - 1,
         "bergman_automorphy_residual": autom,
-        "alternating_trace_sums": {str(k): v for k, v in sums.items()},
+        "alternating_trace_sums": sums,
     }
     _write_report(args, doc, "fuchsian_octagon.json")
-    ok = (group.relation_residual() <= 1e-10
+    ok = (doc["relation_residual"] <= 1e-10
           and abs(area["value"] - (group.genus - 1)) <= 1e-12
           and autom <= 1e-10
           and all(abs(v) <= 1e-12 for v in sums.values()))

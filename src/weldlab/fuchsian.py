@@ -28,9 +28,9 @@ part is closed-form; the boundary radius is analytic between two vertices,
 on each side sector k pi/4 +- pi/8, so the angular part is Fejer's first
 rule on each of the eight sectors, with no kink inside a rule and exact to
 roundoff at 64 nodes per sector. The alternating trace sums of one group
-share their terms, one area integral per node count, so alternating_sum
-sums terms that a caller integrated once. The word-length enumeration only
-counts group elements.
+share their terms, so trace_sums integrates each of its four node counts
+once and returns the area block with the sums. The word-length
+enumeration only counts group elements.
 
 The module is scalar arithmetic on Python floats and complex numbers and
 loads no numpy; its functions take numpy arrays of points as well. Its two
@@ -131,9 +131,8 @@ def octagon_group() -> FuchsianGroup:
 # enumeration
 # ---------------------------------------------------------------------------
 
-class GroupEnumeration(namedtuple("GroupEnumeration",
-                                  ("max_word_length", "elements"))):
-    """Distinct elements representable by words of length <= max_word_length,
+class GroupEnumeration(namedtuple("GroupEnumeration", ("elements",))):
+    """Distinct elements representable by words up to a length,
     deduplicated up to overall sign (the pairs act projectively); the
     elements are pairs (a, b), products of the (1, p)."""
 
@@ -181,7 +180,7 @@ def enumerate_elements(group: FuchsianGroup, max_word_length: int) -> GroupEnume
                 elements.append(cand)
                 new_frontier.append(cand)
         frontier = new_frontier
-    return GroupEnumeration(max_word_length=max_word_length, elements=elements)
+    return GroupEnumeration(elements=elements)
 
 
 # ---------------------------------------------------------------------------
@@ -272,43 +271,25 @@ def bergman_kernel(z, w):
     return 1.0 / (math.pi * (1.0 - z * w.conjugate()) ** 2)
 
 
-def basepoint_trace_term(group: FuchsianGroup, k: int) -> float:
-    """Integral of the k-th iterated mixed kernel diagonal over the domain.
+def trace_sums(group: FuchsianGroup):
+    """The report's area block, domain_area_integral(group), and the
+    alternating trace sums sum_{k=0}^{n} (-1)^k C(n,k) * (term k) keyed
+    "1", "2", "3", which vanish.
 
     At the basepoint the mixed contraction is the identity operator, whose
-    reproducing property makes every power have the Bergman diagonal; each
-    term therefore equals the area integral (= genus - 1), here at 64 + 8k
-    nodes per side sector. The sector rule is exact to roundoff at each of
-    those node counts, so every term is the same integral to roundoff.
+    reproducing property makes every power have the Bergman diagonal, so
+    term k is the area integral (= genus - 1) at 64 + 8k nodes per side
+    sector, each integrated once and added in the order of k. The rule is
+    exact to roundoff at each node count, so a sum is roundoff amplified by
+    the binomial weights: it checks that the terms agree, not the trace
+    identity itself, which needs the surface's own kernels (the quadratic
+    differentials' Poincare series).
     """
-    if k < 1:
-        raise InvalidInput("trace term index must be >= 1")
-    return domain_area_integral(group, 64 + 8 * k)["value"]
-
-
-def alternating_sum(terms) -> float:
-    """sum_{k=0}^{n} (-1)^k C(n,k) * terms[k] for the n + 1 ``terms``,
-    added in the order of k. The command line integrates its terms once
-    and reads the sums for n = 1, 2, 3 off their leading parts."""
-    n = len(terms) - 1
-    total = terms[0]
-    for k in range(1, n + 1):
-        total += (-1) ** k * math.comb(n, k) * terms[k]
-    return total
-
-
-def alternating_trace_sum(group: FuchsianGroup, n: int) -> float:
-    """sum_{k=0}^{n} (-1)^k C(n,k) * (k-th trace term); zero for n >= 1.
-
-    The k = 0 term is the area integral at its default node count and the
-    terms k >= 1 are basepoint_trace_term(group, k), summed by
-    alternating_sum. Every term is the same exact integral to roundoff, so
-    the sum is roundoff amplified by the binomial weights: it checks that
-    the terms agree, not the trace identity itself, which needs the
-    surface's own kernels (the quadratic differentials' Poincare series).
-    """
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
-    return alternating_sum([domain_area_integral(group)["value"]]
-                           + [basepoint_trace_term(group, k)
-                              for k in range(1, n + 1)])
+    areas = [domain_area_integral(group, 64 + 8 * k) for k in range(4)]
+    sums = {}
+    for n in (1, 2, 3):
+        total = areas[0]["value"]
+        for k in range(1, n + 1):
+            total += (-1) ** k * math.comb(n, k) * areas[k]["value"]
+        sums[str(n)] = total
+    return areas[0], sums

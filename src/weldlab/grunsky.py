@@ -279,14 +279,23 @@ def build_b2_b3(pair, n: int, cols: int = None):
 
 def _relation_norms(b1, b2, b3, b4, h: int):
     """Frobenius norms of the four block relations on their leading h x h
-    block, from the leading h rows of each block (columns: inner-sum index)."""
+    block, from the leading h rows of each block (columns: inner-sum
+    index). The third relation, B1 B3* + B2 B4*, is the adjoint of the
+    second and has its norm. ``np.einsum`` forms the products and the sums
+    of squares without BLAS, so the digits do not depend on its thread
+    count."""
     b1, b2, b3, b4 = (b[:h] for b in (b1, b2, b3, b4))
     eye = np.eye(h)
-    r1 = b1 @ b1.conj().T + b2 @ b2.conj().T - eye
-    r2 = b3 @ b1.conj().T + b4 @ b2.conj().T
-    r3 = b1 @ b3.conj().T + b2 @ b4.conj().T
-    r4 = b3 @ b3.conj().T + b4 @ b4.conj().T - eye
-    return tuple(float(np.linalg.norm(r)) for r in (r1, r2, r3, r4))
+
+    def product(x, y):
+        return np.einsum("ik,jk->ij", x, y.conj())
+
+    r1 = product(b1, b1) + product(b2, b2) - eye
+    r2 = product(b3, b1) + product(b4, b2)
+    r4 = product(b3, b3) + product(b4, b4) - eye
+    n1, n2, n4 = (float(np.sqrt(np.einsum("ij,ij->", r, r.conj()).real))
+                  for r in (r1, r2, r4))
+    return n1, n2, n2, n4
 
 
 def grunsky_identity_residual(b1, b2, b3, b4):
@@ -513,32 +522,17 @@ def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:
     return ConvergenceReport(orders, curve[np.array(orders) - 1])
 
 
-@dataclass(frozen=True)
-class InversionCheck:
-    s2_pair_b1: float
-    s2_inverted_b1: float
-    s2_pair_b4: float
-
-    @property
-    def symmetry_gap(self) -> float:
-        return abs(self.s2_pair_b1 - self.s2_inverted_b1)
-
-    @property
-    def route_gap(self) -> float:
-        return abs(self.s2_pair_b1 - self.s2_pair_b4)
-
-
 def inversion_check(pair: WeldingPair, n: int, n_inverted: int = None,
-                    stage=contextlib.nullcontext) -> InversionCheck:
-    """Determinant potential of a pair against its reflected pair.
-
-    Returns the potential log det(I - B B*) of the pair through its
-    interior block, of the inverted pair through its interior block, and
-    of the pair through the exterior block; invariance under inversion
-    makes all three agree in the limit. ``stage(name)`` is a context
-    manager entered around the reflection, the three block builds and the
-    three determinants, under the names "reflection", "blocks" and
-    "determinant"; the CLI passes its timer.
+                    stage=contextlib.nullcontext) -> dict:
+    """The ``invert`` report body: the potential log det(I - B B*) of the
+    pair through its interior block (``s2_pair_b1``), of the inverted pair
+    through its interior block (``s2_inverted_b1``) and of the pair through
+    the exterior block (``s2_pair_b4``), which invariance under inversion
+    makes agree in the limit, with ``symmetry_gap`` = |s2_pair_b1 -
+    s2_inverted_b1| and ``route_gap`` = |s2_pair_b1 - s2_pair_b4|.
+    ``stage(name)`` is a context manager entered around the reflection, the
+    three block builds and the three determinants, under the names
+    "reflection", "blocks" and "determinant"; the CLI passes its timer.
     """
     with stage("reflection"):
         inv = inverted_pair(pair)
@@ -547,7 +541,8 @@ def inversion_check(pair: WeldingPair, n: int, n_inverted: int = None,
                   build_b4(pair, n))
     with stage("determinant"):
         v1, v2, v4 = (logdet_potential(b, [len(b)]).extrapolated for b in blocks)
-    return InversionCheck(s2_pair_b1=v1, s2_inverted_b1=v2, s2_pair_b4=v4)
+    return {"s2_pair_b1": v1, "s2_inverted_b1": v2, "s2_pair_b4": v4,
+            "symmetry_gap": abs(v1 - v2), "route_gap": abs(v1 - v4)}
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import s_cl_report  # noqa: F401  (callers of liouville read it here)
 from .errors import InvalidInput, NumericalFailure
 from .grunsky import ConvergenceReport, build_b1, build_b4, logdet_potential
 from .maps import WeldingPair

@@ -426,7 +426,18 @@ def star_pair(domain: StarDomain, exterior: ComplexSeries = None) -> WeldingPair
 def _catalog_cached(family: str, param_items: tuple) -> WeldingPair:
     params = dict(param_items)
 
+    def take(*names):  # the family's parameters: each given, no other
+        try:
+            values = [params.pop(name) for name in names]
+        except KeyError as exc:
+            raise InvalidInput(f"{family} needs parameter {exc}") from None
+        if params:
+            raise InvalidInput(f"{family} takes no parameter "
+                               + ", ".join(map(repr, sorted(params))))
+        return values
+
     if family == "identity":
+        take()
         # by hand: the exact maps and a boundary residual of exactly 0
         return WeldingPair(
             interior=ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8),
@@ -435,14 +446,14 @@ def _catalog_cached(family: str, param_items: tuple) -> WeldingPair:
             residuals={"boundary": 0.0})
 
     if family == "ellipse":
-        c = params["c"]
+        c, = take("c")
         # exact closed form z + c/z: trailing zeros state that the higher
         # Laurent coefficients vanish identically
         return star_pair(ellipse_domain(c), ComplexSeries.laurent(
             [1.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0], resolved=True))
 
     if family == "fourier_bump":
-        return star_pair(bump_domain(params["eps"], params["k"]))
+        return star_pair(bump_domain(*take("eps", "k")))
 
     raise InvalidInput(f"unknown family: {family!r}")
 
@@ -451,7 +462,8 @@ def catalog(family: str, **params) -> WeldingPair:
     """Construct a cataloged welding pair.
 
     Families: ``identity``, ``ellipse`` (parameter ``c`` in (0,1)),
-    ``fourier_bump`` (parameters ``eps`` in [0,1), integer ``k`` >= 1).
+    ``fourier_bump`` (parameters ``eps`` in [0,1), integer ``k`` >= 1); a
+    missing parameter, or one the family does not read, is InvalidInput.
     Each non-round family is one ``star_pair`` call, so a domain is refused
     (NumericalFailure) only when its construction fails; no smoothness
     bound gates it. The Theodorsen continuation doubles the sample count

@@ -14,6 +14,7 @@ from weldlab import fuchsian as fx
 from weldlab import grunsky as gk
 from weldlab import liouville as lv
 from weldlab import maps as mp
+from weldlab.classical import s_cl_report
 from weldlab.series import ComplexSeries
 
 
@@ -150,11 +151,11 @@ def test_criterion_4_inversion_symmetry():
     for family, params, n, n_inv in cases:
         pair = mp.catalog(family, **params)
         chk = gk.inversion_check(pair, n, n_inverted=n_inv)
-        good = chk.symmetry_gap <= 1e-6 and chk.route_gap <= 1e-6
+        good = chk["symmetry_gap"] <= 1e-6 and chk["route_gap"] <= 1e-6
         ok &= good
         details.append(f"{family}{params}: inversion gap "
-                       f"{chk.symmetry_gap:.2e}, route gap "
-                       f"{chk.route_gap:.2e} (<=1e-6)")
+                       f"{chk['symmetry_gap']:.2e}, route gap "
+                       f"{chk['route_gap']:.2e} (<=1e-6)")
     assert _report("criterion 4 (inversion symmetry)", ok,
                    "; ".join(details)), "\n".join(details)
 
@@ -177,12 +178,12 @@ def test_criterion_5_positivity_and_bound():
                 ok = False
                 details.append(f"{family}{params}/{route}: s2_dg negative")
     # classical-action bound: equality exactly at the group point
-    base = lv.s_cl_report(0.0, 2)
+    base = s_cl_report(0.0, 2)
     good_base = (abs(base["S_cl"] - 16 * np.pi) <= 1e-12
                  and base["slack"] == 0.0 and base["is_fuchsian_point"])
     ok &= good_base
     for s2dg in (0.0, 1e-8, 0.05, 0.4):
-        rep = lv.s_cl_report(s2dg, 2)
+        rep = s_cl_report(s2dg, 2)
         ok &= rep["S_cl"] <= 8 * np.pi * 2 + 1e-12
         ok &= (rep["slack"] == 0.0) == (s2dg == 0.0)
     details.append(f"all I-BB* positive definite; S_cl(basepoint, g=2)"
@@ -195,14 +196,14 @@ def test_criterion_6_fuchsian_basepoint_suite():
     t0 = time.time()
     group = fx.octagon_group()
     rel = group.relation_residual()
-    area = fx.domain_area_integral(group)
+    area, sums = fx.trace_sums(group)
     area_gap = abs(area["value"] - 1.0)
     rng = np.random.default_rng(7)
     z = 0.8 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
     w = 0.8 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
     autom = max(fx.automorphy_residual(fx.bergman_kernel, g, z, w)
                 for g in group.generators)
-    sums = {n: abs(fx.alternating_trace_sum(group, n)) for n in (1, 2, 3)}
+    sums = {n: abs(v) for n, v in sums.items()}
     elapsed = time.time() - t0
     ok = (rel <= 1e-10 and area_gap <= 1e-4 and autom <= 1e-10
           and max(sums.values()) <= 1e-3 and elapsed <= 120.0)

@@ -777,6 +777,25 @@ class TestBlasThreads:
         if module != "weldlab.series":
             assert probe["numpy"] is False
 
+    def test_relation_residuals_do_not_depend_on_the_thread_count(self,
+                                                                  tmp_path):
+        # the relation products once moved their last digit between one
+        # and two OpenBLAS threads on the c = 0.1 ellipse at N = 256
+        texts = []
+        for setting in ("1", "2"):
+            env = _src_env()
+            env["OPENBLAS_NUM_THREADS"] = setting
+            out = tmp_path / f"threads{setting}.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "weldlab.cli", "grunsky", "--family",
+                 "ellipse", "--c", "0.1", "--N", "256", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        residuals = json.loads(texts[0])["relation_residuals"]
+        assert residuals[1] == residuals[2]
+
 
 # Runs ``python -m weldlab.cli`` with the arguments that follow it and
 # prints, as the last stdout line, the sorted names in sys.modules at exit.
@@ -802,7 +821,8 @@ class TestImportFootprint:
     ``numpy.polynomial``); ``--help``, ``fuchsian`` and ``scl`` load no
     numpy, ``dataclasses`` or ``inspect`` at all."""
 
-    LAYERS = {"series", "maps", "grunsky", "liouville", "fuchsian"}
+    LAYERS = {"series", "maps", "grunsky", "liouville", "fuchsian",
+              "classical"}
     NUMPY_LAZY = {"numpy.random", "numpy.ma", "numpy.polynomial"}
 
     @pytest.mark.parametrize("argv, layers, numpy", [
@@ -811,14 +831,14 @@ class TestImportFootprint:
         (["pair", *ELLIPSE01], {"maps", "series"}, True),
         (["logdet", "--N", "8", *ELLIPSE01], {"grunsky", "maps", "series"},
          True),
-        (["scl", "--s2", "0"], set(), False),
+        (["scl", "--s2", "0"], {"classical"}, False),
         (["s1", *ELLIPSE01], {"grunsky", "liouville", "maps", "series"}, True),
         (["identity", "--N", "8,16", *ELLIPSE01],
          {"grunsky", "liouville", "maps", "series"}, True),
         (["grunsky", *ELLIPSE01], {"grunsky", "maps", "series"}, True),
         (["invert", "--N", "16", *ELLIPSE01], {"grunsky", "maps", "series"},
          True),
-        (["batch", "lines.txt"], set(), False),
+        (["batch", "lines.txt"], {"classical"}, False),
     ], ids=["help", "fuchsian", "pair", "logdet", "scl", "s1", "identity",
             "grunsky", "invert", "batch"])
     def test_command_loads_only_what_it_calls(self, tmp_path, argv, layers,

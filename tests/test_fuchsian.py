@@ -264,12 +264,15 @@ class TestAutomorphy:
 
 class TestTraceTerms:
     def test_first_term_is_area(self, octagon):
-        val = fx.basepoint_trace_term(octagon, 1)
-        assert abs(val - 1.0) <= 1e-4
+        area, _ = fx.trace_sums(octagon)
+        assert area == fx.domain_area_integral(octagon)
+        assert abs(area["value"] - 1.0) <= 1e-4
 
     def test_alternating_sums_vanish(self, octagon):
-        for n in (1, 2, 3):
-            assert abs(fx.alternating_trace_sum(octagon, n)) <= 1e-13
+        _, sums = fx.trace_sums(octagon)
+        assert list(sums) == ["1", "2", "3"]
+        for value in sums.values():
+            assert abs(value) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sums_equal_the_binomial_formula_bitwise(self, n):
@@ -279,10 +282,4 @@ class TestTraceTerms:
         for k in range(1, n + 1):
             expected += (-1) ** k * comb(n, k) * fx.domain_area_integral(
                 group, 64 + 8 * k)["value"]
-        assert fx.alternating_trace_sum(group, n) == expected
-
-    def test_invalid_inputs(self, octagon):
-        with pytest.raises(InvalidInput):
-            fx.basepoint_trace_term(octagon, 0)
-        with pytest.raises(InvalidInput):
-            fx.alternating_trace_sum(octagon, 0)
+        assert fx.trace_sums(group)[1][str(n)] == expected

@@ -620,21 +620,21 @@ class TestLogdet:
 class TestInversionCheck:
     def test_identity(self, identity_pair):
         chk = gk.inversion_check(identity_pair, 8)
-        assert abs(chk.s2_pair_b1) <= 1e-12
-        assert abs(chk.s2_inverted_b1) <= 1e-12
+        assert abs(chk["s2_pair_b1"]) <= 1e-12
+        assert abs(chk["s2_inverted_b1"]) <= 1e-12
 
     def test_ellipse_closed_form(self, ellipse03):
         chk = gk.inversion_check(ellipse03, 128)
         closed = closed_form_logdet(0.3, 400)
-        assert abs(chk.s2_pair_b1 - closed) <= 1e-6
-        assert abs(chk.s2_inverted_b1 - closed) <= 1e-6
-        assert chk.symmetry_gap <= 1e-6
-        assert chk.route_gap <= 1e-6
+        assert abs(chk["s2_pair_b1"] - closed) <= 1e-6
+        assert abs(chk["s2_inverted_b1"] - closed) <= 1e-6
+        assert chk["symmetry_gap"] <= 1e-6
+        assert chk["route_gap"] <= 1e-6
 
     def test_bump_symmetry(self, bump_pair):
         chk = gk.inversion_check(bump_pair, 64)
-        assert chk.symmetry_gap <= 1e-6
-        assert chk.route_gap <= 1e-6
+        assert chk["symmetry_gap"] <= 1e-6
+        assert chk["route_gap"] <= 1e-6
 
 
 class TestPositivity:

@@ -6,6 +6,7 @@ import pytest
 
 from references import christoffel_weights, whole_grid_s1_value
 from weldlab import liouville as lv
+from weldlab.classical import s_cl_report
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import ComplexSeries, Kind
 
@@ -186,25 +187,25 @@ class TestIdentityReport:
 
 class TestSclReport:
     def test_basepoint_genus2(self):
-        rep = lv.s_cl_report(0.0, 2)
+        rep = s_cl_report(0.0, 2)
         assert rep["S_cl"] == pytest.approx(16 * np.pi, abs=1e-12)
         assert rep["slack"] == 0.0
         assert rep["is_fuchsian_point"]
 
     def test_affine_formula(self):
-        rep = lv.s_cl_report(0.1, 2)
+        rep = s_cl_report(0.1, 2)
         assert rep["S_cl"] == pytest.approx(16 * np.pi - 1.2 * np.pi, abs=1e-12)
         assert rep["slack"] == pytest.approx(1.2 * np.pi, abs=1e-12)
         assert not rep["is_fuchsian_point"]
 
     @pytest.mark.parametrize("s2dg", [0.0, 1e-6, 0.05, 0.5, 3.0])
     def test_bound_holds(self, s2dg):
-        rep = lv.s_cl_report(s2dg, 2)
+        rep = s_cl_report(s2dg, 2)
         assert rep["S_cl"] <= 8 * np.pi * 2 + 1e-12
         assert rep["slack"] == pytest.approx(12 * np.pi * s2dg, rel=1e-12, abs=1e-12)
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidInput):
-            lv.s_cl_report(-1e-3, 2)
+            s_cl_report(-1e-3, 2)
         with pytest.raises(InvalidInput):
-            lv.s_cl_report(0.1, 1)
+            s_cl_report(0.1, 1)

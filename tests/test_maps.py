@@ -464,6 +464,18 @@ class TestCatalogInvariants:
         with pytest.raises(InvalidInput):
             mp.catalog("nosuch")
 
+    @pytest.mark.parametrize("family, params, name", [
+        ("ellipse", {}, "'c'"),
+        ("fourier_bump", {"eps": 0.05}, "'k'"),
+        ("ellipse", {"c": 0.3, "k": 7}, "'k'"),
+        ("identity", {"c": 0.3}, "'c'"),
+    ], ids=["ellipse-missing-c", "bump-missing-k", "ellipse-extra-k",
+            "identity-extra-c"])
+    def test_missing_or_unread_parameter_rejected(self, family, params,
+                                                  name):
+        with pytest.raises(InvalidInput, match=name):
+            mp.catalog(family, **params)
+
     def test_fractional_bump_frequency_rejected(self):
         with pytest.raises(InvalidInput, match="positive integer"):
             mp.catalog("fourier_bump", eps=0.05, k=2.5)

@@ -10,7 +10,8 @@ a deleted helper cannot outlive it. No layer module imports ``json``: the
 command line writes every report, so the report format has one owner.
 Every public function of ``tests/references.py`` has a reader among the
 test modules, so a reference cannot outlive the test that held a routine
-to it.
+to it, and every allowlisted name has a reader among the test modules, so
+an allowlist entry cannot outlive the test that kept it.
 """
 
 import ast
@@ -27,9 +28,6 @@ KEPT = {
                                  "of the operators with it",
     "s1_coefficient_route": "criterion 2's Parseval leg and the oracle of "
                             "the grid quadrature",
-    "alternating_trace_sum": "criterion 6 reads a group's trace sums "
-                             "through it; the command line integrates its "
-                             "terms once and sums them by alternating_sum",
     "evaluate": "the tests' Horner oracle of either grading at arbitrary "
                 "points, against which the FFT evaluators are checked",
 }
@@ -125,8 +123,16 @@ def test_no_layer_imports_json():
     assert importers == []
 
 
+def _test_reads():
+    """Identifiers the test modules read as module-level bindings."""
+    return set().union(*(_named(ast.parse(path.read_text()))
+                         for path in TESTS.glob("test_*.py")))
+
+
 def test_every_reference_has_a_reader():
     references = _public_functions(ast.parse((TESTS / "references.py").read_text()))
-    used = set().union(*(_named(ast.parse(path.read_text()))
-                         for path in TESTS.glob("test_*.py")))
-    assert sorted(set(references) - used) == []
+    assert sorted(set(references) - _test_reads()) == []
+
+
+def test_every_kept_name_has_a_test_reader():
+    assert sorted(set(KEPT) - _test_reads()) == []
