@@ -14,19 +14,21 @@ scl       classical-action report from a given s2_dg and genus
 batch     run a file of command lines, one per line, in this process
 
 Each command is one row of ``_COMMANDS``: its help line, its handler and
-its flags. ``_build_pair``, the step of every command that builds a pair,
-times the catalog as the ``catalog`` stage ``--verbose`` prints.
+its flags, as data. ``_build_pair``, the step of every command that builds
+a pair, times the catalog as the ``catalog`` stage ``--verbose`` prints;
+``maps.catalog`` alone decides which parameter flags a family takes.
 
 Exit codes: 0 success, 1 a requested tolerance check failed, 2 invalid
 input, 3 numerical failure; invalid input that ``main`` reports prints
 the failing command's usage. Configuration may come from ``--config``
 files with ``key = value`` lines (``#`` comments), each key one of the
 command's own flags, a required one (``--family``, ``--s2``) included;
-explicit flags win. The environment variable ``WELDLAB_OUTDIR`` sets the
-default output directory. ``batch`` runs each line through
-``main`` as its own process would, prints ``line <n>: exit <code>`` to
-stderr, and exits with the largest code; its lines share the catalog's
-cache of 64 pairs.
+the file becomes flags ahead of the command line's, so argparse checks
+every value and explicit flags win. The environment variable
+``WELDLAB_OUTDIR`` sets the default output directory. ``batch`` runs each
+line through ``main`` as its own process would, prints ``line <n>: exit
+<code>`` to stderr, and exits with the largest code; its lines share the
+catalog's cache of 64 pairs.
 
 Every JSON report, the pair's included, is written by ``_write_report``
 in one layout, and carries a ``conventions`` block naming the basis, the
@@ -49,8 +51,8 @@ so a process loads only what its command reads: building the parser
 imports no layer module and adds the flags of the command it parses
 alone, ``fuchsian`` loads ``weldlab.fuchsian`` alone,
 ``scl`` loads ``weldlab.classical`` alone, and ``pair`` loads ``maps``
-and ``series``. The families and their parameters are ``FAMILY_PARAMS``
-here, the one table of them, for the same reason. This module and
+and ``series``. The family names are ``FAMILIES`` here, for the same
+reason. This module and
 ``weldlab.fuchsian`` and ``weldlab.classical`` import no numpy, so
 ``--help``, ``fuchsian`` and ``scl`` run without it (``--verbose`` loads
 it to print its version); every other command loads it through its
@@ -82,9 +84,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import __version__  # noqa: E402  (set before any layer loads numpy)
 from .errors import InvalidInput, NumericalFailure
 
-# the parameters of each cataloged family (``maps.catalog``), in the order
-# the command line names them
-FAMILY_PARAMS = {"identity": (), "ellipse": ("c",), "fourier_bump": ("eps", "k")}
+# the cataloged families (``maps.catalog``, which decides their parameters)
+FAMILIES = ("identity", "ellipse", "fourier_bump")
 
 CONVENTIONS = {
     "basis": "e_n(z) = sqrt(n/pi) z^(n-1); estar_n(w) = sqrt(n/pi) w^(-n-1)",
@@ -158,12 +159,9 @@ def _stage(args, name: str):
 def _build_pair(args):
     """The pair the family flags name, built under the ``catalog`` stage,
     and the head of its report: the family and its parameters as the
-    flags gave them."""
-    names = FAMILY_PARAMS[args.family]
-    params = {name: getattr(args, name) for name in names}
-    if None in params.values():
-        raise InvalidInput(f"{args.family} needs "
-                           + " and ".join(f"--{name}" for name in names))
+    flags gave them, each given one passed to ``maps.catalog``."""
+    params = {name: getattr(args, name) for name in ("c", "eps", "k")
+              if getattr(args, name) is not None}
     with _stage(args, "catalog"):
         from . import maps as mp
         pair = mp.catalog(args.family, **params)
@@ -419,35 +417,34 @@ def _config_path(argv):
         return None
 
 
-def _parse(parser, sub, argv):
-    """``parser.parse_args(argv)`` with the values of the ``--config`` file
-    of command parser ``sub`` as the command's defaults: a flag given in
-    ``argv`` under any spelling wins, argparse converts each value by its
-    flag's type, and a key may supply a required flag (``--family``,
-    ``--s2``). A key must name one of the command's own flags, and its
-    value one of the flag's choices, since argparse checks no default
-    against them. A required flag that neither gives is argparse's error,
-    as without a config."""
-    flags = {a.dest: a for a in sub._actions
-             if not isinstance(a, argparse._HelpAction)} if sub else {}
-    config = _config_path(argv[1:]) if "config" in flags else None
-    if config:
-        defaults = {}
-        for key, val in _read_config(config).items():
-            if key not in flags:
-                raise InvalidInput(f"unknown config key: {key}")
-            action = flags[key]
-            if isinstance(action, argparse._StoreTrueAction):
-                choices, val = _BOOLEAN, val.lower()
-            else:
-                choices = action.choices
-            if choices is not None and val not in choices:
-                raise InvalidInput(f"config key {key} = {val!r} is not one "
-                                   f"of {', '.join(choices)}")
-            defaults[key] = _BOOLEAN[val] if choices is _BOOLEAN else val
-            action.required = False
-        sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
+def _config_flags(flags, argv) -> list:
+    """The ``--config`` file in a command's flags ``argv`` as flags,
+    ``--name=value`` or a bare switch, which ``main`` puts ahead of
+    ``argv``: argparse converts and checks each value, and a flag of
+    ``argv``, read later, wins. A key must name one of the command's
+    ``flags``, a switch's value be one of ``_BOOLEAN`` and any other value
+    one of its flag's choices."""
+    by_key = {names[0].lstrip("-").replace("-", "_"): (names[0], keywords)
+              for names, keywords in flags}
+    config = _config_path(argv) if "config" in by_key else None
+    if not config:
+        return []
+    tokens = []
+    for key, val in _read_config(config).items():
+        if key not in by_key:
+            raise InvalidInput(f"unknown config key: {key}")
+        name, keywords = by_key[key]
+        switch = keywords.get("action") == "store_true"
+        choices = _BOOLEAN if switch else keywords.get("choices")
+        val = val.lower() if switch else val
+        if choices is not None and val not in choices:
+            raise InvalidInput(f"config key {key} = {val!r} is not one "
+                               f"of {', '.join(choices)}")
+        if not switch:
+            tokens.append(f"{name}={val}")
+        elif _BOOLEAN[val]:
+            tokens.append(name)
+    return tokens
 
 
 def _finite_float(text: str) -> float:
@@ -458,56 +455,49 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_shared(sub, tol=None, params=False, orders=False, grid=False):
-    """The shared flags a command reads, and no others. Flags cannot be
-    abbreviated (``allow_abbrev=False`` on every command parser), so
-    another command's flag is rejected, not read as a prefix
-    (``fuchsian --c`` would mean ``--config``)."""
-    sub.add_argument("--config", default=None, help="key = value config file")
-    sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument("--verbose", "-v", action="store_true")
-    if tol is not None:
-        sub.add_argument("--tol", type=_finite_float, default=tol,
-                         help="tolerance for the command's pass/fail check")
-    if params:
-        sub.add_argument("--family", required=True,
-                         choices=list(FAMILY_PARAMS))
-        sub.add_argument("--c", type=float, default=None, help="ellipse parameter")
-        sub.add_argument("--eps", type=float, default=None, help="bump amplitude")
-        sub.add_argument("--k", type=int, default=None, help="bump frequency")
-    if orders:
-        sub.add_argument("--N", default="64",
-                         help="comma-separated truncation orders")
-    if grid:
-        sub.add_argument("--grid", default="256x512", help="n_r x n_theta")
+# flags as (names, keywords) of ``add_argument``; a command takes those it
+# reads alone, unabbreviated (``allow_abbrev=False``), so another command's
+# flag is rejected, not read as a prefix (``fuchsian --c`` for ``--config``)
+_SHARED = [(("--config",), {"help": "key = value config file"}),
+           (("--out",), {"help": "output file path"}),
+           (("--verbose", "-v"), {"action": "store_true"})]
+_FAMILY = [(("--family",), {"required": True, "choices": FAMILIES}),
+           (("--c",), {"type": float, "help": "ellipse parameter"}),
+           (("--eps",), {"type": float, "help": "bump amplitude"}),
+           (("--k",), {"type": int, "help": "bump frequency"})]
+_ORDERS = [(("--N",), {"default": "64",
+                       "help": "comma-separated truncation orders"})]
+_GRID = [(("--grid",), {"default": "256x512", "help": "n_r x n_theta"})]
+
+
+def _tol(default) -> list:
+    return [(("--tol",), {"type": _finite_float, "default": default, "help":
+                          "tolerance for the command's pass/fail check"})]
 
 
 # each command, in the order of the top-level help: its help line, its
-# handler, the ``_add_shared`` keywords of its flags (None: no shared
-# flags) and its own flags as (names, keywords) of ``add_argument``
+# handler and its flags, in the order of its help
 _COMMANDS = {
-    "pair": ("construct and export a pair", _cmd_pair, {"params": True}, []),
+    "pair": ("construct and export a pair", _cmd_pair, _SHARED + _FAMILY),
     "grunsky": ("operator blocks and residuals", _cmd_grunsky,
-                {"tol": 1e-5, "params": True, "orders": True},
-                [(("--dump-matrices",), {"action": "store_true"})]),
+                _SHARED + _tol(1e-5) + _FAMILY + _ORDERS
+                + [(("--dump-matrices",), {"action": "store_true"})]),
     "logdet": ("determinant potential", _cmd_logdet,
-               {"params": True, "orders": True},
-               [(("--route",), {"choices": ["b1", "b4"], "default": "b1"})]),
-    "s1": ("Liouville action quadrature", _cmd_s1,
-           {"params": True, "grid": True}, []),
+               _SHARED + _FAMILY + _ORDERS
+               + [(("--route",), {"choices": ["b1", "b4"], "default": "b1"})]),
+    "s1": ("Liouville action quadrature", _cmd_s1, _SHARED + _FAMILY + _GRID),
     "identity": ("S1 vs -12 pi S2 check", _cmd_identity,
-                 {"tol": 1e-3, "params": True, "orders": True, "grid": True},
-                 []),
+                 _SHARED + _tol(1e-3) + _FAMILY + _ORDERS + _GRID),
     "invert": ("inversion-symmetry check", _cmd_invert,
-               {"tol": 1e-6, "params": True, "orders": True}, []),
-    "fuchsian": ("octagon basepoint suite", _cmd_fuchsian, {},
-                 [(("--L",), {"type": int, "default": 2,
-                              "help": "enumeration word length"})]),
-    "scl": ("classical-action report", _cmd_scl, {},
-            [(("--s2",), {"type": _finite_float, "required": True,
-                          "help": "s2_dg >= 0"}),
-             (("--genus",), {"type": int, "default": 2})]),
-    "batch": ("run a file of command lines in one process", _cmd_batch, None,
+               _SHARED + _tol(1e-6) + _FAMILY + _ORDERS),
+    "fuchsian": ("octagon basepoint suite", _cmd_fuchsian,
+                 _SHARED + [(("--L",), {"type": int, "default": 2,
+                                        "help": "enumeration word length"})]),
+    "scl": ("classical-action report", _cmd_scl,
+            _SHARED + [(("--s2",), {"type": _finite_float, "required": True,
+                                    "help": "s2_dg >= 0"}),
+                       (("--genus",), {"type": int, "default": 2})]),
+    "batch": ("run a file of command lines in one process", _cmd_batch,
               [(("file",), {"metavar": "FILE",
                             "help": "one command line per line ('-': stdin)"}),
                (("--verbose", "-v"), {"action": "store_true"})]),
@@ -525,12 +515,10 @@ def _build_parser(command):
         description="Welding-pair potentials: determinants vs quadrature")
     subs = parser.add_subparsers(dest="command", required=True)
     chosen = None
-    for name, (help, _, shared, flags) in _COMMANDS.items():
+    for name, (help, _, flags) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help, allow_abbrev=False)
         if name == command:
             chosen = sub
-            if shared is not None:
-                _add_shared(sub, **shared)
             for names, keywords in flags:
                 sub.add_argument(*names, **keywords)
     return parser, chosen
@@ -540,7 +528,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, sub = _build_parser(argv[0] if argv else None)
     try:
-        args = _parse(parser, sub, argv)
+        if sub:
+            argv[1:1] = _config_flags(_COMMANDS[argv[0]][2], argv[1:])
+        args = parser.parse_args(argv)
         if args.verbose:
             import numpy as np
             print(f"weldlab {__version__}, numpy {np.__version__}, "

@@ -161,7 +161,7 @@ def enumerate_elements(group: FuchsianGroup, max_word_length: int) -> GroupEnume
     """Breadth-first enumeration over the 8 generators up to the given
     word length (capped at 8 to stay desk scale). Words of length L are
     keyed as SU(1,1) elements, times cosh(l/2)^L."""
-    if max_word_length < 0 or max_word_length > 8:
+    if not isinstance(max_word_length, int) or not 0 <= max_word_length <= 8:
         raise InvalidInput("word length must lie in 0..8")
     step = math.cosh(group.translation_length / 2.0)
     seen = set(_canonical_key(*_IDENTITY))
@@ -227,8 +227,10 @@ def domain_area_integral(group: FuchsianGroup, nodes: int = 64) -> dict:
     (2/nodes) (1 - 2 sum_{m=1}^{nodes/2} cos(2 m t_j) / (4 m^2 - 1))
     (J. Waldvogel, BIT 46, 2006), summed with math.fsum. The value is
     genus - 1 by Gauss-Bonnet; n_theta is [8 * nodes], the number of angles
-    read.
+    read. ``nodes`` must be an integer >= 1.
     """
+    if not isinstance(nodes, int) or nodes < 1:
+        raise InvalidInput(f"nodes = {nodes!r} is not an integer >= 1")
     t = [math.pi * (j + 0.5) / nodes for j in range(nodes)]
     weights = [(2.0 / nodes) * (1.0 - 2.0 * math.fsum(
         math.cos(2.0 * tj * m) / (4.0 * m * m - 1.0)

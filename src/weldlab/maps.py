@@ -2,8 +2,9 @@
 
 A welding pair is a pair of univalent maps (f on the unit disk, g on the
 exterior) sharing one Jordan curve, normalized so that f(0) = 0, f'(0) = 1
-and g(infinity) = infinity. The catalog provides three families, with
-the parameters ``cli.FAMILY_PARAMS`` names for the command line:
+and g(infinity) = infinity. The catalog provides three families, whose
+names ``cli.FAMILIES`` lists for the command line; ``catalog`` alone
+decides their parameters:
 
 * ``identity``      -- f = g = id (the round circle),
 * ``ellipse(c)``    -- curve with semi-axes (1+c, 1-c), whose exterior map
@@ -427,10 +428,11 @@ def _catalog_cached(family: str, param_items: tuple) -> WeldingPair:
     params = dict(param_items)
 
     def take(*names):  # the family's parameters: each given, no other
-        try:
-            values = [params.pop(name) for name in names]
-        except KeyError as exc:
-            raise InvalidInput(f"{family} needs parameter {exc}") from None
+        missing = [name for name in names if name not in params]
+        if missing:
+            raise InvalidInput(f"{family} needs parameter "
+                               + ", ".join(map(repr, missing)))
+        values = [params.pop(name) for name in names]
         if params:
             raise InvalidInput(f"{family} takes no parameter "
                                + ", ".join(map(repr, sorted(params))))

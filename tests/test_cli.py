@@ -182,6 +182,28 @@ class TestCommands:
         assert err[1].startswith(f"usage: weldlab {argv[0]} [-h] ")
         assert not any("{pair," in line for line in err)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["pair", "--family", "ellipse"], "ellipse needs parameter 'c'"),
+        (["identity", "--family", "fourier_bump", "--eps", "0.05"],
+         "fourier_bump needs parameter 'k'"),
+        (["logdet", "--family", "fourier_bump"],
+         "fourier_bump needs parameter 'eps', 'k'"),
+        # a family flag the family does not read is refused, not dropped
+        (["pair", "--family", "identity", "--c", "0.3"],
+         "identity takes no parameter 'c'"),
+        (["logdet", "--family", "ellipse", "--c", "0.3", "--eps", "0.1",
+          "--N", "8"], "ellipse takes no parameter 'eps'"),
+    ], ids=["missing-c", "missing-k", "missing-both", "identity-c",
+            "ellipse-eps"])
+    def test_catalog_decides_the_family_parameters(self, tmp_path, capsys,
+                                                   argv, message):
+        out = tmp_path / "x.json"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"error: {message}"
+        assert err[1].startswith(f"usage: weldlab {argv[0]} [-h] ")
+
     def test_invalid_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["identity", "--family", "nosuch"])
@@ -565,6 +587,32 @@ class TestConfigFile:
         assert run(flags + ["--out", str(by_flags)]) == 0
         assert by_config.read_bytes() == by_flags.read_bytes()
 
+    def test_usage_shows_a_required_flag_the_config_gave(self, tmp_path,
+                                                        capsys):
+        # the usage printed after an error is the one without a config
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("family = ellipse\nc = 0.3\n")
+        assert run(["identity", "--config", str(cfg), "--grid", "4x8"]) == 2
+        by_config = capsys.readouterr().err
+        assert run(["identity", "--family", "ellipse", "--c", "0.3",
+                    "--grid", "4x8"]) == 2
+        assert by_config == capsys.readouterr().err
+        assert "[--tol TOL] --family {identity,ellipse,fourier_bump}\n" \
+            in by_config
+
+    def test_config_value_is_checked_under_an_explicit_flag(self, tmp_path,
+                                                            capsys):
+        # argparse converts the config's value before the flag replaces it
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("k = x\n")
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["pair", "--family", "fourier_bump", "--eps", "0.05",
+                 "--config", str(cfg), "--k", "2", "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        assert capsys.readouterr().err.endswith(
+            "weldlab pair: error: argument --k: invalid int value: 'x'\n")
+
     def test_required_flag_given_by_neither_is_argparse_error(self, tmp_path,
                                                               capsys):
         cfg = tmp_path / "genus.cfg"
@@ -678,9 +726,8 @@ class TestBatch:
         def fault(args):
             raise RuntimeError("a fault")
 
-        help, _, shared, flags = cli._COMMANDS["fuchsian"]
-        monkeypatch.setitem(cli._COMMANDS, "fuchsian",
-                            (help, fault, shared, flags))
+        help, _, flags = cli._COMMANDS["fuchsian"]
+        monkeypatch.setitem(cli._COMMANDS, "fuchsian", (help, fault, flags))
         code = run_batch(tmp_path, "fuchsian\nscl --s2 0 --out a.json\n")
         assert code == 1
         assert (tmp_path / "a.json").exists()

@@ -6,7 +6,8 @@ One batch of the same lines, run as ``python -m weldlab.cli`` in the
 environment the maker gives its children, must give every byte back: no
 report moved, and a batch line does what its own process does. The child
 sets its BLAS thread count as every command-line process does, so the
-thread count of this process does not enter.
+thread count of this process does not enter. Every command but ``batch``
+starts one of the lines.
 """
 
 import json
@@ -15,7 +16,8 @@ import sys
 
 import pytest
 
-from make_corpus import CORPUS, SRC, child_env, versions
+from make_corpus import CORPUS, SRC, child_env, command_lines, versions
+from weldlab import cli
 
 
 def test_corpus_replays_byte_for_byte(tmp_path):
@@ -38,3 +40,10 @@ def test_corpus_replays_byte_for_byte(tmp_path):
     moved = [name for name in names if (tmp_path / name).read_bytes()
              != (CORPUS / "files" / name).read_bytes()]
     assert moved == []
+
+
+def test_every_command_is_in_the_corpus():
+    # batch runs the corpus, so every other command must be one of its
+    # lines: a new command cannot skip the byte-for-byte replay
+    started = {argv[0] for _, argv in command_lines()}
+    assert sorted(set(cli._COMMANDS) - {"batch"} - started) == []

@@ -228,6 +228,21 @@ class TestAreaIntegral:
         assert errors[-1] <= 1e-13
 
 
+@pytest.mark.parametrize("call", [
+    lambda group: fx.domain_area_integral(group, 0),
+    lambda group: fx.domain_area_integral(group, -3),
+    lambda group: fx.domain_area_integral(group, 2.5),
+    lambda group: fx.enumerate_elements(group, 2.5),
+    lambda group: fx.enumerate_elements(group, -1),
+], ids=["area-0-nodes", "area-negative-nodes", "area-fractional-nodes",
+        "fractional-word-length", "negative-word-length"])
+def test_unusable_counts_are_invalid_input(octagon, call):
+    # no count of nodes gives an empty rule a 0 area, and no word length
+    # fails as a TypeError
+    with pytest.raises(InvalidInput):
+        call(octagon)
+
+
 class TestAutomorphy:
     def test_bergman_kernel_invariant(self, octagon):
         rng = np.random.default_rng(5)

@@ -209,3 +209,10 @@ class TestSclReport:
             s_cl_report(-1e-3, 2)
         with pytest.raises(InvalidInput):
             s_cl_report(0.1, 1)
+
+    @pytest.mark.parametrize("s2dg", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_non_finite_rejected(self, s2dg):
+        # NaN would report a NaN slack, inf an S_cl of -inf
+        with pytest.raises(InvalidInput, match="is not a finite number"):
+            s_cl_report(s2dg, 2)

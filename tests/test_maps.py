@@ -469,8 +469,10 @@ class TestCatalogInvariants:
         ("fourier_bump", {"eps": 0.05}, "'k'"),
         ("ellipse", {"c": 0.3, "k": 7}, "'k'"),
         ("identity", {"c": 0.3}, "'c'"),
+        # every missing parameter is named, not the first alone
+        ("fourier_bump", {}, "fourier_bump needs parameter 'eps', 'k'$"),
     ], ids=["ellipse-missing-c", "bump-missing-k", "ellipse-extra-k",
-            "identity-extra-c"])
+            "identity-extra-c", "bump-missing-both"])
     def test_missing_or_unread_parameter_rejected(self, family, params,
                                                   name):
         with pytest.raises(InvalidInput, match=name):

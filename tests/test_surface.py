@@ -11,7 +11,9 @@ command line writes every report, so the report format has one owner.
 Every public function of ``tests/references.py`` has a reader among the
 test modules, so a reference cannot outlive the test that held a routine
 to it, and every allowlisted name has a reader among the test modules, so
-an allowlist entry cannot outlive the test that kept it.
+an allowlist entry cannot outlive the test that kept it. The command line
+builds its parsers from its table and reads none of argparse's internals
+back.
 """
 
 import ast
@@ -136,3 +138,19 @@ def test_every_reference_has_a_reader():
 
 def test_every_kept_name_has_a_test_reader():
     assert sorted(set(KEPT) - _test_reads()) == []
+
+
+def test_cli_reads_no_argparse_internals():
+    # no private argparse name, and no parser's actions read or defaults
+    # rewritten after it is built
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = {ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and (node.attr in ("_actions", "set_defaults")
+                  or (node.attr.startswith("_")
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "argparse"))}
+    found |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "argparse"
+              for alias in node.names if alias.name.startswith("_")}
+    assert sorted(found) == []
