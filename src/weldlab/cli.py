@@ -19,8 +19,9 @@ a pair, times the catalog as the ``catalog`` stage ``--verbose`` prints;
 ``maps.catalog`` alone decides which parameter flags a family takes.
 
 Exit codes: 0 success, 1 a requested tolerance check failed, 2 invalid
-input, 3 numerical failure; invalid input that ``main`` reports prints
-the failing command's usage. Configuration may come from ``--config``
+input, 3 numerical failure (an array numpy cannot allocate included: one
+line, no traceback); invalid input that ``main`` reports prints the
+failing command's usage. Configuration may come from ``--config``
 files with ``key = value`` lines (``#`` comments), each key one of the
 command's own flags, a required one (``--family``, ``--s2``) included;
 the file becomes flags ahead of the command line's, so argparse checks
@@ -255,16 +256,11 @@ def _cmd_grunsky(args) -> int:
 def _cmd_logdet(args) -> int:
     from . import grunsky as gk
     orders = _orders(args)
-    n = max(orders)
     pair, head = _build_pair(args)
-    route = args.route
-    with _stage(args, "blocks"):
-        b = gk.build_b1(pair, n) if route == "b1" else gk.build_b4(pair, n)
-    with _stage(args, "determinant"):
-        report = gk.logdet_potential(b, orders)
-    doc = {**head, "route": route, "report": report.to_dict(),
+    report = gk.potential(pair, orders, args.route, functools.partial(_stage, args))
+    doc = {**head, "route": args.route, "report": report.to_dict(),
            "s2_univ": report.extrapolated, "s2_dg": -report.extrapolated}
-    _write_report(args, doc, f"logdet_{args.family}_{route}.json")
+    _write_report(args, doc, f"logdet_{args.family}_{args.route}.json")
     return EXIT_OK
 
 
@@ -541,7 +537,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         sub.print_usage(sys.stderr)
         return EXIT_INVALID
-    except NumericalFailure as exc:
+    except (NumericalFailure, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -25,12 +25,13 @@ Conventions (also emitted in every CLI report):
   measures the same relations among truncated N x N blocks.
 * the determinant potential is reported with two signs:
   ``s2_univ`` = log det(I - B B*) <= 0 and ``s2_dg`` = -s2_univ >= 0.
-  ``logdet_potential`` takes every truncation order from LAPACK
-  Cholesky factorizations at the largest, read as LDL^T pivots: of I - B
-  and I + B for a real block, of I - S for the real embedding S of a
-  complex one, one per symmetry orbit of the indices of a k-fold block
-  (each index of a diagonal one), orbits of equal size in one stacked
-  call. Each order
+  ``potential`` is the one path from a pair to it: it builds a route's
+  block (``ROUTES``) at the largest order for ``logdet_potential``,
+  which takes every truncation order from LAPACK Cholesky
+  factorizations at the largest, read as LDL^T pivots: of I - B and I + B
+  for a real block, of I - S for the real embedding S of a complex one,
+  one per symmetry orbit of the indices of a k-fold block (each index of
+  a diagonal one), orbits of equal size in one stacked call. Each order
   pairs two pivots whose diagonal entries -+b_kk cancel exactly, kept in
   defect form (the 1 never added), and every pivot positive certifies
   sigma_max(B_n) < 1 for all the orders at once.
@@ -522,25 +523,37 @@ def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:
     return ConvergenceReport(orders, curve[np.array(orders) - 1])
 
 
+ROUTES = ("b1", "b4")  # the potential's blocks: interior b1, exterior b4
+
+
+def potential(pair, orders, route: str,
+              stage=contextlib.nullcontext) -> ConvergenceReport:
+    """log det(I - B_n B_n*) over ``orders`` by the block of ``route``,
+    built at max(orders) under ``stage("blocks")`` and factored under
+    ``stage("determinant")``. The builder is read by name on each call, so
+    a wrapper set on the module's ``build_b1`` or ``build_b4`` sees it."""
+    if route not in ROUTES:
+        raise InvalidInput(f"route {route!r} is not one of {', '.join(ROUTES)}")
+    with stage("blocks"):
+        b = {"b1": build_b1, "b4": build_b4}[route](pair, max(orders, default=0))
+    with stage("determinant"):
+        return logdet_potential(b, orders)
+
+
 def inversion_check(pair: WeldingPair, n: int, n_inverted: int = None,
                     stage=contextlib.nullcontext) -> dict:
-    """The ``invert`` report body: the potential log det(I - B B*) of the
-    pair through its interior block (``s2_pair_b1``), of the inverted pair
-    through its interior block (``s2_inverted_b1``) and of the pair through
-    the exterior block (``s2_pair_b4``), which invariance under inversion
-    makes agree in the limit, with ``symmetry_gap`` = |s2_pair_b1 -
+    """The ``invert`` report body: the ``potential`` of the pair through its
+    interior block (``s2_pair_b1``), of the inverted pair through its
+    interior block (``s2_inverted_b1``) and of the pair through the
+    exterior block (``s2_pair_b4``), which invariance under inversion makes
+    agree in the limit, with ``symmetry_gap`` = |s2_pair_b1 -
     s2_inverted_b1| and ``route_gap`` = |s2_pair_b1 - s2_pair_b4|.
-    ``stage(name)`` is a context manager entered around the reflection, the
-    three block builds and the three determinants, under the names
-    "reflection", "blocks" and "determinant"; the CLI passes its timer.
+    ``stage`` is entered as "reflection" and passed to each ``potential``.
     """
     with stage("reflection"):
         inv = inverted_pair(pair)
-    with stage("blocks"):
-        blocks = (build_b1(pair, n), build_b1(inv, n_inverted or n),
-                  build_b4(pair, n))
-    with stage("determinant"):
-        v1, v2, v4 = (logdet_potential(b, [len(b)]).extrapolated for b in blocks)
+    v1, v2, v4 = (potential(p, [m], route, stage).extrapolated for p, m, route in
+                  ((pair, n, "b1"), (inv, n_inverted or n, "b1"), (pair, n, "b4")))
     return {"s2_pair_b1": v1, "s2_inverted_b1": v2, "s2_pair_b4": v4,
             "symmetry_gap": abs(v1 - v2), "route_gap": abs(v1 - v4)}
 

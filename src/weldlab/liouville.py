@@ -31,9 +31,9 @@ array: its traced peak on the (256, 2048) grid of the c = 0.5 ellipse is
 sum is the same sum in the same order, so the value is bitwise that of
 the whole-grid evaluation.
 
-The central check is S1 = -12 pi S2_univ with
-S2_univ = log det(I - BB*) from the operator module; ``identity_report``
-carries both operator routes and both residual forms.
+The central check is S1 = -12 pi S2_univ with S2_univ = log det(I - BB*)
+from ``grunsky.potential``; ``identity_report`` carries both of its block
+routes and both residual forms.
 
 ``s1_coefficient_route`` integrates the same triples exactly in the
 angular direction via Parseval (the angular integral of |q|^2 on a circle
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .grunsky import ConvergenceReport, build_b1, build_b4, logdet_potential
+from .grunsky import ConvergenceReport, potential
 from .maps import WeldingPair
 from .series import derivative_array, evaluate_on_circles, reciprocal_array
 
@@ -193,22 +193,16 @@ def s1_coefficient_route(pair: WeldingPair) -> float:
 
 def identity_report(pair: WeldingPair, grids=DEFAULT_GRIDS, orders=(16, 32, 64),
                     stage=contextlib.nullcontext) -> dict:
-    """Everything needed to check S1 = -12 pi S2_univ for one pair.
-
-    ``stage(name)`` is a context manager entered around the action
-    quadrature, the two block builds and the two determinants, under the
-    names "quadrature", "blocks" and "determinant"; the CLI passes its timer.
+    """Everything needed to check S1 = -12 pi S2_univ for one pair, with
+    S2_univ by ``grunsky.potential`` through b1, then b4. ``stage(name)``, a
+    context manager (the CLI passes its timer), is entered around the
+    action quadrature as "quadrature" and passed to each ``potential``.
     """
     with stage("quadrature"):
         s1_rep = s1(pair, grids)
-    n = max(orders)
-    with stage("blocks"):
-        b1, b4 = build_b1(pair, n), build_b4(pair, n)
-    with stage("determinant"):
-        b1_rep, b4_rep = logdet_potential(b1, orders), logdet_potential(b4, orders)
+    via_b1, via_b4 = (potential(pair, orders, route, stage).extrapolated
+                      for route in ("b1", "b4"))
     s1_val = s1_rep.extrapolated
-    via_b1 = b1_rep.extrapolated
-    via_b4 = b4_rep.extrapolated
     resid = s1_val + 12.0 * np.pi * via_b1
     resid_b4 = s1_val + 12.0 * np.pi * via_b4
     scale = max(1.0, abs(s1_val))

@@ -38,6 +38,9 @@ for bit.
 ``christoffel_weights`` is the Gauss-Legendre weight at a node by the
 Christoffel sum, a sum of positive terms, the oracle of the radial rule of
 ``liouville.QuadratureGrid``.
+
+``mobius_ellipse_exterior`` is the exterior map of a Moebius image of the
+ellipse, a curve with no symmetry whose potential is the ellipse's.
 """
 
 import numpy as np
@@ -300,3 +303,30 @@ def christoffel_weights(x, n) -> np.ndarray:
         p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
         total += (k + 0.5) * p1 ** 2
     return 1.0 / total
+
+
+def mobius_ellipse_exterior(c, a) -> ComplexSeries:
+    """The exterior map G = T o g o M of the image of the curve of
+    g(w) = w + c/w under T(z) = z / (1 - a z), with 1/a outside the curve.
+
+    M(w) = (w + conj(b)) / (1 + b w), b = 1/w0, is the automorphism of
+    |w| > 1 that sends infinity to the root w0 of g(w0) = 1/a with
+    |w0| > 1, so G has its simple pole at infinity. Its Laurent
+    coefficients come from one FFT of G on 2^14 points of |w| = 1, cut at
+    the first below 1e-17 |G'(infinity)|, where their geometric decay meets
+    the FFT's roundoff (46-57 terms on the tests' rows), so the series is
+    resolved. Fredholm eigenvalues are Moebius invariant (Ahlfors 1952), so
+    B4 of G keeps the ellipse's potential sum_k log(1 - c^(2k)), while the
+    block is dense and complex.
+    """
+    m = 1 << 14
+    w0 = max(np.roots([1.0, -1.0 / a, c]), key=abs)   # w0^2 - w0/a + c = 0
+    b = 1.0 / w0
+    w = np.exp(2j * np.pi * np.arange(m) / m)
+    z = (w + np.conj(b)) / (1.0 + b * w)
+    z = z + c / z
+    spectrum = np.fft.fft(z / (1.0 - a * z)) / m
+    # the powers w^1, w^0, w^-1, ..., w^-(m - 2): the graded layout
+    coeffs = np.concatenate([spectrum[1::-1], spectrum[:1:-1]])
+    kept = np.flatnonzero(np.abs(coeffs[2:]) < 1e-17 * abs(coeffs[0]))[0] + 2
+    return ComplexSeries.laurent(coeffs[:kept], resolved=True)

@@ -17,6 +17,8 @@ from weldlab import cli
 ELLIPSE01 = ("--family", "ellipse", "--c", "0.1")
 BUMP = ("--family", "fourier_bump", "--eps", "0.05", "--k", "2")
 SHARED = ("--config", "--out", "--verbose")
+OUT_OF_MEMORY = ("logdet", "--family", "ellipse", "--c", "0.3", "--route", "b4",
+                 "--N", "4096000")
 
 
 def run(argv):
@@ -397,6 +399,16 @@ class TestCommands:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_out_of_memory_exit_3(self, tmp_path, capsys):
+        # the b4 route reads about 130 MB of series before it asks numpy
+        # for the 122 TiB generating array, which fails
+        out = tmp_path / "x.json"
+        assert run([*OUT_OF_MEMORY, "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Unable to allocate")
+        assert err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
@@ -464,10 +476,11 @@ class TestDeterminism:
         (["logdet", "--N", "8,16", *ELLIPSE01],
          ("catalog", "blocks", "determinant")),
         (["grunsky", "--N", "16", *ELLIPSE01], ("catalog", "blocks", "relations")),
+        # each route of the potential times its own block and determinant
         (["invert", "--N", "16", *ELLIPSE01],
-         ("catalog", "reflection", "blocks", "determinant")),
+         ("catalog", "reflection") + ("blocks", "determinant") * 3),
         (["identity", "--N", "8,16", "--grid", "16x32", *ELLIPSE01],
-         ("catalog", "quadrature", "blocks", "determinant")),
+         ("catalog", "quadrature") + ("blocks", "determinant") * 2),
         (["s1", "--grid", "16x32", *ELLIPSE01], ("catalog", "quadrature")),
         (["pair", *ELLIPSE01], ("catalog",)),
     ])
@@ -734,6 +747,15 @@ class TestBatch:
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: a fault" in err
         assert err.splitlines()[-2:] == ["line 1: exit 1", "line 2: exit 0"]
+
+    def test_out_of_memory_line_exit_3(self, tmp_path, capsys):
+        code = run_batch(tmp_path, " ".join(OUT_OF_MEMORY) + " --out a.json\n")
+        assert code == 3
+        assert not (tmp_path / "a.json").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("numerical failure: Unable to allocate")
+        assert err.splitlines()[1:] == ["line 1: exit 3"]
 
     def test_verbose_adds_line_times_and_keeps_reports(self, tmp_path,
                                                        capsys):

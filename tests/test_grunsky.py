@@ -12,7 +12,7 @@ from weldlab import series
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import ComplexSeries, Kind, evaluate
 
-from references import disk_domain, svd_logdet
+from references import disk_domain, mobius_ellipse_exterior, svd_logdet
 
 
 def closed_form_logdet(c, n):
@@ -203,10 +203,8 @@ class TestBuildB1:
 
     def test_cross_operator_consistency(self, ellipse03):
         # log det agreement between the interior and exterior routes
-        b1 = gk.build_b1(ellipse03, 64)
-        b4 = gk.build_b4(ellipse03, 64)
-        v1 = gk.logdet_potential(b1, [64]).extrapolated
-        v4 = gk.logdet_potential(b4, [64]).extrapolated
+        v1, v4 = (gk.potential(ellipse03, [64], route).extrapolated
+                  for route in gk.ROUTES)
         assert abs(v1 - v4) <= 1e-6
 
 
@@ -234,6 +232,19 @@ class TestBuildB4:
         value = gk.logdet_potential(b4, [960]).extrapolated
         closed = np.log1p(-powers ** 2).sum()
         assert abs(value - closed) <= 1e-15 * abs(closed)
+
+    # T(z) = z / (1 - a z) takes the ellipse's curve to one with no
+    # symmetry and the same Fredholm eigenvalues: B4 of its exterior map is
+    # a dense complex block of class order 1 with the ellipse's potential,
+    # a closed form for the complex 1-fold path of the determinant
+    @pytest.mark.parametrize("c, a", [(0.3, 0.4 + 0.2j), (0.3, -0.5),
+                                      (0.5, 0.3 - 0.3j)])
+    def test_moebius_image_of_the_ellipse(self, c, a):
+        g = mobius_ellipse_exterior(c, a)
+        b4 = gk.build_b4(g, 256)
+        assert b4.dtype == np.complex128 and series._class_order(b4, 1) == 1
+        value = gk.potential(g, [256], "b4").extrapolated
+        assert abs(value - closed_form_logdet(c, 400)) <= 1e-15
 
     def test_affine_rescaling_invariance(self):
         c = 0.3
@@ -291,9 +302,8 @@ class TestBuildB2B3:
         assert np.array_equal(b3, b2.T)
         assert b2.dtype == (np.float64 if a == a.real else np.complex128)
         assert max(gk.grunsky_operator_residual(pair, 16)) <= 1e-11
-        for build in (gk.build_b1, gk.build_b4):
-            s2 = gk.logdet_potential(build(pair, 64), [64]).extrapolated
-            assert abs(s2) <= 1e-20
+        for route in gk.ROUTES:
+            assert abs(gk.potential(pair, [64], route).extrapolated) <= 1e-20
         assert abs(lv.s1_value(pair, lv.QuadratureGrid(64, 128))) <= 1e-13
         assert abs(lv.s1_coefficient_route(pair)) <= 1e-13
 
@@ -432,20 +442,17 @@ class TestLogdet:
         assert rep.extrapolated == 0.0 and rep.residual_tail == 0.0
 
     def test_joukowski_closed_form(self, ellipse03):
-        b4 = gk.build_b4(ellipse03, 64)
-        rep = gk.logdet_potential(b4, [16, 32, 64])
+        rep = gk.potential(ellipse03, [16, 32, 64], "b4")
         assert abs(rep.extrapolated - closed_form_logdet(0.3, 64)) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.1, 0.2])
     def test_order_one_scalar(self, t):
         f = ComplexSeries.taylor([0, 1, t, 0])
-        b1 = gk.build_b1(f, 1)
-        rep = gk.logdet_potential(b1, [1])
+        rep = gk.potential(f, [1], "b1")
         assert abs(rep.extrapolated - np.log1p(-t ** 4)) <= 1e-12
 
     def test_monotone_nonincreasing(self, ellipse03):
-        b1 = gk.build_b1(ellipse03, 64)
-        rep = gk.logdet_potential(b1, [8, 16, 32, 64])
+        rep = gk.potential(ellipse03, [8, 16, 32, 64], "b1")
         diffs = np.diff(rep.estimates)
         assert np.all(diffs <= 1e-12)
 
@@ -454,6 +461,14 @@ class TestLogdet:
         norms = [gk.spectral_norm(b1[:n, :n]) for n in (8, 16, 32, 64)]
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 1.0
+
+    @pytest.mark.parametrize("orders, route, message", [
+        ([8], "b2", "route 'b2' is not one of b1, b4"),
+        ([], "b1", "a block needs N >= 1 rows")])
+    def test_unusable_route_or_orders_rejected(self, ellipse03, orders, route,
+                                               message):
+        with pytest.raises(InvalidInput, match=message):
+            gk.potential(ellipse03, orders, route)
 
     def test_non_contractive_rejected(self):
         with pytest.raises(NumericalFailure):

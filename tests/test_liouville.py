@@ -6,6 +6,7 @@ import pytest
 
 from references import christoffel_weights, whole_grid_s1_value
 from weldlab import liouville as lv
+from weldlab import maps as mp
 from weldlab.classical import s_cl_report
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import ComplexSeries, Kind
@@ -98,6 +99,21 @@ class TestS1:
         pair = request.getfixturevalue(fixture)
         ref = -12.0 * np.pi * closed_form_s2(c)
         assert abs(lv.s1_coefficient_route(pair) - ref) <= 1e-13 * ref
+
+    # the reflected pair's interior map is built from g and its exterior
+    # map from f, and the two log terms are equal, so the two Dirichlet
+    # integrals trade places: a check of the reflection that does not
+    # re-measure B1's truncation
+    @pytest.mark.parametrize("family, params, tol", [
+        ("ellipse", {"c": 1e-4}, 1e-12), ("ellipse", {"c": 0.1}, 1e-14),
+        ("ellipse", {"c": 0.3}, 1e-14), ("ellipse", {"c": 0.5}, 1e-14),
+        ("fourier_bump", {"eps": 0.05, "k": 2}, 1e-14),
+        ("fourier_bump", {"eps": 0.3, "k": 5}, 1e-14)])
+    def test_coefficient_route_of_the_reflected_pair(self, family, params, tol):
+        pair = mp.catalog(family, **params)
+        value = lv.s1_coefficient_route(pair)
+        reflected = lv.s1_coefficient_route(mp.inverted_pair(pair))
+        assert abs(reflected - value) <= tol * value
 
     def test_s1_nonnegative_on_catalog(self, identity_pair, ellipse01,
                                        ellipse03, bump_pair):

@@ -491,7 +491,7 @@ class TestCatalogInvariants:
         np_value = -1.440868132432922
         pair = mp.catalog("fourier_bump", eps=0.3, k=5)
         assert pair.curve.smoothness_bound > 1.0
-        s2 = gk.logdet_potential(gk.build_b1(pair, 1024), [1024]).extrapolated
+        s2 = gk.potential(pair, [1024], "b1").extrapolated
         assert abs(s2 - np_value) <= 1e-12
         s1 = lv.s1_coefficient_route(pair)
         assert abs(s1 + 12.0 * np.pi * np_value) <= 1e-14 * abs(s1)
@@ -501,7 +501,7 @@ class TestCatalogInvariants:
     def test_bumps_past_the_classical_bound_close_the_identity(self, eps, k):
         pair = mp.catalog("fourier_bump", eps=eps, k=k)
         assert pair.curve.smoothness_bound > 1.0
-        s2 = gk.logdet_potential(gk.build_b1(pair, 512), [512]).extrapolated
+        s2 = gk.potential(pair, [512], "b1").extrapolated
         s1 = lv.s1_coefficient_route(pair)
         assert abs(s1 + 12.0 * np.pi * s2) <= 1e-12 * abs(s1)
 

@@ -13,7 +13,7 @@ test modules, so a reference cannot outlive the test that held a routine
 to it, and every allowlisted name has a reader among the test modules, so
 an allowlist entry cannot outlive the test that kept it. The command line
 builds its parsers from its table and reads none of argparse's internals
-back.
+back, and its ``logdet --route`` choices are the routes of the potential.
 """
 
 import ast
@@ -154,3 +154,11 @@ def test_cli_reads_no_argparse_internals():
               if isinstance(node, ast.ImportFrom) and node.module == "argparse"
               for alias in node.names if alias.name.startswith("_")}
     assert sorted(found) == []
+
+
+def test_logdet_route_choices_are_the_potential_routes():
+    # the command line lists the choices itself, so that building its
+    # parser loads no layer module; they must stay grunsky.ROUTES
+    from weldlab import cli, grunsky
+    flags = {names[0]: keywords for names, keywords in cli._COMMANDS["logdet"][2]}
+    assert tuple(flags["--route"]["choices"]) == grunsky.ROUTES

@@ -18,14 +18,13 @@ from weldlab import maps as mp
 A_K = {2: 0.125, 3: -1.203}
 
 
-@pytest.mark.parametrize("route", ["b1", "b4"])
+@pytest.mark.parametrize("route", gk.ROUTES)
 @pytest.mark.parametrize("k", [2, 3])
 def test_determinant_second_order_law_at_eps_1e4(k, route):
     # the relative correction a_k eps^2 is ~1e-9: a determinant that
     # loses digits below the size of the potential misses it
     eps = 1e-4
     pair = mp.catalog("fourier_bump", eps=eps, k=k)
-    b = gk.build_b1(pair, 64) if route == "b1" else gk.build_b4(pair, 64)
-    s2 = gk.logdet_potential(b, [64]).extrapolated
+    s2 = gk.potential(pair, [64], route).extrapolated
     lead = -(k ** 3 - k) * eps ** 2 / 6.0
     assert abs((s2 - lead) / lead - A_K[k] * eps ** 2) <= 1e-10
