@@ -157,15 +157,16 @@ def _stage(args, name: str):
               file=sys.stderr)
 
 
-def _build_pair(args):
-    """The pair the family flags name, built under the ``catalog`` stage,
-    and the head of its report: the family and its parameters as the
-    flags gave them, each given one passed to ``maps.catalog``."""
+def _build_pair(args, exterior_only=False):
+    """The pair the family flags name (``exterior_only``: its exterior map
+    alone), built under the ``catalog`` stage, and the head of its report:
+    the family and its parameters as given, each passed to the catalog."""
     params = {name: getattr(args, name) for name in ("c", "eps", "k")
               if getattr(args, name) is not None}
     with _stage(args, "catalog"):
         from . import maps as mp
-        pair = mp.catalog(args.family, **params)
+        build = mp.catalog_exterior if exterior_only else mp.catalog
+        pair = build(args.family, **params)
     return pair, {"family": args.family, "params": params}
 
 
@@ -232,8 +233,8 @@ def _cmd_grunsky(args) -> int:
     n = max(_orders(args))
     pair, head = _build_pair(args)
     with _stage(args, "blocks"):
-        b1, b4 = gk.build_b1(pair, n), gk.build_b4(pair, n)
-        b2, b3 = gk.build_b2_b3(pair, n)
+        b1, b4 = gk.build_b1(pair.interior, n), gk.build_b4(pair.exterior, n)
+        b2, b3 = gk.build_b2_b3(pair.interior, pair.exterior, n)
     with _stage(args, "relations"):
         residuals = gk.grunsky_identity_residual(b1, b2, b3, b4)
         norms = (gk.spectral_norm(b1), gk.spectral_norm(b4))
@@ -256,8 +257,10 @@ def _cmd_grunsky(args) -> int:
 def _cmd_logdet(args) -> int:
     from . import grunsky as gk
     orders = _orders(args)
-    pair, head = _build_pair(args)
-    report = gk.potential(pair, orders, args.route, functools.partial(_stage, args))
+    exterior = gk.ROUTES[args.route] == "exterior"   # b4 reads g alone
+    built, head = _build_pair(args, exterior_only=exterior)
+    h = built if exterior else built.interior
+    report = gk.potential(h, orders, functools.partial(_stage, args))
     doc = {**head, "route": args.route, "report": report.to_dict(),
            "s2_univ": report.extrapolated, "s2_dg": -report.extrapolated}
     _write_report(args, doc, f"logdet_{args.family}_{args.route}.json")

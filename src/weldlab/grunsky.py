@@ -25,8 +25,8 @@ Conventions (also emitted in every CLI report):
   measures the same relations among truncated N x N blocks.
 * the determinant potential is reported with two signs:
   ``s2_univ`` = log det(I - B B*) <= 0 and ``s2_dg`` = -s2_univ >= 0.
-  ``potential`` is the one path from a pair to it: it builds a route's
-  block (``ROUTES``) at the largest order for ``logdet_potential``,
+  ``potential`` is the one path from a map to it: it builds the map's
+  block (b1 or b4) at the largest order for ``logdet_potential``,
   which takes every truncation order from LAPACK Cholesky
   factorizations at the largest, read as LDL^T pivots: of I - B and I + B
   for a real block, of I - S for the real embedding S of a complex one,
@@ -57,19 +57,19 @@ generating array in a list it empties, so the array is freed once its
 spectrum is taken, and weight its output by row blocks: b1 of the
 c = 0.5 ellipse at N = 1280 peaks at the log's own 29.4 MiB traced
 (50.1 MiB when the array and two full-size weight temporaries were kept).
-Arrays keep their series'
-dtype: a float64 pair (a conjugation-symmetric domain, see
-``maps.StarDomain.symmetric``) gives real generating arrays, real
-transforms in the second variable and float64 blocks, so the determinant's
-factorization and the relation products run in real arithmetic; a
-complex128 pair takes the complex path. Every builder returns the leading
-n rows and ``cols`` columns (default n) of its block; the entries are
-exact to roundoff given series coefficients through index n + cols + 1
-(b4: n + cols), which a series must hold unless it is resolved: its
-missing coefficients are then zero to the floor. The mixed blocks, like b1
-and b4, refuse a pair only for what they read, missing coefficients: the
-entries are exact series algebra, so the curve's shape is never asked
-for, and ``maps.normalize_pair`` checks it where the pair is made.
+Arrays keep their series' dtype: a float64 map (of a conjugation-symmetric
+domain, see ``maps.StarDomain.symmetric``) gives real generating arrays,
+real transforms in the second variable and float64 blocks, so the
+determinant's factorization and the relation products run in real
+arithmetic; a complex128 map takes the complex path. Every builder takes
+the series it reads (b1 the interior map f, b4 the exterior map g, b2 and
+b3 both) and returns the leading n rows and ``cols`` columns (default n)
+of its block; the entries are exact to roundoff given series coefficients
+through index n + cols + 1 (b4: n + cols), which a series must hold unless
+it is resolved: its missing coefficients are then zero to the floor. A
+builder refuses its maps only for what it reads, the grading and missing
+coefficients: the entries are exact series algebra, so the curve's shape
+is never asked for; ``maps`` checks each map against it where it is made.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ import contextlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInput, NumericalFailure
 from .maps import WeldingPair, inverted_pair
@@ -143,34 +144,36 @@ def _padded(coeffs: np.ndarray, need: int) -> np.ndarray:
     return out
 
 
-def _side(pair_or_series, kind: Kind) -> ComplexSeries:
-    """The series of grading ``kind``: the interior (Taylor) or exterior
-    (Laurent) map of a pair, or a series of that grading itself."""
-    interior = kind is Kind.TAYLOR_AT_ZERO
-    if isinstance(pair_or_series, WeldingPair):
-        return pair_or_series.interior if interior else pair_or_series.exterior
-    if isinstance(pair_or_series, ComplexSeries):
-        if pair_or_series.kind is not kind:
-            raise InvalidInput("interior block needs a Taylor series" if interior
-                               else "exterior block needs a Laurent series")
-        return pair_or_series
-    raise InvalidInput("expected a WeldingPair or ComplexSeries")
+# a build adds about 2.2 times its generating array (b1, N = 1280 to 5120),
+# charged at 40 bytes an entry; real b1 at N = 5120 peaked at 461 MB
+_BLOCK_BYTES_MAX = 1 << 30
 
 
 def _block_cols(n: int, cols) -> int:
-    """The column count of an n-row block (default n); both must be >= 1."""
+    """The column count of an n-row block (default n); both must be >= 1,
+    and the build's estimated bytes within ``_BLOCK_BYTES_MAX``."""
     cols = n if cols is None else cols
     if n < 1 or cols < 1:
         raise InvalidInput(f"a block needs N >= 1 rows and columns, got {n} x {cols}")
+    need = 40 * (n + 1) * (cols + 1)
+    if need > _BLOCK_BYTES_MAX:
+        raise InvalidInput(f"a block of N = {n} rows and {cols} columns needs "
+                           f"an estimated {need} bytes, over the cap of "
+                           f"{_BLOCK_BYTES_MAX}")
     return cols
 
 
 def _require_order(series: ComplexSeries, need: int, side: str):
-    """Reject an unresolved series with fewer than ``need`` coefficients.
+    """Reject what is not a series of the ``side``'s grading, and an
+    unresolved series with fewer than ``need`` coefficients.
 
     A ``resolved`` series (closed form or floor-trimmed extraction) may be
     zero-padded exactly, so any block is admissible for it.
     """
+    kind, name = ((Kind.TAYLOR_AT_ZERO, "Taylor") if side == "interior"
+                  else (Kind.LAURENT_AT_INFINITY, "Laurent"))
+    if not isinstance(series, ComplexSeries) or series.kind is not kind:
+        raise InvalidInput(f"{side} block needs a {name} series")
     if series.order >= need or series.resolved:
         return
     raise InvalidInput(
@@ -198,30 +201,29 @@ def _block(held: list, rows: int, cols: int) -> np.ndarray:
 def _exterior_array(g: np.ndarray, n: int, cols: int) -> np.ndarray:
     """The generating array of log((g(z)-g(w))/(z-w)) for Laurent
     coefficients g with g[0] != 0: its argument is
-    1 - sum_{p,q>=1} (g[p+q]/g[0]) z^-p w^-q."""
+    1 - sum_{p,q>=1} (g[p+q]/g[0]) z^-p w^-q, a Hankel array copied in
+    one pass from a strided view of g."""
     gg = _padded(g, n + cols + 2)
     gg = gg / gg[0]
     d = np.zeros((n + 1, cols + 1), dtype=gg.dtype)
     d[0, 0] = 1.0
-    for p in range(1, n + 1):
-        d[p, 1:] = -gg[p + 1:p + cols + 1]
+    np.negative(sliding_window_view(gg[2:], cols)[:n], out=d[1:, 1:])
     return d
 
 
-def build_b1(pair, n: int, cols: int = None) -> np.ndarray:
+def build_b1(f: ComplexSeries, n: int, cols: int = None) -> np.ndarray:
     """Interior contraction block from log((f(z)-f(w))/(z-w)): rows 1..n,
     columns 1..cols (default n): the exterior block of 1/f(1/z), whose
     Laurent coefficients are the Taylor coefficients of z/f(z). Under
     z -> 1/z, w -> 1/w the two generating functions differ only by terms
     in one variable, which no block entry reads."""
     cols = _block_cols(n, cols)
-    fseries = _side(pair, Kind.TAYLOR_AT_ZERO)
-    _require_order(fseries, n + cols + 2, "interior")
-    quotient = _padded(fseries.coeffs, n + cols + 3)[1:]  # f(z)/z, f'(0) != 0
+    _require_order(f, n + cols + 2, "interior")
+    quotient = _padded(f.coeffs, n + cols + 3)[1:]  # f(z)/z, f'(0) != 0
     return _block([_exterior_array(reciprocal_array(quotient), n, cols)], n, cols)
 
 
-def build_b4(pair, n: int, cols: int = None) -> np.ndarray:
+def build_b4(g: ComplexSeries, n: int, cols: int = None) -> np.ndarray:
     """Exterior contraction block from log((g(z)-g(w))/(z-w)): rows 1..n,
     columns 1..cols (default n).
 
@@ -229,11 +231,10 @@ def build_b4(pair, n: int, cols: int = None) -> np.ndarray:
     generating function, so the block is invariant under it.
     """
     cols = _block_cols(n, cols)
-    gseries = _side(pair, Kind.LAURENT_AT_INFINITY)
-    _require_order(gseries, n + cols + 1, "exterior")
-    if gseries.coeffs[0] == 0:
+    _require_order(g, n + cols + 1, "exterior")
+    if g.coeffs[0] == 0:
         raise InvalidInput("exterior map must have nonzero leading coefficient")
-    return _block([_exterior_array(gseries.coeffs, n, cols)], n, cols)
+    return _block([_exterior_array(g.coeffs, n, cols)], n, cols)
 
 
 def _mixed_array(first: np.ndarray, second: np.ndarray, rows: int,
@@ -245,25 +246,23 @@ def _mixed_array(first: np.ndarray, second: np.ndarray, rows: int,
     return e
 
 
-def build_b2_b3(pair, n: int, cols: int = None):
+def build_b2_b3(f: ComplexSeries, g: ComplexSeries, n: int, cols: int = None):
     """Mixed blocks from log(1 - f(z)/g(w)); returns (b2, b3 = b2^T).
 
     Both are returned as rows 1..n and columns 1..cols (default n). A
     square block's b3 is the transpose of its b2. When cols != n, the b3
     rows are the leading n columns of a different rectangle of b2, so they
     come from a second log with the roles of the two variables swapped.
-    As for b1 and b4, only missing coefficients refuse a pair
-    (InvalidInput): one reciprocal and one log are exact for any pair,
-    an off-centre disk included, so its curve is never sampled.
+    As for b1 and b4, only the grading and missing coefficients refuse the
+    maps (InvalidInput): one reciprocal and one log are exact for any
+    pair, an off-centre disk included, so its curve is never sampled.
     """
     cols = _block_cols(n, cols)
     big = max(n, cols)
-    fseries = _side(pair, Kind.TAYLOR_AT_ZERO)
-    gseries = _side(pair, Kind.LAURENT_AT_INFINITY)
-    _require_order(fseries, big + 1, "interior")
-    _require_order(gseries, big + 1, "exterior")
-    f_arr = _padded(fseries.coeffs, big + 1)
-    g_arr = _padded(gseries.coeffs, big + 1)
+    _require_order(f, big + 1, "interior")
+    _require_order(g, big + 1, "exterior")
+    f_arr = _padded(f.coeffs, big + 1)
+    g_arr = _padded(g.coeffs, big + 1)
     # Laurent coefficients of 1/g: 1/g(w) = x * recip(sum g_k x^k), x = 1/w
     inv = reciprocal_array(g_arr)
     dcoef = np.zeros(big + 1, dtype=inv.dtype)
@@ -347,12 +346,13 @@ def grunsky_operator_residual(pair: WeldingPair, h: int):
     if int(h) != h or h < 1:
         raise InvalidInput("leading block size must be a positive integer")
     h = int(h)
-    longest = max(pair.interior.order, pair.exterior.order)
+    f, g = pair.interior, pair.exterior
+    longest = max(f.order, g.order)
     depth = 1 << int(np.ceil(np.log2(max(_MIN_INNER_DEPTH, 2 * h, 2 * longest))))
     while True:
-        b1 = build_b1(pair, h, depth)
-        b4 = build_b4(pair, h, depth)
-        b2, b3 = build_b2_b3(pair, h, depth)
+        b1 = build_b1(f, h, depth)
+        b4 = build_b4(g, h, depth)
+        b2, b3 = build_b2_b3(f, g, h, depth)
         panels = (b1, b2, b3, b4)
         tail = max(float(np.linalg.norm(b[:, depth // 2:])) for b in panels)
         if tail <= _TAIL_NORM_MAX:
@@ -523,19 +523,19 @@ def logdet_potential(b: np.ndarray, orders) -> ConvergenceReport:
     return ConvergenceReport(orders, curve[np.array(orders) - 1])
 
 
-ROUTES = ("b1", "b4")  # the potential's blocks: interior b1, exterior b4
+ROUTES = {"b1": "interior", "b4": "exterior"}  # the side each block reads
 
 
-def potential(pair, orders, route: str,
+def potential(h: ComplexSeries, orders,
               stage=contextlib.nullcontext) -> ConvergenceReport:
-    """log det(I - B_n B_n*) over ``orders`` by the block of ``route``,
-    built at max(orders) under ``stage("blocks")`` and factored under
+    """log det(I - B_n B_n*) over ``orders`` by the block of the map h: b1
+    of an interior (Taylor) map, b4 of an exterior (Laurent) one, built at
+    max(orders) under ``stage("blocks")`` and factored under
     ``stage("determinant")``. The builder is read by name on each call, so
     a wrapper set on the module's ``build_b1`` or ``build_b4`` sees it."""
-    if route not in ROUTES:
-        raise InvalidInput(f"route {route!r} is not one of {', '.join(ROUTES)}")
+    taylor = getattr(h, "kind", None) is Kind.TAYLOR_AT_ZERO
     with stage("blocks"):
-        b = {"b1": build_b1, "b4": build_b4}[route](pair, max(orders, default=0))
+        b = (build_b1 if taylor else build_b4)(h, max(orders, default=0))
     with stage("determinant"):
         return logdet_potential(b, orders)
 
@@ -552,8 +552,8 @@ def inversion_check(pair: WeldingPair, n: int, n_inverted: int = None,
     """
     with stage("reflection"):
         inv = inverted_pair(pair)
-    v1, v2, v4 = (potential(p, [m], route, stage).extrapolated for p, m, route in
-                  ((pair, n, "b1"), (inv, n_inverted or n, "b1"), (pair, n, "b4")))
+    v1, v2, v4 = (potential(h, [m], stage).extrapolated for h, m in (
+        (pair.interior, n), (inv.interior, n_inverted or n), (pair.exterior, n)))
     return {"s2_pair_b1": v1, "s2_inverted_b1": v2, "s2_pair_b4": v4,
             "symmetry_gap": abs(v1 - v2), "route_gap": abs(v1 - v4)}
 

@@ -194,14 +194,14 @@ def s1_coefficient_route(pair: WeldingPair) -> float:
 def identity_report(pair: WeldingPair, grids=DEFAULT_GRIDS, orders=(16, 32, 64),
                     stage=contextlib.nullcontext) -> dict:
     """Everything needed to check S1 = -12 pi S2_univ for one pair, with
-    S2_univ by ``grunsky.potential`` through b1, then b4. ``stage(name)``, a
-    context manager (the CLI passes its timer), is entered around the
+    S2_univ by ``grunsky.potential`` of f (b1), then of g (b4). ``stage``,
+    a context manager (the CLI passes its timer), is entered around the
     action quadrature as "quadrature" and passed to each ``potential``.
     """
     with stage("quadrature"):
         s1_rep = s1(pair, grids)
-    via_b1, via_b4 = (potential(pair, orders, route, stage).extrapolated
-                      for route in ("b1", "b4"))
+    via_b1, via_b4 = (potential(h, orders, stage).extrapolated
+                      for h in (pair.interior, pair.exterior))
     s1_val = s1_rep.extrapolated
     resid = s1_val + 12.0 * np.pi * via_b1
     resid_b4 = s1_val + 12.0 * np.pi * via_b4

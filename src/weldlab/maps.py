@@ -15,7 +15,8 @@ Every star domain becomes a pair by one recipe, ``star_pair``: the
 interior map comes from Theodorsen iteration on the polar
 parametrization, and the exterior map is the closed form where there is
 one, else the reflection z -> 1/conj(z), by series algebra, of the
-interior map of the reflected domain.
+interior map of the reflected domain. ``catalog_exterior`` gives that
+exterior map alone, for the route that reads no other (B4).
 
 Theodorsen's equation is solved by two-step (second-order Richardson)
 fixed-point iteration with mesh continuation (solve on a coarse grid,
@@ -327,28 +328,30 @@ class WeldingPair:
         return complex(self.exterior.coeffs[0])
 
 
-def pair_boundary_residual(interior: ComplexSeries, exterior: ComplexSeries,
-                           curve: StarDomain) -> float:
+def boundary_residual(series: ComplexSeries, curve: StarDomain) -> float:
     """Largest radial gap | |w| - rho(arg w) | over ``BOUNDARY_SAMPLES``
-    samples w of each map's trace on |z| = 1.
+    samples w of one map's trace on |z| = 1.
 
     The gap is the distance from w to one point of the curve, so it is
-    never below the true distance: a good pair may fail, a bad one never
-    passes. Each trace must also wind once about 0, its angles
+    never below the true distance: a good map may fail, a bad one never
+    passes. The trace must also wind once about 0, its angles
     arg(w_{j+1}/w_j) summing to 2 pi; one that does not, or that has a
     sample which is not a finite number, raises NumericalFailure.
     """
-    gaps = []
+    side = "interior" if series.kind is Kind.TAYLOR_AT_ZERO else "exterior"
     with np.errstate(over="ignore", invalid="ignore"):
-        for side, series in (("interior", interior), ("exterior", exterior)):
-            w = samples_from_coeffs(series, 1.0, BOUNDARY_SAMPLES)
-            turns = np.angle(np.roll(w, -1) * np.conj(w)).sum() / (2 * np.pi)
-            if not abs(turns - 1.0) < 0.5:
-                raise NumericalFailure(
-                    f"the {side} boundary trace winds {turns:.3g} times "
-                    "about 0, not once")
-            gaps.append(np.abs(np.abs(w) - curve.rho(np.angle(w))).max())
-    return float(max(gaps))
+        w = samples_from_coeffs(series, 1.0, BOUNDARY_SAMPLES)
+        turns = np.angle(np.roll(w, -1) * np.conj(w)).sum() / (2 * np.pi)
+        if not abs(turns - 1.0) < 0.5:
+            raise NumericalFailure(f"the {side} boundary trace winds "
+                                   f"{turns:.3g} times about 0, not once")
+        return float(np.abs(np.abs(w) - curve.rho(np.angle(w))).max())
+
+
+def pair_boundary_residual(interior: ComplexSeries, exterior: ComplexSeries,
+                           curve: StarDomain) -> float:
+    """The larger ``boundary_residual`` of the two maps of a pair."""
+    return max(boundary_residual(h, curve) for h in (interior, exterior))
 
 
 def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
@@ -424,7 +427,9 @@ def star_pair(domain: StarDomain, exterior: ComplexSeries = None) -> WeldingPair
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def _catalog_cached(family: str, param_items: tuple) -> WeldingPair:
+def _catalog_cached(family: str, param_items: tuple, exterior_only: bool):
+    """The family's pair, or with ``exterior_only`` its exterior map alone
+    in the raw gauge, held to the curve; no interior map is solved for it."""
     params = dict(param_items)
 
     def take(*names):  # the family's parameters: each given, no other
@@ -440,24 +445,33 @@ def _catalog_cached(family: str, param_items: tuple) -> WeldingPair:
 
     if family == "identity":
         take()
-        # by hand: the exact maps and a boundary residual of exactly 0
-        return WeldingPair(
-            interior=ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8),
-            exterior=ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 8),
-            curve=bump_domain(0.0, 1), sample_count=START_SAMPLE_COUNT,
-            residuals={"boundary": 0.0})
-
-    if family == "ellipse":
+        domain = bump_domain(0.0, 1)
+        exterior = ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 8)
+    elif family == "ellipse":
         c, = take("c")
         # exact closed form z + c/z: trailing zeros state that the higher
         # Laurent coefficients vanish identically
-        return star_pair(ellipse_domain(c), ComplexSeries.laurent(
-            [1.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0], resolved=True))
+        domain, exterior = ellipse_domain(c), ComplexSeries.laurent(
+            [1.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0], resolved=True)
+    elif family == "fourier_bump":
+        domain, exterior = bump_domain(*take("eps", "k")), None
+    else:
+        raise InvalidInput(f"unknown family: {family!r}")
 
-    if family == "fourier_bump":
-        return star_pair(bump_domain(*take("eps", "k")))
-
-    raise InvalidInput(f"unknown family: {family!r}")
+    if exterior_only:
+        if exterior is None:    # star_pair's reflected solve
+            exterior = inverted_series(theodorsen_interior(inverted_domain(domain)).series)
+        resid = boundary_residual(exterior, domain)
+        if not resid <= BOUNDARY_TOL:
+            raise NumericalFailure(f"exterior trace off the curve: residual "
+                                   f"{resid:.3e} is not within {BOUNDARY_TOL:.1e}")
+        return exterior
+    if family == "identity":    # by hand: the exact maps, a residual of 0
+        return WeldingPair(
+            interior=ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8),
+            exterior=exterior, curve=domain, sample_count=START_SAMPLE_COUNT,
+            residuals={"boundary": 0.0})
+    return star_pair(domain, exterior)
 
 
 def catalog(family: str, **params) -> WeldingPair:
@@ -476,8 +490,14 @@ def catalog(family: str, **params) -> WeldingPair:
     call returns its own ``residuals`` dict, so a caller's edits never reach
     later results.
     """
-    pair = _catalog_cached(family, tuple(sorted(params.items())))
+    pair = _catalog_cached(family, tuple(sorted(params.items())), False)
     return dataclasses.replace(pair, residuals=dict(pair.residuals))
+
+
+def catalog_exterior(family: str, **params) -> ComplexSeries:
+    """A cataloged family's exterior map alone, as B4 reads it: no interior
+    solve and no gauge (B4 is invariant under g -> a g + b); cached."""
+    return _catalog_cached(family, tuple(sorted(params.items())), True)
 
 
 def inverted_pair(pair: WeldingPair) -> WeldingPair:

@@ -41,12 +41,12 @@ def test_criterion_1_ellipse_closed_form_determinant():
     for c in (0.1, 0.3, 0.5):
         t0 = time.time()
         pair = mp.catalog("ellipse", c=c)
-        b4 = gk.build_b4(pair, 64)
+        b4 = gk.build_b4(pair.exterior, 64)
         v4 = gk.logdet_potential(b4, [64]).extrapolated
         closed = closed_form_s2(c, 64)
         gap4 = abs(v4 - closed)
         n1 = C1_B1_ORDERS[c]
-        b1 = gk.build_b1(pair, n1)
+        b1 = gk.build_b1(pair.interior, n1)
         v1 = gk.logdet_potential(b1, [n1]).extrapolated
         gap1 = abs(v1 - closed)
         elapsed = time.time() - t0
@@ -169,7 +169,8 @@ def test_criterion_5_positivity_and_bound():
         pair = mp.catalog(family, **params)
         n = 128 if params.get("c") == 0.5 else 64
         for route in ("b1", "b4"):
-            b = gk.build_b1(pair, n) if route == "b1" else gk.build_b4(pair, n)
+            b = (gk.build_b1(pair.interior, n) if route == "b1"
+                 else gk.build_b4(pair.exterior, n))
             block = b[:n, :n]
             a = np.eye(n) - block @ block.conj().T
             np.linalg.cholesky(a)  # positive-definiteness certificate

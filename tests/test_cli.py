@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,8 +18,24 @@ from weldlab import cli
 ELLIPSE01 = ("--family", "ellipse", "--c", "0.1")
 BUMP = ("--family", "fourier_bump", "--eps", "0.05", "--k", "2")
 SHARED = ("--config", "--out", "--verbose")
-OUT_OF_MEMORY = ("logdet", "--family", "ellipse", "--c", "0.3", "--route", "b4",
+# a block of N = 4096000 would need 122 TiB for its generating array alone
+UNALLOCATABLE = ("logdet", "--family", "ellipse", "--c", "0.3", "--route", "b4",
                  "--N", "4096000")
+# a line the block builders accept, run with the log patched to fail as an
+# allocation numpy cannot make does
+OUT_OF_MEMORY = ("logdet", "--family", "ellipse", "--c", "0.3", "--route", "b4",
+                 "--N", "8")
+
+
+@pytest.fixture
+def log_out_of_memory(monkeypatch):
+    from weldlab import grunsky
+
+    def unallocatable(held):
+        raise MemoryError("Unable to allocate 122. TiB for an array with "
+                          "shape (4096001, 4096001) and data type float64")
+
+    monkeypatch.setattr(grunsky, "_log_bivariate", unallocatable)
 
 
 def run(argv):
@@ -140,9 +157,9 @@ class TestCommands:
         assert run(argv + ["--out", str(given / "rep.json")]) == 0
         assert run(argv) == 0
         pair = mp.catalog("ellipse", c=0.3)
-        b2, b3 = gk.build_b2_b3(pair, 8)
-        blocks = {"b1": gk.build_b1(pair, 8), "b2": b2, "b3": b3,
-                  "b4": gk.build_b4(pair, 8)}
+        b2, b3 = gk.build_b2_b3(pair.interior, pair.exterior, 8)
+        blocks = {"b1": gk.build_b1(pair.interior, 8), "b2": b2, "b3": b3,
+                  "b4": gk.build_b4(pair.exterior, 8)}
         for folder, stem in ((given, "rep"), (default, "grunsky_ellipse_N8")):
             csvs = {f"{stem}_{name}.csv" for name in blocks}
             assert {p.name for p in folder.iterdir()} == csvs | {f"{stem}.json"}
@@ -384,6 +401,16 @@ class TestCommands:
         assert code == 3
         assert "boundary traces disagree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", [0.8, 0.9])
+    def test_b4_route_past_the_interior_map_reach(self, tmp_path, c):
+        # the b4 route reads the closed form z + c/z alone, so the interior
+        # map that cannot be resolved past c = 0.55 is never solved
+        out = tmp_path / "b4.json"
+        assert run(["logdet", "--route", "b4", "--family", "ellipse",
+                    "--c", str(c), "--N", "64,128,256", "--out", str(out)]) == 0
+        closed = math.fsum(np.log1p(-c ** (2.0 * np.arange(1, 400))))
+        assert abs(json.loads(out.read_text())["s2_univ"] - closed) <= 1e-13
+
     def test_bump_the_iteration_cannot_solve_exit_3(self, tmp_path, capsys):
         # bump (0.9, 2) is refused by its construction, not by a bound
         out = tmp_path / "pair.json"
@@ -399,9 +426,19 @@ class TestCommands:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_out_of_memory_exit_3(self, tmp_path, capsys):
-        # the b4 route reads about 130 MB of series before it asks numpy
-        # for the 122 TiB generating array, which fails
+    def test_unallocatable_block_refused_exit_2(self, tmp_path, capsys):
+        # refused before any array of the block is made, with the size
+        out = tmp_path / "x.json"
+        assert run([*UNALLOCATABLE, "--out", str(out)]) == 2
+        assert not out.exists()
+        error, *usage = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"error: a block of N = 4096000 rows and 4096000 "
+                            r"columns needs an estimated \d+ bytes, over the "
+                            r"cap of \d+", error)
+        assert usage[0].startswith("usage: weldlab logdet")
+
+    def test_out_of_memory_exit_3(self, tmp_path, capsys, log_out_of_memory):
+        # a MemoryError that no size check foresaw is still one line
         out = tmp_path / "x.json"
         assert run([*OUT_OF_MEMORY, "--out", str(out)]) == 3
         assert not out.exists()
@@ -748,7 +785,8 @@ class TestBatch:
         assert "Traceback" in err and "RuntimeError: a fault" in err
         assert err.splitlines()[-2:] == ["line 1: exit 1", "line 2: exit 0"]
 
-    def test_out_of_memory_line_exit_3(self, tmp_path, capsys):
+    def test_out_of_memory_line_exit_3(self, tmp_path, capsys,
+                                       log_out_of_memory):
         code = run_batch(tmp_path, " ".join(OUT_OF_MEMORY) + " --out a.json\n")
         assert code == 3
         assert not (tmp_path / "a.json").exists()

@@ -39,9 +39,9 @@ def asymmetric_pairs(draw):
 @given(asymmetric_pairs())
 def test_blocks_are_complex_and_the_potential_is_nonpositive(pair):
     # a block's dtype is its series': a one-entry block shows it
-    assert gk.build_b1(pair, 1).dtype == gk.build_b4(pair, 1).dtype == np.complex128
-    via_b1, via_b4 = (gk.potential(pair, [N], route).extrapolated
-                      for route in gk.ROUTES)
+    f, g = pair.interior, pair.exterior
+    assert gk.build_b1(f, 1).dtype == gk.build_b4(g, 1).dtype == np.complex128
+    via_b1, via_b4 = (gk.potential(h, [N]).extrapolated for h in (f, g))
     assert via_b1 <= 0.0 and via_b4 <= 0.0
     # the two routes truncate differently; at N = 64 the widest draws
     # (k = 4, 5, 6 at eps = 0.04) differ by 5e-8
@@ -53,7 +53,7 @@ def test_blocks_are_complex_and_the_potential_is_nonpositive(pair):
 def test_mixed_blocks_take_the_complex_path(pair):
     # a square build transposes b2; the operator residual builds them
     # rectangular, with b3 from the second log on complex arrays
-    b2, b3 = gk.build_b2_b3(pair, 16)
+    b2, b3 = gk.build_b2_b3(pair.interior, pair.exterior, 16)
     assert b2.dtype == np.complex128 and np.array_equal(b3, b2.T)
     assert max(gk.grunsky_operator_residual(pair, 16)) <= 1e-12
 

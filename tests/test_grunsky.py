@@ -21,8 +21,16 @@ def closed_form_logdet(c, n):
 
 def truncated_blocks(pair, n):
     """The four N x N blocks (b1, b2, b3, b4) of a pair."""
-    b2, b3 = gk.build_b2_b3(pair, n)
-    return gk.build_b1(pair, n), b2, b3, gk.build_b4(pair, n)
+    f, g = pair.interior, pair.exterior
+    b2, b3 = gk.build_b2_b3(f, g, n)
+    return gk.build_b1(f, n), b2, b3, gk.build_b4(g, n)
+
+
+def route_block(pair, route, n):
+    """The block of ``route`` (b1 or b4) at order n, from the one map of
+    the pair that it reads."""
+    build = gk.build_b1 if route == "b1" else gk.build_b4
+    return build(getattr(pair, gk.ROUTES[route]), n)
 
 
 def full_product_norms(b1, b2, b3, b4, h):
@@ -63,7 +71,7 @@ def blocks64_ellipse03(ellipse03):
 
 class TestBuildB1:
     def test_identity_zero(self, identity_pair):
-        assert np.abs(gk.build_b1(identity_pair, 8)).max() <= 1e-15
+        assert np.abs(gk.build_b1(identity_pair.interior, 8)).max() <= 1e-15
 
     @pytest.mark.parametrize("t", [0.1, 0.2])
     def test_quadratic_entry(self, t):
@@ -111,6 +119,24 @@ class TestBuildB1:
                 build(make(coeffs[:need - 1]), n)
             full = build(make(coeffs, resolved=True), n)
             assert np.array_equal(build(make(coeffs[:need]), n), full)
+
+    @pytest.mark.parametrize("build, maps, message", [
+        (gk.build_b1, ("pair",), "interior block needs a Taylor series"),
+        (gk.build_b1, ("exterior",), "interior block needs a Taylor series"),
+        (gk.build_b4, ("pair",), "exterior block needs a Laurent series"),
+        (gk.build_b4, ("interior",), "exterior block needs a Laurent series"),
+        (gk.build_b2_b3, ("pair", "exterior"),
+         "interior block needs a Taylor series"),
+        (gk.build_b2_b3, ("interior", "interior"),
+         "exterior block needs a Laurent series"),
+    ], ids=["b1-pair", "b1-laurent", "b4-pair", "b4-taylor", "b2-pair",
+            "b2-taylor"])
+    def test_builders_take_only_the_series_they_read(self, ellipse03, build,
+                                                     maps, message):
+        args = [ellipse03 if m == "pair" else getattr(ellipse03, m)
+                for m in maps]
+        with pytest.raises(InvalidInput, match=message):
+            build(*args, 4)
 
     def test_zero_derivative_rejected(self):
         # f'(0) = 0: z/f(z) has a pole, so there is no exterior map 1/f(1/z)
@@ -163,7 +189,7 @@ class TestBuildB1:
                 tracemalloc.stop()
 
         monkeypatch.setattr(gk, "_log_bivariate", traced)
-        gk.build_b1(ellipse05, 1280)
+        gk.build_b1(ellipse05.interior, 1280)
         assert len(peaks) == 1 and peaks[0] <= 88 << 20
 
     def test_two_fold_log_memory(self, ellipse05, monkeypatch):
@@ -184,7 +210,7 @@ class TestBuildB1:
                 tracemalloc.stop()
 
         monkeypatch.setattr(gk, "_log_bivariate", traced)
-        gk.build_b1(ellipse05, 1280)
+        gk.build_b1(ellipse05.interior, 1280)
         assert orders == [2] and peaks[0] <= 32 << 20
 
     def test_build_memory(self, ellipse05):
@@ -192,10 +218,10 @@ class TestBuildB1:
         # weights are applied by row blocks, so the whole build peaks at
         # the log's own working set (29.4 MiB; 50.1 MiB when the array
         # lived through the Newton inverse beside two weight temporaries)
-        gk.build_b1(ellipse05, 64)
+        gk.build_b1(ellipse05.interior, 64)
         tracemalloc.start()
         try:
-            gk.build_b1(ellipse05, 1280)
+            gk.build_b1(ellipse05.interior, 1280)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -203,14 +229,14 @@ class TestBuildB1:
 
     def test_cross_operator_consistency(self, ellipse03):
         # log det agreement between the interior and exterior routes
-        v1, v4 = (gk.potential(ellipse03, [64], route).extrapolated
-                  for route in gk.ROUTES)
+        v1, v4 = (gk.potential(h, [64]).extrapolated
+                  for h in (ellipse03.interior, ellipse03.exterior))
         assert abs(v1 - v4) <= 1e-6
 
 
 class TestBuildB4:
     def test_identity_zero(self, identity_pair):
-        assert np.abs(gk.build_b4(identity_pair, 8)).max() <= 1e-15
+        assert np.abs(gk.build_b4(identity_pair.exterior, 8)).max() <= 1e-15
 
     def test_joukowski_diagonal(self):
         c = 0.35
@@ -225,7 +251,7 @@ class TestBuildB4:
     def test_ellipse_block_is_diagonal(self, c):
         # log(1 - c t) in t = 1/(zw): the log is the one-column log of the
         # generating array's diagonal, with exact zeros off it
-        b4 = gk.build_b4(mp.catalog("ellipse", c=c), 960)
+        b4 = gk.build_b4(mp.catalog("ellipse", c=c).exterior, 960)
         powers = c ** np.arange(1, 961)
         assert np.all(b4[~np.eye(960, dtype=bool)] == 0.0)
         assert np.abs(np.diag(b4) - powers).max() <= 1e-15 * c
@@ -243,8 +269,25 @@ class TestBuildB4:
         g = mobius_ellipse_exterior(c, a)
         b4 = gk.build_b4(g, 256)
         assert b4.dtype == np.complex128 and series._class_order(b4, 1) == 1
-        value = gk.potential(g, [256], "b4").extrapolated
+        value = gk.potential(g, [256]).extrapolated
         assert abs(value - closed_form_logdet(c, 400)) <= 1e-15
+
+    @pytest.mark.parametrize("dtype, n, cols, length", [
+        (float, 7, 3, 12), (complex, 4, 9, 15), (float, 1, 1, 4),
+        (float, 6, 5, 3)])   # a short g is zero-padded
+    def test_generating_array_is_the_row_loop(self, dtype, n, cols, length):
+        # the strided Hankel copy against the row loop it replaced
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal(length) + (1j * rng.standard_normal(length)
+                                           if dtype is complex else 0.0)
+        gg = np.zeros(n + cols + 2, dtype=g.dtype)
+        gg[:length] = g
+        gg = gg / gg[0]
+        want = np.zeros((n + 1, cols + 1), dtype=g.dtype)
+        want[0, 0] = 1.0
+        for p in range(1, n + 1):
+            want[p, 1:] = -gg[p + 1:p + cols + 1]
+        assert np.array_equal(gk._exterior_array(g, n, cols), want)
 
     def test_affine_rescaling_invariance(self):
         c = 0.3
@@ -258,19 +301,21 @@ class TestBuildB4:
 
 class TestBuildB2B3:
     def test_identity_gives_identity_matrix(self, identity_pair):
-        b2, b3 = gk.build_b2_b3(identity_pair, 16)
+        b2, b3 = gk.build_b2_b3(identity_pair.interior,
+                                identity_pair.exterior, 16)
         assert np.abs(b2 - np.eye(16)).max() <= 1e-13
         assert np.abs(b3 - np.eye(16)).max() <= 1e-13
 
     @pytest.mark.parametrize("fixture", ["ellipse01", "ellipse03", "bump_pair"])
     def test_transpose_symmetry(self, fixture, request):
         pair = request.getfixturevalue(fixture)
-        b2, b3 = gk.build_b2_b3(pair, 48)
+        f, g = pair.interior, pair.exterior
+        b2, b3 = gk.build_b2_b3(f, g, 48)
         assert np.array_equal(b3, b2.T)
         # a rectangular build takes its b3 rows from a second log in the
         # transposed slice direction, an independent path to the same
         # coefficients
-        _, b3_rect = gk.build_b2_b3(pair, 48, 49)
+        _, b3_rect = gk.build_b2_b3(f, g, 48, 49)
         assert np.abs(b3_rect[:, :48] - b2.T).max() <= 1e-10
 
     def test_k_fold_mixed_array_takes_difference_classes(self, monkeypatch):
@@ -286,7 +331,7 @@ class TestBuildB2B3:
 
         monkeypatch.setattr(gk, "_log_bivariate", recorded)
         pair = mp.catalog("fourier_bump", eps=0.0549, k=3)
-        b2, _ = gk.build_b2_b3(pair, 64)
+        b2, _ = gk.build_b2_b3(pair.interior, pair.exterior, 64)
         assert classes == [-3]
         m = np.arange(1, 65)
         assert np.all(b2[np.subtract.outer(m, m) % 3 != 0] == 0.0)
@@ -298,12 +343,12 @@ class TestBuildB2B3:
         # not small, as b2's rows decay only like |a|^k, so the operator
         # relations are the oracle
         pair = mp.star_pair(disk_domain(a))
-        b2, b3 = gk.build_b2_b3(pair, 32)
+        b2, b3 = gk.build_b2_b3(pair.interior, pair.exterior, 32)
         assert np.array_equal(b3, b2.T)
         assert b2.dtype == (np.float64 if a == a.real else np.complex128)
         assert max(gk.grunsky_operator_residual(pair, 16)) <= 1e-11
-        for route in gk.ROUTES:
-            assert abs(gk.potential(pair, [64], route).extrapolated) <= 1e-20
+        for h in (pair.interior, pair.exterior):
+            assert abs(gk.potential(h, [64]).extrapolated) <= 1e-20
         assert abs(lv.s1_value(pair, lv.QuadratureGrid(64, 128))) <= 1e-13
         assert abs(lv.s1_coefficient_route(pair)) <= 1e-13
 
@@ -327,7 +372,7 @@ class TestBuildB2B3:
             for row in range(1, n + 1):
                 cmn = -coef[row] / col
                 oracle[row - 1, col - 1] = np.sqrt(row * col) * (-cmn).real
-        b2, _ = gk.build_b2_b3(ellipse03, n)
+        b2, _ = gk.build_b2_b3(ellipse03.interior, ellipse03.exterior, n)
         assert np.abs(b2 - oracle).max() <= 1e-10
 
 
@@ -359,9 +404,9 @@ class TestGrunskyEquality:
         got = gk.grunsky_identity_residual(*blocks64_ellipse03)
         want = full_product_norms(*blocks64_ellipse03, 32)
         assert np.abs(np.subtract(got, want)).max() <= 1e-15
-        b2, b3 = gk.build_b2_b3(ellipse03, 16, 256)
-        panels = (gk.build_b1(ellipse03, 16, 256), b2, b3,
-                  gk.build_b4(ellipse03, 16, 256))
+        f, g = ellipse03.interior, ellipse03.exterior
+        b2, b3 = gk.build_b2_b3(f, g, 16, 256)
+        panels = (gk.build_b1(f, 16, 256), b2, b3, gk.build_b4(g, 16, 256))
         got = gk._relation_norms(*panels, 16)
         want = full_product_norms(*panels, 16)
         assert np.abs(np.subtract(got, want)).max() <= 1e-15
@@ -402,8 +447,7 @@ class TestArithmeticPaths:
             pair = mp.inverted_pair(pair)
         assert pair.interior.coeffs.dtype == np.float64
         assert pair.exterior.coeffs.dtype == np.float64
-        blocks = (gk.build_b1(pair, 16), gk.build_b4(pair, 16),
-                  *gk.build_b2_b3(pair, 16))
+        blocks = truncated_blocks(pair, 16)
         assert all(b.dtype == np.float64 for b in blocks)
 
     def test_asymmetric_domain_stays_complex(self):
@@ -417,15 +461,16 @@ class TestArithmeticPaths:
     def test_rotated_pair_matches_real_path(self, ellipse03):
         # at angle 0 the coefficients are complex with zero imaginary
         # parts, which the dtype still sends down the complex path
-        real_b1, real_b4 = gk.build_b1(ellipse03, 64), gk.build_b4(ellipse03, 64)
+        real_b1, real_b4 = (route_block(ellipse03, route, 64)
+                            for route in ("b1", "b4"))
         assert real_b1.dtype == real_b4.dtype == np.float64
         real_s1 = lv.s1_coefficient_route(ellipse03)
         for alpha in (0.0, 0.7):
             pair = rotated(ellipse03, alpha)
             assert pair.interior.coeffs.dtype == np.complex128
             assert pair.exterior.coeffs.dtype == np.complex128
-            for build, b_real in ((gk.build_b1, real_b1), (gk.build_b4, real_b4)):
-                b_rotated = build(pair, 64)
+            for route, b_real in (("b1", real_b1), ("b4", real_b4)):
+                b_rotated = route_block(pair, route, 64)
                 assert b_rotated.dtype == np.complex128
                 gap = abs(gk.logdet_potential(b_rotated, [64]).extrapolated -
                           gk.logdet_potential(b_real, [64]).extrapolated)
@@ -442,33 +487,35 @@ class TestLogdet:
         assert rep.extrapolated == 0.0 and rep.residual_tail == 0.0
 
     def test_joukowski_closed_form(self, ellipse03):
-        rep = gk.potential(ellipse03, [16, 32, 64], "b4")
+        rep = gk.potential(ellipse03.exterior, [16, 32, 64])
         assert abs(rep.extrapolated - closed_form_logdet(0.3, 64)) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.1, 0.2])
     def test_order_one_scalar(self, t):
         f = ComplexSeries.taylor([0, 1, t, 0])
-        rep = gk.potential(f, [1], "b1")
+        rep = gk.potential(f, [1])
         assert abs(rep.extrapolated - np.log1p(-t ** 4)) <= 1e-12
 
     def test_monotone_nonincreasing(self, ellipse03):
-        rep = gk.potential(ellipse03, [8, 16, 32, 64], "b1")
+        rep = gk.potential(ellipse03.interior, [8, 16, 32, 64])
         diffs = np.diff(rep.estimates)
         assert np.all(diffs <= 1e-12)
 
     def test_norm_monotone_and_contractive(self, ellipse03):
-        b1 = gk.build_b1(ellipse03, 64)
+        b1 = gk.build_b1(ellipse03.interior, 64)
         norms = [gk.spectral_norm(b1[:n, :n]) for n in (8, 16, 32, 64)]
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 1.0
 
-    @pytest.mark.parametrize("orders, route, message", [
-        ([8], "b2", "route 'b2' is not one of b1, b4"),
-        ([], "b1", "a block needs N >= 1 rows")])
-    def test_unusable_route_or_orders_rejected(self, ellipse03, orders, route,
-                                               message):
+    @pytest.mark.parametrize("side, orders, message", [
+        (None, [8], "exterior block needs a Laurent series"),
+        ("interior", [], "a block needs N >= 1 rows")], ids=["pair", "no-orders"])
+    def test_unusable_map_or_orders_rejected(self, ellipse03, side, orders,
+                                             message):
+        # a pair is not a map: potential takes the one series it reads
+        h = getattr(ellipse03, side) if side else ellipse03
         with pytest.raises(InvalidInput, match=message):
-            gk.potential(ellipse03, orders, route)
+            gk.potential(h, orders)
 
     def test_non_contractive_rejected(self):
         with pytest.raises(NumericalFailure):
@@ -521,17 +568,16 @@ class TestLogdet:
         pair = mp.catalog(family, **params)
         if reflect:
             pair = mp.inverted_pair(pair)
-        build = gk.build_b1 if route == "b1" else gk.build_b4
-        assert svd_gap(build(pair, max(orders)), orders) <= 2e-15
+        assert svd_gap(route_block(pair, route, max(orders)), orders) <= 2e-15
 
     def test_matches_svd_on_deep_ellipse05(self, ellipse05):
-        b = gk.build_b1(ellipse05, 1280)
+        b = gk.build_b1(ellipse05.interior, 1280)
         assert svd_gap(b, (320, 640, 1280)) <= 2e-15
 
     def test_matches_svd_on_complex_blocks(self, ellipse03):
         pair = rotated(ellipse03, 0.7)
-        for build in (gk.build_b1, gk.build_b4):
-            b = build(pair, 64)
+        for route in ("b1", "b4"):
+            b = route_block(pair, route, 64)
             assert b.dtype == np.complex128
             assert svd_gap(b, (16, 32, 64)) <= 2e-15
 
@@ -539,7 +585,7 @@ class TestLogdet:
         # the symmetry check runs by row blocks and each sign's orbits are
         # gathered into one stack, factored in place: 12.6 MiB traced,
         # where the full-size |b - b^T| temporaries took it to 25.0 MiB
-        b = gk.build_b1(ellipse05, 1280)
+        b = gk.build_b1(ellipse05.interior, 1280)
         tracemalloc.start()
         try:
             gk.logdet_potential(b, [320, 640, 1280])
@@ -578,14 +624,13 @@ class TestLogdet:
         pair = mp.catalog(family, **params)
         if angle:
             pair = rotated(pair, angle)
-        build = gk.build_b1 if route == "b1" else gk.build_b4
-        b = build(pair, 65)
+        b = route_block(pair, route, 65)
         assert np.iscomplexobj(b) == bool(angle)
         assert svd_gap(b, (9, 17, 33, 65)) <= 2e-15
         assert factored == sizes[route]
 
     def test_off_class_entry_factors_whole(self, ellipse03, factored):
-        b = gk.build_b1(ellipse03, 65)
+        b = gk.build_b1(ellipse03.interior, 65)
         b[0, 1] = b[1, 0] = 1e-30   # m + n = 3 in a 2-fold block
         assert svd_gap(b, (9, 17, 33, 65)) <= 2e-15
         assert factored == [65, 65]
@@ -593,7 +638,7 @@ class TestLogdet:
     def test_rotated_ellipse_factors_each_index(self, ellipse03, factored):
         # the complex b4 of a rotated ellipse is diagonal too: each index
         # is its own orbit, and the 2 x 2 embeddings go in one stack
-        b = gk.build_b4(rotated(ellipse03, 0.7), 64)
+        b = gk.build_b4(rotated(ellipse03, 0.7).exterior, 64)
         assert b.dtype == np.complex128
         assert np.all(b[~np.eye(64, dtype=bool)] == 0.0)
         assert svd_gap(b, (16, 32, 64)) <= 2e-15
@@ -615,7 +660,7 @@ class TestLogdet:
         # the potential is ~eps^2 = 1e-8 while b_11 is ~eps (k = 2): the
         # log1p of each pivot 1 -+ b_11 + u apart loses ~5e-13 of it
         pair = mp.catalog("fourier_bump", eps=1e-4, k=k)
-        b = gk.build_b1(pair, 64) if route == "b1" else gk.build_b4(pair, 64)
+        b = route_block(pair, route, 64)
         value = gk.logdet_potential(b, [64]).extrapolated
         (ref,) = svd_logdet(b, [64])
         assert abs(value - ref) <= 1e-14 * abs(ref)
@@ -658,7 +703,7 @@ class TestPositivity:
     def test_positive_definite_both_sides(self, fixture, request):
         pair = request.getfixturevalue(fixture)
         for route in ("b1", "b4"):
-            b = gk.build_b1(pair, 48) if route == "b1" else gk.build_b4(pair, 48)
+            b = route_block(pair, route, 48)
             for n in (12, 24, 48):
                 block = b[:n, :n]
                 a = np.eye(n) - block @ block.conj().T
@@ -677,7 +722,7 @@ class TestMatrixCsv:
         assert np.array_equal(back, block)
 
     def test_round_trip_complex(self, ellipse03):
-        block = gk.build_b1(rotated(ellipse03, 0.7), 8)[:, :6]
+        block = gk.build_b1(rotated(ellipse03, 0.7).interior, 8)[:, :6]
         text = gk.matrix_to_csv(block)
         assert text.splitlines()[0].split(",")[:3] == ["c0_re", "c0_im", "c1_re"]
         parts = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)

@@ -147,8 +147,8 @@ class TestTheodorsen:
         g = mp.inverted_series(
             mp.theodorsen_interior(mp.inverted_domain(sampled)).series)
         pair = mp.normalize_pair(f, g, sampled)
-        blocks = (gk.build_b1(pair, 16), gk.build_b4(pair, 16),
-                  *gk.build_b2_b3(pair, 16))
+        blocks = (gk.build_b1(f, 16), gk.build_b4(g, 16),
+                  *gk.build_b2_b3(f, g, 16))
         assert all(b.dtype == np.float64 for b in blocks)
 
 
@@ -491,7 +491,7 @@ class TestCatalogInvariants:
         np_value = -1.440868132432922
         pair = mp.catalog("fourier_bump", eps=0.3, k=5)
         assert pair.curve.smoothness_bound > 1.0
-        s2 = gk.potential(pair, [1024], "b1").extrapolated
+        s2 = gk.potential(pair.interior, [1024]).extrapolated
         assert abs(s2 - np_value) <= 1e-12
         s1 = lv.s1_coefficient_route(pair)
         assert abs(s1 + 12.0 * np.pi * np_value) <= 1e-14 * abs(s1)
@@ -501,7 +501,7 @@ class TestCatalogInvariants:
     def test_bumps_past_the_classical_bound_close_the_identity(self, eps, k):
         pair = mp.catalog("fourier_bump", eps=eps, k=k)
         assert pair.curve.smoothness_bound > 1.0
-        s2 = gk.potential(pair, [512], "b1").extrapolated
+        s2 = gk.potential(pair.interior, [512]).extrapolated
         s1 = lv.s1_coefficient_route(pair)
         assert abs(s1 + 12.0 * np.pi * s2) <= 1e-12 * abs(s1)
 
@@ -522,8 +522,9 @@ class TestCatalogInvariants:
         f, g = pair.interior.coeffs, pair.exterior.coeffs
         assert np.all(f[np.arange(len(f)) % k != 1] == 0.0)
         assert np.all(g[np.arange(len(g)) % k != 0] == 0.0)
-        for build in (gk.build_b1, gk.build_b4):
-            assert _symmetry_order(build(pair, 64), 1) == k
+        for block in (gk.build_b1(pair.interior, 64),
+                      gk.build_b4(pair.exterior, 64)):
+            assert _symmetry_order(block, 1) == k
 
     # a k-fold spectrum keeps only indices 1 mod k, so its last kept index
     # can land near the window edge while still far above the floor; such
@@ -568,6 +569,30 @@ class TestCatalogInvariants:
         assert len(solves) == 2 and all(r.series.resolved for r in solves)
         assert sorted(r.sample_count for r in solves) == [1024, 2048]
         assert pair.sample_count == 2048
+
+    @pytest.mark.parametrize("family, params, count", [
+        ("identity", {}, 0), ("ellipse", {"c": 0.8}, 0),
+        ("fourier_bump", {"eps": 0.2, "k": 4}, 1)])
+    def test_exterior_alone_solves_no_interior_map(self, solves, family,
+                                                   params, count):
+        # the closed form, or the reflected solve in its raw gauge, which
+        # is the pair's exterior map up to the scale f'(0); the ellipse at
+        # c = 0.8 has no pair, as its interior map cannot be resolved
+        g = mp.catalog_exterior(family, **params)
+        assert len(solves) == count
+        assert mp.catalog_exterior(family, **params) is g
+        if family != "ellipse":
+            h = mp.catalog(family, **params).exterior.coeffs
+            assert np.abs(g.coeffs / g.coeffs[0] - h / h[0]).max() <= 1e-15
+
+    def test_exterior_off_the_curve_is_refused(self, monkeypatch):
+        # z + 0.3/z against the curve of c = 0.31
+        ellipse = mp.ellipse_domain
+        monkeypatch.setattr(mp, "ellipse_domain", lambda c: ellipse(c + 0.01))
+        mp._catalog_cached.cache_clear()
+        with pytest.raises(NumericalFailure,
+                           match="exterior trace off the curve"):
+            mp.catalog_exterior("ellipse", c=0.3)
 
     def test_results_do_not_share_mutable_dicts(self):
         first = mp.catalog("ellipse", c=0.1)

@@ -49,6 +49,6 @@ def test_reflection_is_one_over_conjugate_on_the_circle(f):
 def test_interior_block_is_exterior_block_of_reflection(f):
     # b4 of the reflection is the complex conjugate of b1 of f
     n = 16
-    via_b1 = gk.potential(f, [n], "b1").extrapolated
-    via_b4 = gk.potential(mp.inverted_series(f), [n], "b4").extrapolated
+    via_b1 = gk.potential(f, [n]).extrapolated
+    via_b4 = gk.potential(mp.inverted_series(f), [n]).extrapolated
     assert abs(via_b1 - via_b4) <= 1e-14

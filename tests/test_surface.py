@@ -158,7 +158,9 @@ def test_cli_reads_no_argparse_internals():
 
 def test_logdet_route_choices_are_the_potential_routes():
     # the command line lists the choices itself, so that building its
-    # parser loads no layer module; they must stay grunsky.ROUTES
+    # parser loads no layer module; they must stay the keys of
+    # grunsky.ROUTES, which names the side of the pair each route reads
     from weldlab import cli, grunsky
     flags = {names[0]: keywords for names, keywords in cli._COMMANDS["logdet"][2]}
-    assert tuple(flags["--route"]["choices"]) == grunsky.ROUTES
+    assert tuple(flags["--route"]["choices"]) == tuple(grunsky.ROUTES)
+    assert grunsky.ROUTES == {"b1": "interior", "b4": "exterior"}
