@@ -85,7 +85,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import __version__  # noqa: E402  (set before any layer loads numpy)
 from .errors import InvalidInput, NumericalFailure
 
-# the cataloged families (``maps.catalog``, which decides their parameters)
+# the cataloged families (the rows of ``maps.FAMILIES``, which decide their
+# parameters)
 FAMILIES = ("identity", "ellipse", "fourier_bump")
 
 CONVENTIONS = {

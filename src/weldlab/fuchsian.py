@@ -159,10 +159,11 @@ def _canonical_key(a: complex, b: complex, scale: float = 1e-6):
 
 def enumerate_elements(group: FuchsianGroup, max_word_length: int) -> GroupEnumeration:
     """Breadth-first enumeration over the 8 generators up to the given
-    word length (capped at 8 to stay desk scale). Words of length L are
+    word length, capped at 7 before any element is composed (L = 7 holds
+    about 672 MB, L = 8 would need about 4.7 GB). Words of length L are
     keyed as SU(1,1) elements, times cosh(l/2)^L."""
-    if not isinstance(max_word_length, int) or not 0 <= max_word_length <= 8:
-        raise InvalidInput("word length must lie in 0..8")
+    if not isinstance(max_word_length, int) or not 0 <= max_word_length <= 7:
+        raise InvalidInput("word length must lie in 0..7")
     step = math.cosh(group.translation_length / 2.0)
     seen = set(_canonical_key(*_IDENTITY))
     elements = [_IDENTITY]

@@ -3,20 +3,21 @@
 A welding pair is a pair of univalent maps (f on the unit disk, g on the
 exterior) sharing one Jordan curve, normalized so that f(0) = 0, f'(0) = 1
 and g(infinity) = infinity. The catalog provides three families, whose
-names ``cli.FAMILIES`` lists for the command line; ``catalog`` alone
-decides their parameters:
+names ``cli.FAMILIES`` lists for the command line; their rows in
+``FAMILIES`` here alone decide their parameters:
 
 * ``identity``      -- f = g = id (the round circle),
 * ``ellipse(c)``    -- curve with semi-axes (1+c, 1-c), whose exterior map
                        is the closed form z + c/z,
 * ``fourier_bump(eps, k)`` -- curve rho(theta) = 1 + eps*cos(k*theta).
 
-Every star domain becomes a pair by one recipe, ``star_pair``: the
-interior map comes from Theodorsen iteration on the polar
-parametrization, and the exterior map is the closed form where there is
-one, else the reflection z -> 1/conj(z), by series algebra, of the
-interior map of the reflected domain. ``catalog_exterior`` gives that
-exterior map alone, for the route that reads no other (B4).
+Every pair is made, gauged and checked by one constructor, ``star_pair``:
+it takes the maps a family has in closed form (z and z for the circle,
+z + c/z outside the ellipse) and solves the rest. A missing interior map
+comes from Theodorsen iteration on the polar parametrization, and a
+missing exterior map is the reflection z -> 1/conj(z), by series algebra,
+of the interior map of the reflected domain. ``catalog_exterior`` gives
+the exterior map alone, for the route that reads no other (B4).
 
 Theodorsen's equation is solved by two-step (second-order Richardson)
 fixed-point iteration with mesh continuation (solve on a coarse grid,
@@ -313,14 +314,14 @@ class WeldingPair:
 
     ``curve`` is the shared Jordan curve, as the star domain about 0 in the
     pair's own frame that both maps trace. Every route trusts a pair:
-    ``normalize_pair`` is where its curve is checked.
+    ``star_pair`` makes every pair and is where its curve is checked.
     """
 
     interior: ComplexSeries
     exterior: ComplexSeries
     curve: StarDomain
-    sample_count: int = 0
-    residuals: dict = field(default_factory=dict)
+    sample_count: int
+    residuals: dict
 
     @property
     def g_prime_at_infinity(self) -> complex:
@@ -354,43 +355,56 @@ def pair_boundary_residual(interior: ComplexSeries, exterior: ComplexSeries,
     return max(boundary_residual(h, curve) for h in (interior, exterior))
 
 
-def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
-                   raw_curve: StarDomain, sample_count: int = 1024,
-                   extra_residuals: dict = None) -> WeldingPair:
-    """Apply the gauge w -> w/raw_f'(0) to both maps and their curve.
+def star_pair(domain: StarDomain, interior: ComplexSeries = None,
+              exterior: ComplexSeries = None) -> WeldingPair:
+    """The welding pair of a star domain, in the gauge w -> w/f'(0).
 
-    ``raw_f`` must fix 0, the centre of the star domain ``raw_curve``; the
-    gauge is then a scaling and a rotation, so the output satisfies
-    f(0) = 0 and f'(0) = 1 exactly, g'(inf) is the rescaled Laurent
-    leading coefficient, and the curve stays star-shaped about 0 with
-    radius rho(theta + arg a1)/|a1|. Both boundary traces must lie on that
-    curve to ``BOUNDARY_TOL``; a residual that is not a number fails too.
-    The pair records ``sample_count`` and, beside the boundary residual,
-    ``extra_residuals``; the check reads neither.
+    A map given is used as it is; a missing ``interior`` is Theodorsen's
+    map of the domain, and a missing ``exterior`` the interior map of the
+    reflected domain, reflected back out. The raw interior map must fix 0,
+    the centre of ``domain``; the gauge is then a scaling and a rotation,
+    so the pair satisfies f(0) = 0 and f'(0) = 1 exactly, g'(inf) is the
+    rescaled Laurent leading coefficient, and the curve stays star-shaped
+    about 0 with radius rho(theta + arg a1)/|a1| for a1 = f'(0). Both
+    boundary traces must lie on that curve to ``BOUNDARY_TOL``; a residual
+    that is not a number fails too. The pair records the largest sample
+    count of its solves (``START_SAMPLE_COUNT`` without one) and, beside
+    the boundary residual, the largest Theodorsen residual when it solved;
+    the check reads neither. It is refused (NumericalFailure) only by a
+    step that fails: a solve, the reflection or the boundary check.
     """
-    if raw_f.kind is not Kind.TAYLOR_AT_ZERO:
+    theos = []
+    if interior is None:
+        theos.append(theodorsen_interior(domain))
+        interior = theos[-1].series
+    if exterior is None:
+        theos.append(theodorsen_interior(inverted_domain(domain)))
+        # invert the image-correct reflected map; rescaling it first would
+        # scale the recovered curve away from the interior map's curve
+        exterior = inverted_series(theos[-1].series)
+    if interior.kind is not Kind.TAYLOR_AT_ZERO:
         raise InvalidInput("raw interior map must be a Taylor series")
-    if raw_g.kind is not Kind.LAURENT_AT_INFINITY:
+    if exterior.kind is not Kind.LAURENT_AT_INFINITY:
         raise InvalidInput("raw exterior map must be a Laurent series")
-    if raw_f.coeffs[0] != 0:
+    if interior.coeffs[0] != 0:
         raise InvalidInput("raw_f(0) != 0: f does not fix the curve's centre")
-    if raw_f.order < 2 or raw_f.coeffs[1] == 0:
+    if interior.order < 2 or interior.coeffs[1] == 0:
         raise InvalidInput("raw_f'(0) = 0: not univalent")
-    if raw_g.coeffs[0] == 0:
+    if exterior.coeffs[0] == 0:
         raise InvalidInput("raw_g'(infinity) = 0: g does not fix infinity")
 
-    a1 = raw_f.coeffs[1]
-    fc = raw_f.coeffs / a1
+    a1 = interior.coeffs[1]
+    fc = interior.coeffs / a1
     fc[0] = 0.0
     fc[1] = 1.0
-    interior = ComplexSeries.taylor(fc, resolved=raw_f.resolved)
-    exterior = ComplexSeries.laurent(raw_g.coeffs / a1,
-                                     resolved=raw_g.resolved)
+    interior = ComplexSeries.taylor(fc, resolved=interior.resolved)
+    exterior = ComplexSeries.laurent(exterior.coeffs / a1,
+                                     resolved=exterior.resolved)
     turn, scale = float(np.angle(a1)), float(abs(a1))
-    curve = StarDomain(rho=lambda th: raw_curve.rho(np.asarray(th, dtype=float)
-                                                    + turn) / scale,
-                       order=raw_curve.order)
-    residuals = dict(extra_residuals or {})
+    curve = StarDomain(rho=lambda th: domain.rho(np.asarray(th, dtype=float)
+                                                 + turn) / scale,
+                       order=domain.order)
+    residuals = {"theodorsen": max(t.residual for t in theos)} if theos else {}
     resid = pair_boundary_residual(interior, exterior, curve)
     residuals["boundary"] = resid
     if not resid <= BOUNDARY_TOL:
@@ -399,88 +413,65 @@ def normalize_pair(raw_f: ComplexSeries, raw_g: ComplexSeries,
             f"{BOUNDARY_TOL:.1e}"
         )
     return WeldingPair(interior=interior, exterior=exterior, curve=curve,
-                       sample_count=sample_count, residuals=residuals)
-
-
-def star_pair(domain: StarDomain, exterior: ComplexSeries = None) -> WeldingPair:
-    """The welding pair of a star domain: Theodorsen's interior map of the
-    domain, and either the given closed-form ``exterior`` map or the
-    interior map of the reflected domain, reflected back out. The pair
-    records the largest sample count and Theodorsen residual of its solves;
-    it is refused (NumericalFailure) only by a step that fails: a solve, the
-    reflection or ``normalize_pair``'s boundary check.
-    """
-    theos = [theodorsen_interior(domain)]
-    if exterior is None:
-        theos.append(theodorsen_interior(inverted_domain(domain)))
-        # invert the image-correct reflected map; rescaling it first would
-        # scale the recovered curve away from the interior map's curve
-        exterior = inverted_series(theos[1].series)
-    return normalize_pair(
-        theos[0].series, exterior, domain,
-        sample_count=max(t.sample_count for t in theos),
-        extra_residuals={"theodorsen": max(t.residual for t in theos)})
+                       sample_count=max((t.sample_count for t in theos),
+                                        default=START_SAMPLE_COUNT),
+                       residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
 
+# each family: its parameter names, and the function of their values that
+# gives its curve and the maps it has in closed form (None: solved). The
+# ellipse's exterior map is z + c/z, whose trailing zeros state that the
+# higher Laurent coefficients vanish identically
+FAMILIES = {
+    "identity": ((), lambda: (bump_domain(0.0, 1),
+                              ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8),
+                              ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 8))),
+    "ellipse": (("c",), lambda c: (ellipse_domain(c), None, ComplexSeries.laurent(
+        [1.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0], resolved=True))),
+    "fourier_bump": (("eps", "k"), lambda eps, k: (bump_domain(eps, k), None, None)),
+}
+
+
 @functools.lru_cache(maxsize=64)
 def _catalog_cached(family: str, param_items: tuple, exterior_only: bool):
     """The family's pair, or with ``exterior_only`` its exterior map alone
     in the raw gauge, held to the curve; no interior map is solved for it."""
-    params = dict(param_items)
-
-    def take(*names):  # the family's parameters: each given, no other
-        missing = [name for name in names if name not in params]
-        if missing:
-            raise InvalidInput(f"{family} needs parameter "
-                               + ", ".join(map(repr, missing)))
-        values = [params.pop(name) for name in names]
-        if params:
-            raise InvalidInput(f"{family} takes no parameter "
-                               + ", ".join(map(repr, sorted(params))))
-        return values
-
-    if family == "identity":
-        take()
-        domain = bump_domain(0.0, 1)
-        exterior = ComplexSeries.identity(Kind.LAURENT_AT_INFINITY, 8)
-    elif family == "ellipse":
-        c, = take("c")
-        # exact closed form z + c/z: trailing zeros state that the higher
-        # Laurent coefficients vanish identically
-        domain, exterior = ellipse_domain(c), ComplexSeries.laurent(
-            [1.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0], resolved=True)
-    elif family == "fourier_bump":
-        domain, exterior = bump_domain(*take("eps", "k")), None
-    else:
+    if family not in FAMILIES:
         raise InvalidInput(f"unknown family: {family!r}")
-
-    if exterior_only:
-        if exterior is None:    # star_pair's reflected solve
-            exterior = inverted_series(theodorsen_interior(inverted_domain(domain)).series)
-        resid = boundary_residual(exterior, domain)
-        if not resid <= BOUNDARY_TOL:
-            raise NumericalFailure(f"exterior trace off the curve: residual "
-                                   f"{resid:.3e} is not within {BOUNDARY_TOL:.1e}")
-        return exterior
-    if family == "identity":    # by hand: the exact maps, a residual of 0
-        return WeldingPair(
-            interior=ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8),
-            exterior=exterior, curve=domain, sample_count=START_SAMPLE_COUNT,
-            residuals={"boundary": 0.0})
-    return star_pair(domain, exterior)
+    names, build = FAMILIES[family]
+    params = dict(param_items)
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise InvalidInput(f"{family} needs parameter "
+                           + ", ".join(map(repr, missing)))
+    extra = sorted(set(params) - set(names))
+    if extra:
+        raise InvalidInput(f"{family} takes no parameter "
+                           + ", ".join(map(repr, extra)))
+    domain, interior, exterior = build(*(params[name] for name in names))
+    if not exterior_only:
+        return star_pair(domain, interior, exterior)
+    if exterior is None:    # star_pair's reflected solve
+        exterior = inverted_series(theodorsen_interior(inverted_domain(domain)).series)
+    resid = boundary_residual(exterior, domain)
+    if not resid <= BOUNDARY_TOL:
+        raise NumericalFailure(f"exterior trace off the curve: residual "
+                               f"{resid:.3e} is not within {BOUNDARY_TOL:.1e}")
+    return exterior
 
 
 def catalog(family: str, **params) -> WeldingPair:
     """Construct a cataloged welding pair.
 
     Families: ``identity``, ``ellipse`` (parameter ``c`` in (0,1)),
-    ``fourier_bump`` (parameters ``eps`` in [0,1), integer ``k`` >= 1); a
-    missing parameter, or one the family does not read, is InvalidInput.
-    Each non-round family is one ``star_pair`` call, so a domain is refused
+    ``fourier_bump`` (parameters ``eps`` in [0,1), integer ``k`` >= 1), as
+    ``FAMILIES`` lists them; a missing parameter, or one the family does
+    not read, is InvalidInput. Every family is one ``star_pair`` call on
+    its curve and the maps it has in closed form, so a domain is refused
     (NumericalFailure) only when its construction fails; no smoothness
     bound gates it. The Theodorsen continuation doubles the sample count
     from ``START_SAMPLE_COUNT`` (up to ``MAX_SAMPLE_COUNT``) until the
@@ -502,12 +493,10 @@ def catalog_exterior(family: str, **params) -> ComplexSeries:
 
 def inverted_pair(pair: WeldingPair) -> WeldingPair:
     """The pair of the reflected curve: roles of f and g swap through
-    z -> 1/conj(z), the curve's radius becomes 1/rho, and the result is
-    re-normalized."""
-    return normalize_pair(inverted_series(pair.exterior),
-                          inverted_series(pair.interior),
-                          inverted_domain(pair.curve),
-                          sample_count=pair.sample_count)
+    z -> 1/conj(z), and the curve's radius becomes 1/rho; ``star_pair``
+    gauges and checks it."""
+    return star_pair(inverted_domain(pair.curve), inverted_series(pair.exterior),
+                     inverted_series(pair.interior))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,13 @@ Christoffel sum, a sum of positive terms, the oracle of the radial rule of
 
 ``mobius_ellipse_exterior`` is the exterior map of a Moebius image of the
 ellipse, a curve with no symmetry whose potential is the ellipse's.
+
+``ellipse_log_conformal_radius`` is the log of the ellipse's exterior
+conformal radius |g'(infinity)| in the pair's gauge f'(0) = 1, by two
+theta series: the oracle of the gauge, which no Theodorsen solve enters.
 """
+
+import math
 
 import numpy as np
 
@@ -330,3 +336,16 @@ def mobius_ellipse_exterior(c, a) -> ComplexSeries:
     coeffs = np.concatenate([spectrum[1::-1], spectrum[:1:-1]])
     kept = np.flatnonzero(np.abs(coeffs[2:]) < 1e-17 * abs(coeffs[0]))[0] + 2
     return ComplexSeries.laurent(coeffs[:kept], resolved=True)
+
+
+def ellipse_log_conformal_radius(c) -> float:
+    """log |g'(infinity)| of the catalog's ellipse pair (semi-axes 1 +- c)
+    in the gauge f'(0) = 1, that is -log f'(0) of its raw interior map:
+    log theta3(q) + log(theta2(q) / (2 q^(1/4))) for the nome q = c^2,
+    summed as log1p(2q + 2q^4 + 2q^9 + ...) + log1p(q^2 + q^6 + q^12 + ...)
+    (20 terms each: the last is far below rounding for c <= 0.5).
+    """
+    q = c * c
+    theta3 = sum(2.0 * q ** (n * n) for n in range(20, 0, -1))
+    theta2 = sum(q ** (n * (n + 1)) for n in range(20, 0, -1))
+    return math.log1p(theta3) + math.log1p(theta2)

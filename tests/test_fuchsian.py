@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from references import hyperbolic_distance, in_dirichlet_domain, vertex_angle
 
+from weldlab import cli
 from weldlab import fuchsian as fx
 from weldlab.errors import InvalidInput, NumericalFailure
 
@@ -102,6 +103,21 @@ class TestEnumeration:
     def test_word_length_cap(self, octagon):
         with pytest.raises(InvalidInput):
             fx.enumerate_elements(octagon, 9)
+
+    def test_word_length_8_is_refused_before_any_composition(self, octagon,
+                                                              monkeypatch,
+                                                              tmp_path):
+        # L = 7 holds 672 MB; L = 8 would need about 4.7 GB, so it is
+        # refused before the first element is composed. The command line
+        # runs only once that holds (building the group composes too)
+        def refuse(*args):
+            raise AssertionError("an element was composed")
+        monkeypatch.setattr(fx, "compose", refuse)
+        with pytest.raises(InvalidInput, match=r"0\.\.7"):
+            fx.enumerate_elements(octagon, 8)
+        monkeypatch.undo()
+        assert cli.main(["fuchsian", "--L", "8",
+                         "--out", str(tmp_path / "f.json")]) == cli.EXIT_INVALID
 
     def test_no_duplicates_up_to_sign(self, octagon, enum2):
         # the largest entry of a difference of [[a, b], [conj b, conj a]]

@@ -1,12 +1,14 @@
 import argparse
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from references import (dense_horner_distance, derivative, domain_from_samples,
-                        schwarzian_by_samples, triangular_reciprocal)
+                        ellipse_log_conformal_radius, schwarzian_by_samples,
+                        triangular_reciprocal)
 from weldlab import cli
 from weldlab import fuchsian as fx
 from weldlab import grunsky as gk
@@ -146,7 +148,7 @@ class TestTheodorsen:
         f = mp.theodorsen_interior(sampled).series
         g = mp.inverted_series(
             mp.theodorsen_interior(mp.inverted_domain(sampled)).series)
-        pair = mp.normalize_pair(f, g, sampled)
+        pair = mp.star_pair(sampled, f, g)
         blocks = (gk.build_b1(f, 16), gk.build_b4(g, 16),
                   *gk.build_b2_b3(f, g, 16))
         assert all(b.dtype == np.float64 for b in blocks)
@@ -265,6 +267,8 @@ class TestInversion:
 
 
 class TestNormalizePair:
+    """The gauge and the checks that ``star_pair`` applies to every pair."""
+
     def test_identity(self, identity_pair):
         assert identity_pair.g_prime_at_infinity == 1.0
         assert identity_pair.interior.coeffs[0] == 0
@@ -280,9 +284,9 @@ class TestNormalizePair:
         a1 = 2.0 * np.exp(0.25j * np.pi)
         raw = mp.StarDomain(rho=lambda th: 2.0 * ellipse03.curve.rho(
             np.asarray(th) - 0.25 * np.pi))
-        pair = mp.normalize_pair(
-            ComplexSeries.taylor(a1 * ellipse03.interior.coeffs),
-            ComplexSeries.laurent(a1 * ellipse03.exterior.coeffs), raw)
+        pair = mp.star_pair(
+            raw, ComplexSeries.taylor(a1 * ellipse03.interior.coeffs),
+            ComplexSeries.laurent(a1 * ellipse03.exterior.coeffs))
         assert pair.interior.coeffs[0] == 0
         assert pair.interior.coeffs[1] == 1
         assert np.abs(pair.interior.coeffs
@@ -296,15 +300,15 @@ class TestNormalizePair:
         # the gauge is a scaling and a rotation: a raw f that moves the
         # curve's centre 0 is refused, not translated
         with pytest.raises(InvalidInput, match="raw_f\\(0\\)"):
-            mp.normalize_pair(ComplexSeries.taylor([1.0, 2.0, 0.0, 0.0]),
-                              ComplexSeries.laurent([2.0, 1.0, 0.0, 0.0]),
-                              mp.bump_domain(0.0, 1))
+            mp.star_pair(mp.bump_domain(0.0, 1),
+                         ComplexSeries.taylor([1.0, 2.0, 0.0, 0.0]),
+                         ComplexSeries.laurent([2.0, 1.0, 0.0, 0.0]))
 
     def test_degenerate_rejected(self):
         with pytest.raises(InvalidInput):
-            mp.normalize_pair(ComplexSeries.taylor([0.0, 0.0, 1.0]),
-                              ComplexSeries.laurent([1.0, 0.0]),
-                              mp.bump_domain(0.0, 1))
+            mp.star_pair(mp.bump_domain(0.0, 1),
+                         ComplexSeries.taylor([0.0, 0.0, 1.0]),
+                         ComplexSeries.laurent([1.0, 0.0]))
 
     def test_twice_winding_interior_rejected(self):
         # z (z - 1/2)/(1 - z/2), a degree-2 Blaschke product, traces the
@@ -314,9 +318,8 @@ class TestNormalizePair:
         coeffs = np.where(k >= 2, 3.0 * 0.5 ** k, 0.0)
         coeffs[1] = -0.5
         with pytest.raises(NumericalFailure, match="winds 2 times"):
-            mp.normalize_pair(ComplexSeries.taylor(coeffs),
-                              ComplexSeries.laurent([1.0, 0.0]),
-                              mp.bump_domain(0.0, 1))
+            mp.star_pair(mp.bump_domain(0.0, 1), ComplexSeries.taylor(coeffs),
+                         ComplexSeries.laurent([1.0, 0.0]))
 
     def test_ellipse_g_prime(self, ellipse03):
         # |g'(inf)| = 1/f_raw'(0) feeds the log term of the action; it is
@@ -332,10 +335,33 @@ class TestNormalizePair:
         raw_g = ComplexSeries.laurent([1.0, 0.0])
         circle = mp.bump_domain(0.0, 1)
         with pytest.raises(NumericalFailure, match="winds nan times"):
-            mp.normalize_pair(raw_f, raw_g, circle)
+            mp.star_pair(circle, raw_f, raw_g)
         monkeypatch.setattr(mp, "pair_boundary_residual", lambda *a: np.nan)
         with pytest.raises(NumericalFailure, match="boundary traces disagree"):
-            mp.normalize_pair(ComplexSeries.taylor([0.0, 1.0]), raw_g, circle)
+            mp.star_pair(circle, ComplexSeries.taylor([0.0, 1.0]), raw_g)
+
+    def test_every_pair_is_checked(self, monkeypatch):
+        # the identity's exact maps pass the check that a solved pair
+        # passes, not a residual stated by hand
+        monkeypatch.setattr(mp, "pair_boundary_residual", lambda *a: np.nan)
+        mp._catalog_cached.cache_clear()
+        with pytest.raises(NumericalFailure, match="boundary traces disagree"):
+            mp.catalog("identity")
+
+    @pytest.mark.parametrize("c", [1e-4, 1e-3, 0.1, 0.2, 0.3, 0.4, 0.5])
+    def test_gauge_matches_theta_series(self, c):
+        # |g'(inf)| = 1/f'(0) of the raw Theodorsen map, against theta
+        # series that no solve enters (the gap reads at most 2.2e-16)
+        g_inf = abs(mp.catalog("ellipse", c=c).g_prime_at_infinity)
+        ref = math.exp(ellipse_log_conformal_radius(c))
+        assert abs(g_inf - ref) <= 4.4e-16 * ref
+
+    def test_theta_series_at_small_c(self):
+        # log g'(inf) = 2q - q^2 + (8/3) q^3 - ... for q = c^2: at c = 1e-4
+        # the cubic term is 1.3e-16 of the sum
+        q = 1e-8
+        ref = ellipse_log_conformal_radius(1e-4)
+        assert abs(ref - (2 * q - q * q)) <= 1e-15 * ref
 
 
 def two_curve_distance(f, g):
@@ -401,7 +427,7 @@ class TestBoundaryCheck:
         resid = mp.pair_boundary_residual(f, ellipse03.exterior, ellipse03.curve)
         assert 5e-7 <= resid and not resid <= mp.BOUNDARY_TOL
         with pytest.raises(NumericalFailure, match="boundary traces disagree"):
-            mp.normalize_pair(f, ellipse03.exterior, ellipse03.curve)
+            mp.star_pair(ellipse03.curve, f, ellipse03.exterior)
 
     def test_no_horner_loop(self, ellipse05, monkeypatch):
         # a count, not a timing: the check of the 6408-term map must not

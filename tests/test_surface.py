@@ -14,6 +14,9 @@ to it, and every allowlisted name has a reader among the test modules, so
 an allowlist entry cannot outlive the test that kept it. The command line
 builds its parsers from its table and reads none of argparse's internals
 back, and its ``logdet --route`` choices are the routes of the potential.
+Its family names are the rows of ``maps.FAMILIES``, each parameter of a
+row is a flag of the family commands, and no function but ``maps.star_pair``
+calls ``WeldingPair``, so every pair has its curve checked.
 """
 
 import ast
@@ -164,3 +167,39 @@ def test_logdet_route_choices_are_the_potential_routes():
     flags = {names[0]: keywords for names, keywords in cli._COMMANDS["logdet"][2]}
     assert tuple(flags["--route"]["choices"]) == tuple(grunsky.ROUTES)
     assert grunsky.ROUTES == {"b1": "interior", "b4": "exterior"}
+
+
+def test_cli_families_are_the_catalog_rows():
+    # the command line lists the names itself, so that building its parser
+    # loads no layer module; they must stay the rows of maps.FAMILIES, and
+    # every parameter a row reads must be a flag of the family commands
+    from weldlab import cli, maps
+    assert cli.FAMILIES == tuple(maps.FAMILIES)
+    flags = {name for names, _ in cli._FAMILY for name in names}
+    params = {name for names, _ in maps.FAMILIES.values() for name in names}
+    assert sorted({f"--{name}" for name in params} - flags) == []
+
+
+def _callers(tree, name):
+    """The innermost function (``<module>`` outside any) of every call of
+    ``name``, as a bare name or an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_star_pair_makes_a_pair():
+    # every pair is gauged and has its curve checked where it is made
+    callers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+               for scope in _callers(ast.parse(path.read_text()), "WeldingPair")}
+    assert callers == {"maps.star_pair"}
