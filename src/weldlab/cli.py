@@ -16,7 +16,10 @@ batch     run a file of command lines, one per line, in this process
 Each command is one row of ``_COMMANDS``: its help line, its handler and
 its flags, as data. ``_build_pair``, the step of every command that builds
 a pair, times the catalog as the ``catalog`` stage ``--verbose`` prints;
-``maps.catalog`` alone decides which parameter flags a family takes.
+``maps.catalog`` alone decides which parameter flags a family takes, and
+the ``_PARAMS`` rows alone list them. ``logdet`` builds only the map its
+route reads, the side ``grunsky.ROUTES`` names (``maps.catalog_map``);
+every other command builds the pair.
 
 Exit codes: 0 success, 1 a requested tolerance check failed, 2 invalid
 input, 3 numerical failure (an array numpy cannot allocate included: one
@@ -29,7 +32,7 @@ every value and explicit flags win. The environment variable
 ``WELDLAB_OUTDIR`` sets the default output directory. ``batch`` runs each
 line through ``main`` as its own process would, prints ``line <n>: exit
 <code>`` to stderr, and exits with the largest code; its lines share the
-catalog's cache of 64 pairs.
+catalog's cache of 64 pairs and single maps.
 
 Every JSON report, the pair's included, is written by ``_write_report``
 in one layout, and carries a ``conventions`` block naming the basis, the
@@ -158,17 +161,17 @@ def _stage(args, name: str):
               file=sys.stderr)
 
 
-def _build_pair(args, exterior_only=False):
-    """The pair the family flags name (``exterior_only``: its exterior map
+def _build_pair(args, side=None):
+    """The pair the family flags name (with ``side``, the map of that side
     alone), built under the ``catalog`` stage, and the head of its report:
     the family and its parameters as given, each passed to the catalog."""
-    params = {name: getattr(args, name) for name in ("c", "eps", "k")
-              if getattr(args, name) is not None}
+    params = {flag[2:]: getattr(args, flag[2:]) for (flag,), _ in _PARAMS
+              if getattr(args, flag[2:]) is not None}
     with _stage(args, "catalog"):
         from . import maps as mp
-        build = mp.catalog_exterior if exterior_only else mp.catalog
-        pair = build(args.family, **params)
-    return pair, {"family": args.family, "params": params}
+        built = (mp.catalog(args.family, **params) if side is None
+                 else mp.catalog_map(args.family, side, **params))
+    return built, {"family": args.family, "params": params}
 
 
 def _numbers(args, flag: str, sep: str, count: int = 0) -> list:
@@ -258,9 +261,7 @@ def _cmd_grunsky(args) -> int:
 def _cmd_logdet(args) -> int:
     from . import grunsky as gk
     orders = _orders(args)
-    exterior = gk.ROUTES[args.route] == "exterior"   # b4 reads g alone
-    built, head = _build_pair(args, exterior_only=exterior)
-    h = built if exterior else built.interior
+    h, head = _build_pair(args, gk.ROUTES[args.route])
     report = gk.potential(h, orders, functools.partial(_stage, args))
     doc = {**head, "route": args.route, "report": report.to_dict(),
            "s2_univ": report.extrapolated, "s2_dg": -report.extrapolated}
@@ -461,10 +462,10 @@ def _finite_float(text: str) -> float:
 _SHARED = [(("--config",), {"help": "key = value config file"}),
            (("--out",), {"help": "output file path"}),
            (("--verbose", "-v"), {"action": "store_true"})]
-_FAMILY = [(("--family",), {"required": True, "choices": FAMILIES}),
-           (("--c",), {"type": float, "help": "ellipse parameter"}),
+_PARAMS = [(("--c",), {"type": float, "help": "ellipse parameter"}),
            (("--eps",), {"type": float, "help": "bump amplitude"}),
            (("--k",), {"type": int, "help": "bump frequency"})]
+_FAMILY = [(("--family",), {"required": True, "choices": FAMILIES})] + _PARAMS
 _ORDERS = [(("--N",), {"default": "64",
                        "help": "comma-separated truncation orders"})]
 _GRID = [(("--grid",), {"default": "256x512", "help": "n_r x n_theta"})]

@@ -13,11 +13,12 @@ names ``cli.FAMILIES`` lists for the command line; their rows in
 
 Every pair is made, gauged and checked by one constructor, ``star_pair``:
 it takes the maps a family has in closed form (z and z for the circle,
-z + c/z outside the ellipse) and solves the rest. A missing interior map
-comes from Theodorsen iteration on the polar parametrization, and a
-missing exterior map is the reflection z -> 1/conj(z), by series algebra,
-of the interior map of the reflected domain. ``catalog_exterior`` gives
-the exterior map alone, for the route that reads no other (B4).
+z + c/z outside the ellipse) and solves the rest. One recipe makes a
+missing map: Theodorsen iteration on the polar parametrization for the
+interior map, and for the exterior map the reflection z -> 1/conj(z), by
+series algebra, of the reflected domain's interior map. ``catalog_map``
+gives one side's map alone, for a route that reads no other (B1 reads f,
+B4 reads g), by the same recipe, gauge and check.
 
 Theodorsen's equation is solved by two-step (second-order Richardson)
 fixed-point iteration with mesh continuation (solve on a coarse grid,
@@ -44,8 +45,8 @@ goes through ``series`` (``evaluate_array``, ``derivative_array``,
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -321,7 +322,7 @@ class WeldingPair:
     exterior: ComplexSeries
     curve: StarDomain
     sample_count: int
-    residuals: dict
+    residuals: types.MappingProxyType
 
     @property
     def g_prime_at_infinity(self) -> complex:
@@ -355,33 +356,64 @@ def pair_boundary_residual(interior: ComplexSeries, exterior: ComplexSeries,
     return max(boundary_residual(h, curve) for h in (interior, exterior))
 
 
+def _side_map(domain: StarDomain, side: str, given: ComplexSeries):
+    """The raw map of ``side`` ("interior" or "exterior") of ``domain`` and
+    the Theodorsen result that made it: ``given`` as it is (no result) or,
+    when it is None, Theodorsen's interior map, or the interior map of the
+    reflected domain, reflected back out."""
+    if given is not None:
+        return None, given
+    inside = side == "interior"
+    theo = theodorsen_interior(domain if inside else inverted_domain(domain))
+    # invert the image-correct reflected map; rescaling it first would
+    # scale the recovered curve away from the interior map's curve
+    return theo, theo.series if inside else inverted_series(theo.series)
+
+
+def _gauged(domain: StarDomain, interior: ComplexSeries):
+    """The raw interior map in the gauge w -> w/f'(0), its a1 = f'(0), and
+    the curve in that gauge, of radius rho(theta + arg a1)/|a1|."""
+    a1 = interior.coeffs[1]
+    fc = interior.coeffs / a1
+    fc[0], fc[1] = 0.0, 1.0
+    turn, scale = float(np.angle(a1)), float(abs(a1))
+    curve = StarDomain(rho=lambda th: domain.rho(np.asarray(th, dtype=float)
+                                                 + turn) / scale,
+                       order=domain.order)
+    return ComplexSeries.taylor(fc, resolved=interior.resolved), a1, curve
+
+
+def _checked(resid: float) -> float:
+    """A boundary residual within ``BOUNDARY_TOL``; one that is not, or
+    is not a number, raises NumericalFailure."""
+    if not resid <= BOUNDARY_TOL:
+        raise NumericalFailure(f"boundary traces disagree: residual "
+                               f"{resid:.3e} is not within {BOUNDARY_TOL:.1e}")
+    return resid
+
+
 def star_pair(domain: StarDomain, interior: ComplexSeries = None,
               exterior: ComplexSeries = None) -> WeldingPair:
     """The welding pair of a star domain, in the gauge w -> w/f'(0).
 
-    A map given is used as it is; a missing ``interior`` is Theodorsen's
-    map of the domain, and a missing ``exterior`` the interior map of the
-    reflected domain, reflected back out. The raw interior map must fix 0,
-    the centre of ``domain``; the gauge is then a scaling and a rotation,
-    so the pair satisfies f(0) = 0 and f'(0) = 1 exactly, g'(inf) is the
+    A map given is used as it is; a missing map is made by ``_side_map``:
+    Theodorsen's map of the domain, or the interior map of the reflected
+    domain, reflected back out. The raw interior map must fix 0, the
+    centre of ``domain``; the gauge is then a scaling and a rotation, so
+    the pair satisfies f(0) = 0 and f'(0) = 1 exactly, g'(inf) is the
     rescaled Laurent leading coefficient, and the curve stays star-shaped
     about 0 with radius rho(theta + arg a1)/|a1| for a1 = f'(0). Both
     boundary traces must lie on that curve to ``BOUNDARY_TOL``; a residual
     that is not a number fails too. The pair records the largest sample
     count of its solves (``START_SAMPLE_COUNT`` without one) and, beside
     the boundary residual, the largest Theodorsen residual when it solved;
-    the check reads neither. It is refused (NumericalFailure) only by a
-    step that fails: a solve, the reflection or the boundary check.
+    the check reads neither, and the residuals are read-only. It is
+    refused (NumericalFailure) only by a step that fails: a solve, the
+    reflection or the boundary check.
     """
-    theos = []
-    if interior is None:
-        theos.append(theodorsen_interior(domain))
-        interior = theos[-1].series
-    if exterior is None:
-        theos.append(theodorsen_interior(inverted_domain(domain)))
-        # invert the image-correct reflected map; rescaling it first would
-        # scale the recovered curve away from the interior map's curve
-        exterior = inverted_series(theos[-1].series)
+    theo_f, interior = _side_map(domain, "interior", interior)
+    theo_g, exterior = _side_map(domain, "exterior", exterior)
+    theos = [theo for theo in (theo_f, theo_g) if theo is not None]
     if interior.kind is not Kind.TAYLOR_AT_ZERO:
         raise InvalidInput("raw interior map must be a Taylor series")
     if exterior.kind is not Kind.LAURENT_AT_INFINITY:
@@ -393,29 +425,16 @@ def star_pair(domain: StarDomain, interior: ComplexSeries = None,
     if exterior.coeffs[0] == 0:
         raise InvalidInput("raw_g'(infinity) = 0: g does not fix infinity")
 
-    a1 = interior.coeffs[1]
-    fc = interior.coeffs / a1
-    fc[0] = 0.0
-    fc[1] = 1.0
-    interior = ComplexSeries.taylor(fc, resolved=interior.resolved)
+    interior, a1, curve = _gauged(domain, interior)
     exterior = ComplexSeries.laurent(exterior.coeffs / a1,
                                      resolved=exterior.resolved)
-    turn, scale = float(np.angle(a1)), float(abs(a1))
-    curve = StarDomain(rho=lambda th: domain.rho(np.asarray(th, dtype=float)
-                                                 + turn) / scale,
-                       order=domain.order)
     residuals = {"theodorsen": max(t.residual for t in theos)} if theos else {}
-    resid = pair_boundary_residual(interior, exterior, curve)
-    residuals["boundary"] = resid
-    if not resid <= BOUNDARY_TOL:
-        raise NumericalFailure(
-            f"boundary traces disagree: residual {resid:.3e} is not within "
-            f"{BOUNDARY_TOL:.1e}"
-        )
+    residuals["boundary"] = _checked(
+        pair_boundary_residual(interior, exterior, curve))
     return WeldingPair(interior=interior, exterior=exterior, curve=curve,
                        sample_count=max((t.sample_count for t in theos),
                                         default=START_SAMPLE_COUNT),
-                       residuals=residuals)
+                       residuals=types.MappingProxyType(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +456,11 @@ FAMILIES = {
 
 
 @functools.lru_cache(maxsize=64)
-def _catalog_cached(family: str, param_items: tuple, exterior_only: bool):
-    """The family's pair, or with ``exterior_only`` its exterior map alone
-    in the raw gauge, held to the curve; no interior map is solved for it."""
+def _catalog_cached(family: str, param_items: tuple, side: str):
+    """The family's pair, or with ``side`` that side's map alone by the
+    pair's recipe and check: the interior map in the pair's gauge against
+    the pair's curve, the exterior map in the raw gauge (B4 is invariant
+    under g -> a g + b) against the family's curve."""
     if family not in FAMILIES:
         raise InvalidInput(f"unknown family: {family!r}")
     names, build = FAMILIES[family]
@@ -453,15 +474,14 @@ def _catalog_cached(family: str, param_items: tuple, exterior_only: bool):
         raise InvalidInput(f"{family} takes no parameter "
                            + ", ".join(map(repr, extra)))
     domain, interior, exterior = build(*(params[name] for name in names))
-    if not exterior_only:
+    if side is None:
         return star_pair(domain, interior, exterior)
-    if exterior is None:    # star_pair's reflected solve
-        exterior = inverted_series(theodorsen_interior(inverted_domain(domain)).series)
-    resid = boundary_residual(exterior, domain)
-    if not resid <= BOUNDARY_TOL:
-        raise NumericalFailure(f"exterior trace off the curve: residual "
-                               f"{resid:.3e} is not within {BOUNDARY_TOL:.1e}")
-    return exterior
+    h = _side_map(domain, side, {"interior": interior,
+                                 "exterior": exterior}[side])[1]
+    if side == "interior":
+        h, _, domain = _gauged(domain, h)
+    _checked(boundary_residual(h, domain))
+    return h
 
 
 def catalog(family: str, **params) -> WeldingPair:
@@ -477,18 +497,19 @@ def catalog(family: str, **params) -> WeldingPair:
     from ``START_SAMPLE_COUNT`` (up to ``MAX_SAMPLE_COUNT``) until the
     coefficients are resolved; a map still unresolved there is kept and
     marked unresolved. The pair holds its maps, their curve and how they
-    were resolved, not the family or its parameters. Pairs are cached; each
-    call returns its own ``residuals`` dict, so a caller's edits never reach
-    later results.
+    were resolved, not the family or its parameters. Pairs are cached, and
+    each call returns the cached pair itself, whose residuals are
+    read-only.
     """
-    pair = _catalog_cached(family, tuple(sorted(params.items())), False)
-    return dataclasses.replace(pair, residuals=dict(pair.residuals))
+    return _catalog_cached(family, tuple(sorted(params.items())), None)
 
 
-def catalog_exterior(family: str, **params) -> ComplexSeries:
-    """A cataloged family's exterior map alone, as B4 reads it: no interior
-    solve and no gauge (B4 is invariant under g -> a g + b); cached."""
-    return _catalog_cached(family, tuple(sorted(params.items())), True)
+def catalog_map(family: str, side: str, **params) -> ComplexSeries:
+    """A cataloged family's map of one ``side`` ("interior" or "exterior",
+    the values of ``grunsky.ROUTES``) alone, as one block reads it: the
+    interior map is the pair's, and the exterior map the pair's up to the
+    scale f'(0). Cached with the pairs."""
+    return _catalog_cached(family, tuple(sorted(params.items())), side)
 
 
 def inverted_pair(pair: WeldingPair) -> WeldingPair:

@@ -411,6 +411,28 @@ class TestCommands:
         closed = math.fsum(np.log1p(-c ** (2.0 * np.arange(1, 400))))
         assert abs(json.loads(out.read_text())["s2_univ"] - closed) <= 1e-13
 
+    def test_b1_route_past_the_reflected_solve(self, tmp_path, capsys):
+        # bump (0.7, 2): the reflected domain's map cannot be resolved, and
+        # the b1 route, which reads the interior map alone, never solves it
+        bump = ["--family", "fourier_bump", "--eps", "0.7", "--k", "2",
+                "--N", "64,128,256,512"]
+        out = tmp_path / "b1.json"
+        assert run(["logdet", "--route", "b1", *bump, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["residual_tail"] <= 1e-13
+        assert run(["logdet", "--route", "b4", *bump,
+                    "--out", str(tmp_path / "b4.json")]) == 3
+        assert "reflected coefficients" in capsys.readouterr().err
+
+    def test_b1_route_refuses_an_interior_map_off_its_curve(self, tmp_path,
+                                                            capsys):
+        # bump (0.9, 2): the interior solve settles on a map whose trace
+        # winds the wrong way, and its boundary check refuses it
+        code = run(["logdet", "--route", "b1", "--family", "fourier_bump",
+                    "--eps", "0.9", "--k", "2", "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert ("the interior boundary trace winds -1 times"
+                in capsys.readouterr().err)
+
     def test_bump_the_iteration_cannot_solve_exit_3(self, tmp_path, capsys):
         # bump (0.9, 2) is refused by its construction, not by a bound
         out = tmp_path / "pair.json"

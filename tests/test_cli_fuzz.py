@@ -29,11 +29,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weldlab import cli
+from weldlab import cli, maps
 
-# the parameters each family reads (``maps.catalog`` decides them); a line
-# gives the others only by a rare flip, which the catalog refuses
-READS = {"identity": (), "ellipse": ("--c",), "fourier_bump": ("--eps", "--k")}
+# the parameter flags each family reads, from the rows of ``maps.FAMILIES``,
+# which decide them; a line gives the others only by a rare flip, which the
+# catalog refuses
+READS = {family: tuple(f"--{name}" for name in names)
+         for family, (names, _) in maps.FAMILIES.items()}
+PARAMS = {flag for flags in READS.values() for flag in flags}
 
 NOT_NUMBERS = ["nan", "inf", "-inf", "-0.3", "x", ""]
 
@@ -96,7 +99,7 @@ def draw_line(draw, command):
     for names, keywords in cli._COMMANDS[command][2]:
         name = names[0]
         flip = draw(st.integers(0, 19)) == 19
-        if name in READS["fourier_bump"] + READS["ellipse"]:
+        if name in PARAMS:
             given = (name in READS.get(family, ())) != flip
         elif name in ALWAYS:
             given = not flip

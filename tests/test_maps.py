@@ -604,27 +604,81 @@ class TestCatalogInvariants:
         # the closed form, or the reflected solve in its raw gauge, which
         # is the pair's exterior map up to the scale f'(0); the ellipse at
         # c = 0.8 has no pair, as its interior map cannot be resolved
-        g = mp.catalog_exterior(family, **params)
+        g = mp.catalog_map(family, "exterior", **params)
         assert len(solves) == count
-        assert mp.catalog_exterior(family, **params) is g
+        assert mp.catalog_map(family, "exterior", **params) is g
         if family != "ellipse":
             h = mp.catalog(family, **params).exterior.coeffs
             assert np.abs(g.coeffs / g.coeffs[0] - h / h[0]).max() <= 1e-15
+
+    @pytest.mark.parametrize("family, params, count", [
+        ("identity", {}, 0), ("ellipse", {"c": 0.3}, 1),
+        ("fourier_bump", {"eps": 0.2, "k": 4}, 1)])
+    def test_interior_alone_solves_no_exterior_map(self, solves, family,
+                                                   params, count):
+        f = mp.catalog_map(family, "interior", **params)
+        assert len(solves) == count
+        assert all(r.series.resolved for r in solves)
+        assert mp.catalog_map(family, "interior", **params) is f
+
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    @pytest.mark.parametrize("family, params", [
+        ("identity", {}), ("ellipse", {"c": 0.3}), ("ellipse", {"c": 0.5}),
+        ("fourier_bump", {"eps": 0.2, "k": 4}),
+        ("fourier_bump", {"eps": 0.3, "k": 3})])
+    def test_single_map_is_the_pairs_map(self, family, params, side):
+        # the interior map takes the pair's gauge, coefficient for
+        # coefficient; the exterior map is the pair's up to the scale f'(0)
+        h = mp.catalog_map(family, side, **params)
+        ref = getattr(mp.catalog(family, **params), side)
+        assert h.kind is ref.kind and h.resolved == ref.resolved
+        if side == "interior":
+            assert h.coeffs.dtype == ref.coeffs.dtype
+            assert np.array_equal(h.coeffs, ref.coeffs)
+        else:
+            gap = h.coeffs / h.coeffs[0] - ref.coeffs / ref.coeffs[0]
+            assert len(h.coeffs) == len(ref.coeffs)
+            assert np.abs(gap).max() <= 1e-15
+
+    def test_single_interior_gives_the_pairs_potential(self):
+        orders = [16, 32, 64]
+        alone = gk.potential(mp.catalog_map("fourier_bump", "interior",
+                                            eps=0.3, k=3), orders)
+        pair = gk.potential(mp.catalog("fourier_bump", eps=0.3,
+                                       k=3).interior, orders)
+        assert alone.estimates == pair.estimates
+
+    def test_b1_route_solves_the_interior_map_alone(self, solves, tmp_path):
+        out = tmp_path / "logdet.json"
+        assert cli.main(["logdet", "--family", "fourier_bump", "--eps", "0.2",
+                         "--k", "4", "--route", "b1", "--N", "16,32",
+                         "--out", str(out)]) == 0
+        assert len(solves) == 1 and solves[0].sample_count == 1024
 
     def test_exterior_off_the_curve_is_refused(self, monkeypatch):
         # z + 0.3/z against the curve of c = 0.31
         ellipse = mp.ellipse_domain
         monkeypatch.setattr(mp, "ellipse_domain", lambda c: ellipse(c + 0.01))
         mp._catalog_cached.cache_clear()
-        with pytest.raises(NumericalFailure,
-                           match="exterior trace off the curve"):
-            mp.catalog_exterior("ellipse", c=0.3)
+        with pytest.raises(NumericalFailure, match="boundary traces disagree"):
+            mp.catalog_map("ellipse", "exterior", c=0.3)
 
-    def test_results_do_not_share_mutable_dicts(self):
+    def test_interior_off_the_curve_is_refused(self, monkeypatch):
+        # z against the curve rho = 1 + 0.01 cos(theta), in the pair's gauge
+        bump = mp.bump_domain
+        monkeypatch.setattr(mp, "bump_domain",
+                            lambda eps, k: bump(eps + 0.01, k))
+        mp._catalog_cached.cache_clear()
+        with pytest.raises(NumericalFailure,
+                           match="boundary traces disagree: residual 1.000e-02"):
+            mp.catalog_map("identity", "interior")
+
+    def test_catalog_returns_its_cached_pair_read_only(self):
         first = mp.catalog("ellipse", c=0.1)
-        first.residuals["boundary"] = -1.0
-        again = mp.catalog("ellipse", c=0.1)
-        assert again.residuals["boundary"] >= 0.0
+        assert mp.catalog("ellipse", c=0.1) is first
+        with pytest.raises(TypeError):
+            first.residuals["boundary"] = -1.0
+        assert first.residuals["boundary"] >= 0.0
 
 
 class TestSchwarzian:

@@ -14,9 +14,12 @@ to it, and every allowlisted name has a reader among the test modules, so
 an allowlist entry cannot outlive the test that kept it. The command line
 builds its parsers from its table and reads none of argparse's internals
 back, and its ``logdet --route`` choices are the routes of the potential.
-Its family names are the rows of ``maps.FAMILIES``, each parameter of a
-row is a flag of the family commands, and no function but ``maps.star_pair``
-calls ``WeldingPair``, so every pair has its curve checked.
+Its family names are the rows of ``maps.FAMILIES``, the parameters of the
+rows are the parameter flags of the family commands, and no function but
+``maps.star_pair`` calls ``WeldingPair``, so every pair has its curve
+checked. One recipe, ``maps._side_map``, is the only caller of
+``theodorsen_interior``, so the pair and the single-map catalog make a
+missing map alike.
 """
 
 import ast
@@ -172,12 +175,14 @@ def test_logdet_route_choices_are_the_potential_routes():
 def test_cli_families_are_the_catalog_rows():
     # the command line lists the names itself, so that building its parser
     # loads no layer module; they must stay the rows of maps.FAMILIES, and
-    # every parameter a row reads must be a flag of the family commands
+    # the parameter flags of the family commands, which the command line
+    # passes to the catalog, must be the parameters the rows read
     from weldlab import cli, maps
     assert cli.FAMILIES == tuple(maps.FAMILIES)
-    flags = {name for names, _ in cli._FAMILY for name in names}
+    assert cli._FAMILY[1:] == cli._PARAMS
+    flags = {name for names, _ in cli._PARAMS for name in names}
     params = {name for names, _ in maps.FAMILIES.values() for name in names}
-    assert sorted({f"--{name}" for name in params} - flags) == []
+    assert {f"--{name}" for name in params} == flags
 
 
 def _callers(tree, name):
@@ -203,3 +208,11 @@ def test_only_star_pair_makes_a_pair():
     callers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
                for scope in _callers(ast.parse(path.read_text()), "WeldingPair")}
     assert callers == {"maps.star_pair"}
+
+
+def test_one_recipe_solves_a_map():
+    # the pair and the single map of a route make a missing map alike
+    callers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+               for scope in _callers(ast.parse(path.read_text()),
+                                     "theodorsen_interior")}
+    assert callers == {"maps._side_map"}
