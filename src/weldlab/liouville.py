@@ -46,6 +46,7 @@ strongly crowded pairs whose angular spectrum outruns the grid.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,12 @@ class QuadratureGrid:
         return 0.5 * (x + 1.0), 0.5 * w
 
 
+@functools.lru_cache(maxsize=64)
 def _gauss_legendre(n: int):
-    """Gauss-Legendre nodes, ascending, and weights on [-1, 1] for n >= 2.
+    """Gauss-Legendre nodes, ascending, and weights on [-1, 1] for n >= 2,
+    as read-only arrays computed once per n in a process (the 64 last read
+    are kept, as the catalog keeps its pairs), so the lines of a batch
+    share their radial rules.
 
     Newton on the three-term recurrence (N. Hale and A. Townsend, SIAM J.
     Sci. Comput. 35, 2013), for the nodes x >= 0 at once: from Tricomi's
@@ -105,8 +110,9 @@ def _gauss_legendre(n: int):
         phi -= p1 / dp
     x, w = np.sin(phi), 2.0 / dp ** 2
     half = slice(n % 2, None)               # odd n mirrors all but x = 0
-    return (np.concatenate([-x[half][::-1], x]),
-            np.concatenate([w[half][::-1], w]))
+    x, w = np.concatenate([-x[half][::-1], x]), np.concatenate([w[half][::-1], w])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _action_sides(pair: WeldingPair):

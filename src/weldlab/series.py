@@ -212,12 +212,18 @@ def _y_transforms(n1: int, real: bool, order: int):
     is exact for every class. With k = 1 the twiddles are 1 and the
     transforms those of the whole rows. The spectrum is stored
     transposed: one row per y-frequency, so that the x-transforms of
-    ``_x_product`` run along contiguous rows. Returns three functions:
+    ``_x_product`` run along contiguous rows.
+
+    Every pass is one walk, ``blocks``: the rows of each residue class
+    mod k in blocks of at most ``_FFT_BLOCK`` entries, each with the class
+    b of its y-powers and the number of them below y^n1. Two block
+    transforms alone hold the twiddles: ``to_spectrum`` writes a block's
+    spectrum into its columns, and ``to_series`` untwiddles a block of
+    spectrum in place and returns its series. Returns three functions:
     ``forward`` (the spectrum of a series), ``truncate`` (a spectrum cut
     back in place to that of its series truncated at y^n1) and
     ``inverse`` (the series of a spectrum, written into ``out``, whose
-    off-class entries it leaves as they are). Each works through blocks
-    of rows of at most ``_FFT_BLOCK`` entries.
+    off-class entries it leaves as they are; it consumes the spectrum).
     """
     k, sign = abs(order), (-1 if order > 0 else 1)
     m = _smooth_length(-(-(2 * n1 - 1) // k))
@@ -227,43 +233,39 @@ def _y_transforms(n1: int, real: bool, order: int):
     twiddles = np.exp(-2j * np.pi / (k * m)
                       * np.outer(np.arange(k), np.arange(width)))[:, :, None]
 
-    def classes(count, offset):
-        """(residue r of the rows, class b of their y-powers, number of
-        those powers below y^n1) of each row class of an array."""
+    def blocks(count, offset):
+        """(rows, b, kept) for each block of an array's ``count`` rows: a
+        slice of at most ``step`` rows of one residue class mod k, the class
+        b of their y-powers, and the number of those below y^n1."""
         for r in range(min(k, count)):
             b = sign * (r + offset) % k
-            yield r, b, len(range(b, n1, k))
+            for i in range(r, count, k * step):
+                yield slice(i, min(i + k * step, count), k), b, len(range(b, n1, k))
+
+    def to_spectrum(coeffs, b, dest):
+        dest[:] = fwd(coeffs, m).T
+        if b:
+            dest *= twiddles[b]
+
+    def to_series(spec, b, kept):
+        if b:
+            spec *= twiddles[b].conj()
+        return inv(spec.T, m)[:, :kept]
 
     def forward(a, offset):
         spec = np.empty((width, len(a)), dtype=complex)
-        for r, b, _ in classes(len(a), offset):
-            rows, cols = a[r::k, b::k], spec[:, r::k]
-            for i in range(0, len(rows), step):
-                cols[:, i:i + step] = fwd(rows[i:i + step], m).T
-                if b:
-                    cols[:, i:i + step] *= twiddles[b]
+        for rows, b, _ in blocks(len(a), offset):
+            to_spectrum(a[rows, b::k], b, spec[:, rows])
         return spec
 
     def truncate(spec, offset):
-        for r, b, kept in classes(spec.shape[1], offset):
-            cols = spec[:, r::k]
-            for i in range(0, cols.shape[1], step):
-                block = cols[:, i:i + step]
-                if b:
-                    block *= twiddles[b].conj()
-                block[:] = fwd(inv(block.T, m)[:, :kept], m).T
-                if b:
-                    block *= twiddles[b]
+        for rows, b, kept in blocks(spec.shape[1], offset):
+            to_spectrum(to_series(spec[:, rows], b, kept), b, spec[:, rows])
         return spec
 
     def inverse(spec, out, offset):
-        for r, b, kept in classes(spec.shape[1], offset):
-            cols, rows = spec[:, r::k], out[r::k, b::k]
-            for i in range(0, cols.shape[1], step):
-                block = cols[:, i:i + step]
-                if b:
-                    block = block * twiddles[b].conj()
-                rows[i:i + step] = inv(block.T, m)[:, :kept]
+        for rows, b, kept in blocks(spec.shape[1], offset):
+            out[rows, b::k] = to_series(spec[:, rows], b, kept)
         return out
 
     return forward, truncate, inverse

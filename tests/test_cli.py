@@ -817,6 +817,31 @@ class TestBatch:
         assert err.startswith("numerical failure: Unable to allocate")
         assert err.splitlines()[1:] == ["line 1: exit 3"]
 
+    def test_lines_share_their_radial_rules(self, tmp_path, monkeypatch):
+        # two lines on the default ladder (n_r = 64, 128, 256) and one on
+        # --grid 64x128 (16, 32, 64) compute five rules for nine grids, and
+        # write the bytes of a batch that recomputes the rule on every grid
+        from weldlab import liouville
+        text = ("identity --family ellipse --c 0.1 --N 16,32 --out a.json\n"
+                "identity --family fourier_bump --eps 0.05 --k 2 --N 16,32 "
+                "--out b.json\n"
+                "identity --family ellipse --c 0.3 --N 16,32 --grid 64x128 "
+                "--out c.json\n")
+        cached, fresh = tmp_path / "cached", tmp_path / "fresh"
+        cached.mkdir()
+        fresh.mkdir()
+        liouville._gauss_legendre.cache_clear()
+        assert run_batch(cached, text) == 0
+        info = liouville._gauss_legendre.cache_info()
+        assert (info.misses, info.hits) == (5, 4)
+        x, w = liouville._gauss_legendre(64)
+        assert not (x.flags.writeable or w.flags.writeable)
+        monkeypatch.setattr(liouville, "_gauss_legendre",
+                            liouville._gauss_legendre.__wrapped__)
+        assert run_batch(fresh, text) == 0
+        for name in ("a.json", "b.json", "c.json"):
+            assert (cached / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_verbose_adds_line_times_and_keeps_reports(self, tmp_path,
                                                        capsys):
         text = ("identity --family ellipse --c 0.1 --N 8,16 --grid 16x32 "

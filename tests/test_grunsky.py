@@ -12,7 +12,8 @@ from weldlab import series
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import ComplexSeries, Kind, evaluate
 
-from references import disk_domain, mobius_ellipse_exterior, svd_logdet
+from references import (disk_domain, mobius_ellipse_exterior, mobius_ellipse_interior,
+                        svd_logdet)
 
 
 def closed_form_logdet(c, n):
@@ -270,6 +271,16 @@ class TestBuildB4:
         b4 = gk.build_b4(g, 256)
         assert b4.dtype == np.complex128 and series._class_order(b4, 1) == 1
         value = gk.potential(g, [256]).extrapolated
+        assert abs(value - closed_form_logdet(c, 400)) <= 1e-15
+
+    # the same images from the inside: B1 of F = f / (1 - a f) is a dense
+    # complex block with the ellipse's potential, the one closed form for
+    # the complex 1-fold path of the log on the interior side
+    @pytest.mark.parametrize("c, a", [(0.3, 0.4 + 0.2j), (0.3, -0.5)])
+    def test_moebius_image_of_the_ellipse_interior(self, c, a):
+        b1 = gk.build_b1(mobius_ellipse_interior(c, a), 512)
+        assert b1.dtype == np.complex128 and series._class_order(b1, 1) == 1
+        value = gk.logdet_potential(b1, [512]).extrapolated
         assert abs(value - closed_form_logdet(c, 400)) <= 1e-15
 
     @pytest.mark.parametrize("dtype, n, cols, length", [

@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from references import derivative, slice_log, triangular_reciprocal, unit_circle_jets
+from references import (derivative, mobius_ellipse_exterior, slice_log,
+                        triangular_reciprocal, unit_circle_jets)
+from weldlab import grunsky as gk
 from weldlab import maps as mp
 from weldlab import series
 from weldlab.errors import InvalidInput, NumericalFailure
@@ -359,6 +361,54 @@ class TestSymmetryClasses:
         assert rows == [len(c[::k])] and out.dtype == ref.dtype
         assert np.all(out[off] == 0.0)
         assert np.abs(out - ref).max() <= 2e-16 * np.abs(ref).max()
+
+
+class TestBlockSize:
+    """The transform block size moves no bit. At budgets of 2^8, 2^10 and
+    3000 entries a residue class of a 97-row spectrum runs over 1 to 97
+    blocks, most often ending on a short one, and the first steps of a 3-fold
+    Newton inverse have fewer rows than classes; every output must equal
+    the default size's."""
+
+    @pytest.fixture(scope="class")
+    def logs(self):
+        """The generating arrays the builders hand to the log at N = 96,
+        each with its log at the default block size: b1 of the c = 0.3
+        ellipse (2-fold), b1 of the bump (0.1, 3) (3-fold) and its mixed
+        array (difference classes), b4 of a Moebius image of the ellipse
+        (a 1-fold complex Hankel array) and b4 of the ellipse (diagonal)."""
+        arrays = []
+
+        def recorded(held):
+            arrays.append(held[0].copy())
+            return _log_bivariate(held)
+
+        ellipse = mp.catalog("ellipse", c=0.3)
+        bump = mp.catalog("fourier_bump", eps=0.1, k=3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gk, "_log_bivariate", recorded)
+            gk.build_b1(ellipse.interior, 96)
+            gk.build_b1(bump.interior, 96)
+            gk.build_b2_b3(bump.interior, bump.exterior, 96)
+            gk.build_b4(mobius_ellipse_exterior(0.3, 0.4 + 0.2j), 96)
+            gk.build_b4(ellipse.exterior, 96)
+        assert [series._class_order(d) for d in arrays] == [2, 3, -3, 1, 0]
+        return [(d, _log_bivariate(d)) for d in arrays]
+
+    @pytest.mark.parametrize("budget", [1 << 8, 1 << 10, 3000])
+    def test_log(self, logs, budget, monkeypatch):
+        monkeypatch.setattr(series, "_FFT_BLOCK", budget)
+        for d, want in logs:
+            assert np.array_equal(_log_bivariate(d), want)
+
+    @pytest.mark.parametrize("budget", [16, 64, 300])
+    def test_reciprocal(self, budget, monkeypatch):
+        # the bump (0.1, 3)'s f(z)/z: 125 coefficients on multiples of 3
+        f = mp.catalog("fourier_bump", eps=0.1, k=3).interior.coeffs
+        quotient = gk._padded(f, 374)[1:]
+        want = reciprocal_array(quotient)
+        monkeypatch.setattr(series, "_FFT_BLOCK", budget)
+        assert np.array_equal(reciprocal_array(quotient), want)
 
 
 class TestReciprocal:
