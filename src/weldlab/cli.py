@@ -21,14 +21,21 @@ the ``_PARAMS`` rows alone list them. ``logdet`` builds only the map its
 route reads, the side ``grunsky.ROUTES`` names (``maps.catalog_map``);
 every other command builds the pair.
 
+argparse reads every flag value: each flag that takes one converts it
+where it is declared, ``--N`` to its strictly increasing orders and
+``--grid`` to its three-grid ladder, so no handler parses a string.
+
 Exit codes: 0 success, 1 a requested tolerance check failed, 2 invalid
 input, 3 numerical failure (an array numpy cannot allocate included: one
-line, no traceback); invalid input that ``main`` reports prints the
-failing command's usage. Configuration may come from ``--config``
-files with ``key = value`` lines (``#`` comments), each key one of the
-command's own flags, a required one (``--family``, ``--s2``) included;
-the file becomes flags ahead of the command line's, so argparse checks
-every value and explicit flags win. The environment variable
+line, no traceback). A malformed flag value is argparse's error, after
+the command's usage; invalid input that ``main`` reports (a missing
+family parameter, an unreadable file, a block past the memory cap)
+prints ``error: ...`` and then the command's usage. Configuration may
+come from ``--config`` files with ``key = value`` lines (``#``
+comments), each key one of the command's own flags, a required one
+(``--family``, ``--s2``) included; the file becomes flags in file order,
+ahead of the command line's, so argparse checks every value, each line of
+a repeated key included, and explicit flags win. The environment variable
 ``WELDLAB_OUTDIR`` sets the default output directory. ``batch`` runs each
 line through ``main`` as its own process would, prints ``line <n>: exit
 <code>`` to stderr, and exits with the largest code; its lines share the
@@ -174,43 +181,6 @@ def _build_pair(args, side=None):
     return built, {"family": args.family, "params": params}
 
 
-def _numbers(args, flag: str, sep: str, count: int = 0) -> list:
-    """The ``sep``-separated integers of flag ``--<flag>`` (``count`` of
-    them, when given)."""
-    text = getattr(args, flag)
-    try:
-        values = [int(tok) for tok in text.split(sep)]
-    except ValueError:
-        values = []
-    if not values or (count and len(values) != count):
-        raise InvalidInput(f"--{flag} {text!r} is not {sep!r}-separated "
-                           "int values")
-    return values
-
-
-def _orders(args):
-    """The truncation orders of ``--N``: strictly increasing, each >= 1.
-    Every command reads them before it builds a pair."""
-    orders = _numbers(args, "N", ",")
-    if orders[0] < 1 or any(b <= a for a, b in zip(orders, orders[1:])):
-        raise InvalidInput(f"--N {args.N!r} must be strictly increasing "
-                           "orders N >= 1")
-    return orders
-
-
-def _grid_ladder(args) -> list:
-    """Three grids, coarsest first, each halving the next in both
-    directions down from ``--grid``; every one must be at least 2 x 4."""
-    n_r, n_theta = _numbers(args, "grid", "x", 2)
-    grids = [(n_r // 2 ** k, n_theta // 2 ** k) for k in (2, 1, 0)]
-    for g in grids:
-        if g[0] < 2 or g[1] < 4:
-            raise InvalidInput(f"--grid {args.grid!r} gives a {g[0]}x{g[1]} "
-                               "grid in its 3-level ladder; each needs at "
-                               "least 2x4")
-    return grids
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -234,7 +204,7 @@ def _cmd_pair(args) -> int:
 
 def _cmd_grunsky(args) -> int:
     from . import grunsky as gk
-    n = max(_orders(args))
+    n = args.N[-1]
     pair, head = _build_pair(args)
     with _stage(args, "blocks"):
         b1, b4 = gk.build_b1(pair.interior, n), gk.build_b4(pair.exterior, n)
@@ -260,9 +230,8 @@ def _cmd_grunsky(args) -> int:
 
 def _cmd_logdet(args) -> int:
     from . import grunsky as gk
-    orders = _orders(args)
     h, head = _build_pair(args, gk.ROUTES[args.route])
-    report = gk.potential(h, orders, functools.partial(_stage, args))
+    report = gk.potential(h, args.N, functools.partial(_stage, args))
     doc = {**head, "route": args.route, "report": report.to_dict(),
            "s2_univ": report.extrapolated, "s2_dg": -report.extrapolated}
     _write_report(args, doc, f"logdet_{args.family}_{args.route}.json")
@@ -271,10 +240,9 @@ def _cmd_logdet(args) -> int:
 
 def _cmd_s1(args) -> int:
     from . import liouville as lv
-    grids = _grid_ladder(args)
     pair, head = _build_pair(args)
     with _stage(args, "quadrature"):
-        report = lv.s1(pair, grids)
+        report = lv.s1(pair, args.grid)
     doc = {**head, "report": report.to_dict(), "S1": report.extrapolated}
     _write_report(args, doc, f"s1_{args.family}.json")
     return EXIT_OK
@@ -282,9 +250,8 @@ def _cmd_s1(args) -> int:
 
 def _cmd_identity(args) -> int:
     from . import liouville as lv
-    grids, orders = _grid_ladder(args), _orders(args)
     pair, head = _build_pair(args)
-    doc = {**head, **lv.identity_report(pair, grids, orders,
+    doc = {**head, **lv.identity_report(pair, args.grid, args.N,
                                         stage=functools.partial(_stage, args))}
     _write_report(args, doc, f"identity_{args.family}.json")
     rel = doc["residual_identity_relative"]
@@ -293,7 +260,7 @@ def _cmd_identity(args) -> int:
 
 def _cmd_invert(args) -> int:
     from . import grunsky as gk
-    n = max(_orders(args))
+    n = args.N[-1]
     pair, head = _build_pair(args)
     doc = {**head, "N": n,
            **gk.inversion_check(pair, n, stage=functools.partial(_stage, args))}
@@ -387,8 +354,31 @@ def _read_text(path: str, flag: str) -> str:
         raise InvalidInput(f"cannot read {flag}{path}: {exc.strerror}") from exc
 
 
-def _read_config(path: str) -> dict:
-    values = {}
+# the values a config file may give a switch such as --verbose
+_BOOLEAN = {"1": True, "true": True, "yes": True,
+            "0": False, "false": False, "no": False}
+
+
+def _config_flags(flags, argv) -> list:
+    """The ``--config`` file of a command's flags ``argv``, read as argparse
+    reads it, as flags in file order, ``--name=value`` or a bare switch,
+    which ``main`` puts ahead of ``argv``: argparse converts and checks
+    each value, every line of a repeated key included, and a flag of
+    ``argv``, read later, wins. A key must name one of the command's ``flags`` and a switch's
+    value be one of ``_BOOLEAN``; a malformed ``--config`` is left to the
+    full parse to report."""
+    by_key = {names[0].lstrip("-").replace("-", "_"): (names[0], keywords)
+              for names, keywords in flags}
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
+                                  exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        path = None
+    if not path or "config" not in by_key:
+        return []
+    tokens = []
     for raw in _read_text(path, "--config ").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -396,54 +386,16 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise InvalidInput(f"bad config line: {raw.rstrip()}")
         key, val = (tok.strip() for tok in line.split("=", 1))
-        values[key.replace("-", "_")] = val
-    return values
-
-
-# the values a config file may give a switch such as --verbose
-_BOOLEAN = {"1": True, "true": True, "yes": True,
-            "0": False, "false": False, "no": False}
-
-
-def _config_path(argv):
-    """The value of ``--config`` in a command's flags ``argv``, read as
-    argparse reads it, or None; a malformed ``--config`` is left to the
-    full parse to report."""
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
-                                  exit_on_error=False)
-    pre.add_argument("--config")
-    try:
-        return pre.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:
-        return None
-
-
-def _config_flags(flags, argv) -> list:
-    """The ``--config`` file in a command's flags ``argv`` as flags,
-    ``--name=value`` or a bare switch, which ``main`` puts ahead of
-    ``argv``: argparse converts and checks each value, and a flag of
-    ``argv``, read later, wins. A key must name one of the command's
-    ``flags``, a switch's value be one of ``_BOOLEAN`` and any other value
-    one of its flag's choices."""
-    by_key = {names[0].lstrip("-").replace("-", "_"): (names[0], keywords)
-              for names, keywords in flags}
-    config = _config_path(argv) if "config" in by_key else None
-    if not config:
-        return []
-    tokens = []
-    for key, val in _read_config(config).items():
+        key = key.replace("-", "_")
         if key not in by_key:
             raise InvalidInput(f"unknown config key: {key}")
         name, keywords = by_key[key]
-        switch = keywords.get("action") == "store_true"
-        choices = _BOOLEAN if switch else keywords.get("choices")
-        val = val.lower() if switch else val
-        if choices is not None and val not in choices:
-            raise InvalidInput(f"config key {key} = {val!r} is not one "
-                               f"of {', '.join(choices)}")
-        if not switch:
+        if keywords.get("action") != "store_true":
             tokens.append(f"{name}={val}")
-        elif _BOOLEAN[val]:
+        elif val.lower() not in _BOOLEAN:
+            raise InvalidInput(f"config key {key} = {val.lower()!r} is not "
+                               f"one of {', '.join(_BOOLEAN)}")
+        elif _BOOLEAN[val.lower()]:
             tokens.append(name)
     return tokens
 
@@ -456,6 +408,42 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _ints(text: str, sep: str) -> list:
+    """The ``sep``-separated integers of a flag value ``text``."""
+    try:
+        return [int(tok) for tok in text.split(sep)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not {sep!r}-separated int values") from None
+
+
+def _orders(text: str) -> list:
+    """argparse type of ``--N``: truncation orders, strictly increasing,
+    each >= 1, so a bad list is refused before any pair is built."""
+    orders = _ints(text, ",")
+    if orders[0] < 1 or any(b <= a for a, b in zip(orders, orders[1:])):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} must be strictly increasing orders N >= 1")
+    return orders
+
+
+def _grid_ladder(text: str) -> list:
+    """argparse type of ``--grid``: three grids, coarsest first, each
+    halving the next in both directions down from ``text``; every one must
+    be at least 2 x 4."""
+    sizes = _ints(text, "x")
+    if len(sizes) != 2:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not 'x'-separated int values")
+    grids = [(sizes[0] // 2 ** k, sizes[1] // 2 ** k) for k in (2, 1, 0)]
+    for g in grids:
+        if g[0] < 2 or g[1] < 4:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} gives a {g[0]}x{g[1]} grid in its 3-level "
+                "ladder; each needs at least 2x4")
+    return grids
+
+
 # flags as (names, keywords) of ``add_argument``; a command takes those it
 # reads alone, unabbreviated (``allow_abbrev=False``), so another command's
 # flag is rejected, not read as a prefix (``fuchsian --c`` for ``--config``)
@@ -466,9 +454,10 @@ _PARAMS = [(("--c",), {"type": float, "help": "ellipse parameter"}),
            (("--eps",), {"type": float, "help": "bump amplitude"}),
            (("--k",), {"type": int, "help": "bump frequency"})]
 _FAMILY = [(("--family",), {"required": True, "choices": FAMILIES})] + _PARAMS
-_ORDERS = [(("--N",), {"default": "64",
+_ORDERS = [(("--N",), {"type": _orders, "default": "64",
                        "help": "comma-separated truncation orders"})]
-_GRID = [(("--grid",), {"default": "256x512", "help": "n_r x n_theta"})]
+_GRID = [(("--grid",), {"type": _grid_ladder, "default": "256x512",
+                        "help": "n_r x n_theta"})]
 
 
 def _tol(default) -> list:

@@ -41,7 +41,8 @@ Christoffel sum, a sum of positive terms, the oracle of the radial rule of
 
 ``mobius_ellipse_exterior`` and ``mobius_ellipse_interior`` are the
 exterior and interior maps of a Moebius image of the ellipse, a curve with
-no symmetry whose potential is the ellipse's.
+no symmetry whose potential is the ellipse's, and ``mobius_ellipse_pair``
+holds both maps of one image curve, whose action is the ellipse's.
 
 ``ellipse_welding`` is the catalog ellipse's welding in closed form, and
 ``ellipse_wp_laplacian`` the Laplacian of its action in the exterior
@@ -59,7 +60,7 @@ import numpy as np
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.fuchsian import _side_neighbours
 from weldlab.liouville import INTEGRAND_CAP, _action_sides, _log_term
-from weldlab.maps import StarDomain, catalog, catalog_map
+from weldlab.maps import StarDomain, WeldingPair, catalog, catalog_map
 from weldlab.series import (ComplexSeries, Kind, _smooth_length, derivative_array,
                             evaluate, evaluate_on_circles, reciprocal_array,
                             samples_from_coeffs)
@@ -350,18 +351,40 @@ def mobius_ellipse_interior(c, a) -> ComplexSeries:
     T(z) = z / (1 - a z), with 1/a outside the curve.
 
     F is f times one reciprocal of 1 - a f, in complex128 and carried to
-    4096 terms: its coefficients decay at the rate set by the root of
-    f(z) = 1/a, more slowly than f's (2e-11 at 364 terms at a = -0.5), and
-    at 4096 terms they are below 3e-17 on the tests' rows, so the series is
-    resolved. B1 of F keeps the ellipse's potential sum_k log(1 - c^(2k))
+    8192 terms: its coefficients decay at the rate set by the root of
+    f(z) = 1/a, more slowly than f's (2e-11 at 364 terms at a = -0.5, and
+    4e-11 at 4096 terms in the interior of ``mobius_ellipse_pair(0.5,
+    0.3 - 0.3i)``), and at 8192 terms they are below 1e-17 on the tests'
+    rows, so the series is resolved. B1 of F keeps the ellipse's potential sum_k log(1 - c^(2k))
     (Ahlfors 1952), while the block is dense and complex.
     """
-    n = 4096
+    n = 8192
     f = catalog_map("ellipse", "interior", c=c).coeffs[:n]
     d = np.zeros(n, dtype=complex)
     d[:len(f)] = -a * f
     d[0] = 1.0
     return ComplexSeries.taylor(np.convolve(f, reciprocal_array(d))[:n], resolved=True)
+
+
+def mobius_ellipse_pair(c, a) -> WeldingPair:
+    """The pair F, G of the image of the raw ellipse (semi-axes 1 +- c,
+    exterior map w + c/w) under T(z) = z / (1 - a z), in the gauge
+    F'(0) = 1.
+
+    The raw interior map is r f, with f the catalog's and
+    r = 1/|g'(infinity)| its conformal radius, so T(r f) / r is
+    ``mobius_ellipse_interior(c, a r)``, and G is
+    ``mobius_ellipse_exterior(c, a)`` (the same raw frame) over r. Both are
+    complex; the action S1 = -12 pi sum_k log(1 - c^(2k)) is Moebius
+    invariant (Wang 2019). The pair is built here, not by ``star_pair``:
+    the image's curve is read by neither the action nor the blocks, and it
+    holds none (``curve`` None, no sample count or residuals).
+    """
+    r = 1.0 / abs(catalog("ellipse", c=c).g_prime_at_infinity)
+    g = mobius_ellipse_exterior(c, a)
+    return WeldingPair(mobius_ellipse_interior(c, a * r),
+                       ComplexSeries.laurent(g.coeffs / r, resolved=True),
+                       curve=None, sample_count=0, residuals={})
 
 
 def ellipse_welding(c, m) -> np.ndarray:

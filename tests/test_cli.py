@@ -42,6 +42,15 @@ def run(argv):
     return cli.main(argv)
 
 
+def refused_by_argparse(argv, capsys) -> str:
+    """The stderr of ``argv``, which argparse refuses: it prints the
+    command's usage and its error, and exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestCommands:
     def test_scl_basepoint(self, tmp_path):
         out = tmp_path / "scl.json"
@@ -187,10 +196,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv", [
         ["identity", "--family", "ellipse", "--N", "16"],
-        ["s1", "--family", "ellipse", "--c", "0.3", "--grid", "4x8"],
         ["scl", "--s2", "0", "--config", "missing.cfg"],
         ["batch", "missing.txt"],
-    ], ids=["missing-param", "small-grid", "missing-config", "missing-file"])
+    ], ids=["missing-param", "missing-config", "missing-file"])
     def test_invalid_input_prints_the_command_usage(self, tmp_path, capsys,
                                                     monkeypatch, argv):
         # the failing command's flags, not the list of every command
@@ -200,6 +208,20 @@ class TestCommands:
         assert err[0].startswith("error: ")
         assert err[1].startswith(f"usage: weldlab {argv[0]} [-h] ")
         assert not any("{pair," in line for line in err)
+
+    def test_small_grid_prints_the_usage_then_argparse_error(
+            self, tmp_path, capsys, monkeypatch):
+        # a value argparse converts is refused as --k x is: the failing
+        # command's usage first, then its error naming the flag
+        monkeypatch.chdir(tmp_path)
+        err = refused_by_argparse(["s1", "--family", "ellipse", "--c", "0.3",
+                                   "--grid", "4x8"], capsys).splitlines()
+        assert err[0].startswith("usage: weldlab s1 [-h] ")
+        assert err[-1] == ("weldlab s1: error: argument --grid: '4x8' gives a "
+                           "1x2 grid in its 3-level ladder; each needs at "
+                           "least 2x4")
+        assert not any("{pair," in line for line in err)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
         (["pair", "--family", "ellipse"], "ellipse needs parameter 'c'"),
@@ -318,17 +340,23 @@ class TestCommands:
         ["logdet", "--family", "identity", "--N", ""],
         ["grunsky", "--family", "identity", "--N", "8;16"],
     ])
-    def test_malformed_list_flag_exit_2(self, tmp_path, argv):
+    def test_malformed_list_flag_exit_2(self, tmp_path, argv, capsys):
         out = tmp_path / "x"
-        assert run(argv + ["--out", str(out)]) == 2
+        err = refused_by_argparse(argv + ["--out", str(out)], capsys)
+        flag, text = argv[-2:]
+        sep = "," if flag == "--N" else "x"
+        assert err.endswith(f"error: argument {flag}: {text!r} is not "
+                            f"{sep!r}-separated int values\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["logdet", "grunsky", "invert"])
     def test_negative_order_exit_2(self, tmp_path, command, capsys):
-        code = run([command, "--family", "identity", "--N=-4",
-                    "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "N >= 1" in capsys.readouterr().err
+        out = tmp_path / "x"
+        err = refused_by_argparse([command, "--family", "identity", "--N=-4",
+                                   "--out", str(out)], capsys)
+        assert "argument --N: '-4' must be strictly increasing orders " \
+            "N >= 1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("orders", ["64,32", "32,32"])
     @pytest.mark.parametrize("argv", [
@@ -338,7 +366,8 @@ class TestCommands:
         ["identity", "--family", "ellipse", "--c", "0.5"],
     ])
     def test_unordered_orders_exit_2_before_any_pair(self, tmp_path, argv,
-                                                     orders, monkeypatch):
+                                                     orders, monkeypatch,
+                                                     capsys):
         # a block is built to max(N) and the report reads every order, so
         # the list is checked before the costly pair
         def no_pair(*args, **kwargs):
@@ -346,7 +375,9 @@ class TestCommands:
 
         monkeypatch.setattr("weldlab.maps.catalog", no_pair)
         out = tmp_path / "x"
-        assert run(argv + ["--N", orders, "--out", str(out)]) == 2
+        err = refused_by_argparse(argv + ["--N", orders, "--out", str(out)],
+                                  capsys)
+        assert f"argument --N: '{orders}' must be strictly increasing" in err
         assert not out.exists()
 
     def test_empty_relation_block_exit_2(self, tmp_path, capsys):
@@ -367,10 +398,11 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["s1", "identity"])
     def test_grid_ladder_too_small_exit_2(self, tmp_path, command, capsys):
-        code = run([command, *ELLIPSE01, "--grid", "2x4",
-                    "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "--grid" in capsys.readouterr().err
+        out = tmp_path / "x"
+        err = refused_by_argparse([command, *ELLIPSE01, "--grid", "2x4",
+                                   "--out", str(out)], capsys)
+        assert "argument --grid: '2x4' gives a 0x1 grid" in err
+        assert not out.exists()
 
     def test_non_finite_report_exit_3_and_no_file(self, tmp_path, capsys):
         # S_cl = -12 pi s2_dg overflows; json has no -Infinity
@@ -631,9 +663,6 @@ class TestConfigFile:
         # the subparsers' own dest: it would run logdet on identity's flags
         ("command = logdet\n", "unknown config key: command"),
         ("verbose = maybe\n", "verbose = 'maybe' is not one of"),
-        # argparse checks no default against the flag's choices
-        ("family = nope\n", "config key family = 'nope' is not one of "
-                            "identity, ellipse, fourier_bump"),
     ])
     def test_config_key_outside_the_flags_exit_2(self, tmp_path, capsys,
                                                  text, message):
@@ -659,16 +688,29 @@ class TestConfigFile:
         assert run(flags + ["--out", str(by_flags)]) == 0
         assert by_config.read_bytes() == by_flags.read_bytes()
 
+    def test_config_value_outside_the_choices_is_argparse_error(
+            self, tmp_path, capsys):
+        # the file's --family=nope is checked as the command line's is
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("family = nope\n")
+        out = tmp_path / "id.json"
+        err = refused_by_argparse(
+            ["identity", "--family", "identity", "--N", "8", "--grid", "16x32",
+             "--config", str(cfg), "--out", str(out)], capsys)
+        assert not out.exists()
+        assert "weldlab identity: error: argument --family: invalid choice: " \
+            "'nope'" in err
+
     def test_usage_shows_a_required_flag_the_config_gave(self, tmp_path,
                                                         capsys):
         # the usage printed after an error is the one without a config
         cfg = tmp_path / "f.cfg"
-        cfg.write_text("family = ellipse\nc = 0.3\n")
-        assert run(["identity", "--config", str(cfg), "--grid", "4x8"]) == 2
+        cfg.write_text("family = ellipse\n")
+        assert run(["identity", "--config", str(cfg)]) == 2
         by_config = capsys.readouterr().err
-        assert run(["identity", "--family", "ellipse", "--c", "0.3",
-                    "--grid", "4x8"]) == 2
+        assert run(["identity", "--family", "ellipse"]) == 2
         assert by_config == capsys.readouterr().err
+        assert by_config.startswith("error: ellipse needs parameter 'c'\n")
         assert "[--tol TOL] --family {identity,ellipse,fourier_bump}\n" \
             in by_config
 
@@ -683,6 +725,19 @@ class TestConfigFile:
                  "--config", str(cfg), "--k", "2", "--out", str(out)])
         assert exc.value.code == 2 and not out.exists()
         assert capsys.readouterr().err.endswith(
+            "weldlab pair: error: argument --k: invalid int value: 'x'\n")
+
+    def test_every_value_of_a_repeated_key_is_checked(self, tmp_path, capsys):
+        # the file's lines become flags in file order, so the first k is
+        # converted before the second replaces it
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("k = x\nk = 2\n")
+        out = tmp_path / "x.json"
+        err = refused_by_argparse(["pair", "--family", "fourier_bump", "--eps",
+                                   "0.05", "--config", str(cfg),
+                                   "--out", str(out)], capsys)
+        assert not out.exists()
+        assert err.endswith(
             "weldlab pair: error: argument --k: invalid int value: 'x'\n")
 
     def test_required_flag_given_by_neither_is_argparse_error(self, tmp_path,

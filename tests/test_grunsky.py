@@ -707,6 +707,26 @@ class TestInversionCheck:
         assert chk["symmetry_gap"] <= 1e-6
         assert chk["route_gap"] <= 1e-6
 
+    @pytest.mark.parametrize("pair, n", [
+        (lambda: mp.catalog("ellipse", c=0.3), 128),
+        (lambda: mp.catalog("ellipse", c=0.5), 256),
+        (lambda: mp.catalog("fourier_bump", eps=0.3, k=5), 128),
+        (lambda: mp.star_pair(mp.StarDomain(rho=lambda t: 1.0 + 0.1 * np.cos(t)
+                                            + 0.08 * np.sin(2.0 * t + 0.3))),
+         64),
+    ], ids=["ellipse-0.3", "ellipse-0.5", "bump-0.3-5", "asymmetric"])
+    def test_inverted_b1_is_the_conjugate_of_b4(self, pair, n):
+        """B1 of the reflected pair is the conjugate of B4 of the pair, to
+        roundoff, so ``symmetry_gap`` = |s2_pair_b1 - s2_inverted_b1|
+        re-measures ``route_gap`` = |s2_pair_b1 - s2_pair_b4|: both are B1's
+        truncation, and neither checks the reflection. On the complex
+        asymmetric pair |B1 - B4| is 0.149, so it is the conjugate that
+        matches. An independent leg is the map-free Neumann-Poincare
+        route on the reflected curve, which the roadmap plans."""
+        pair = pair()
+        b1 = gk.build_b1(mp.inverted_pair(pair).interior, n)
+        assert np.abs(b1 - np.conj(gk.build_b4(pair.exterior, n))).max() <= 1e-12
+
 
 class TestPositivity:
     @pytest.mark.parametrize("fixture", ["identity_pair", "ellipse01",

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from references import christoffel_weights, whole_grid_s1_value
+from references import (christoffel_weights, mobius_ellipse_pair,
+                        whole_grid_s1_value)
 from weldlab import liouville as lv
 from weldlab import maps as mp
 from weldlab.classical import s_cl_report
@@ -114,6 +115,23 @@ class TestS1:
         value = lv.s1_coefficient_route(pair)
         reflected = lv.s1_coefficient_route(mp.inverted_pair(pair))
         assert abs(reflected - value) <= tol * value
+
+    # a Moebius image of the ellipse has no symmetry and the ellipse's
+    # action: a closed form for the action's 1-fold complex path
+    @pytest.mark.parametrize("c, a", [(0.3, 0.4 + 0.2j), (0.3, -0.5),
+                                      (0.5, 0.3 - 0.3j)])
+    def test_coefficient_route_of_a_moebius_image(self, c, a):
+        pair = mobius_ellipse_pair(c, a)
+        assert pair.interior.coeffs.dtype == np.complex128
+        assert pair.exterior.coeffs.dtype == np.complex128
+        ref = -12.0 * np.pi * closed_form_s2(c)
+        assert abs(lv.s1_coefficient_route(pair) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("a", [0.4 + 0.2j, -0.5])
+    def test_grid_of_a_moebius_image(self, a):
+        value = lv.s1_value(mobius_ellipse_pair(0.3, a), lv.QuadratureGrid(256, 512))
+        ref = -12.0 * np.pi * closed_form_s2(0.3)
+        assert abs(value - ref) <= 1e-11 * ref
 
     def test_s1_nonnegative_on_catalog(self, identity_pair, ellipse01,
                                        ellipse03, bump_pair):

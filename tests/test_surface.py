@@ -13,7 +13,9 @@ test modules, so a reference cannot outlive the test that held a routine
 to it, and every allowlisted name has a reader among the test modules, so
 an allowlist entry cannot outlive the test that kept it. The command line
 builds its parsers from its table and reads none of argparse's internals
-back, and its ``logdet --route`` choices are the routes of the potential.
+back, every flag of the table that takes a value has it converted where
+it is declared, and its ``logdet --route`` choices are the routes of the
+potential.
 Its family names are the rows of ``maps.FAMILIES``, the parameters of the
 rows are the parameter flags of the family commands, and no function but
 ``maps.star_pair`` calls ``WeldingPair``, so every pair has its curve
@@ -160,6 +162,18 @@ def test_cli_reads_no_argparse_internals():
               if isinstance(node, ast.ImportFrom) and node.module == "argparse"
               for alias in node.names if alias.name.startswith("_")}
     assert sorted(found) == []
+
+
+def test_every_flag_value_is_converted_where_it_is_declared():
+    # argparse reads every value, so no handler parses a flag string: a
+    # flag is a switch, has a type or choices, or is a path kept as given
+    from weldlab import cli
+    unconverted = sorted({names[0] for _, _, flags in cli._COMMANDS.values()
+                          for names, keywords in flags
+                          if keywords.get("action") != "store_true"
+                          and not {"type", "choices"} & set(keywords)
+                          and names[0] not in ("--out", "--config", "file")})
+    assert unconverted == []
 
 
 def test_logdet_route_choices_are_the_potential_routes():
