@@ -8,7 +8,7 @@ grunsky   build the four operator blocks, report the block-relation residuals
 logdet    determinant potential over a list of truncation orders
 s1        quadrature report for the universal Liouville action
 identity  the S1 vs -12 pi S2 check, one JSON report
-invert    inversion-symmetry check (pair vs reflected pair)
+invert    inversion-symmetry check (pair vs reflected curve)
 fuchsian  octagon group suite (relation, area, automorphy, trace sums)
 scl       classical-action report from a given s2_dg and genus
 batch     run a file of command lines, one per line, in this process
@@ -408,11 +408,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int(text: str) -> int:
+    """argparse type of an integer flag: digits, after a minus sign for a
+    negative value; int() also reads "+8", "1_6" and " 3"."""
+    if text.removeprefix("-").isdigit() and text.isascii():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _ints(text: str, sep: str) -> list:
     """The ``sep``-separated integers of a flag value ``text``."""
     try:
-        return [int(tok) for tok in text.split(sep)]
-    except ValueError:
+        return [_int(tok) for tok in text.split(sep)]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not {sep!r}-separated int values") from None
 
@@ -452,7 +460,7 @@ _SHARED = [(("--config",), {"help": "key = value config file"}),
            (("--verbose", "-v"), {"action": "store_true"})]
 _PARAMS = [(("--c",), {"type": float, "help": "ellipse parameter"}),
            (("--eps",), {"type": float, "help": "bump amplitude"}),
-           (("--k",), {"type": int, "help": "bump frequency"})]
+           (("--k",), {"type": _int, "help": "bump frequency"})]
 _FAMILY = [(("--family",), {"required": True, "choices": FAMILIES})] + _PARAMS
 _ORDERS = [(("--N",), {"type": _orders, "default": "64",
                        "help": "comma-separated truncation orders"})]
@@ -481,12 +489,12 @@ _COMMANDS = {
     "invert": ("inversion-symmetry check", _cmd_invert,
                _SHARED + _tol(1e-6) + _FAMILY + _ORDERS),
     "fuchsian": ("octagon basepoint suite", _cmd_fuchsian,
-                 _SHARED + [(("--L",), {"type": int, "default": 2,
+                 _SHARED + [(("--L",), {"type": _int, "default": 2,
                                         "help": "enumeration word length"})]),
     "scl": ("classical-action report", _cmd_scl,
             _SHARED + [(("--s2",), {"type": _finite_float, "required": True,
                                     "help": "s2_dg >= 0"}),
-                       (("--genus",), {"type": int, "default": 2})]),
+                       (("--genus",), {"type": _int, "default": 2})]),
     "batch": ("run a file of command lines in one process", _cmd_batch,
               [(("file",), {"metavar": "FILE",
                             "help": "one command line per line ('-': stdin)"}),

@@ -81,7 +81,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInput, NumericalFailure
-from .maps import WeldingPair, inverted_pair
+from .maps import WeldingPair, inverted_domain, inverted_series, one_map
 from .series import (
     ComplexSeries,
     Kind,
@@ -543,17 +543,18 @@ def potential(h: ComplexSeries, orders,
 def inversion_check(pair: WeldingPair, n: int, n_inverted: int = None,
                     stage=contextlib.nullcontext) -> dict:
     """The ``invert`` report body: the ``potential`` of the pair through its
-    interior block (``s2_pair_b1``), of the inverted pair through its
-    interior block (``s2_inverted_b1``) and of the pair through the
-    exterior block (``s2_pair_b4``), which invariance under inversion makes
-    agree in the limit, with ``symmetry_gap`` = |s2_pair_b1 -
-    s2_inverted_b1| and ``route_gap`` = |s2_pair_b1 - s2_pair_b4|.
-    ``stage`` is entered as "reflection" and passed to each ``potential``.
-    """
+    interior block (``s2_pair_b1``), of the reflected curve through the
+    block of its one map, the reflection of g by ``maps.one_map``
+    (``s2_inverted_b1``), and of the pair through the exterior block
+    (``s2_pair_b4``), which invariance under inversion makes agree in the
+    limit, with ``symmetry_gap`` = |s2_pair_b1 - s2_inverted_b1| and
+    ``route_gap`` = |s2_pair_b1 - s2_pair_b4|. ``stage`` is entered as
+    "reflection" and passed to each ``potential``."""
     with stage("reflection"):
-        inv = inverted_pair(pair)
+        reflected = one_map(inverted_domain(pair.curve), "interior",
+                            inverted_series(pair.exterior))
     v1, v2, v4 = (potential(h, [m], stage).extrapolated for h, m in (
-        (pair.interior, n), (inv.interior, n_inverted or n), (pair.exterior, n)))
+        (pair.interior, n), (reflected, n_inverted or n), (pair.exterior, n)))
     return {"s2_pair_b1": v1, "s2_inverted_b1": v2, "s2_pair_b4": v4,
             "symmetry_gap": abs(v1 - v2), "route_gap": abs(v1 - v4)}
 

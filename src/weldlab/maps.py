@@ -16,9 +16,9 @@ it takes the maps a family has in closed form (z and z for the circle,
 z + c/z outside the ellipse) and solves the rest. One recipe makes a
 missing map: Theodorsen iteration on the polar parametrization for the
 interior map, and for the exterior map the reflection z -> 1/conj(z), by
-series algebra, of the reflected domain's interior map. ``catalog_map``
-gives one side's map alone, for a route that reads no other (B1 reads f,
-B4 reads g), by the same recipe, gauge and check.
+series algebra, of the reflected domain's interior map. ``one_map`` makes
+one side's map alone by the same recipe, gauge and check, for a route that
+reads no other: a family's f or g, or the reflected curve's f.
 
 Theodorsen's equation is solved by two-step (second-order Richardson)
 fixed-point iteration with mesh continuation (solve on a coarse grid,
@@ -350,12 +350,6 @@ def boundary_residual(series: ComplexSeries, curve: StarDomain) -> float:
         return float(np.abs(np.abs(w) - curve.rho(np.angle(w))).max())
 
 
-def pair_boundary_residual(interior: ComplexSeries, exterior: ComplexSeries,
-                           curve: StarDomain) -> float:
-    """The larger ``boundary_residual`` of the two maps of a pair."""
-    return max(boundary_residual(h, curve) for h in (interior, exterior))
-
-
 def _side_map(domain: StarDomain, side: str, given: ComplexSeries):
     """The raw map of ``side`` ("interior" or "exterior") of ``domain`` and
     the Theodorsen result that made it: ``given`` as it is (no result) or,
@@ -430,11 +424,24 @@ def star_pair(domain: StarDomain, interior: ComplexSeries = None,
                                      resolved=exterior.resolved)
     residuals = {"theodorsen": max(t.residual for t in theos)} if theos else {}
     residuals["boundary"] = _checked(
-        pair_boundary_residual(interior, exterior, curve))
+        max(boundary_residual(h, curve) for h in (interior, exterior)))
     return WeldingPair(interior=interior, exterior=exterior, curve=curve,
                        sample_count=max((t.sample_count for t in theos),
                                         default=START_SAMPLE_COUNT),
                        residuals=types.MappingProxyType(residuals))
+
+
+def one_map(domain: StarDomain, side: str, given: ComplexSeries = None):
+    """The map of one ``side`` ("interior" or "exterior") of ``domain``
+    alone, ``given`` or solved, by the recipe and check of its pair: the
+    interior map is the pair's, checked against the pair's curve, and the
+    exterior map the pair's up to the scale f'(0) (B4 is invariant under
+    g -> a g + b), checked against ``domain``."""
+    h = _side_map(domain, side, given)[1]
+    if side == "interior":
+        h, _, domain = _gauged(domain, h)
+    _checked(boundary_residual(h, domain))
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +464,7 @@ FAMILIES = {
 
 @functools.lru_cache(maxsize=64)
 def _catalog_cached(family: str, param_items: tuple, side: str):
-    """The family's pair, or with ``side`` that side's map alone by the
-    pair's recipe and check: the interior map in the pair's gauge against
-    the pair's curve, the exterior map in the raw gauge (B4 is invariant
-    under g -> a g + b) against the family's curve."""
+    """The family's pair, or with ``side`` that side's ``one_map``."""
     if family not in FAMILIES:
         raise InvalidInput(f"unknown family: {family!r}")
     names, build = FAMILIES[family]
@@ -476,12 +480,7 @@ def _catalog_cached(family: str, param_items: tuple, side: str):
     domain, interior, exterior = build(*(params[name] for name in names))
     if side is None:
         return star_pair(domain, interior, exterior)
-    h = _side_map(domain, side, {"interior": interior,
-                                 "exterior": exterior}[side])[1]
-    if side == "interior":
-        h, _, domain = _gauged(domain, h)
-    _checked(boundary_residual(h, domain))
-    return h
+    return one_map(domain, side, interior if side == "interior" else exterior)
 
 
 def catalog(family: str, **params) -> WeldingPair:
@@ -505,19 +504,9 @@ def catalog(family: str, **params) -> WeldingPair:
 
 
 def catalog_map(family: str, side: str, **params) -> ComplexSeries:
-    """A cataloged family's map of one ``side`` ("interior" or "exterior",
-    the values of ``grunsky.ROUTES``) alone, as one block reads it: the
-    interior map is the pair's, and the exterior map the pair's up to the
-    scale f'(0). Cached with the pairs."""
+    """A cataloged family's ``one_map`` of ``side`` (a value of
+    ``grunsky.ROUTES``), cached with the pairs."""
     return _catalog_cached(family, tuple(sorted(params.items())), side)
-
-
-def inverted_pair(pair: WeldingPair) -> WeldingPair:
-    """The pair of the reflected curve: roles of f and g swap through
-    z -> 1/conj(z), and the curve's radius becomes 1/rho; ``star_pair``
-    gauges and checks it."""
-    return star_pair(inverted_domain(pair.curve), inverted_series(pair.exterior),
-                     inverted_series(pair.interior))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,10 @@ a small circle, the oracle of ``maps.schwarzian``'s series arithmetic.
 ``domain_from_samples`` interpolates a star domain from uniform radius
 samples, so the tests can build a pair on a curve known only by samples.
 
+``inverted_pair`` is the whole pair of the reflected curve, both maps
+reflected, gauged and checked, where the package's inversion check makes
+the one map it reads.
+
 ``disk_domain`` is the off-centre disk |w - a| < 1 as a star domain about
 0, a Moebius image of the unit disk: the basepoint of universal
 Teichmueller space, where both potentials and the blocks b1, b4 vanish
@@ -51,6 +55,12 @@ coordinate c: the two sides of the Kaehler identity on the ellipse disk.
 ``ellipse_log_conformal_radius`` is the log of the ellipse's exterior
 conformal radius |g'(infinity)| in the pair's gauge f'(0) = 1, by two
 theta series: the oracle of the gauge, which no Theodorsen solve enters.
+
+``ellipse_inverse_welding`` is the ellipse's inverse welding in closed
+form, the phase of Jacobi's sn for the nome q = c^2, and
+``ellipse_interior`` the interior map's coefficients from the trace it
+gives: the oracles of Theodorsen's boundary correspondence and of the
+catalog's interior map, which no solve enters.
 """
 
 import math
@@ -60,7 +70,8 @@ import numpy as np
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.fuchsian import _side_neighbours
 from weldlab.liouville import INTEGRAND_CAP, _action_sides, _log_term
-from weldlab.maps import StarDomain, WeldingPair, catalog, catalog_map
+from weldlab.maps import (StarDomain, WeldingPair, catalog, catalog_map,
+                          inverted_domain, inverted_series, star_pair)
 from weldlab.series import (ComplexSeries, Kind, _smooth_length, derivative_array,
                             evaluate, evaluate_on_circles, reciprocal_array,
                             samples_from_coeffs)
@@ -279,6 +290,14 @@ def domain_from_samples(values) -> StarDomain:
     return StarDomain(rho=rho)
 
 
+def inverted_pair(pair) -> WeldingPair:
+    """The pair of the reflected curve: the roles of f and g swap through
+    z -> 1/conj(z), and the curve's radius becomes 1/rho; ``star_pair``
+    gauges and checks it."""
+    return star_pair(inverted_domain(pair.curve), inverted_series(pair.exterior),
+                     inverted_series(pair.interior))
+
+
 def disk_domain(a) -> StarDomain:
     """The disk |w - a| < 1, |a| < 1, by its polar radius about 0:
     rho(theta) = Re(t) + sqrt(1 - Im(t)^2) with t = conj(a) e^(i theta)."""
@@ -419,3 +438,48 @@ def ellipse_log_conformal_radius(c) -> float:
     theta3 = sum(2.0 * q ** (n * n) for n in range(20, 0, -1))
     theta2 = sum(q ** (n * (n + 1)) for n in range(20, 0, -1))
     return math.log1p(theta3) + math.log1p(theta2)
+
+
+def _ellipse_phase(c, s):
+    """t(s) - s and t'(s) of ``ellipse_inverse_welding`` at the angles s,
+    with its powers e^(2ijs) by one running product and its terms to
+    c^j < 1e-18 (61 at c = 0.5)."""
+    j = np.arange(1, int(math.log(1e-18) / math.log(c)) + 2)
+    a = 2.0 * (-c) ** j / (j * (1.0 + c ** (2 * j)))
+    powers = np.cumprod(np.broadcast_to(np.exp(2j * s)[:, None], (len(s), len(j))),
+                        axis=1)
+    return (powers @ a).imag, 1.0 + (powers @ (2 * j * a)).real
+
+
+def ellipse_inverse_welding(c, s) -> np.ndarray:
+    """The inverse welding of the catalog's ellipse (semi-axes 1 +- c,
+    exterior map g(w) = w + c/w) at exterior angles s: the angle t at which
+    the raw interior map F, with F(1) > 0, meets g(e^(is)),
+
+        t(s) = s + 2 sum_j (-c)^j sin(2 j s) / (j (1 + c^(2j))).
+
+    Szego's interior map is F^-1(w) = sqrt(k) sn((2K/pi) arcsin(w/(2 sqrt c)); k)
+    for the nome q = c^2; on the curve, w/(2 sqrt c) = sin(x + i sigma) with
+    x = pi/2 - s and e^(-4 sigma) = q, and sqrt(k) sn = theta1/theta4 of
+    x + i sigma has modulus 1. The theta products give its phase as the
+    series above."""
+    s = np.asarray(s, dtype=float)
+    return s + _ellipse_phase(c, s)[0]
+
+
+def ellipse_interior(c, m) -> np.ndarray:
+    """The first m Taylor coefficients of the catalog's ellipse interior map
+    in the gauge f'(0) = 1, from the exact trace F(e^(it)) = g(e^(is)) at
+    the angles s solving ``ellipse_inverse_welding``(c, s) = t: a uniform t
+    grid of the power of two >= 2m points, each s started by interpolation
+    on a 4x denser s grid and refined by three Newton steps, then one FFT.
+    The map has real coefficients (the curve is its own conjugate)."""
+    size = 1 << int(math.ceil(math.log2(2 * m)))
+    t = 2.0 * np.pi * np.arange(size) / size
+    dense = np.linspace(0.0, 2.0 * np.pi, 4 * size + 1)
+    s = np.interp(t, ellipse_inverse_welding(c, dense), dense)
+    for _ in range(3):
+        gap, slope = _ellipse_phase(c, s)
+        s -= (s + gap - t) / slope
+    coeffs = np.fft.fft(np.exp(1j * s) + c * np.exp(-1j * s))[:m].real
+    return coeffs / coeffs[1]

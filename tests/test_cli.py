@@ -349,6 +349,31 @@ class TestCommands:
                             f"{sep!r}-separated int values\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["logdet", "--family", "identity", "--N", "1_6"],
+         "argument --N: '1_6' is not ','-separated int values"),
+        (["logdet", "--family", "identity", "--N", "+8"],
+         "argument --N: '+8' is not ','-separated int values"),
+        (["logdet", "--family", "identity", "--N", " 8, 16"],
+         "argument --N: ' 8, 16' is not ','-separated int values"),
+        (["s1", "--family", "identity", "--grid", "64x+128"],
+         "argument --grid: '64x+128' is not 'x'-separated int values"),
+        (["fuchsian", "--L", "0_2"], "argument --L: invalid int value: '0_2'"),
+        (["pair", "--family", "fourier_bump", "--eps", "0.1", "--k", " 3"],
+         "argument --k: invalid int value: ' 3'"),
+        (["scl", "--s2", "0", "--genus", "+2"],
+         "argument --genus: invalid int value: '+2'"),
+    ], ids=["N-underscore", "N-plus", "N-blanks", "grid-plus", "L-underscore",
+            "k-blank", "genus-plus"])
+    def test_integer_flag_is_digits_only(self, tmp_path, argv, message, capsys):
+        # int() also reads a sign, underscores and blanks; an integer flag
+        # takes digits alone, and argparse refuses the rest
+        out = tmp_path / "x"
+        err = refused_by_argparse(argv + ["--out", str(out)], capsys)
+        assert err.startswith(f"usage: weldlab {argv[0]} [-h] ")
+        assert err.endswith(f"weldlab {argv[0]}: error: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["logdet", "grunsky", "invert"])
     def test_negative_order_exit_2(self, tmp_path, command, capsys):
         out = tmp_path / "x"

@@ -12,8 +12,8 @@ from weldlab import series
 from weldlab.errors import InvalidInput, NumericalFailure
 from weldlab.series import ComplexSeries, Kind, evaluate
 
-from references import (disk_domain, mobius_ellipse_exterior, mobius_ellipse_interior,
-                        svd_logdet)
+from references import (disk_domain, inverted_pair, mobius_ellipse_exterior,
+                        mobius_ellipse_interior, svd_logdet)
 
 
 def closed_form_logdet(c, n):
@@ -112,7 +112,7 @@ class TestBuildB1:
         # an unresolved series one short was zero-padded, off by ~1e-5
         n = 64
         f = ellipse03.interior.coeffs
-        g = mp.inverted_pair(ellipse03).exterior.coeffs
+        g = inverted_pair(ellipse03).exterior.coeffs
         for build, coeffs, make, need in (
                 (gk.build_b1, f, ComplexSeries.taylor, 2 * n + 2),
                 (gk.build_b4, g, ComplexSeries.laurent, 2 * n + 1)):
@@ -455,7 +455,7 @@ class TestArithmeticPaths:
     def test_symmetric_pairs_are_real(self, family, params, reflect):
         pair = mp.catalog(family, **params)
         if reflect:
-            pair = mp.inverted_pair(pair)
+            pair = inverted_pair(pair)
         assert pair.interior.coeffs.dtype == np.float64
         assert pair.exterior.coeffs.dtype == np.float64
         blocks = truncated_blocks(pair, 16)
@@ -578,7 +578,7 @@ class TestLogdet:
                                           orders, route):
         pair = mp.catalog(family, **params)
         if reflect:
-            pair = mp.inverted_pair(pair)
+            pair = inverted_pair(pair)
         assert svd_gap(route_block(pair, route, max(orders)), orders) <= 2e-15
 
     def test_matches_svd_on_deep_ellipse05(self, ellipse05):
@@ -707,6 +707,36 @@ class TestInversionCheck:
         assert chk["symmetry_gap"] <= 1e-6
         assert chk["route_gap"] <= 1e-6
 
+    @pytest.mark.parametrize("family, params, body", [
+        ("ellipse", {"c": 0.3},
+         {"s2_pair_b1": -0.10324481772571194,
+          "s2_inverted_b1": -0.1032450296222465,
+          "s2_pair_b4": -0.10324502962224662,
+          "symmetry_gap": 2.1189653456876734e-07,
+          "route_gap": 2.1189653467978964e-07}),
+        ("fourier_bump", {"eps": 0.05, "k": 2},
+         {"s2_pair_b1": -0.0025008058940504834,
+          "s2_inverted_b1": -0.002500805894050489,
+          "s2_pair_b4": -0.002500805894050484,
+          "symmetry_gap": 5.637851296924623e-18,
+          "route_gap": 4.336808689942018e-19}),
+    ], ids=["ellipse-0.3", "bump-0.05-2"])
+    def test_reflects_one_map(self, family, params, body, monkeypatch):
+        # the reflected block reads one map: g is reflected once and no
+        # pair is built; the body at N = 64 is the one that building the
+        # whole reflected pair gives, to the bit
+        pair = mp.catalog(family, **params)
+        calls = {"inverted_series": 0, "star_pair": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(mp, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            for module in (mp, gk):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        assert gk.inversion_check(pair, 64) == body
+        assert calls == {"inverted_series": 1, "star_pair": 0}
+
     @pytest.mark.parametrize("pair, n", [
         (lambda: mp.catalog("ellipse", c=0.3), 128),
         (lambda: mp.catalog("ellipse", c=0.5), 256),
@@ -724,7 +754,7 @@ class TestInversionCheck:
         matches. An independent leg is the map-free Neumann-Poincare
         route on the reflected curve, which the roadmap plans."""
         pair = pair()
-        b1 = gk.build_b1(mp.inverted_pair(pair).interior, n)
+        b1 = gk.build_b1(inverted_pair(pair).interior, n)
         assert np.abs(b1 - np.conj(gk.build_b4(pair.exterior, n))).max() <= 1e-12
 
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from references import (dense_horner_distance, derivative, domain_from_samples,
-                        ellipse_log_conformal_radius, schwarzian_by_samples,
-                        triangular_reciprocal)
+                        ellipse_interior, ellipse_inverse_welding,
+                        ellipse_log_conformal_radius, inverted_pair,
+                        schwarzian_by_samples, triangular_reciprocal)
 from weldlab import cli
 from weldlab import fuchsian as fx
 from weldlab import grunsky as gk
@@ -154,6 +155,29 @@ class TestTheodorsen:
         assert all(b.dtype == np.float64 for b in blocks)
 
 
+class TestEllipseClosedForm:
+    """Pair construction against the ellipse's welding in closed form, the
+    phase of sn for the nome q = c^2, which no solve enters."""
+
+    @pytest.mark.parametrize("c", [0.1, 0.2, 0.3, 0.4, 0.5])
+    def test_theodorsen_boundary_correspondence(self, c):
+        # phi(theta) is the polar angle of f(e^(i theta)); that point's
+        # exterior angle s is one atan2, which the closed form maps back to
+        # theta (measured 1.1e-15 to 1.9e-13)
+        res = mp.theodorsen_interior(mp.ellipse_domain(c))
+        theta = 2 * np.pi * np.arange(res.sample_count) / res.sample_count
+        s = np.arctan2((1 + c) * np.sin(res.phi), (1 - c) * np.cos(res.phi))
+        gap = np.angle(np.exp(1j * (ellipse_inverse_welding(c, s) - theta)))
+        assert np.abs(gap).max() <= 1e-12
+
+    @pytest.mark.parametrize("c", [0.1, 0.2, 0.3, 0.4, 0.5])
+    def test_catalog_interior_coefficients(self, c):
+        # every coefficient the catalog keeps (56 at c = 0.1, 6406 at 0.5),
+        # measured 7.5e-17 to 1.9e-14 off the exact trace's
+        f = mp.catalog("ellipse", c=c).interior.coeffs
+        assert np.abs(f - ellipse_interior(c, len(f))).max() <= 5e-14
+
+
 class TestInversion:
     def test_identity_fixed_point(self):
         f = ComplexSeries.identity(Kind.TAYLOR_AT_ZERO, 8)
@@ -276,7 +300,7 @@ class TestNormalizePair:
         # the unit circle, so the reflected pair needs no special case
         theta = np.linspace(-7.0, 7.0, 101)
         assert np.all(identity_pair.curve.rho(theta) == 1.0)
-        assert mp.inverted_pair(identity_pair).residuals["boundary"] <= 1e-15
+        assert inverted_pair(identity_pair).residuals["boundary"] <= 1e-15
 
     def test_affine_arithmetic(self, ellipse03):
         # the c = 0.3 pair and its curve scaled by 2 and turned by pi/4:
@@ -336,14 +360,14 @@ class TestNormalizePair:
         circle = mp.bump_domain(0.0, 1)
         with pytest.raises(NumericalFailure, match="winds nan times"):
             mp.star_pair(circle, raw_f, raw_g)
-        monkeypatch.setattr(mp, "pair_boundary_residual", lambda *a: np.nan)
+        monkeypatch.setattr(mp, "boundary_residual", lambda *a: np.nan)
         with pytest.raises(NumericalFailure, match="boundary traces disagree"):
             mp.star_pair(circle, ComplexSeries.taylor([0.0, 1.0]), raw_g)
 
     def test_every_pair_is_checked(self, monkeypatch):
         # the identity's exact maps pass the check that a solved pair
         # passes, not a residual stated by hand
-        monkeypatch.setattr(mp, "pair_boundary_residual", lambda *a: np.nan)
+        monkeypatch.setattr(mp, "boundary_residual", lambda *a: np.nan)
         mp._catalog_cached.cache_clear()
         with pytest.raises(NumericalFailure, match="boundary traces disagree"):
             mp.catalog("identity")
@@ -362,6 +386,11 @@ class TestNormalizePair:
         q = 1e-8
         ref = ellipse_log_conformal_radius(1e-4)
         assert abs(ref - (2 * q - q * q)) <= 1e-15 * ref
+
+
+def pair_residual(f, g, curve):
+    """The larger ``boundary_residual`` of two maps, the check of a pair."""
+    return max(mp.boundary_residual(h, curve) for h in (f, g))
 
 
 def two_curve_distance(f, g):
@@ -404,7 +433,7 @@ class TestBoundaryCheck:
         elif which != "mismatched":
             pair = request.getfixturevalue(which.split("~")[0])
         if which.endswith("~inverted"):
-            pair = mp.inverted_pair(pair)
+            pair = inverted_pair(pair)
         if which == "mismatched":
             # the c = 0.3 pair's exterior map with c = 0.31, a curve that
             # misses the pair's by about 0.01
@@ -414,7 +443,7 @@ class TestBoundaryCheck:
             f, g = pair.interior, ComplexSeries.laurent(coeffs)
         else:
             f, g = pair.interior, pair.exterior
-        radial = mp.pair_boundary_residual(f, g, pair.curve)
+        radial = pair_residual(f, g, pair.curve)
         dense = two_curve_distance(f, g)
         assert dense / 2 <= radial <= 2 * dense
 
@@ -424,7 +453,7 @@ class TestBoundaryCheck:
         coeffs = np.array(ellipse03.interior.coeffs)
         coeffs[40] += 1e-6
         f = ComplexSeries.taylor(coeffs)
-        resid = mp.pair_boundary_residual(f, ellipse03.exterior, ellipse03.curve)
+        resid = pair_residual(f, ellipse03.exterior, ellipse03.curve)
         assert 5e-7 <= resid and not resid <= mp.BOUNDARY_TOL
         with pytest.raises(NumericalFailure, match="boundary traces disagree"):
             mp.star_pair(ellipse03.curve, f, ellipse03.exterior)
@@ -436,8 +465,8 @@ class TestBoundaryCheck:
             raise AssertionError("Horner loop in the boundary check")
         monkeypatch.setattr("weldlab.series.evaluate_array", refuse)
         monkeypatch.setattr(mp, "evaluate_array", refuse)
-        resid = mp.pair_boundary_residual(ellipse05.interior, ellipse05.exterior,
-                                          ellipse05.curve)
+        resid = pair_residual(ellipse05.interior, ellipse05.exterior,
+                               ellipse05.curve)
         assert resid <= mp.BOUNDARY_TOL
 
     def test_no_dense_start_matrix(self, ellipse05):
@@ -445,8 +474,8 @@ class TestBoundaryCheck:
         # of the 6408-term map samples each trace once on 1024 points
         tracemalloc.start()
         try:
-            mp.pair_boundary_residual(ellipse05.interior, ellipse05.exterior,
-                                      ellipse05.curve)
+            pair_residual(ellipse05.interior, ellipse05.exterior,
+                          ellipse05.curve)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -458,8 +487,7 @@ class TestCatalogInvariants:
                                          "ellipse03", "ellipse05", "bump_pair"])
     def test_boundary_agreement(self, fixture, request):
         pair = request.getfixturevalue(fixture)
-        assert mp.pair_boundary_residual(pair.interior, pair.exterior,
-                                         pair.curve) <= 1e-7
+        assert pair_residual(pair.interior, pair.exterior, pair.curve) <= 1e-7
 
     @pytest.mark.parametrize("fixture", ["ellipse01", "ellipse03",
                                          "ellipse05", "bump_pair"])

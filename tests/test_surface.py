@@ -21,7 +21,9 @@ rows are the parameter flags of the family commands, and no function but
 ``maps.star_pair`` calls ``WeldingPair``, so every pair has its curve
 checked. One recipe, ``maps._side_map``, is the only caller of
 ``theodorsen_interior``, so the pair and the single-map catalog make a
-missing map alike.
+missing map alike, and no function but ``maps._catalog_cached`` calls
+``star_pair``, so a route that reads one map (``maps.one_map``) cannot
+rebuild a pair around it.
 """
 
 import ast
@@ -230,3 +232,11 @@ def test_one_recipe_solves_a_map():
                for scope in _callers(ast.parse(path.read_text()),
                                      "theodorsen_interior")}
     assert callers == {"maps._side_map"}
+
+
+def test_only_the_catalog_builds_a_pair():
+    # a single-map read (a logdet route, the inversion check's reflected
+    # map) goes through one_map, never through a pair it does not read
+    callers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+               for scope in _callers(ast.parse(path.read_text()), "star_pair")}
+    assert callers == {"maps._catalog_cached"}
