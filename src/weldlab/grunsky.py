@@ -55,8 +55,10 @@ series in one variable: the log takes its diagonal as one column, and
 the determinant factors each index alone. The builders hand the log its
 generating array in a list it empties, so the array is freed once its
 spectrum is taken, and weight its output by row blocks: b1 of the
-c = 0.5 ellipse at N = 1280 peaks at the log's own 29.4 MiB traced
+c = 0.5 ellipse at N = 1280 peaks at the log's own 26.4 MiB traced
 (50.1 MiB when the array and two full-size weight temporaries were kept).
+Every blocked pass, the log's and the builders', reads one block size,
+``series._BLOCK`` (2^15 entries).
 Arrays keep their series' dtype: a float64 map (of a conjugation-symmetric
 domain, see ``maps.StarDomain.symmetric``) gives real generating arrays,
 real transforms in the second variable and float64 blocks, so the
@@ -85,6 +87,7 @@ from .maps import WeldingPair, inverted_domain, inverted_series, one_map
 from .series import (
     ComplexSeries,
     Kind,
+    _block_rows,
     _class_order,
     _log_bivariate,
     reciprocal_array,
@@ -134,10 +137,6 @@ class ConvergenceReport:
 # generating arrays and blocks
 # ---------------------------------------------------------------------------
 
-# entries of one row block of a block's weights and of its symmetry check:
-# 2^17 values are 1 MB of float64
-_ROW_BLOCK = 1 << 17
-
 def _padded(coeffs: np.ndarray, need: int) -> np.ndarray:
     out = np.zeros(need, dtype=coeffs.dtype)
     out[:len(coeffs)] = coeffs[:need]
@@ -185,12 +184,13 @@ def _block(held: list, rows: int, cols: int) -> np.ndarray:
     """-sqrt(mn) [x^m y^n] log D for m = 1..rows, n = 1..cols, of the
     generating array D that ``held`` holds as its one item: the log takes
     it out, so D is freed once its spectrum is taken. The weights are
-    applied by row blocks of at most ``_ROW_BLOCK`` entries as the block
-    is copied out of the log, so no full-size weight array is formed."""
+    applied by row blocks of at most ``series._BLOCK`` entries as the
+    block is copied out of the log, so no full-size weight array is
+    formed."""
     ell = _log_bivariate(held)
     out = np.empty((rows, cols), dtype=ell.dtype)
     n = np.arange(1, cols + 1, dtype=float)
-    step = max(1, _ROW_BLOCK // cols)
+    step = _block_rows(cols)
     for i in range(0, rows, step):
         m = np.arange(i + 1, min(i + step, rows) + 1, dtype=float)
         np.multiply(-np.sqrt(np.outer(m, n)), ell[i + 1:i + 1 + len(m), 1:],
@@ -455,8 +455,8 @@ def _orbits(m: int, order: int):
 
 def _asymmetry(b: np.ndarray):
     """(max |b - b^T|, max |b|) of a square b, by row blocks of at most
-    ``_ROW_BLOCK`` entries; a NaN entry makes both NaN."""
-    step = max(1, _ROW_BLOCK // len(b))
+    ``series._BLOCK`` entries; a NaN entry makes both NaN."""
+    step = _block_rows(len(b))
     gaps, sizes = [], []
     for i in range(0, len(b), step):
         rows = b[i:i + step]

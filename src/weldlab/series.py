@@ -63,9 +63,16 @@ from .errors import InvalidInput, NumericalFailure
 # noise with one order of headroom.
 COEFF_FLOOR = 1e-14
 
-# Complex entries of one transform block of the Newton series inverse:
-# 2^17 values are 2 MB, whatever the shape of the series.
-_FFT_BLOCK = 1 << 17
+# Entries of one block of every blocked pass of the operator layer: the
+# Newton log's transforms and products (2^15 complex values are 512 KiB,
+# whatever the shape of the series) and grunsky's row-blocked weights and
+# symmetry check. It bounds memory only: no result depends on it.
+_BLOCK = 1 << 15
+
+
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` entries in one block of ``_BLOCK`` (at least one)."""
+    return max(1, _BLOCK // width)
 
 
 class Kind(enum.Enum):
@@ -215,8 +222,8 @@ def _y_transforms(n1: int, real: bool, order: int):
     ``_x_product`` run along contiguous rows.
 
     Every pass is one walk, ``blocks``: the rows of each residue class
-    mod k in blocks of at most ``_FFT_BLOCK`` entries, each with the class
-    b of its y-powers and the number of them below y^n1. Two block
+    mod k in blocks of at most ``_BLOCK`` (2^15) entries, each with the
+    class b of its y-powers and the number of them below y^n1. Two block
     transforms alone hold the twiddles: ``to_spectrum`` writes a block's
     spectrum into its columns, and ``to_series`` untwiddles a block of
     spectrum in place and returns its series. Returns three functions:
@@ -229,7 +236,7 @@ def _y_transforms(n1: int, real: bool, order: int):
     m = _smooth_length(-(-(2 * n1 - 1) // k))
     fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     width = m // 2 + 1 if real else m
-    step = max(1, _FFT_BLOCK // m)
+    step = _block_rows(m)
     twiddles = np.exp(-2j * np.pi / (k * m)
                       * np.outer(np.arange(k), np.arange(width)))[:, :, None]
 
@@ -279,11 +286,11 @@ def _x_product(a, b, size, lo, hi, out):
     convolution of length ``size``, which the caller picks so that every
     power that wraps around lands outside lo..hi-1; the result is not
     truncated in y (``truncate`` does that). The frequencies go in
-    blocks of ``_FFT_BLOCK // size`` rows, so no full two-dimensional
-    transform is ever formed. ``out`` may be ``b``: each block of ``b`` is
-    read before its rows of ``out`` are written.
+    blocks of ``_BLOCK // size`` rows (at least one), so no full
+    two-dimensional transform is ever formed. ``out`` may be ``b``: each
+    block of ``b`` is read before its rows of ``out`` are written.
     """
-    step = max(1, _FFT_BLOCK // size)
+    step = _block_rows(size)
     for i in range(0, len(a), step):
         p = np.fft.fft(a[i:i + step], size)
         p *= np.fft.fft(b[i:i + step], size)
@@ -351,8 +358,8 @@ def _log_bivariate(d) -> np.ndarray:
     it. The spectra are complex arrays of n0
     columns and n1/k rows (half of them for real data), the products run
     on blocks of them, and the log is written over the inverse's
-    spectrum: at n0 = n1 = 1281 the call's traced peak is 55 MiB for a
-    1-fold array and 29.4 MiB for the 2-fold array of the c = 0.5
+    spectrum: at n0 = n1 = 1281 the call's traced peak is 51.7 MiB for a
+    1-fold array and 26.4 MiB for the 2-fold array of the c = 0.5
     ellipse's b1. Real data takes real transforms and gives a real log
     (the result has d's dtype). The error is roundoff
     relative to max|D| max|1/D|, which is of order one for the builders'

@@ -196,7 +196,7 @@ class TestBuildB1:
     def test_two_fold_log_memory(self, ellipse05, monkeypatch):
         # the c = 0.5 generating array is 2-fold, so the log keeps one
         # residue class of its spectrum, half the y-frequencies, and its
-        # traced peak at N = 1280 is 29.4 MiB; the builder hands the array
+        # traced peak at N = 1280 is 26.4 MiB; the builder hands the array
         # over in a list
         peaks, orders = [], []
         log = gk._log_bivariate
@@ -214,19 +214,21 @@ class TestBuildB1:
         gk.build_b1(ellipse05.interior, 1280)
         assert orders == [2] and peaks[0] <= 32 << 20
 
-    def test_build_memory(self, ellipse05):
+    def test_build_memory(self):
         # the generating array is freed once its spectrum is taken and the
         # weights are applied by row blocks, so the whole build peaks at
-        # the log's own working set (29.4 MiB; 50.1 MiB when the array
-        # lived through the Newton inverse beside two weight temporaries)
-        gk.build_b1(ellipse05.interior, 64)
+        # the log's own working set: 26.4 MiB with blocks of 2^15 entries
+        # (29.4 MiB with blocks of 2^17, 50.1 MiB when the array lived
+        # through the Newton inverse beside two weight temporaries)
+        f = mp.catalog_map("ellipse", "interior", c=0.5)
+        gk.build_b1(f, 64)
         tracemalloc.start()
         try:
-            gk.build_b1(ellipse05.interior, 1280)
+            gk.build_b1(f, 1280)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 31 << 20
+        assert peak <= 28 << 20
 
     def test_cross_operator_consistency(self, ellipse03):
         # log det agreement between the interior and exterior routes
@@ -328,6 +330,20 @@ class TestBuildB2B3:
         # coefficients
         _, b3_rect = gk.build_b2_b3(f, g, 48, 49)
         assert np.abs(b3_rect[:, :48] - b2.T).max() <= 1e-10
+
+    def test_build_memory(self, ellipse05):
+        # at N = 256 a block of 2^17 entries held all 136 y-frequencies of
+        # a product's length-512 x-transforms, three such temporaries at
+        # once: 3.21 MiB traced, 2.08 MiB with blocks of 2^15 entries
+        f, g = ellipse05.interior, ellipse05.exterior
+        gk.build_b2_b3(f, g, 16)
+        tracemalloc.start()
+        try:
+            gk.build_b2_b3(f, g, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 << 19
 
     def test_k_fold_mixed_array_takes_difference_classes(self, monkeypatch):
         # log(1 - f(z)/g(w)) in x = z, y = 1/w is invariant under

@@ -364,11 +364,13 @@ class TestSymmetryClasses:
 
 
 class TestBlockSize:
-    """The transform block size moves no bit. At budgets of 2^8, 2^10 and
-    3000 entries a residue class of a 97-row spectrum runs over 1 to 97
-    blocks, most often ending on a short one, and the first steps of a 3-fold
-    Newton inverse have fewer rows than classes; every output must equal
-    the default size's."""
+    """The block size of the operator layer's blocked passes
+    (``series._BLOCK``) moves no bit. At budgets of 2^8, 2^10 and 3000
+    entries a residue class of a 97-row spectrum runs over 1 to 97 blocks,
+    most often ending on a short one, the first steps of a 3-fold Newton
+    inverse have fewer rows than classes, and the builders' weights and the
+    determinant's symmetry check run over 2 to 48 row blocks of a 96-row
+    block; every output must equal the default size's."""
 
     @pytest.fixture(scope="class")
     def logs(self):
@@ -397,9 +399,38 @@ class TestBlockSize:
 
     @pytest.mark.parametrize("budget", [1 << 8, 1 << 10, 3000])
     def test_log(self, logs, budget, monkeypatch):
-        monkeypatch.setattr(series, "_FFT_BLOCK", budget)
+        monkeypatch.setattr(series, "_BLOCK", budget)
         for d, want in logs:
             assert np.array_equal(_log_bivariate(d), want)
+
+    @staticmethod
+    def blocks():
+        """Every row-blocked pass on the five cases at N = 96: b1 of the
+        c = 0.3 ellipse (2-fold) and of the bump (0.1, 3) (3-fold), the
+        bump's mixed blocks (difference classes), square and 96 x 61 (its
+        b3 from the second log), and b4 of a Moebius image of the ellipse
+        (1-fold complex) and of the ellipse (diagonal); each symmetric
+        block with its symmetry check and its log det(I - B_n B_n*)."""
+        ellipse = mp.catalog("ellipse", c=0.3)
+        bump = mp.catalog("fourier_bump", eps=0.1, k=3)
+        out = [*gk.build_b2_b3(bump.interior, bump.exterior, 96),
+               *gk.build_b2_b3(bump.interior, bump.exterior, 96, 61)]
+        for b in (gk.build_b1(ellipse.interior, 96),
+                  gk.build_b1(bump.interior, 96),
+                  gk.build_b4(mobius_ellipse_exterior(0.3, 0.4 + 0.2j), 96),
+                  gk.build_b4(ellipse.exterior, 96)):
+            out += [b, gk._asymmetry(b),
+                    gk.logdet_potential(b, [1, 31, 95, 96]).estimates]
+        return out
+
+    @pytest.mark.parametrize("budget", [1 << 8, 1 << 10, 3000])
+    def test_blocks(self, budget, monkeypatch):
+        want = self.blocks()
+        monkeypatch.setattr(series, "_BLOCK", budget)
+        got = self.blocks()
+        assert len(got) == len(want) == 16
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("budget", [16, 64, 300])
     def test_reciprocal(self, budget, monkeypatch):
@@ -407,7 +438,7 @@ class TestBlockSize:
         f = mp.catalog("fourier_bump", eps=0.1, k=3).interior.coeffs
         quotient = gk._padded(f, 374)[1:]
         want = reciprocal_array(quotient)
-        monkeypatch.setattr(series, "_FFT_BLOCK", budget)
+        monkeypatch.setattr(series, "_BLOCK", budget)
         assert np.array_equal(reciprocal_array(quotient), want)
 
 
